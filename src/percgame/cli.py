@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -106,6 +107,23 @@ def _fmt(v):
     return v
 
 
+class UsageError(ValueError):
+    """Bad input named on the command line; main reports it and exits 2."""
+
+
+def _family(name: str) -> lattice.GraphFamily:
+    try:
+        return lattice.family_from_name(name)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
+def _families(names: str) -> list:
+    """Comma-separated family names; commas inside parentheses belong to a
+    name, as in binomial(4,1)."""
+    return [_family(name) for name in re.split(r",(?![^(]*\))", names)]
+
+
 def _ensure_outdir(path):
     d = os.path.dirname(path)
     if d:
@@ -116,7 +134,7 @@ def _ensure_outdir(path):
 
 
 def cmd_solve2d(cfg: RunConfig) -> int:
-    fam = lattice.family_from_name(cfg.family)
+    fam = _family(cfg.family)
     if fam.d != 2:
         print("solve2d requires a two-dimensional family", file=sys.stderr)
         return 2
@@ -137,7 +155,7 @@ def cmd_solve2d(cfg: RunConfig) -> int:
 
 
 def cmd_win_curve(cfg: RunConfig) -> int:
-    fam = lattice.family_from_name(cfg.family)
+    _family(cfg.family)
     grid = cfg.p_grid or [0.2, 0.5]
     seeds = np.asarray(cfg.seeds, dtype=np.int64)
     rows = []
@@ -160,7 +178,7 @@ def cmd_win_curve(cfg: RunConfig) -> int:
 
 
 def cmd_draw_scan(cfg: RunConfig) -> int:
-    families = [lattice.family_from_name(f.strip()) for f in cfg.family.split(",")]
+    families = _families(cfg.family)
     grid = cfg.p_grid or [cfg.p]
     seeds = np.asarray(cfg.seeds, dtype=np.int64)
     sens_rows = []
@@ -182,13 +200,16 @@ def cmd_draw_scan(cfg: RunConfig) -> int:
 
 
 def cmd_glauber(cfg: RunConfig) -> int:
-    fam = lattice.family_from_name(cfg.family)
+    fam = _family(cfg.family)
     sizes = cfg.sizes if len(cfg.sizes) > 1 or fam.d == 2 else cfg.sizes * (fam.d - 1)
-    torus = glauber.build_doubling_torus(fam, sizes)
     if cfg.lam is not None:
-        p = 1.0 / (1.0 + cfg.lam) if cfg.variant == "standard" else 1.0 - cfg.lam
+        try:
+            p = exact.p_from_activity(cfg.lam, cfg.variant)
+        except ValueError as e:
+            raise UsageError(f"--lam: {e}") from None
     else:
         p = cfg.p
+    torus = glauber.build_doubling_torus(fam, sizes)
     field = SiteField(int(cfg.seeds[0]), p, fam)
     rows = glauber.sweep_chain(torus, p, cfg.variant, cfg.steps, field,
                                init=cfg.init, record_every=max(1, cfg.steps // 200))
@@ -199,7 +220,7 @@ def cmd_glauber(cfg: RunConfig) -> int:
 
 
 def cmd_couple_verify(cfg: RunConfig) -> int:
-    fam = lattice.family_from_name(cfg.family)
+    fam = _family(cfg.family)
     sizes = cfg.sizes if len(cfg.sizes) > 1 or fam.d == 2 else cfg.sizes * (fam.d - 1)
     variant = "extended" if fam.has_A2_prime else "standard"
     failures = 0
@@ -400,7 +421,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = resolve_config(args)
-    return COMMANDS[args.subcommand](cfg)
+    try:
+        return COMMANDS[args.subcommand](cfg)
+    except UsageError as e:
+        print(f"percgame {args.subcommand}: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -75,16 +75,18 @@ def stationary_vector(T: np.ndarray) -> np.ndarray:
 def matrix_P(p: float) -> MarkovMeasure:
     """Transition matrix of the stationary Markov law of the hard-core PCA.
 
-    Entries are the closed forms in sqrt(p(4-3p)); valid for 0 < p < 1.
+    Entries are the closed forms in s = sqrt(p(4-3p)), written without the
+    division by (1-p)^2: P01 = 2p(1-p)/(s+3p-2p^2), P10 = 2p/(s+p).  Valid
+    for 0 < p < 1.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("matrix_P requires 0 < p < 1")
     s = sqrt(p * (4.0 - 3.0 * p))
-    q = 1.0 - p
-    T = np.array([
-        [(2 - p - s) / (2 * q * q), (2 * p * p - 3 * p + s) / (2 * q * q)],
-        [(-p + s) / (2 * q), (2 - p - s) / (2 * q)],
-    ])
+    # rationalized forms of (2p^2 - 3p + s) / (2(1-p)^2) and (s - p) / (2(1-p)),
+    # which cancel catastrophically as p -> 1
+    t01 = 2.0 * p * (1.0 - p) / (s + 3.0 * p - 2.0 * p * p)
+    t10 = 2.0 * p / (s + p)
+    T = np.array([[1.0 - t01, t01], [t10, 1.0 - t10]])
     return MarkovMeasure(T, stationary_vector(T))
 
 
@@ -108,15 +110,18 @@ def matrix_Q(lam: float) -> MarkovMeasure:
     return MarkovMeasure(T, np.array([pi0, 1.0 - pi0]))
 
 
-def activity_from_p(p: float, variant: str = "standard") -> float:
+def p_from_activity(lam: float, variant: str = "standard") -> float:
+    """Closing probability of the class update at activity lam: 1/(1+lam)
+    for the standard variant (finite lam > 0), 1 - lam for the extended one
+    (0 < lam < 1)."""
     if variant == "standard":
-        if not 0.0 < p < 1.0:
-            raise ValueError("standard variant needs 0 < p < 1")
-        return 1.0 / p - 1.0
+        if not 0.0 < lam < float("inf"):
+            raise ValueError(f"standard variant needs 0 < lam < inf, got {lam}")
+        return 1.0 / (1.0 + lam)
     if variant == "extended":
-        if not 0.0 < p < 1.0:
-            raise ValueError("extended variant needs 0 < p < 1")
-        return 1.0 - p
+        if not 0.0 < lam < 1.0:
+            raise ValueError(f"extended variant needs 0 < lam < 1, got {lam}")
+        return 1.0 - lam
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -513,14 +518,7 @@ def kernel_stationarity_check(neighbors: Sequence[Sequence[int]],
         for v in cls:
             if set(neighbors[v]) & set(cls):
                 raise ValueError(f"class {i} is not an independent set")
-    if variant == "standard":
-        p = 1.0 / (1.0 + lam)
-    elif variant == "extended":
-        if not 0.0 < lam < 1.0:
-            raise ValueError("extended variant needs 0 < lam < 1")
-        p = 1.0 - lam
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    p = p_from_activity(lam, variant)
     pi = gibbs_exact(neighbors, lam).probs
     worst = 0.0
     for cls in classes:

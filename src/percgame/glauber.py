@@ -29,7 +29,8 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import SiteField, hash_uniforms
+from .sitefield import (SiteField, below, closed_threshold, finish_tag,
+                        hash_prefix, hash_uniforms)
 from .solver import SlabIndex
 from .symbols import ONE, ZERO
 
@@ -126,18 +127,37 @@ def independence_violations(torus: DoublingTorus, values: np.ndarray) -> int:
     return int(((values == ONE) & (occ == ONE)).sum())
 
 
+def _update_class(values: np.ndarray, sel: np.ndarray, nbr_cols: np.ndarray,
+                  open_: np.ndarray, extended: bool) -> None:
+    """The class-update rule, in place.
+
+    ``values`` is a 0/1 int8 configuration with the vertex axis first,
+    shape (V, ...); ``sel`` the class's vertices; ``nbr_cols`` their
+    neighbors, shape (deg, len(sel)); ``open_`` (len(sel), ...) bool, True
+    where the vertex's uniform is >= p.  A vertex becomes 1 iff it is open
+    and no neighbor is occupied (extended: and it was empty).
+    """
+    blocked = values[nbr_cols[0]]
+    for col in nbr_cols[1:]:
+        blocked |= values[col]
+    allowed = blocked == ZERO
+    allowed &= open_
+    if extended:
+        allowed &= values[sel] == ZERO
+    values[sel] = allowed
+
+
 def class_update(torus: DoublingTorus, values: np.ndarray, class_i: int,
                  p: float, variant: str, uniforms: np.ndarray) -> np.ndarray:
-    """One class update; `uniforms` has one entry per class-i vertex
-    (trailing axis), broadcast against leading axes of `values`."""
+    """One class update of a 0/1 configuration; `uniforms` has one entry per
+    class-i vertex (trailing axis), broadcast against leading axes of
+    `values`."""
     _check_variant(variant)
     sel = torus.class_members[class_i % torus.m]
     out = np.array(values, dtype=np.int8, copy=True)
-    occupied_nbr = (out[..., torus.neighbors[sel]] == ONE).any(axis=-1)
-    allowed = ~occupied_nbr & (uniforms >= p)
-    if variant == "extended":
-        allowed &= out[..., sel] == ZERO
-    out[..., sel] = allowed.astype(np.int8)
+    open_ = np.broadcast_to(uniforms >= p, out.shape[:-1] + sel.shape)
+    _update_class(np.moveaxis(out, -1, 0), sel, torus.neighbors[sel].T,
+                  np.moveaxis(open_, -1, 0), variant == "extended")
     return out
 
 
@@ -148,8 +168,14 @@ def run_chains(torus: DoublingTorus, p: float, variant: str, sweeps: int,
     init: 'even' / 'odd' (checkerboard states), 'empty', or an explicit
     (V,) array.  Vertex v in class i at sweep t draws uniform(seed, coords
     of v, tag=(t, i)).  Returns (record_sweeps, occupations (S, R, m)).
+
+    Each class's hash prefix (seed and coordinate words) is computed once;
+    a sweep finishes only the (t, i) tag and decides ``uniform >= p`` on
+    the hash words (see ``sitefield``).  The configuration is kept
+    vertex-major, (V, S), so that neighbor gathers copy whole rows.
     """
     _check_variant(variant)
+    extended = variant == "extended"
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     if isinstance(init, str):
         base = {"even": lambda: checkerboard_config(torus, 0),
@@ -157,21 +183,28 @@ def run_chains(torus: DoublingTorus, p: float, variant: str, sweeps: int,
                 "empty": lambda: np.zeros(torus.n_vertices, dtype=np.int8)}[init]()
     else:
         base = np.asarray(init, dtype=np.int8)
-    values = np.broadcast_to(base, (seeds.size, torus.n_vertices)).copy()
+    values = np.broadcast_to(base, (seeds.size, torus.n_vertices)).T.copy()
+    members = torus.class_members
+    prefixes = [np.ascontiguousarray(hash_prefix(seeds, torus.coords[sel]).T)
+                for sel in members]
+    nbr_cols = [np.ascontiguousarray(torus.neighbors[sel].T) for sel in members]
+    hashed = [np.empty_like(pre) for pre in prefixes]
+    scratch = [np.empty_like(pre) for pre in prefixes]
+    open_ = [np.empty(pre.shape, dtype=bool) for pre in prefixes]
+    threshold = closed_threshold(p)
     record_sweeps = []
     occs = []
 
     def record(t):
         record_sweeps.append(t)
         occs.append(np.stack(
-            [(values[:, mem] == ONE).mean(axis=1) for mem in torus.class_members],
-            axis=1))
+            [(values[mem] == ONE).mean(axis=0) for mem in members], axis=1))
 
     for t in range(sweeps):
         for i in range(torus.m):
-            sel = torus.class_members[i]
-            u = hash_uniforms(seeds, torus.coords[sel], (t, i))
-            values = class_update(torus, values, i, p, variant, u)
+            h = finish_tag(prefixes[i], (t, i), out=hashed[i], tmp=scratch[i])
+            np.logical_not(below(h, threshold, out=open_[i]), out=open_[i])
+            _update_class(values, members[i], nbr_cols[i], open_[i], extended)
         if (t + 1) % record_every == 0 or t == sweeps - 1:
             record(t + 1)
     return np.array(record_sweeps), np.stack(occs, axis=1)
@@ -309,12 +342,6 @@ def cycle_graph(n: int):
     if n % 2:
         raise ValueError("cycle needs even length for a bipartition")
     nbrs = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
-    classes = [[i for i in range(n) if i % 2 == 0], [i for i in range(n) if i % 2 == 1]]
-    return nbrs, classes
-
-
-def path_graph(n: int):
-    nbrs = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
     classes = [[i for i in range(n) if i % 2 == 0], [i for i in range(n) if i % 2 == 1]]
     return nbrs, classes
 

@@ -32,6 +32,7 @@ are available through :class:`IsoMap` / :func:`doubling_map`.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -146,18 +147,25 @@ def even_sublattice_extended(d: int) -> GraphFamily:
     return GraphFamily("even_ext", d)
 
 
+_FAMILY_NAME = re.compile(
+    r"(?P<kind>zd|even|bcc|subset|even_ext)\((?P<d>[0-9]+)\)"
+    r"|binomial\((?P<bd>[0-9]+),(?P<r>[0-9]+)\)")
+
+
 def family_from_name(name: str) -> GraphFamily:
-    """Parse names like 'z2', 'even(3)', 'binomial(4,1)'."""
-    name = name.strip()
-    if "(" not in name:
-        if name == "z2":
-            return z2()
-        raise ValueError(f"cannot parse family {name!r}")
-    kind, args = name.rstrip(")").split("(")
-    nums = [int(a) for a in args.split(",")]
-    if kind == "binomial":
-        return binomial_family(*nums)
-    return GraphFamily(kind, *nums)
+    """Parse a family name: 'z2', 'zd(d)', 'even(d)', 'bcc(d)', 'subset(d)',
+    'even_ext(d)' or 'binomial(d,r)', with decimal d and r and no inner
+    spaces.  Anything else raises ValueError."""
+    text = name.strip()
+    if text == "z2":
+        return z2()
+    match = _FAMILY_NAME.fullmatch(text)
+    if match is None:
+        raise ValueError(f"cannot parse family {name!r}: expected z2, zd(d), even(d), "
+                         "bcc(d), subset(d), even_ext(d) or binomial(d,r)")
+    if match["kind"]:
+        return GraphFamily(match["kind"], int(match["d"]))
+    return binomial_family(int(match["bd"]), int(match["r"]))
 
 
 # -- membership, layers, moves -------------------------------------------

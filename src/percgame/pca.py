@@ -193,19 +193,6 @@ def input_alphabet(kind: str) -> tuple[int, ...]:
     return (ZERO, ONE) if kind in BINARY_KINDS else (ZERO, ONE, QUES)
 
 
-def encode_ring(cells) -> int:
-    cells = as_cells(cells)
-    return int((cells.astype(np.int64) * 3 ** np.arange(len(cells), dtype=np.int64)).sum())
-
-
-def decode_ring(code: int, n: int) -> np.ndarray:
-    out = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        code, rem = divmod(code, 3)
-        out[i] = rem
-    return out
-
-
 def all_inputs(kind: str, n: int) -> np.ndarray:
     """All valid input rings for the kind, shape (A^n, n)."""
     alpha = input_alphabet(kind)

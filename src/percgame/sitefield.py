@@ -21,12 +21,30 @@ Coordinates are packed three per word in 21-bit fields, each offset by
 
     word_g = sum((c[3g+j] + 2**20) << (21*j)  for j in 0..2)
 
-The hash of a triple chains these words through ``mix64``:
+The hash of a triple chains these words through ``mix64``, in two parts.
+The *prefix* is the chain state after the seed and the coordinate words;
+the *tag finisher* mixes the tag elements into it:
 
-    h = mix64(seed)
-    for each coordinate word w:   h = mix64(h ^ w)
-    for each tag element t:       h = mix64(h ^ t)
-    u = (h >> 11) * 2.0**-53          # uniform in [0, 1)
+    prefix(seed, c) = h,  where    h = mix64(seed)
+                                   for each coordinate word w:  h = mix64(h ^ w)
+    finish(h, tag):                for each tag element t:      h = mix64(h ^ t)
+    u = (finish(prefix(seed, c), tag) >> 11) * 2.0**-53   # uniform in [0, 1)
+
+A consumer that draws many tags at fixed sites (a Glauber chain drawing
+tag (t, i) at every sweep t) computes each site's prefix once.
+
+Threshold lemma.  A decision ``u < p`` is made on the 64-bit word h alone:
+
+    (h >> 11) * 2.0**-53 < p   <=>   h < ceil(p * 2**53) << 11    (0 < p < 1)
+
+since h >> 11 is an integer k < 2**53 and k * 2**-53 is exact, p * 2**53
+is exact (a power-of-two scaling), k < x <=> k < ceil(x) for integer k,
+and floor(h / 2**11) < K <=> h < K * 2**11.  For p < 1, ceil(p * 2**53) <=
+2**53 - 1, so the threshold fits in 64 bits.  For p >= 1 every u is below
+p (the threshold 2**64 does not fit a word, so this case is decided
+without it); for p <= 0 none is.  ``hash_below`` is therefore the same
+decision as ``hash_uniforms(...) < p``, bit for bit, without the float
+conversion.
 
 A tag is a non-negative int or a tuple of them; an int tag behaves as a
 1-tuple.  Tag registry used in this package:
@@ -43,6 +61,7 @@ update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -69,12 +88,21 @@ def mix64(z: int) -> int:
     return z
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_C1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_C2)
-    z = z ^ (z >> np.uint64(31))
+_U30, _U27, _U31, _U11 = (np.uint64(k) for k in (30, 27, 31, 11))
+_UC1, _UC2 = np.uint64(_C1), np.uint64(_C2)
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Splitmix64 finalizer on a uint64 array, in place; ``tmp`` is a
+    scratch array of the same shape."""
+    np.right_shift(z, _U30, out=tmp)
+    z ^= tmp
+    z *= _UC1
+    np.right_shift(z, _U27, out=tmp)
+    z ^= tmp
+    z *= _UC2
+    np.right_shift(z, _U31, out=tmp)
+    z ^= tmp
     return z
 
 
@@ -97,31 +125,112 @@ def _pack_words(coords: np.ndarray) -> np.ndarray:
     return words
 
 
-def hash_uniforms(seeds, coords, tag=0) -> np.ndarray:
-    """Uniform variates for every (seed, site, tag) combination.
-
-    ``seeds`` is a scalar or shape (S,) int array; ``coords`` is an integer
-    array of shape (..., d) (or (...,) for 1-d sites).  Returns float64 of
-    shape (...) for a scalar seed, or (S, ...) for a seed vector.
-    """
+def _chain(seeds, coords, tag=(), out=None) -> np.ndarray:
+    """The chain core: hash words of every (seed, site, tag), mixed in place
+    on one state buffer (``out`` if given) with one scratch buffer.  The
+    empty tag gives the prefix.  Shapes as for :func:`hash_prefix`."""
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim == 0:
         coords = coords.reshape(1)
     if coords.ndim == 1:
         coords = coords[:, None]
     seeds_arr = np.asarray(seeds, dtype=np.uint64)
-    scalar_seed = seeds_arr.ndim == 0
-    with np.errstate(over="ignore"):
-        h = _mix64_np(seeds_arr.reshape(-1))  # (S,)
-        words = _pack_words(coords)  # (..., nw)
-        out_shape = (h.shape[0],) + words.shape[:-1]
-        acc = np.broadcast_to(h.reshape((-1,) + (1,) * (words.ndim - 1)), out_shape).copy()
-        for w in range(words.shape[-1]):
-            acc = _mix64_np(acc ^ words[None, ..., w])
-        for t in _tag_elements(tag):
-            acc = _mix64_np(acc ^ np.uint64(t & _MASK))
-    u = (acc >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    return u[0] if scalar_seed else u
+    h = seeds_arr.reshape(-1).copy()  # (S,)
+    _mix64_inplace(h, np.empty_like(h))
+    words = _pack_words(coords)  # (..., nw)
+    shape = (h.shape[0],) + words.shape[:-1]
+    if out is None:
+        state = np.empty(shape, dtype=np.uint64)
+    elif out.shape != shape[seeds_arr.ndim == 0:] or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous of shape {shape[seeds_arr.ndim == 0:]}")
+    else:
+        state = out.reshape(shape)
+    tmp = np.empty_like(state)
+    h = h.reshape((-1,) + (1,) * (words.ndim - 1))
+    if words.shape[-1] == 0:
+        state[...] = h
+    for w in range(words.shape[-1]):
+        np.bitwise_xor(h if w == 0 else state, words[None, ..., w], out=state)
+        _mix64_inplace(state, tmp)
+    finish_tag(state, tag, out=state, tmp=tmp)
+    return state[0] if seeds_arr.ndim == 0 else state
+
+
+def hash_prefix(seeds, coords) -> np.ndarray:
+    """Chain state after the seed and coordinate words, as uint64.
+
+    ``seeds`` is a scalar or shape (S,) int array; ``coords`` is an integer
+    array of shape (..., d) (or (...,) for 1-d sites).  Returns shape (...)
+    for a scalar seed, or (S, ...) for a seed vector.
+    """
+    return _chain(seeds, coords)
+
+
+def finish_tag(prefix: np.ndarray, tag, out: np.ndarray = None,
+               tmp: np.ndarray = None) -> np.ndarray:
+    """Hash words of (seed, site, tag) from the prefix of (seed, site).
+
+    Writes into ``out`` (a new array if None; may be ``prefix`` itself) and
+    uses ``tmp`` as scratch; both are uint64 of the prefix's shape.
+    """
+    if out is None:
+        out = np.empty_like(prefix)
+    if tmp is None:
+        tmp = np.empty_like(prefix)
+    src = prefix
+    for t in _tag_elements(tag):
+        np.bitwise_xor(src, np.uint64(t & _MASK), out=out)
+        _mix64_inplace(out, tmp)
+        src = out
+    if src is not out:  # empty tag
+        out[...] = prefix
+    return out
+
+
+def closed_threshold(p: float) -> int:
+    """Integer T with  h < T  <=>  (h >> 11) * 2**-53 < p  for every 64-bit
+    h (the threshold lemma); T = 2**64 when p >= 1 and 0 when p <= 0."""
+    if not p > 0.0:
+        return 0
+    if p >= 1.0:
+        return 1 << 64
+    return math.ceil(p * 2.0 ** 53) << 11
+
+
+def below(h: np.ndarray, threshold: int, out: np.ndarray = None) -> np.ndarray:
+    """Boolean mask h < threshold, for a threshold from closed_threshold."""
+    if threshold > _MASK:
+        if out is None:
+            return np.ones(h.shape, dtype=bool)
+        out.fill(True)
+        return out
+    return np.less(h, np.uint64(threshold), out=out)
+
+
+def hash_below(seeds, coords, tag, p: float) -> np.ndarray:
+    """``hash_uniforms(seeds, coords, tag) < p``, decided on the hash words
+    (threshold lemma); same shapes as :func:`hash_uniforms`."""
+    return below(_chain(seeds, coords, tag), closed_threshold(p))
+
+
+def hash_uniforms(seeds, coords, tag=0, out=None) -> np.ndarray:
+    """Uniform variates for every (seed, site, tag) combination.
+
+    ``seeds`` is a scalar or shape (S,) int array; ``coords`` is an integer
+    array of shape (..., d) (or (...,) for 1-d sites).  Returns float64 of
+    shape (...) for a scalar seed, or (S, ...) for a seed vector.  ``out``,
+    a C-contiguous float64 array of that shape, receives the variates and
+    is returned; a caller hashing layer after layer reuses one buffer.
+    """
+    if out is not None and out.dtype != np.float64:
+        raise ValueError(f"out must be float64, got {out.dtype}")
+    h = _chain(seeds, coords, tag, None if out is None else out.view(np.uint64))
+    h >>= _U11
+    # converted in place: h < 2**53, so the conversion and the scaling by
+    # 2**-53 are exact
+    u = h.view(np.float64)
+    np.multiply(h, _INV_2_53, out=u)
+    return u if out is None else out
 
 
 def hash_uniform_scalar(seed: int, coords, tag=0) -> float:
@@ -168,4 +277,4 @@ class SiteField:
 
     def closed_mask(self, coords) -> np.ndarray:
         """Vectorized is_closed over an array of sites, shape (..., d)."""
-        return self.uniforms(coords, 0) < self.p
+        return hash_below(self.seed, coords, 0, self.p)

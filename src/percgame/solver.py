@@ -29,7 +29,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import SiteField, hash_uniforms
+from .sitefield import SiteField, hash_below, hash_uniforms
 from .symbols import ONE, QUES, ZERO
 
 # -- region and boundary specifications -------------------------------------
@@ -161,7 +161,7 @@ def triangle_sweep(n: int, boundary: Boundary, p: float, seeds,
     vals = _triangle_boundary(boundary, n, seeds)
     rows = {n: vals} if keep_all else None
     for k in range(n - 1, -1, -1):
-        closed = hash_uniforms(seeds, _diag_coords(k), 0) < p
+        closed = hash_below(seeds, _diag_coords(k), 0, p)
         vals = rule(closed, vals[:, :-1], vals[:, 1:])
         if keep_all:
             rows[k] = vals
@@ -236,8 +236,7 @@ def solve_region(family: GraphFamily, region: RegionSpec, field: SiteField):
             # closedness is a property of the site; on the boundary diagonal
             # it does not enter the recursion (values there are imposed) but
             # does drive rendering and counts
-            closed[coords[:, 0], coords[:, 1]] = \
-                hash_uniforms(np.asarray([field.seed]), coords, 0)[0] < field.p
+            closed[coords[:, 0], coords[:, 1]] = field.closed_mask(coords)
         return TriangleOutcome(family, n, field.p, field.seed, region.boundary,
                                values, closed)
     if isinstance(shape, Slab):
@@ -364,6 +363,10 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
     layers = _slab_boundary(index, boundary, depth, m, seeds, field)
     keep = set(range(m)) | set(record_layers or ())
     out = {k: v for k, v in layers.items() if k in keep}
+    # one uniforms buffer per class, reused by every layer of the class, so
+    # that the allocator does not hand its pages back and fault them in
+    # again at each layer (whether it does depends on the heap layout)
+    uniforms = [np.empty((seeds.size, index.class_size(c))) for c in range(index.q)]
     for k in range(depth - 1, -1, -1):
         c = k % index.q
         deltas = index.nbr_layer_delta[c]
@@ -371,7 +374,8 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
         stacked = np.stack(
             [layers[k + int(dl)][:, pos[:, j]] for j, dl in enumerate(deltas)],
             axis=-1)  # (S, n_c, deg)
-        closed = hash_uniforms(seeds, index.layer_site_coords(k), 0) < p
+        u = hash_uniforms(seeds, index.layer_site_coords(k), 0, out=uniforms[c])
+        closed = u < p
         if three:
             any_loss = (stacked == ONE).any(axis=-1)
             all_win = (stacked == ZERO).all(axis=-1)

@@ -54,13 +54,6 @@ def as_cells(word) -> np.ndarray:
     return cells
 
 
-def linear_le(a, b) -> bool:
-    """Cellwise a <= b under the order 0 < ? < 1."""
-    a = as_cells(a)
-    b = as_cells(b)
-    return bool(np.all(LINEAR_RANK[a] <= LINEAR_RANK[b]))
-
-
 def ques_le(a, b) -> bool:
     """Cellwise a <= b under the order with ? maximal (0, 1 incomparable)."""
     a = as_cells(a)

@@ -124,3 +124,47 @@ def test_save_config(tmp_path):
 def test_perc_threads_env(monkeypatch):
     monkeypatch.setenv("PERC_THREADS", "3")
     assert cli.worker_count() == 3
+
+
+def _outputs(directory):
+    return {p: (directory / p).read_bytes() for p in sorted(os.listdir(directory))}
+
+
+def test_seed_parallel_outputs_identical_across_threads(tmp_path, monkeypatch):
+    runs = {"win-curve": ["--p-grid", "0.3,0.6", "--depth", "40", "--seeds", "30",
+                          "--out"],
+            "draw-scan": ["--family", "even(3)", "--p", "0.1", "--depth", "8",
+                          "--size", "8", "--seeds", "6", "--out"]}
+    for sub, args in runs.items():
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PERC_THREADS", threads)
+            d = tmp_path / f"{sub}_{threads}"
+            d.mkdir()
+            assert run([sub] + args + [str(d / "out")]) == 0
+            outputs.append(_outputs(d))
+        assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_malformed_family_exits_2(capsys):
+    for sub in ("solve2d", "draw-scan", "glauber", "couple-verify"):
+        assert run([sub, "--family", "even(3", "--depth", "4", "--seeds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse family" in err and err.count("\n") == 1
+
+
+def test_glauber_lam_outside_variant_domain(tmp_path, capsys):
+    out = str(tmp_path / "chain.csv")
+    for variant, lam in (("extended", "2"), ("extended", "0"), ("standard", "-1")):
+        assert run(["glauber", "--family", "even(3)", "--size", "8,8", "--variant",
+                    variant, "--lam", lam, "--steps", "4", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--lam" in err and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_draw_scan_accepts_a_binomial_family_in_a_list(tmp_path):
+    out = str(tmp_path / "scan")
+    assert run(["draw-scan", "--family", "z2,binomial(3,1)", "--p", "0.2",
+                "--depth", "4", "--size", "6", "--seeds", "2", "--out", out]) == 0
+    assert len([p for p in os.listdir(tmp_path) if p.endswith("_profile.csv")]) == 2

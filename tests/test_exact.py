@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from percgame import exact, glauber
 from percgame.exact import CylinderTable
@@ -63,6 +65,41 @@ def test_P_equals_Q_squared(p):
     assert np.abs(q.T @ q.T - exact.matrix_P(float(p)).T).max() <= 1e-10
     # the stationary vectors agree as well
     assert np.abs(q.pi - exact.matrix_P(float(p)).pi).max() <= 1e-10
+
+
+# matrix_Q(1/p - 1) overflows (4 lam = inf) for p below about 1e-308, so
+# the property starts at 1e-300; every other point of (0, 1) is covered
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(st.floats(1e-300, 1.0, exclude_max=True),
+                   st.floats(1e-300, 1e-12),
+                   st.floats(1.0 - 1e-12, 1.0, exclude_max=True)))
+@example(p=1e-12)
+@example(p=1.0 - 1e-12)
+@example(p=float(np.nextafter(1.0, 0.0)))
+def test_P_equals_Q_squared_on_the_open_interval(p):
+    mm = exact.matrix_P(p)
+    q = exact.matrix_Q(1.0 / p - 1.0)
+    assert np.abs(q.T @ q.T - mm.T).max() <= 1e-12
+    assert np.abs(q.pi - mm.pi).max() <= 1e-12
+
+
+def test_matrix_P_near_one():
+    # the unrationalized forms failed "rows must sum to 1" at 968 of these
+    for p in np.linspace(0.987, 1.0, 2001)[:-1]:
+        exact.matrix_P(float(p))
+
+
+def test_p_from_activity_domains():
+    assert exact.p_from_activity(5.0) == 1.0 / 6.0
+    assert exact.p_from_activity(0.25, "extended") == 0.75
+    for lam in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            exact.p_from_activity(lam, "standard")
+    for lam in (0.0, 1.0, 2.0, float("nan")):
+        with pytest.raises(ValueError):
+            exact.p_from_activity(lam, "extended")
+    with pytest.raises(ValueError):
+        exact.p_from_activity(0.5, "bogus")
 
 
 def test_win_probability_values():

@@ -5,7 +5,7 @@ import pytest
 
 from percgame import exact, glauber
 from percgame import lattice as lat
-from percgame.sitefield import SiteField
+from percgame.sitefield import SiteField, hash_uniforms
 
 Z2 = lat.z2()
 EVEN3 = lat.even_sublattice(3)
@@ -177,3 +177,35 @@ def test_coupling_variant_guards():
         glauber.game_glauber_coupling_check(EXT3, 6, (8, 8), 0.5, 0, "standard")
     with pytest.raises(ValueError):
         glauber.game_glauber_coupling_check(Z2, 6, (8,), 0.5, 0, "extended")
+
+
+def _reference_chains(torus, p, variant, sweeps, seeds, init, record_every):
+    """run_chains spelled out with hash_uniforms and class_update."""
+    base = {"even": glauber.checkerboard_config(torus, 0),
+            "odd": glauber.checkerboard_config(torus, 1),
+            "empty": np.zeros(torus.n_vertices, dtype=np.int8)}[init]
+    vals = np.broadcast_to(base, (len(seeds), torus.n_vertices)).copy()
+    ts, occs = [], []
+    for t in range(sweeps):
+        for i in range(torus.m):
+            u = hash_uniforms(seeds, torus.coords[torus.class_members[i]], (t, i))
+            vals = glauber.class_update(torus, vals, i, p, variant, u)
+        if (t + 1) % record_every == 0 or t == sweeps - 1:
+            ts.append(t + 1)
+            occs.append(np.stack([(vals[:, mem] == 1).mean(axis=1)
+                                  for mem in torus.class_members], axis=1))
+    return np.array(ts), np.stack(occs, axis=1)
+
+
+@pytest.mark.parametrize("fam,sizes,variant", [
+    (EVEN3, (8, 8), "standard"), (Z2, (16,), "standard"),
+    (SUB3, (6, 6), "standard"), (EXT3, (8, 8), "extended")])
+@pytest.mark.parametrize("init", ["even", "odd", "empty"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+def test_run_chains_matches_reference_loop(fam, sizes, variant, init, p):
+    t = glauber.build_doubling_torus(fam, sizes)
+    seeds = np.arange(3, 7)
+    ts, occ = glauber.run_chains(t, p, variant, 12, seeds, init, 5)
+    ref_ts, ref_occ = _reference_chains(t, p, variant, 12, seeds, init, 5)
+    assert np.array_equal(ts, ref_ts)
+    assert occ.dtype == ref_occ.dtype and np.array_equal(occ, ref_occ)

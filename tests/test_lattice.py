@@ -194,3 +194,12 @@ def test_torus_size_validation():
 def test_family_names_round_trip():
     for fam in ALL_A2_FAMILIES + [lat.zd(3), EXT3]:
         assert lat.family_from_name(fam.name) == fam
+
+
+@pytest.mark.parametrize("name", [
+    "even(3", "even(3))", "binomial(4)", "binomial(4,1,2)", "even(3,1)",
+    "z3", "z2(2)", "even()", "even(-3)", "even(x)", "binomial(4, 1)", "foo(3)",
+    "", "even(1)", "binomial(4,0)", "(3)"])
+def test_malformed_family_names_raise_value_error(name):
+    with pytest.raises(ValueError):
+        lat.family_from_name(name)

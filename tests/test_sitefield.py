@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from percgame.sitefield import (SiteField, hash_uniform_scalar, hash_uniforms,
-                                mix64)
+from percgame.sitefield import (SiteField, hash_below, hash_uniform_scalar,
+                                hash_uniforms, mix64)
 
 # frozen reference outputs pin the bit-level definition across platforms
 GOLDEN = [
@@ -109,3 +111,64 @@ def test_mix64_is_splitmix_finalizer():
 def test_tuple_tag_matches_int_tag():
     assert hash_uniform_scalar(5, (1, 2), 9) == hash_uniform_scalar(5, (1, 2), (9,))
     assert hash_uniform_scalar(5, (1, 2), (9, 0)) != hash_uniform_scalar(5, (1, 2), 9)
+
+
+# -- the integer-domain closed test -------------------------------------------
+
+EDGE_P = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
+
+
+def _sites(d: int) -> np.ndarray:
+    rng = np.random.default_rng(d)
+    coords = rng.integers(-1000, 1000, size=(300, d))
+    return coords[:, 0] if d == 1 else coords
+
+
+@pytest.mark.parametrize("d", [1, 3, 4])
+@pytest.mark.parametrize("seeds", [17, np.arange(5)])
+@pytest.mark.parametrize("tag", [0, (4, 1)])
+@pytest.mark.parametrize("p", EDGE_P)
+def test_hash_below_matches_uniform_comparison_at_edges(d, seeds, tag, p):
+    coords = _sites(d)
+    expected = hash_uniforms(seeds, coords, tag) < p
+    got = hash_below(seeds, coords, tag, p)
+    assert got.dtype == bool and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(min_value=0.0, max_value=1.0), seed=st.integers(0, 2 ** 40),
+       d=st.sampled_from([1, 3, 4]), vector=st.booleans())
+def test_hash_below_matches_at_float_neighbors(p, seed, d, vector):
+    seeds = np.array([seed, seed + 1]) if vector else seed
+    coords = _sites(d)
+    u = hash_uniforms(seeds, coords, 2)
+    # p, its float neighbors, and the neighbors of a drawn uniform: the
+    # thresholds at which an off-by-one-ulp comparison would show
+    for q in (p, u.flat[0]):
+        for r in (q, np.nextafter(q, 0.0), np.nextafter(q, 1.0)):
+            assert np.array_equal(hash_below(seeds, coords, 2, float(r)), u < r)
+
+
+@pytest.mark.parametrize("seeds", [17, np.arange(5)])
+@pytest.mark.parametrize("d", [1, 3, 4])
+def test_hash_uniforms_into_out_buffer(seeds, d):
+    coords = _sites(d)
+    expected = hash_uniforms(seeds, coords, (3, 1))
+    out = np.full(expected.shape, -1.0)
+    got = hash_uniforms(seeds, coords, (3, 1), out=out)
+    assert got is out
+    assert np.array_equal(out, expected)
+    # a reused buffer is overwritten completely
+    assert np.array_equal(hash_uniforms(seeds, coords, 0, out=out),
+                          hash_uniforms(seeds, coords, 0))
+
+
+def test_hash_uniforms_out_buffer_is_checked():
+    coords = _sites(3)
+    with pytest.raises(ValueError):
+        hash_uniforms(np.arange(2), coords, 0, out=np.empty((2, 299)))
+    with pytest.raises(ValueError):
+        hash_uniforms(np.arange(2), coords, 0, out=np.empty((2, 300), dtype=np.float32))
+    with pytest.raises(ValueError):
+        hash_uniforms(np.arange(2), coords, 0, out=np.empty((300, 2)).T)
