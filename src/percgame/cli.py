@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import exact, glauber, lattice, pca, solver
-from .sitefield import SiteField
+from .sitefield import COORD_LIMIT, SiteField
 from .symbols import QUES
 
 SCHEMA_VERSION = 1
@@ -49,10 +49,17 @@ HEADERS = {
 }
 
 
+class UsageError(ValueError):
+    """Bad input named on the command line; main reports it and exits 2."""
+
+
 def worker_count() -> int:
     env = os.environ.get("PERC_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"PERC_THREADS must be an integer, got {env!r}") from None
     return min(8, os.cpu_count() or 1)
 
 
@@ -107,10 +114,6 @@ def _fmt(v):
     return v
 
 
-class UsageError(ValueError):
-    """Bad input named on the command line; main reports it and exits 2."""
-
-
 def _family(name: str) -> lattice.GraphFamily:
     try:
         return lattice.family_from_name(name)
@@ -122,6 +125,32 @@ def _families(names: str) -> list:
     """Comma-separated family names; commas inside parentheses belong to a
     name, as in binomial(4,1)."""
     return [_family(name) for name in re.split(r",(?![^(]*\))", names)]
+
+
+def _sizes(cfg: RunConfig, fam: lattice.GraphFamily) -> tuple[int, ...]:
+    """The torus sizes of --size for a family; one size stands for every
+    transverse direction."""
+    sizes = cfg.sizes if len(cfg.sizes) > 1 or fam.d == 2 else cfg.sizes * (fam.d - 1)
+    try:
+        return lattice.validate_torus_sizes(fam, sizes)
+    except ValueError as e:
+        raise UsageError(f"--size: {e}") from None
+
+
+def _probability(p: float, flag: str = "--p") -> float:
+    if not 0.0 <= p <= 1.0:
+        raise UsageError(f"{flag} must be in [0, 1], got {p}")
+    return p
+
+
+def _depth(depth: int, top: int) -> None:
+    """--depth, checked against the largest site coordinate it makes the
+    solver hash, ``top`` (n on a triangle, depth + m - 1 on a slab)."""
+    if depth < 0:
+        raise UsageError(f"--depth must be >= 0, got {depth}")
+    if top >= COORD_LIMIT:
+        raise UsageError(f"--depth {depth} needs site coordinate {top}; "
+                         f"the site hash takes coordinates below {COORD_LIMIT}")
 
 
 def _ensure_outdir(path):
@@ -138,6 +167,8 @@ def cmd_solve2d(cfg: RunConfig) -> int:
     if fam.d != 2:
         print("solve2d requires a two-dimensional family", file=sys.stderr)
         return 2
+    _probability(cfg.p)
+    _depth(cfg.depth, cfg.depth)
     rows = []
     for seed in cfg.seeds:
         field = SiteField(int(seed), cfg.p, fam)
@@ -155,8 +186,10 @@ def cmd_solve2d(cfg: RunConfig) -> int:
 
 
 def cmd_win_curve(cfg: RunConfig) -> int:
-    _family(cfg.family)
-    grid = cfg.p_grid or [0.2, 0.5]
+    if _family(cfg.family).name != "z2":
+        raise UsageError(f"win-curve solves z2 triangles only, got --family {cfg.family}")
+    grid = [_probability(p, "--p-grid") for p in cfg.p_grid or [0.2, 0.5]]
+    _depth(cfg.depth, cfg.depth)
     seeds = np.asarray(cfg.seeds, dtype=np.int64)
     rows = []
     for p in grid:
@@ -179,11 +212,16 @@ def cmd_win_curve(cfg: RunConfig) -> int:
 
 def cmd_draw_scan(cfg: RunConfig) -> int:
     families = _families(cfg.family)
-    grid = cfg.p_grid or [cfg.p]
+    if cfg.p_grid:
+        grid = [_probability(p, "--p-grid") for p in cfg.p_grid]
+    else:
+        grid = [_probability(cfg.p)]
+    # every family is checked before the first one writes its outputs
+    torus_sizes = [_sizes(cfg, fam) for fam in families]
+    _depth(cfg.depth, cfg.depth + max(fam.m for fam in families) - 1)
     seeds = np.asarray(cfg.seeds, dtype=np.int64)
     sens_rows = []
-    for fam in families:
-        sizes = cfg.sizes if len(cfg.sizes) > 1 or fam.d == 2 else cfg.sizes * (fam.d - 1)
+    for fam, sizes in zip(families, torus_sizes):
         for p in grid:
             prof = solver.draw_density_profile(fam, cfg.depth, sizes, p, seeds)
             prof_path = f"{cfg.out}_{fam.name.replace('(', '').replace(')', '').replace(',', 'x')}_p{p}_profile.csv"
@@ -201,14 +239,14 @@ def cmd_draw_scan(cfg: RunConfig) -> int:
 
 def cmd_glauber(cfg: RunConfig) -> int:
     fam = _family(cfg.family)
-    sizes = cfg.sizes if len(cfg.sizes) > 1 or fam.d == 2 else cfg.sizes * (fam.d - 1)
+    sizes = _sizes(cfg, fam)
     if cfg.lam is not None:
         try:
             p = exact.p_from_activity(cfg.lam, cfg.variant)
         except ValueError as e:
             raise UsageError(f"--lam: {e}") from None
     else:
-        p = cfg.p
+        p = _probability(cfg.p)
     torus = glauber.build_doubling_torus(fam, sizes)
     field = SiteField(int(cfg.seeds[0]), p, fam)
     rows = glauber.sweep_chain(torus, p, cfg.variant, cfg.steps, field,
@@ -221,7 +259,9 @@ def cmd_glauber(cfg: RunConfig) -> int:
 
 def cmd_couple_verify(cfg: RunConfig) -> int:
     fam = _family(cfg.family)
-    sizes = cfg.sizes if len(cfg.sizes) > 1 or fam.d == 2 else cfg.sizes * (fam.d - 1)
+    sizes = _sizes(cfg, fam)
+    _probability(cfg.p)
+    _depth(cfg.depth, cfg.depth + fam.m - 1)
     variant = "extended" if fam.has_A2_prime else "standard"
     failures = 0
     for seed in cfg.seeds:
@@ -236,7 +276,7 @@ def cmd_couple_verify(cfg: RunConfig) -> int:
 
 def cmd_pca_run(cfg: RunConfig) -> int:
     n = cfg.sizes[0]
-    field = SiteField(int(cfg.seeds[0]), cfg.p)
+    field = SiteField(int(cfg.seeds[0]), _probability(cfg.p))
     initial = np.full(n, QUES if cfg.kind in ("F", "G", "D") else 0, dtype=np.int8)
     stats = pca.trajectory_stats(cfg.kind, initial, cfg.p, cfg.steps, field)
     _ensure_outdir(cfg.out)

@@ -43,39 +43,11 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-@dataclass
-class DoublingTorus:
-    family: GraphFamily
-    sizes: tuple[int, ...]
-    coords: np.ndarray          # (V, tdim) torus coordinates
-    classes: np.ndarray         # (V,) vertex class
-    class_members: list         # per class, vertex index array
-    neighbors: np.ndarray       # (V, deg) undirected adjacency
-
-    @property
-    def m(self) -> int:
-        return len(self.class_members)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def degree(self) -> int:
-        return self.neighbors.shape[1]
-
-    def neighbor_lists(self) -> list[list[int]]:
-        return [sorted(set(row)) for row in self.neighbors.tolist()]
-
-    def class_lists(self) -> list[list[int]]:
-        return [sorted(m.tolist()) for m in self.class_members]
-
-
 class IncompatibleSizesError(ValueError):
     pass
 
 
-def build_doubling_torus(family: GraphFamily, sizes) -> DoublingTorus:
+def build_doubling_torus(family: GraphFamily, sizes) -> SlabIndex:
     """Finite torus quotient of the doubling graph, with its class partition.
 
     Sizes must respect the family's membership constraint (even for
@@ -88,40 +60,17 @@ def build_doubling_torus(family: GraphFamily, sizes) -> DoublingTorus:
         sizes = lattice.validate_torus_sizes(family, sizes)
     except ValueError as e:
         raise IncompatibleSizesError(str(e)) from None
-    verts = lattice.torus_vertices(family, sizes)
-    index = {t: i for i, t in enumerate(verts)}
-    coords = np.array(verts, dtype=np.int64).reshape(len(verts), -1)
-    classes = np.array([lattice.torus_class(family, t) for t in verts], dtype=np.int64)
-    q = family.torus_classes
-    offsets = lattice.out_offset_table(family, sizes)
-    # (A2): the in-offsets of a vertex equal its out-offsets, so the
-    # undirected neighborhood is the out-offset orbit; the phi move of the
-    # extended kind (transverse delta 0) yields no doubling edge.
-    deg = len([o for o in offsets[0] if any(o[0])])
-    neighbors = np.empty((len(verts), deg), dtype=np.int64)
-    for i, t in enumerate(verts):
-        c = classes[i]
-        j = 0
-        for dt, _ in offsets[c]:
-            if not any(dt):
-                continue
-            neighbors[i, j] = index[lattice.wrap_tcoord(
-                tuple(a + b for a, b in zip(t, dt)), sizes)]
-            j += 1
-        if j != deg:
-            raise AssertionError("inconsistent torus degree")
-    members = [np.nonzero(classes == c)[0] for c in range(q)]
-    return DoublingTorus(family, sizes, coords, classes, members, neighbors)
+    return SlabIndex(family, sizes)
 
 
-def checkerboard_config(torus: DoublingTorus, occupied_class: int) -> np.ndarray:
+def checkerboard_config(torus: SlabIndex, occupied_class: int) -> np.ndarray:
     """Extremal configuration occupying exactly one vertex class."""
     vals = np.zeros(torus.n_vertices, dtype=np.int8)
     vals[torus.class_members[occupied_class % torus.m]] = ONE
     return vals
 
 
-def independence_violations(torus: DoublingTorus, values: np.ndarray) -> int:
+def independence_violations(torus: SlabIndex, values: np.ndarray) -> int:
     """Number of (directed) occupied-occupied adjacencies."""
     occ = values[..., torus.neighbors].max(axis=-1)
     return int(((values == ONE) & (occ == ONE)).sum())
@@ -147,7 +96,7 @@ def _update_class(values: np.ndarray, sel: np.ndarray, nbr_cols: np.ndarray,
     values[sel] = allowed
 
 
-def class_update(torus: DoublingTorus, values: np.ndarray, class_i: int,
+def class_update(torus: SlabIndex, values: np.ndarray, class_i: int,
                  p: float, variant: str, uniforms: np.ndarray) -> np.ndarray:
     """One class update of a 0/1 configuration; `uniforms` has one entry per
     class-i vertex (trailing axis), broadcast against leading axes of
@@ -161,7 +110,7 @@ def class_update(torus: DoublingTorus, values: np.ndarray, class_i: int,
     return out
 
 
-def run_chains(torus: DoublingTorus, p: float, variant: str, sweeps: int,
+def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
                seeds, init="even", record_every: int = 1):
     """Alternating class updates over a batch of seeds.
 
@@ -216,7 +165,7 @@ def staggered_difference(occupations: np.ndarray) -> np.ndarray:
     return occupations[..., 0] - occupations[..., 1]
 
 
-def sweep_chain(torus: DoublingTorus, p: float, variant: str, sweeps: int,
+def sweep_chain(torus: SlabIndex, p: float, variant: str, sweeps: int,
                 field: SiteField, init="even", record_every: int = 1):
     """Single-seed chain; returns rows for the
     'sweep,class,occupation,staggered_diff' schema."""
@@ -309,28 +258,18 @@ def game_glauber_coupling_check(family: GraphFamily, depth: int, sizes,
         raise ValueError(f"{family.name} does not satisfy the extended assumptions")
     field = SiteField(seed, p, family)
     torus = build_doubling_torus(family, sizes)
-    index = SlabIndex(family, sizes)
-    gamma = _game_recursion_on_slab(family, index, depth, field)
+    gamma = _game_recursion_on_slab(family, torus, depth, field)
 
-    m = family.m
     sigma = np.zeros(torus.n_vertices, dtype=np.int8)
-    for c in range(torus.m):
-        if not np.array_equal(torus.coords[torus.class_members[c]],
-                              index.verts_by_class[c]):
-            raise AssertionError("torus and slab class orders diverged")
-    for layer in range(depth, depth + m):
-        members = torus.class_members[layer % torus.m]
-        sigma[members] = gamma[layer]
+    for layer in range(depth, depth + family.m):
+        sigma[torus.class_members[layer % torus.m]] = gamma[layer]
     mismatches = 0
     for k in range(depth - 1, -1, -1):
         c = k % torus.m
-        members = torus.class_members[c]
-        u = hash_uniforms(np.asarray(seed), np.concatenate(
-            [torus.coords[members],
-             np.full((members.size, 1), k, dtype=np.int64)], axis=1), 0)
+        u = hash_uniforms(np.asarray(seed), torus.layer_site_coords(k), 0)
         sigma = class_update(torus, sigma, c, p, variant, u)
-        mismatches += int((sigma[members] != gamma[k]).sum())
-    return CouplingReport(family, depth, tuple(index.sizes), p, seed, variant,
+        mismatches += int((sigma[torus.class_members[c]] != gamma[k]).sum())
+    return CouplingReport(family, depth, tuple(torus.sizes), p, seed, variant,
                           depth, mismatches)
 
 

@@ -265,7 +265,7 @@ def max_kernel_difference(a: dict, b: dict) -> float:
     return worst
 
 
-def composition_check(kind: str, n: int, p: float, tol: float = 1e-12) -> float:
+def composition_check(kind: str, n: int, p: float) -> float:
     """Exact kernel distance between F (resp. G) and its randomizer-after-D
     factorization; returns the max entrywise difference."""
     if kind == "F":

@@ -22,6 +22,7 @@ coordinate tuple t + (k,); triangle sites use their plane coordinates
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -99,8 +100,63 @@ class BoundaryShapeError(ValueError):
     pass
 
 
-def _is_three_valued(boundary: Boundary) -> bool:
-    return isinstance(boundary, AllQuestion)
+# -- the recursion rule and boundary values ----------------------------------
+
+
+def recurse(closed: np.ndarray, nbrs, three: bool) -> np.ndarray:
+    """The game rule on a batch of sites, as an int8 array.
+
+    ``nbrs`` is a sequence of out-neighbor value arrays, one per move, each
+    shaped like ``closed``.  A closed site is 0.  An open site is 1 if every
+    out-value is 0; otherwise it is 0 if some out-value is 1, and ? if none
+    is.  The two-valued recursion (``three`` False) has no ?: an open site
+    that is not 1 is 0.
+    """
+    first, *rest = nbrs
+    all_win = first == ZERO
+    for v in rest:
+        all_win &= v == ZERO
+    if not three:
+        all_win &= ~closed
+        return all_win.view(np.int8)
+    lost = first == ONE
+    for v in rest:
+        lost |= v == ONE
+    lost |= closed
+    return np.where(lost, np.int8(ZERO), np.where(all_win, np.int8(ONE), np.int8(QUES)))
+
+
+_CONSTANT = {AllQuestion: QUES, AllZero: ZERO, AllOne: ONE}
+
+
+def _boundary_layer(boundary: Boundary, layer: int, coords: np.ndarray, parity,
+                    explicit, seeds: np.ndarray, field: Optional[SiteField]):
+    """(S, n) values of one boundary layer whose n sites have the hashing
+    coordinates ``coords``; ``parity()`` and ``explicit()`` return their
+    checkerboard and explicit (n,) values."""
+    shape = (seeds.size, coords.shape[0])
+    if type(boundary) in _CONSTANT:
+        return np.full(shape, _CONSTANT[type(boundary)], dtype=np.int8)
+    if isinstance(boundary, Sampled) and boundary.draw is None:
+        return hash_below(seeds, coords, 1, boundary.q).view(np.int8)
+    if isinstance(boundary, Checkerboard):
+        vals = parity()
+    elif isinstance(boundary, Sampled):
+        vals = boundary.draw(field, layer, coords)
+    elif isinstance(boundary, Explicit):
+        try:
+            vals = explicit()
+        except (KeyError, TypeError):
+            raise BoundaryShapeError(f"explicit boundary missing layer {layer}") from None
+    else:
+        raise BoundaryShapeError(f"unsupported boundary {boundary!r}")
+    vals = np.asarray(vals, dtype=np.int8)
+    if vals.shape != shape[1:]:
+        raise BoundaryShapeError(
+            f"layer {layer} boundary needs shape {shape[1:]}, got {vals.shape}")
+    if not np.isin(vals, (ZERO, ONE)).all():
+        raise BoundaryShapeError("boundary values must be 0/1")
+    return np.broadcast_to(vals, shape).copy()
 
 
 # -- triangle solver ---------------------------------------------------------
@@ -111,58 +167,22 @@ def _diag_coords(k: int) -> np.ndarray:
     return np.stack([k - j, j], axis=1)  # (x1, x2) with x1 + x2 = k
 
 
-def _triangle_boundary(boundary: Boundary, n: int, seeds: np.ndarray) -> np.ndarray:
-    S = seeds.size
-    if isinstance(boundary, AllQuestion):
-        return np.full((S, n + 1), QUES, dtype=np.int8)
-    if isinstance(boundary, AllZero):
-        return np.zeros((S, n + 1), dtype=np.int8)
-    if isinstance(boundary, AllOne):
-        return np.ones((S, n + 1), dtype=np.int8)
-    if isinstance(boundary, Checkerboard):
-        return np.full((S, n + 1), n % 2, dtype=np.int8)
-    if isinstance(boundary, Sampled):
-        if boundary.draw is not None:
-            raise BoundaryShapeError("custom Sampled.draw is only supported via solve_region")
-        u = hash_uniforms(seeds, _diag_coords(n), 1)
-        return (u < boundary.q).astype(np.int8)
-    if isinstance(boundary, Explicit):
-        vals = np.asarray(boundary.values, dtype=np.int8)
-        if vals.shape != (n + 1,):
-            raise BoundaryShapeError(f"triangle boundary needs shape ({n + 1},)")
-        if not np.isin(vals, (ZERO, ONE)).all():
-            raise BoundaryShapeError("explicit boundary values must be 0/1")
-        return np.broadcast_to(vals, (S, n + 1)).copy()
-    raise BoundaryShapeError(f"unsupported boundary {boundary!r}")
-
-
-def _rule_binary(closed: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    win_forced = (left == ZERO) & (right == ZERO)
-    return np.where(closed, ZERO, win_forced.astype(np.int8))
-
-
-def _rule_ternary(closed: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    any_loss = (left == ONE) | (right == ONE)
-    all_win = (left == ZERO) & (right == ZERO)
-    inner = np.where(all_win, np.int8(ONE), np.int8(QUES))
-    return np.where(closed | any_loss, np.int8(ZERO), inner)
-
-
 def triangle_sweep(n: int, boundary: Boundary, p: float, seeds,
-                   keep_all: bool = False):
+                   keep_all: bool = False, field: Optional[SiteField] = None):
     """Solve the triangular region for a batch of seeds.
 
     Returns (origin values (S,), rows) where rows[k] is the (S, k+1) value
     array of diagonal k if keep_all, else None.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    three = _is_three_valued(boundary)
-    rule = _rule_ternary if three else _rule_binary
-    vals = _triangle_boundary(boundary, n, seeds)
+    three = isinstance(boundary, AllQuestion)
+    vals = _boundary_layer(boundary, n, _diag_coords(n),
+                           lambda: np.full(n + 1, n % 2), lambda: boundary.values,
+                           seeds, field)
     rows = {n: vals} if keep_all else None
     for k in range(n - 1, -1, -1):
         closed = hash_below(seeds, _diag_coords(k), 0, p)
-        vals = rule(closed, vals[:, :-1], vals[:, 1:])
+        vals = recurse(closed, (vals[:, :-1], vals[:, 1:]), three)
         if keep_all:
             rows[k] = vals
     return vals[:, 0], rows
@@ -189,9 +209,6 @@ class TriangleOutcome:
             "draw": int(((self.values == QUES) & ~closed).sum()),
         }
 
-    def origin_value(self) -> int:
-        return int(self.values[0, 0])
-
 
 @dataclass
 class SlabOutcome:
@@ -204,16 +221,6 @@ class SlabOutcome:
     index: "SlabIndex"
     layers: dict  # layer -> (n_class,) int8 values
 
-    def layer_values(self, k: int) -> np.ndarray:
-        return self.layers[k]
-
-    def origin_value(self) -> int:
-        pos = self.index.origin_pos
-        return int(self.layers[0][pos])
-
-    def draw_fraction(self, k: int = 0) -> float:
-        return float((self.layers[k] == QUES).mean())
-
 
 def solve_region(family: GraphFamily, region: RegionSpec, field: SiteField):
     """Game outcomes on a finite region under the given boundary condition."""
@@ -222,12 +229,8 @@ def solve_region(family: GraphFamily, region: RegionSpec, field: SiteField):
         if family.d != 2:
             raise ValueError("Triangle2D regions require a two-dimensional family")
         n = shape.n
-        boundary = region.boundary
-        if isinstance(boundary, Sampled) and boundary.draw is not None:
-            vals0 = np.asarray(
-                boundary.draw(field, n, _diag_coords(n)), dtype=np.int8)[None, :]
-            boundary = Explicit(vals0[0])
-        _, rows = triangle_sweep(n, boundary, field.p, [field.seed], keep_all=True)
+        _, rows = triangle_sweep(n, region.boundary, field.p, [field.seed],
+                                 keep_all=True, field=field)
         values = np.full((n + 1, n + 1), -1, dtype=np.int8)
         closed = np.zeros((n + 1, n + 1), dtype=bool)
         for k, arr in rows.items():
@@ -253,42 +256,79 @@ def solve_region(family: GraphFamily, region: RegionSpec, field: SiteField):
 
 
 class SlabIndex:
-    """Indexing of slab layers by doubling-torus vertices.
+    """The doubling torus of a family, indexed for the slab solver and the
+    Glauber chains.
 
-    Layer k occupies the torus vertices of class k mod q; the out-moves of
-    a class are precomputed as (position within the target class, layer
-    delta) pairs, derived by lifting a representative site of each class
-    and applying the family's move set.
+    Vertices are listed class by class, sorted within a class: vertex i has
+    torus coordinates ``coords[i]`` and class ``classes[i]``; class c holds
+    the vertices ``class_members[c]``, whose coordinates are
+    ``verts_by_class[c]``, and ``pos`` maps coordinates to the position
+    within the class.  Layer k of a slab occupies class k mod q.
+
+    The directed out-table gives, per class, each out-move's target as a
+    position within the target class (``nbr_pos``, one column per move) and
+    a layer delta (``nbr_layer_delta``); it is derived by lifting a
+    representative site of each class and applying the family's move set.
     """
 
     def __init__(self, family: GraphFamily, sizes):
         self.family = family
         self.sizes = lattice.validate_torus_sizes(family, sizes)
         self.q = family.torus_classes
-        verts = lattice.torus_vertices(family, self.sizes)
         by_class: list[list[tuple[int, ...]]] = [[] for _ in range(self.q)]
-        for t in verts:
+        for t in lattice.torus_vertices(family, self.sizes):
             by_class[lattice.torus_class(family, t)].append(t)
-        self.verts_by_class = [np.array(v, dtype=np.int64).reshape(len(v), -1)
-                               for v in by_class]
-        self.pos = {t: i for c in range(self.q) for i, t in enumerate(by_class[c])}
-        offsets = lattice.out_offset_table(family, self.sizes)
+        counts = [len(v) for v in by_class]
+        self.coords = np.array([t for v in by_class for t in v], dtype=np.int64)
+        self.classes = np.repeat(np.arange(self.q), counts)
+        self._start = np.concatenate([[0], np.cumsum(counts)])
+        self.class_members = [np.arange(a, b) for a, b in zip(self._start, self._start[1:])]
+        self.verts_by_class = [self.coords[sel] for sel in self.class_members]
+        self.pos = {t: i for v in by_class for i, t in enumerate(v)}
+        # position within its class of every vertex, by torus coordinates
+        slot = np.full(self.sizes, -1, dtype=np.int64)
+        slot[tuple(self.coords.T)] = np.concatenate([np.arange(n) for n in counts])
         self.nbr_pos: list[np.ndarray] = []
         self.nbr_layer_delta: list[np.ndarray] = []
-        for c in range(self.q):
-            deltas = offsets[c]
-            pos = np.empty((len(by_class[c]), len(deltas)), dtype=np.int64)
-            for i, t in enumerate(by_class[c]):
-                for j, (dt, _) in enumerate(deltas):
-                    target = lattice.wrap_tcoord(
-                        tuple(a + b for a, b in zip(t, dt)), self.sizes)
-                    pos[i, j] = self.pos[target]
-            self.nbr_pos.append(pos)
+        for c, deltas in enumerate(lattice.out_offset_table(family, self.sizes)):
+            dt = np.array([d for d, _ in deltas], dtype=np.int64)
+            target = (self.verts_by_class[c][:, None, :] + dt) % self.sizes
+            self.nbr_pos.append(slot[tuple(np.moveaxis(target, -1, 0))])
             self.nbr_layer_delta.append(np.array([dl for _, dl in deltas]))
         origin = tuple(0 for _ in self.sizes)
         if lattice.torus_class(family, origin) != 0:
             raise AssertionError("origin must sit in class 0")
         self.origin_pos = self.pos[origin]
+
+    @functools.cached_property
+    def neighbors(self) -> np.ndarray:
+        """(V, degree) undirected adjacency.  By (A2) the in-moves of a
+        vertex mirror its out-moves, so its neighbors are its out-targets,
+        less the phi move of even_ext: a layer jump of m, back to the vertex
+        itself, which is no edge."""
+        rows = []
+        for c, (pos, dl) in enumerate(zip(self.nbr_pos, self.nbr_layer_delta)):
+            edge = dl % self.q != 0
+            rows.append(pos[:, edge] + self._start[(c + dl[edge]) % self.q])
+        return np.concatenate(rows)
+
+    @property
+    def m(self) -> int:
+        return self.q
+
+    @property
+    def n_vertices(self) -> int:
+        return self.coords.shape[0]
+
+    @property
+    def degree(self) -> int:
+        return self.neighbors.shape[1]
+
+    def neighbor_lists(self) -> list[list[int]]:
+        return [sorted(set(row)) for row in self.neighbors.tolist()]
+
+    def class_lists(self) -> list[list[int]]:
+        return [m.tolist() for m in self.class_members]
 
     def class_size(self, c: int) -> int:
         return self.verts_by_class[c % self.q].shape[0]
@@ -311,42 +351,11 @@ class SlabIndex:
 def _slab_boundary(index: SlabIndex, boundary: Boundary, k_top: int,
                    m: int, seeds: np.ndarray, field: Optional[SiteField]):
     """Boundary values on layers k_top .. k_top+m-1, each (S, n_class)."""
-    S = seeds.size
-    out = {}
-    for layer in range(k_top, k_top + m):
-        nc = index.class_size(layer % index.q)
-        if isinstance(boundary, AllQuestion):
-            vals = np.full((S, nc), QUES, dtype=np.int8)
-        elif isinstance(boundary, AllZero):
-            vals = np.zeros((S, nc), dtype=np.int8)
-        elif isinstance(boundary, AllOne):
-            vals = np.ones((S, nc), dtype=np.int8)
-        elif isinstance(boundary, Checkerboard):
-            vals = np.broadcast_to(index.checkerboard_values(layer), (S, nc)).copy()
-        elif isinstance(boundary, Sampled):
-            if boundary.draw is not None:
-                vals = np.asarray(
-                    boundary.draw(field, layer, index.layer_site_coords(layer)),
-                    dtype=np.int8)
-                vals = np.broadcast_to(vals, (S, nc)).copy()
-            else:
-                u = hash_uniforms(seeds, index.layer_site_coords(layer), 1)
-                vals = (u < boundary.q).astype(np.int8)
-        elif isinstance(boundary, Explicit):
-            try:
-                arr = np.asarray(boundary.values[layer], dtype=np.int8)
-            except (KeyError, TypeError):
-                raise BoundaryShapeError(f"explicit slab boundary missing layer {layer}")
-            if arr.shape != (nc,):
-                raise BoundaryShapeError(
-                    f"layer {layer} boundary needs shape ({nc},), got {arr.shape}")
-            if not np.isin(arr, (ZERO, ONE)).all():
-                raise BoundaryShapeError("explicit boundary values must be 0/1")
-            vals = np.broadcast_to(arr, (S, nc)).copy()
-        else:
-            raise BoundaryShapeError(f"unsupported boundary {boundary!r}")
-        out[layer] = vals
-    return out
+    return {layer: _boundary_layer(
+                boundary, layer, index.layer_site_coords(layer),
+                lambda: index.checkerboard_values(layer),
+                lambda: boundary.values[layer], seeds, field)
+            for layer in range(k_top, k_top + m)}
 
 
 def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
@@ -357,9 +366,8 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
     any layers listed in record_layers.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    fam = index.family
-    m = fam.m
-    three = _is_three_valued(boundary)
+    m = index.family.m
+    three = isinstance(boundary, AllQuestion)
     layers = _slab_boundary(index, boundary, depth, m, seeds, field)
     keep = set(range(m)) | set(record_layers or ())
     out = {k: v for k, v in layers.items() if k in keep}
@@ -369,21 +377,11 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
     uniforms = [np.empty((seeds.size, index.class_size(c))) for c in range(index.q)]
     for k in range(depth - 1, -1, -1):
         c = k % index.q
-        deltas = index.nbr_layer_delta[c]
         pos = index.nbr_pos[c]
-        stacked = np.stack(
-            [layers[k + int(dl)][:, pos[:, j]] for j, dl in enumerate(deltas)],
-            axis=-1)  # (S, n_c, deg)
+        nbrs = [layers[k + int(dl)][:, pos[:, j]]
+                for j, dl in enumerate(index.nbr_layer_delta[c])]
         u = hash_uniforms(seeds, index.layer_site_coords(k), 0, out=uniforms[c])
-        closed = u < p
-        if three:
-            any_loss = (stacked == ONE).any(axis=-1)
-            all_win = (stacked == ZERO).all(axis=-1)
-            inner = np.where(all_win, np.int8(ONE), np.int8(QUES))
-            vals = np.where(closed | any_loss, np.int8(ZERO), inner)
-        else:
-            all_win = (stacked == ZERO).all(axis=-1)
-            vals = np.where(closed, ZERO, all_win.astype(np.int8))
+        vals = recurse(u < p, nbrs, three)
         layers[k] = vals
         if k in keep:
             out[k] = vals

@@ -168,3 +168,70 @@ def test_draw_scan_accepts_a_binomial_family_in_a_list(tmp_path):
     assert run(["draw-scan", "--family", "z2,binomial(3,1)", "--p", "0.2",
                 "--depth", "4", "--size", "6", "--seeds", "2", "--out", out]) == 0
     assert len([p for p in os.listdir(tmp_path) if p.endswith("_profile.csv")]) == 2
+
+
+def _assert_usage_error(capsys, argv, text, out_dir):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert text in err and err.count("\n") == 1
+    assert not os.listdir(out_dir)
+
+
+def test_p_outside_unit_interval_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for argv in (["solve2d", "--p", "7", "--depth", "4"],
+                 ["glauber", "--family", "even(3)", "--size", "8,8", "--p", "2"],
+                 ["pca-run", "--p", "-0.5", "--size", "8", "--steps", "2"],
+                 ["couple-verify", "--family", "z2", "--size", "8", "--p", "1.5",
+                  "--depth", "4"],
+                 ["draw-scan", "--family", "z2", "--size", "8", "--p", "7", "--depth", "4"]):
+        _assert_usage_error(capsys, argv + ["--out", out], "--p must be in [0, 1]", tmp_path)
+    for sub in ("win-curve", "draw-scan"):
+        _assert_usage_error(capsys, [sub, "--p-grid", "0.3,-1", "--depth", "4",
+                                     "--size", "8", "--out", out],
+                            "--p-grid must be in [0, 1]", tmp_path)
+
+
+def test_negative_depth_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for sub in ("solve2d", "win-curve", "draw-scan", "couple-verify"):
+        _assert_usage_error(capsys, [sub, "--depth", "-1", "--size", "8", "--out", out],
+                            "--depth must be >= 0", tmp_path)
+
+
+def test_depth_at_the_coordinate_limit_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    limit = 1 << 20
+    # a triangle of depth n hashes coordinates up to n; a slab of depth K up
+    # to the layer K + m - 1
+    for argv in (["win-curve", "--depth", str(limit)],
+                 ["solve2d", "--depth", str(limit)],
+                 ["draw-scan", "--family", "even(3)", "--size", "8", "--depth", str(limit - 1)],
+                 ["couple-verify", "--family", "subset(3)", "--size", "6",
+                  "--depth", str(limit - 2)]):
+        _assert_usage_error(capsys, argv + ["--out", out], "the site hash takes", tmp_path)
+    cli._depth(limit - 1, limit - 1)  # the largest depth a triangle accepts
+
+
+def test_non_integer_perc_threads_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PERC_THREADS", "abc")
+    _assert_usage_error(capsys, ["win-curve", "--depth", "4", "--seeds", "3",
+                                 "--out", str(tmp_path / "w.csv")],
+                        "PERC_THREADS must be an integer", tmp_path)
+
+
+def test_win_curve_rejects_other_families(tmp_path, capsys):
+    _assert_usage_error(capsys, ["win-curve", "--family", "even(3)", "--depth", "4",
+                                 "--seeds", "3", "--out", str(tmp_path / "w.csv")],
+                        "z2 triangles only", tmp_path)
+
+
+def test_sizes_expand_and_are_checked_at_the_boundary(tmp_path, capsys):
+    cfg = cli.RunConfig(subcommand="glauber", sizes=[4])
+    assert cli._sizes(cfg, cli.lattice.even_sublattice(4)) == (4, 4, 4)
+    assert cli._sizes(cfg, cli.lattice.z2()) == (4,)
+    out = str(tmp_path / "out")
+    for sub in ("draw-scan", "glauber", "couple-verify"):
+        _assert_usage_error(capsys, [sub, "--family", "even(3)", "--size", "7",
+                                     "--depth", "4", "--out", out],
+                            "--size: even(3) torus sizes must be even", tmp_path)

@@ -209,3 +209,31 @@ def test_run_chains_matches_reference_loop(fam, sizes, variant, init, p):
     ref_ts, ref_occ = _reference_chains(t, p, variant, 12, seeds, init, 5)
     assert np.array_equal(ts, ref_ts)
     assert occ.dtype == ref_occ.dtype and np.array_equal(occ, ref_occ)
+
+
+SMALLEST_TORI = [
+    (Z2, (2,)), (EVEN3, (2, 2)), (lat.even_sublattice(4), (2, 2, 2)),
+    (lat.bcc_lattice(3), (2, 2)), (BCC4, (2, 2, 2)), (SUB3, (3, 3)),
+    (lat.subset_increment(4), (4, 4, 4)), (BIN31, (3, 3)), (BIN41, (4, 4, 4)),
+    (EXT3, (2, 2)),
+]
+
+
+@pytest.mark.parametrize("fam,sizes", SMALLEST_TORI, ids=lambda v: str(v))
+def test_coupling_exact_on_the_smallest_tori(fam, sizes):
+    for seed in range(5):
+        rep = glauber.game_glauber_coupling_check(fam, 8, sizes, 0.3, seed)
+        assert rep.ok, f"{fam.name} {sizes} seed {seed}: {rep.mismatches} mismatches"
+
+
+@pytest.mark.parametrize("fam,sizes", SMALLEST_TORI + [
+    (EVEN3, (6, 8)), (SUB3, (6, 9)), (BIN41, (4, 8, 4)), (EXT3, (4, 6))],
+    ids=lambda v: str(v))
+def test_neighbors_symmetric_and_across_classes(fam, sizes):
+    t = glauber.build_doubling_torus(fam, sizes)
+    nbrs = t.neighbors.tolist()
+    for i, row in enumerate(nbrs):
+        for j in row:
+            assert row.count(j) == nbrs[j].count(i)
+            assert t.classes[j] != t.classes[i]
+    assert t.n_vertices == sum(len(m) for m in t.class_members)

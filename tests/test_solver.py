@@ -237,3 +237,49 @@ def test_counts_precedence():
     c = out.counts()
     n_sites = 31 * 32 // 2
     assert c["closed"] + c["win"] + c["loss"] + c["draw"] == n_sites
+
+
+def test_recurse_matches_the_rule_site_by_site():
+    vals = np.array([ZERO, ONE, QUES], dtype=np.int8)
+    a, b, c = (x.ravel() for x in np.meshgrid(vals, vals, vals, indexing="ij"))
+    for closed in (np.zeros(a.size, dtype=bool), np.ones(a.size, dtype=bool)):
+        three = solver.recurse(closed, (a, b, c), True)
+        two = solver.recurse(closed, (a, b, c), False)
+        for i, outs in enumerate(zip(a, b, c)):
+            if closed[i] or ONE in outs:
+                expect = ZERO
+            else:
+                expect = ONE if set(outs) == {ZERO} else QUES
+            assert three[i] == expect
+            assert two[i] == (ONE if not closed[i] and set(outs) == {ZERO} else ZERO)
+        assert three.dtype == two.dtype == np.int8
+
+
+def test_triangle_sampled_extremes_equal_constant_boundaries():
+    seeds = np.arange(5)
+    for q, const in ((0.0, solver.AllZero()), (1.0, solver.AllOne())):
+        _, rows = solver.triangle_sweep(12, Sampled(q), 0.3, seeds, keep_all=True)
+        _, ref = solver.triangle_sweep(12, const, 0.3, seeds, keep_all=True)
+        assert all(np.array_equal(rows[k], ref[k]) for k in ref)
+
+
+def test_custom_draw_of_zeros_equals_all_zero():
+    def zeros(field, layer, coords):
+        return np.zeros(coords.shape[0], dtype=np.int8)
+
+    field = SiteField(5, 0.25, Z2)
+    drawn = solver.triangle_sweep(16, Sampled(draw=zeros), 0.25, [5], True, field)[1]
+    ref = solver.triangle_sweep(16, AllZero(), 0.25, [5], keep_all=True)[1]
+    assert all(np.array_equal(drawn[k], ref[k]) for k in ref)
+    out = solver.solve_region(Z2, RegionSpec(Triangle2D(16), Sampled(draw=zeros)), field)
+    ref = solver.solve_region(Z2, RegionSpec(Triangle2D(16), AllZero()), field)
+    assert np.array_equal(out.values, ref.values)
+
+    field = SiteField(5, 0.25, EVEN3)
+    out = solver.solve_region(EVEN3, RegionSpec(Slab(10, (6, 6)), Sampled(draw=zeros)), field)
+    ref = solver.solve_region(EVEN3, RegionSpec(Slab(10, (6, 6)), AllZero()), field)
+    assert all(np.array_equal(out.layers[k], ref.layers[k]) for k in (0, 1))
+    index = solver.SlabIndex(EVEN3, (6, 6))
+    drawn = solver.slab_sweep(index, 10, Sampled(draw=zeros), 0.25, [5], field=field)
+    ref = solver.slab_sweep(index, 10, AllZero(), 0.25, [5])
+    assert all(np.array_equal(drawn[k], ref[k]) for k in (0, 1))
