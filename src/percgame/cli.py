@@ -137,10 +137,31 @@ def _sizes(cfg: RunConfig, fam: lattice.GraphFamily) -> tuple[int, ...]:
         raise UsageError(f"--size: {e}") from None
 
 
+def _layer_automorphism(fam: lattice.GraphFamily) -> None:
+    """Boundary sensitivity and the game/Glauber coupling need (A2) or (A2')."""
+    if not (fam.has_A2 or fam.has_A2_prime):
+        raise UsageError(f"--family: {fam.name} does not satisfy the "
+                         "layer-automorphism assumption")
+
+
 def _probability(p: float, flag: str = "--p") -> float:
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"{flag} must be in [0, 1], got {p}")
     return p
+
+
+def _number_list(text: str, kind, flag: str) -> list:
+    """A comma-separated list of ints or floats named by ``flag``."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} takes comma-separated {kind.__name__}s, got {text!r}") from None
+
+
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
+    return value
 
 
 def _depth(depth: int, top: int) -> None:
@@ -191,12 +212,16 @@ def cmd_win_curve(cfg: RunConfig) -> int:
     grid = [_probability(p, "--p-grid") for p in cfg.p_grid or [0.2, 0.5]]
     _depth(cfg.depth, cfg.depth)
     seeds = np.asarray(cfg.seeds, dtype=np.int64)
+
+    def chunk_fn(chunk):
+        # one sweep per seed chunk over the whole grid: each diagonal is
+        # hashed once and shared by every p
+        origin, _ = solver.triangle_sweep(cfg.depth, solver.AllZero(), grid, chunk)
+        return origin == 0
+
+    wins_by_p = np.concatenate(_parallel_seed_map(chunk_fn, seeds), axis=1)
     rows = []
-    for p in grid:
-        def chunk_fn(chunk, p=p):
-            origin, _ = solver.triangle_sweep(cfg.depth, solver.AllZero(), p, chunk)
-            return origin == 0
-        wins = np.concatenate(_parallel_seed_map(chunk_fn, seeds))
+    for p, wins in zip(grid, wins_by_p):
         emp = float(wins.mean())
         se = float(np.sqrt(emp * (1 - emp) / wins.size)) if wins.size > 1 else 0.0
         rows.append([p, emp, se, exact.win_probability(p), wins.size])
@@ -218,18 +243,24 @@ def cmd_draw_scan(cfg: RunConfig) -> int:
         grid = [_probability(cfg.p)]
     # every family is checked before the first one writes its outputs
     torus_sizes = [_sizes(cfg, fam) for fam in families]
+    for fam in families:
+        _layer_automorphism(fam)
     _depth(cfg.depth, cfg.depth + max(fam.m for fam in families) - 1)
     seeds = np.asarray(cfg.seeds, dtype=np.int64)
     sens_rows = []
     for fam, sizes in zip(families, torus_sizes):
+        index = solver.SlabIndex(fam, sizes)
         for p in grid:
-            prof = solver.draw_density_profile(fam, cfg.depth, sizes, p, seeds)
+            # every depth and boundary at this p reads one cache of closed bits
+            closed = solver.ClosedLayers(index, p, seeds)
+            prof = solver.draw_density_profile(fam, cfg.depth, sizes, p, seeds,
+                                               closed=closed)
             prof_path = f"{cfg.out}_{fam.name.replace('(', '').replace(')', '').replace(',', 'x')}_p{p}_profile.csv"
             _ensure_outdir(prof_path)
             write_csv(prof_path, HEADERS["profile"], prof)
             depths = sorted({r[0] for r in prof})
             for K in depths:
-                res = solver.boundary_sensitivity(fam, K, sizes, p, seeds)
+                res = solver.boundary_sensitivity(fam, K, sizes, p, seeds, closed=closed)
                 sens_rows.append([fam.name, p, K, res.fraction, res.stderr, seeds.size])
             print(f"{fam.name} p={p}: profile -> {prof_path}")
     write_csv(f"{cfg.out}_sensitivity.csv", HEADERS["sensitivity"], sens_rows)
@@ -247,7 +278,11 @@ def cmd_glauber(cfg: RunConfig) -> int:
             raise UsageError(f"--lam: {e}") from None
     else:
         p = _probability(cfg.p)
-    torus = glauber.build_doubling_torus(fam, sizes)
+    _at_least(cfg.steps, 1, "--steps")
+    try:
+        torus = glauber.build_doubling_torus(fam, sizes)
+    except lattice.UnsupportedFamilyError as e:
+        raise UsageError(f"--family: {e}") from None
     field = SiteField(int(cfg.seeds[0]), p, fam)
     rows = glauber.sweep_chain(torus, p, cfg.variant, cfg.steps, field,
                                init=cfg.init, record_every=max(1, cfg.steps // 200))
@@ -262,6 +297,7 @@ def cmd_couple_verify(cfg: RunConfig) -> int:
     sizes = _sizes(cfg, fam)
     _probability(cfg.p)
     _depth(cfg.depth, cfg.depth + fam.m - 1)
+    _layer_automorphism(fam)
     variant = "extended" if fam.has_A2_prime else "standard"
     failures = 0
     for seed in cfg.seeds:
@@ -275,7 +311,8 @@ def cmd_couple_verify(cfg: RunConfig) -> int:
 
 
 def cmd_pca_run(cfg: RunConfig) -> int:
-    n = cfg.sizes[0]
+    n = _at_least(cfg.sizes[0], 3, "--size (the ring length)")
+    _at_least(cfg.steps, 0, "--steps")
     field = SiteField(int(cfg.seeds[0]), _probability(cfg.p))
     initial = np.full(n, QUES if cfg.kind in ("F", "G", "D") else 0, dtype=np.int8)
     stats = pca.trajectory_stats(cfg.kind, initial, cfg.p, cfg.steps, field)
@@ -418,8 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
-        with open(args.config) as fh:
-            cfg = RunConfig.from_json(fh.read())
+        try:
+            with open(args.config) as fh:
+                cfg = RunConfig.from_json(fh.read())
+        except (OSError, ValueError, TypeError) as e:
+            raise UsageError(f"--config: {e}") from None
         cfg.subcommand = args.subcommand
     else:
         cfg = RunConfig(subcommand=args.subcommand)
@@ -428,12 +468,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.p is not None:
         cfg.p = args.p
     if args.p_grid is not None:
-        cfg.p_grid = [float(x) for x in args.p_grid.split(",")]
+        cfg.p_grid = _number_list(args.p_grid, float, "--p-grid")
     if args.depth is not None:
         cfg.depth = args.depth
     if args.size is not None:
-        cfg.sizes = [int(x) for x in args.size.split(",")]
+        cfg.sizes = _number_list(args.size, int, "--size")
     if args.seeds is not None:
+        _at_least(args.seeds, 1, "--seeds")
         cfg.seeds = list(range(args.seed0, args.seed0 + args.seeds))
     if args.steps is not None:
         cfg.steps = args.steps
@@ -450,6 +491,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg.fault_inject = bool(getattr(args, "fault_inject", False))
     if args.weights_n is not None:
         cfg.weights_n = args.weights_n
+    # a --config file can also hold the seeds
+    if not cfg.seeds:
+        raise UsageError("the seed list is empty")
+    _at_least(min(cfg.seeds), 0, "every seed (--seed0)")
     if getattr(args, "save_config", False):
         path = cfg.out + ".config.json"
         _ensure_outdir(path)
@@ -460,9 +505,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = resolve_config(args)
     try:
-        return COMMANDS[args.subcommand](cfg)
+        return COMMANDS[args.subcommand](resolve_config(args))
     except UsageError as e:
         print(f"percgame {args.subcommand}: error: {e}", file=sys.stderr)
         return 2

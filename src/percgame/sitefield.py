@@ -125,10 +125,23 @@ def _pack_words(coords: np.ndarray) -> np.ndarray:
     return words
 
 
-def _chain(seeds, coords, tag=(), out=None) -> np.ndarray:
+def _buffer(buf, shape, scalar_seed: bool, name: str) -> np.ndarray:
+    """A uint64 chain buffer of ``shape``: a new one, or ``buf`` (shaped as
+    the result, without the seed axis for a scalar seed) checked and viewed
+    with the seed axis."""
+    if buf is None:
+        return np.empty(shape, dtype=np.uint64)
+    want = shape[scalar_seed:]
+    if buf.dtype != np.uint64 or buf.shape != want or not buf.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous uint64 of shape {want}")
+    return buf.reshape(shape)
+
+
+def _chain(seeds, coords, tag=(), out=None, tmp=None) -> np.ndarray:
     """The chain core: hash words of every (seed, site, tag), mixed in place
-    on one state buffer (``out`` if given) with one scratch buffer.  The
-    empty tag gives the prefix.  Shapes as for :func:`hash_prefix`."""
+    on one state buffer (``out`` if given) with one scratch buffer (``tmp``
+    if given).  The empty tag gives the prefix.  Shapes as for
+    :func:`hash_prefix`."""
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim == 0:
         coords = coords.reshape(1)
@@ -139,13 +152,8 @@ def _chain(seeds, coords, tag=(), out=None) -> np.ndarray:
     _mix64_inplace(h, np.empty_like(h))
     words = _pack_words(coords)  # (..., nw)
     shape = (h.shape[0],) + words.shape[:-1]
-    if out is None:
-        state = np.empty(shape, dtype=np.uint64)
-    elif out.shape != shape[seeds_arr.ndim == 0:] or not out.flags.c_contiguous:
-        raise ValueError(f"out must be C-contiguous of shape {shape[seeds_arr.ndim == 0:]}")
-    else:
-        state = out.reshape(shape)
-    tmp = np.empty_like(state)
+    state = _buffer(out, shape, seeds_arr.ndim == 0, "out")
+    tmp = _buffer(tmp, shape, seeds_arr.ndim == 0, "tmp")
     h = h.reshape((-1,) + (1,) * (words.ndim - 1))
     if words.shape[-1] == 0:
         state[...] = h
@@ -205,6 +213,15 @@ def below(h: np.ndarray, threshold: int, out: np.ndarray = None) -> np.ndarray:
         out.fill(True)
         return out
     return np.less(h, np.uint64(threshold), out=out)
+
+
+def hash_words(seeds, coords, tag=0, out=None, tmp=None) -> np.ndarray:
+    """The 64-bit hash words of every (seed, site, tag), shapes as for
+    :func:`hash_uniforms`.  ``out``, a C-contiguous uint64 array of that
+    shape, receives them and is returned; ``tmp``, of the same shape, is
+    the scratch buffer.  A caller that decides ``u < p`` for several p
+    hashes once and applies :func:`below` with each threshold."""
+    return _chain(seeds, coords, tag, out, tmp)
 
 
 def hash_below(seeds, coords, tag, p: float) -> np.ndarray:

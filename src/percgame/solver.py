@@ -18,6 +18,14 @@ Randomness/tag conventions: the open/closed bit of a slab site with
 (wrapped) transverse coordinates t on layer k is the tag-0 uniform of the
 coordinate tuple t + (k,); triangle sites use their plane coordinates
 (x1, x2).  Sampled boundary values use tag 1 on the same coordinates.
+
+Closed bits are computed once per run.  A site's tag-0 uniform is a pure
+function of (seed, site): it does not depend on the depth of a sweep, on
+its boundary or on p.  So every slab sweep of a run at one p (each depth of
+``draw_density_profile``, both boundaries of ``boundary_sensitivity``)
+reads its closed bits from one ``ClosedLayers`` cache, which hashes each
+layer once; and ``triangle_sweep`` over a sequence of p hashes each
+diagonal once and applies every p's threshold to the same hash words.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import SiteField, hash_below, hash_uniforms
+from .sitefield import (SiteField, below, closed_threshold, hash_below, hash_uniforms,
+                        hash_words)
 from .symbols import ONE, QUES, ZERO
 
 # -- region and boundary specifications -------------------------------------
@@ -123,7 +132,14 @@ def recurse(closed: np.ndarray, nbrs, three: bool) -> np.ndarray:
     for v in rest:
         lost |= v == ONE
     lost |= closed
-    return np.where(lost, np.int8(ZERO), np.where(all_win, np.int8(ONE), np.int8(QUES)))
+    # with ZERO, ONE, QUES = 0, 1, 2: (1 + not all_win) * not lost, on the
+    # masks viewed as 0/1 int8 (a nested np.where with scalar branches made
+    # the three-valued rule about 8x slower)
+    np.invert(all_win, out=all_win)
+    vals = np.add(all_win.view(np.int8), np.int8(ONE))
+    np.invert(lost, out=lost)
+    vals *= lost.view(np.int8)
+    return vals
 
 
 _CONSTANT = {AllQuestion: QUES, AllZero: ZERO, AllOne: ONE}
@@ -167,25 +183,47 @@ def _diag_coords(k: int) -> np.ndarray:
     return np.stack([k - j, j], axis=1)  # (x1, x2) with x1 + x2 = k
 
 
-def triangle_sweep(n: int, boundary: Boundary, p: float, seeds,
+def triangle_sweep(n: int, boundary: Boundary, p, seeds,
                    keep_all: bool = False, field: Optional[SiteField] = None):
     """Solve the triangular region for a batch of seeds.
 
     Returns (origin values (S,), rows) where rows[k] is the (S, k+1) value
-    array of diagonal k if keep_all, else None.
+    array of diagonal k if keep_all, else None.  ``p`` may also be a 1-d
+    sequence of probabilities: every diagonal is then hashed once and each
+    p's closed bits are read off the same hash words, and the origin values
+    are (P, S) and rows[k] is (P, S, k+1).
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    ps = np.asarray(p, dtype=np.float64)
+    if ps.ndim > 1 or ps.size == 0:
+        raise ValueError(f"p must be a probability or a non-empty 1-d sequence, "
+                         f"got shape {ps.shape}")
+    thresholds = [closed_threshold(float(q)) for q in ps.reshape(-1)]
     three = isinstance(boundary, AllQuestion)
-    vals = _boundary_layer(boundary, n, _diag_coords(n),
-                           lambda: np.full(n + 1, n % 2), lambda: boundary.values,
-                           seeds, field)
-    rows = {n: vals} if keep_all else None
+    top = _boundary_layer(boundary, n, _diag_coords(n),
+                          lambda: np.full(n + 1, n % 2), lambda: boundary.values,
+                          seeds, field)
+    vals = [top] * len(thresholds)
+
+    def stacked(arrays):
+        return arrays[0] if ps.ndim == 0 else np.stack(arrays)
+
+    rows = {n: stacked(vals)} if keep_all else None
+    # diagonal k < n has k + 1 <= n sites: one flat buffer each for the
+    # hash words, their scratch and the closed bits, viewed as (S, k+1)
+    words = np.empty(seeds.size * n, dtype=np.uint64)
+    tmp = np.empty_like(words)
+    closed = np.empty(words.size, dtype=bool)
     for k in range(n - 1, -1, -1):
-        closed = hash_below(seeds, _diag_coords(k), 0, p)
-        vals = recurse(closed, (vals[:, :-1], vals[:, 1:]), three)
+        shape, size = (seeds.size, k + 1), seeds.size * (k + 1)
+        h = hash_words(seeds, _diag_coords(k), 0, out=words[:size].reshape(shape),
+                       tmp=tmp[:size].reshape(shape))
+        for i, threshold in enumerate(thresholds):
+            c = below(h, threshold, out=closed[:size].reshape(shape))
+            vals[i] = recurse(c, (vals[i][:, :-1], vals[i][:, 1:]), three)
         if keep_all:
-            rows[k] = vals
-    return vals[:, 0], rows
+            rows[k] = stacked(vals)
+    return stacked([v[:, 0] for v in vals]), rows
 
 
 @dataclass
@@ -358,33 +396,98 @@ def _slab_boundary(index: SlabIndex, boundary: Boundary, k_top: int,
             for layer in range(k_top, k_top + m)}
 
 
+class ClosedLayers:
+    """The closed bits of the slab sites of one index, p and seed vector.
+
+    A site's closed bit is its tag-0 uniform below p, which depends on
+    neither the depth of a sweep nor its boundary, so every sweep of a run
+    at this p reads its layers from one instance.  ``closed[k]`` is the
+    (S, n_class) bool mask of layer k.  Layer k is hashed on its first
+    read, with one ``hash_uniforms`` call into a reused uniforms buffer of
+    its class, and kept bit-packed: the layers 0 .. depth-1 take
+    depth * S * n_class / 8 bytes.
+    """
+
+    def __init__(self, index: SlabIndex, p: float, seeds):
+        self.index = index
+        self.p = float(p)
+        self.seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+        self._packed: dict[int, np.ndarray] = {}
+        # one uniforms buffer per class, reused by every layer of the class,
+        # so that the allocator does not hand its pages back and fault them
+        # in again at each layer (whether it does depends on the heap layout)
+        self._uniforms: list[Optional[np.ndarray]] = [None] * index.q
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        c = k % self.index.q
+        shape = (self.seeds.size, self.index.class_size(c))
+        if k not in self._packed:
+            if self._uniforms[c] is None:
+                self._uniforms[c] = np.empty(shape)
+            u = hash_uniforms(self.seeds, self.index.layer_site_coords(k), 0,
+                              out=self._uniforms[c])
+            self._packed[k] = np.packbits((u < self.p).T)
+        # packed site-major: the mask is the transpose of a C-ordered
+        # (n_class, S) array, the layout slab_sweep works in
+        bits = np.unpackbits(self._packed[k], count=shape[0] * shape[1])
+        return bits.view(bool).reshape(shape[::-1]).T
+
+    def check(self, index: SlabIndex, p: float, seeds: np.ndarray) -> None:
+        """Raise ValueError unless this cache was built for exactly this
+        index, p and seed vector."""
+        if index is not self.index:
+            raise ValueError("closed layers were built for another SlabIndex")
+        if float(p) != self.p:
+            raise ValueError(f"closed layers were built for p={self.p}, not p={p}")
+        if not np.array_equal(seeds, self.seeds):
+            raise ValueError("closed layers were built for another seed vector")
+
+
+def _closed_layers(family: GraphFamily, sizes, p: float, seeds: np.ndarray,
+                   closed: Optional[ClosedLayers]) -> ClosedLayers:
+    """``closed`` checked against the family, sizes, p and seeds, or a new
+    cache on a new index if it is None."""
+    if closed is None:
+        return ClosedLayers(SlabIndex(family, sizes), p, seeds)
+    index = closed.index
+    if index.family != family or index.sizes != lattice.validate_torus_sizes(family, sizes):
+        raise ValueError(f"closed layers were built for {index.family.name} {index.sizes}")
+    closed.check(index, p, seeds)
+    return closed
+
+
 def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
-               seeds, record_layers=None, field: Optional[SiteField] = None):
+               seeds, record_layers=None, field: Optional[SiteField] = None,
+               closed: Optional[ClosedLayers] = None):
     """Solve a slab for a batch of seeds.
 
     Returns {layer: (S, n_class) int8}; always contains layers 0..m-1, plus
-    any layers listed in record_layers.
+    any layers listed in record_layers.  ``closed`` shares the closed bits
+    with other sweeps of the same index, p and seeds.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    if closed is None:
+        closed = ClosedLayers(index, p, seeds)
+    else:
+        closed.check(index, p, seeds)
     m = index.family.m
     three = isinstance(boundary, AllQuestion)
-    layers = _slab_boundary(index, boundary, depth, m, seeds, field)
+    top = _slab_boundary(index, boundary, depth, m, seeds, field)
     keep = set(range(m)) | set(record_layers or ())
-    out = {k: v for k, v in layers.items() if k in keep}
-    # one uniforms buffer per class, reused by every layer of the class, so
-    # that the allocator does not hand its pages back and fault them in
-    # again at each layer (whether it does depends on the heap layout)
-    uniforms = [np.empty((seeds.size, index.class_size(c))) for c in range(index.q)]
+    out = {k: v for k, v in top.items() if k in keep}
+    # the sweep runs site-major, on (n_class, S) arrays: gathering a move's
+    # targets copies whole rows, and every array the rule combines, the
+    # closed bits included, has the same layout
+    layers = {k: np.ascontiguousarray(v.T) for k, v in top.items()}
     for k in range(depth - 1, -1, -1):
         c = k % index.q
         pos = index.nbr_pos[c]
-        nbrs = [layers[k + int(dl)][:, pos[:, j]]
+        nbrs = [np.take(layers[k + int(dl)], pos[:, j], axis=0)
                 for j, dl in enumerate(index.nbr_layer_delta[c])]
-        u = hash_uniforms(seeds, index.layer_site_coords(k), 0, out=uniforms[c])
-        vals = recurse(u < p, nbrs, three)
+        vals = recurse(closed[k].T, nbrs, three)
         layers[k] = vals
         if k in keep:
-            out[k] = vals
+            out[k] = np.ascontiguousarray(vals.T)
         layers.pop(k + m, None)
     return out
 
@@ -393,21 +496,22 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
 
 
 def draw_density_profile(family: GraphFamily, k_max: int, sizes, p: float,
-                         seeds, depths=None):
+                         seeds, depths=None, closed: Optional[ClosedLayers] = None):
     """Mean ?-fraction on layer 0 under the all-? boundary, per depth.
 
     Returns rows (depth, q_fraction, stderr, n_seeds).  For a fixed seed the
     layer-0 ?-set shrinks pointwise as the depth grows, so q_fraction is
-    non-increasing along the rows for each individual seed.
+    non-increasing along the rows for each individual seed.  Every depth
+    reads the closed bits from ``closed`` (a new cache if None).
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    index = SlabIndex(family, sizes)
+    closed = _closed_layers(family, sizes, p, seeds, closed)
     if depths is None:
         step = max(1, k_max // 20)
         depths = sorted(set(list(range(family.m, k_max + 1, step)) + [k_max]))
     rows = []
     for K in depths:
-        layers = slab_sweep(index, K, AllQuestion(), p, seeds)
+        layers = slab_sweep(closed.index, K, AllQuestion(), p, seeds, closed=closed)
         frac = (layers[0] == QUES).mean(axis=1)  # per seed
         rows.append((K, float(frac.mean()),
                      float(frac.std(ddof=1) / np.sqrt(seeds.size)) if seeds.size > 1 else 0.0,
@@ -434,15 +538,17 @@ class SensitivityResult:
 
 
 def boundary_sensitivity(family: GraphFamily, depth: int, sizes, p: float,
-                         seeds) -> SensitivityResult:
+                         seeds, closed: Optional[ClosedLayers] = None) -> SensitivityResult:
     """Fraction of seeds where the all-0 and all-1 boundary solutions
-    disagree at the origin (two-valued recursion, shared randomness)."""
+    disagree at the origin (two-valued recursion, shared randomness: both
+    sweeps read the closed bits from ``closed``, a new cache if None)."""
     if not (family.has_A2 or family.has_A2_prime):
         raise ValueError(f"{family.name} does not satisfy the layer-automorphism assumption")
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    index = SlabIndex(family, sizes)
-    zero = slab_sweep(index, depth, AllZero(), p, seeds)[0][:, index.origin_pos]
-    one = slab_sweep(index, depth, AllOne(), p, seeds)[0][:, index.origin_pos]
+    closed = _closed_layers(family, sizes, p, seeds, closed)
+    index = closed.index
+    zero = slab_sweep(index, depth, AllZero(), p, seeds, closed=closed)[0][:, index.origin_pos]
+    one = slab_sweep(index, depth, AllOne(), p, seeds, closed=closed)[0][:, index.origin_pos]
     return SensitivityResult(family, depth, p, seeds.size, zero != one)
 
 

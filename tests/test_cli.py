@@ -235,3 +235,79 @@ def test_sizes_expand_and_are_checked_at_the_boundary(tmp_path, capsys):
         _assert_usage_error(capsys, [sub, "--family", "even(3)", "--size", "7",
                                      "--depth", "4", "--out", out],
                             "--size: even(3) torus sizes must be even", tmp_path)
+
+
+def test_unparsable_number_lists_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    _assert_usage_error(capsys, ["win-curve", "--p-grid", "abc", "--depth", "4",
+                                 "--out", out], "--p-grid takes comma-separated floats",
+                        tmp_path)
+    _assert_usage_error(capsys, ["win-curve", "--p-grid", "0.3,", "--depth", "4",
+                                 "--out", out], "--p-grid takes", tmp_path)
+    for sub in ("draw-scan", "glauber", "pca-run"):
+        _assert_usage_error(capsys, [sub, "--size", "x", "--out", out],
+                            "--size takes comma-separated ints", tmp_path)
+
+
+def test_counts_below_their_minimum_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for argv, text in (
+            (["glauber", "--family", "z2", "--size", "8", "--steps", "-1"],
+             "--steps must be >= 1, got -1"),
+            (["glauber", "--family", "z2", "--size", "8", "--steps", "0"],
+             "--steps must be >= 1, got 0"),
+            (["pca-run", "--size", "8", "--steps", "-1"], "--steps must be >= 0"),
+            (["pca-run", "--size", "0", "--steps", "2"], "ring length) must be >= 3"),
+            (["pca-run", "--size", "2", "--steps", "2"], "ring length) must be >= 3"),
+            (["win-curve", "--seeds", "0", "--depth", "3"], "--seeds must be >= 1"),
+            (["draw-scan", "--seeds", "0", "--size", "8", "--depth", "3"],
+             "--seeds must be >= 1"),
+            (["pca-run", "--seeds", "1", "--seed0", "-5", "--size", "8"],
+             "every seed (--seed0) must be >= 0, got -5")):
+        _assert_usage_error(capsys, argv + ["--out", out], text, tmp_path)
+    # the smallest accepted values still run
+    assert run(["pca-run", "--size", "3", "--steps", "0", "--out", out]) == 0
+    assert run(["glauber", "--family", "z2", "--size", "8", "--steps", "1",
+                "--out", out]) == 0
+
+
+def test_families_without_the_needed_structure_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    _assert_usage_error(capsys, ["glauber", "--family", "zd(3)", "--size", "3",
+                                 "--out", out], "zd(d>=3) has no doubling graph", tmp_path)
+    for sub in ("couple-verify", "draw-scan"):
+        _assert_usage_error(capsys, [sub, "--family", "zd(3)", "--size", "3", "--depth", "3",
+                                     "--out", out],
+                            "zd(3) does not satisfy the layer-automorphism", tmp_path)
+    # checked before the first family of a list writes its outputs
+    _assert_usage_error(capsys, ["draw-scan", "--family", "z2,zd(3)", "--size", "6",
+                                 "--depth", "3", "--out", out], "zd(3)", tmp_path)
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    bad_key = tmp_path / "bad_key.json"
+    bad_key.write_text('{"bogus": 1}')
+    not_json = tmp_path / "not.json"
+    not_json.write_text("nope")
+    for path in (tmp_path / "missing.json", bad_key, not_json):
+        _assert_usage_error(capsys, ["glauber", "--config", str(path),
+                                     "--out", str(out_dir / "o")], "--config: ", out_dir)
+    for seeds, text in (([], "the seed list is empty"), ([3, -1], "must be >= 0, got -1")):
+        cfg = tmp_path / "seeds.json"
+        cfg.write_text(cli.RunConfig(subcommand="win-curve", depth=4, seeds=seeds).to_json())
+        _assert_usage_error(capsys, ["win-curve", "--config", str(cfg),
+                                     "--out", str(out_dir / "w.csv")], text, out_dir)
+
+
+def test_win_curve_grid_rows_equal_one_p_at_a_time(tmp_path):
+    both = tmp_path / "both.csv"
+    assert run(["win-curve", "--p-grid", "0.3,0.6", "--depth", "30", "--seeds", "25",
+                "--out", str(both)]) == 0
+    rows = read_csv(str(both))[1:]
+    for i, p in enumerate(("0.3", "0.6")):
+        one = tmp_path / f"p{p}.csv"
+        assert run(["win-curve", "--p-grid", p, "--depth", "30", "--seeds", "25",
+                    "--out", str(one)]) == 0
+        assert read_csv(str(one))[1:] == [rows[i]]
