@@ -26,6 +26,7 @@ import json
 import os
 import re
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -51,6 +52,10 @@ HEADERS = {
 
 class UsageError(ValueError):
     """Bad input named on the command line; main reports it and exits 2."""
+
+
+# the values of --variant, --kind and --init, also when a --config file sets them
+CHOICES = {"variant": glauber.VARIANTS, "kind": pca.KINDS, "init": ("even", "odd", "empty")}
 
 
 def worker_count() -> int:
@@ -79,10 +84,10 @@ class RunConfig:
     subcommand: str
     family: str = "z2"
     p: float = 0.1
-    p_grid: Optional[list] = None
+    p_grid: Optional[list[float]] = None
     depth: int = 100
-    sizes: list = dc_field(default_factory=lambda: [64])
-    seeds: list = dc_field(default_factory=lambda: [0])
+    sizes: list[int] = dc_field(default_factory=lambda: [64])
+    seeds: list[int] = dc_field(default_factory=lambda: [0])
     steps: int = 100
     variant: str = "standard"
     kind: str = "F"
@@ -98,6 +103,38 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls(**json.loads(text))
+
+
+def _has_type(value, hint) -> bool:
+    """isinstance for the type hints of RunConfig: Optional[X], list[X], and
+    float, which takes ints too (JSON writes 1.0 as 1); a bool is no number."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:
+        return any(_has_type(value, a) for a in args)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_config(cfg: RunConfig) -> None:
+    """Check every value of a RunConfig, whether a flag or a --config file
+    set it: its type against its field's, and the choices of the flags
+    --variant, --kind and --init."""
+    hints = typing.get_type_hints(RunConfig)
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if not _has_type(value, hints[f.name]):
+            raise UsageError(f"{f.name} must be {f.type}, got {value!r}")
+        if f.name in CHOICES and value not in CHOICES[f.name]:
+            raise UsageError(f"{f.name} must be one of {', '.join(CHOICES[f.name])}, "
+                             f"got {value!r}")
+    if not cfg.seeds:
+        raise UsageError("the seed list is empty")
+    if not cfg.sizes:
+        raise UsageError("the size list is empty")
+    _at_least(min(cfg.seeds), 0, "every seed (--seed0)")
 
 
 def write_csv(path, header, rows):
@@ -130,7 +167,7 @@ def _families(names: str) -> list:
 def _sizes(cfg: RunConfig, fam: lattice.GraphFamily) -> tuple[int, ...]:
     """The torus sizes of --size for a family; one size stands for every
     transverse direction."""
-    sizes = cfg.sizes if len(cfg.sizes) > 1 or fam.d == 2 else cfg.sizes * (fam.d - 1)
+    sizes = cfg.sizes if len(cfg.sizes) > 1 else cfg.sizes * (fam.d - 1)
     try:
         return lattice.validate_torus_sizes(fam, sizes)
     except ValueError as e:
@@ -440,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of seeds (0..n-1)")
         sp.add_argument("--seed0", type=int, default=0, help="first seed")
         sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--variant", choices=glauber.VARIANTS, default=None)
-        sp.add_argument("--kind", choices=pca.KINDS, default=None)
+        sp.add_argument("--variant", choices=CHOICES["variant"], default=None)
+        sp.add_argument("--kind", choices=CHOICES["kind"], default=None)
         sp.add_argument("--lam", type=float, default=None, help="hard-core activity")
-        sp.add_argument("--init", choices=("even", "odd", "empty"), default=None)
+        sp.add_argument("--init", choices=CHOICES["init"], default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--fault-inject", action="store_true",
                         help="negative control: perturb the exact matrix")
@@ -491,10 +528,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg.fault_inject = bool(getattr(args, "fault_inject", False))
     if args.weights_n is not None:
         cfg.weights_n = args.weights_n
-    # a --config file can also hold the seeds
-    if not cfg.seeds:
-        raise UsageError("the seed list is empty")
-    _at_least(min(cfg.seeds), 0, "every seed (--seed0)")
+    _check_config(cfg)
     if getattr(args, "save_config", False):
         path = cfg.out + ".config.json"
         _ensure_outdir(path)

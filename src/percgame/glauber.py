@@ -54,7 +54,7 @@ def build_doubling_torus(family: GraphFamily, sizes) -> SlabIndex:
     parity-constrained lattices, multiples of the residue period for
     subset/binomial kinds).
     """
-    if family.kind == "zd" and family.d > 2:
+    if not (family.has_A2 or family.has_A2_prime):
         raise lattice.UnsupportedFamilyError("zd(d>=3) has no doubling graph")
     try:
         sizes = lattice.validate_torus_sizes(family, sizes)

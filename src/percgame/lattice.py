@@ -6,40 +6,44 @@ carries a partition of its vertex set into layers S_k such that every move
 strictly increases the layer by 1..m-1, plus (for most families) a layer
 automorphism ``phi`` shifting layers by m with Out(x) = In(phi(x)).
 
-Supported kinds:
+Each kind is one row of the table ``_SPECS``, which holds only what cannot
+be derived: the geometry (the layer is the last coordinate x_d, or a
+function of the coordinate sum s = sum(x)), which points of Z^d are sites,
+the move set by the residue of s mod d, and the closed-form layer class of
+a transverse coordinate.
 
-    z2                  Z^2, moves +e1/+e2; layers x1+x2; phi = +(1,1)
-    zd(d)               Z^d, moves +e_i; layers sum(x).  No valid phi for
-                        d >= 3 (kept for the game solver only).
-    even(d)             even sublattice of Z^d, moves +-e_i + e_d (i < d);
-                        layers x_d; phi = +2 e_d
-    bcc(d)              x_i all congruent mod 2, moves +-e_1...+-e_{d-1}+e_d;
-                        layers x_d; phi = +2 e_d
-    subset(d)           Z^d, moves add a proper nonempty subset of basis
-                        vectors; layers sum(x), period m = d; phi = +(1,..,1)
-    binomial(d, r)      sum(x) = 0 or r mod d, moves add r (resp. d-r) basis
-                        vectors; phi = +(1,..,1)
-    even_ext(d)         even(d) plus the extra move phi(x) = x + 2 e_d
-                        (layer jump m, producing no doubling-graph edge)
+    kind            layer  sites                moves
+    z2, zd(d)       s      Z^d                  +e_i
+    subset(d)       s      Z^d                  + a proper nonempty subset of the e_i
+    binomial(d, r)  s      s = 0 or r mod d     + r of the e_i from s = 0, d - r from s = r
+    even(d)         x_d    s even               +-e_i + e_d (i < d)
+    bcc(d)          x_d    x_i all equal mod 2  +-e_1 ... +-e_{d-1} + e_d
+    even_ext(d)     x_d    s even               even(d)'s and the phi move +2 e_d, a
+                                                layer jump of m with no doubling edge
 
-The doubling graph D is the quotient of the family by phi; the per-family
-``transverse_coord`` map realizes the quotient concretely (difference map
-for z2, coordinate projection for even/bcc, x_i - x_d differences for
-subset/binomial).  The explicit plane/space embeddings (trihex, diamond)
-are available through :class:`IsoMap` / :func:`doubling_map`.
+z2 is zd(2) under its own name, the d = 2 case of the coordinate-sum
+geometry.  The rest is derived once per geometry: the out-degree is the
+number of moves, and phi is one translation, +2 e_d for x_d layers and
++(1,...,1) for coordinate-sum layers, which count the residues of s that
+hold sites.  zd(d >= 3) has no valid phi, the obstacle to the dimension
+reduction; it is kept for the game solver only.
+
+The doubling graph D is the quotient of the family by phi; the map
+``transverse_coord`` realizes it concretely (x_1..x_{d-1} for x_d layers,
+the differences x_i - x_d for coordinate-sum layers).  The explicit
+plane/space embeddings (trihex, diamond) are available through
+:class:`IsoMap` / :func:`doubling_map`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
-from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-
-KINDS = ("z2", "zd", "even", "bcc", "subset", "binomial", "even_ext")
 
 
 class InvalidSiteError(ValueError):
@@ -48,6 +52,63 @@ class InvalidSiteError(ValueError):
 
 class UnsupportedFamilyError(ValueError):
     pass
+
+
+# -- the table of family definitions -------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Spec:
+    last_layer: bool  # the layer is x_d; otherwise a function of the coordinate sum
+    member: Callable  # (family, x) -> whether x is a site
+    moves: Callable  # (family, coordinate sum mod d) -> the move deltas
+    torus_class: Callable  # (family, tcoord) -> layer class, None off the torus
+
+
+def _subsets(d: int, sizes) -> list[tuple[int, ...]]:
+    """Indicator vectors of the subsets of the d basis vectors with the given sizes."""
+    return [tuple(int(i in S) for i in range(d))
+            for size in sizes for S in itertools.combinations(range(d), size)]
+
+
+def _signed_units(n: int) -> list[tuple[int, ...]]:
+    """+-e_i in Z^n."""
+    return [tuple(s * (j == i) for j in range(n)) for i in range(n) for s in (-1, 1)]
+
+
+def _equal_parity(family, x) -> bool:
+    return all((c - x[0]) % 2 == 0 for c in x)
+
+
+def _residue_class(family, t) -> Optional[int]:
+    # sum(t) = sum(x) - d x_d has the residue of the site's coordinate sum
+    residues = family._sum_residues
+    s = sum(t) % family.d
+    return residues.index(s) if s in residues else None
+
+
+_SPECS = {
+    "z2": _Spec(False, lambda f, x: True,
+                lambda f, res: _subsets(f.d, [1]), _residue_class),
+    "zd": _Spec(False, lambda f, x: True,
+                lambda f, res: _subsets(f.d, [1]), _residue_class),
+    "even": _Spec(True, lambda f, x: sum(x) % 2 == 0,
+                  lambda f, res: [u + (1,) for u in _signed_units(f.d - 1)],
+                  lambda f, t: sum(t) % 2),
+    "bcc": _Spec(True, _equal_parity,
+                 lambda f, res: [s + (1,) for s in itertools.product((-1, 1), repeat=f.d - 1)],
+                 lambda f, t: t[0] % 2 if _equal_parity(f, t) else None),
+    "subset": _Spec(False, lambda f, x: True,
+                    lambda f, res: _subsets(f.d, range(1, f.d)), _residue_class),
+    "binomial": _Spec(False, lambda f, x: sum(x) % f.d in (0, f.r),
+                      lambda f, res: _subsets(f.d, [f.r if res == 0 else f.d - f.r]),
+                      _residue_class),
+    "even_ext": _Spec(True, lambda f, x: sum(x) % 2 == 0,
+                      lambda f, res: _SPECS["even"].moves(f, res) + [(0,) * (f.d - 1) + (2,)],
+                      lambda f, t: sum(t) % 2),
+}
+
+KINDS = tuple(_SPECS)
 
 
 @dataclass(frozen=True)
@@ -59,17 +120,31 @@ class GraphFamily:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        min_d = {"z2": 2, "zd": 2, "even": 2, "bcc": 2, "subset": 2,
-                 "binomial": 2, "even_ext": 2}[self.kind]
         if self.kind == "z2" and self.d != 2:
             raise ValueError("z2 has d=2")
-        if self.d < min_d:
-            raise ValueError(f"{self.kind} needs d >= {min_d}")
+        if self.d < 2:
+            raise ValueError(f"{self.kind} needs d >= 2")
         if self.kind == "binomial":
             if not 1 <= self.r <= self.d - 1:
                 raise ValueError("binomial needs 1 <= r <= d-1")
         elif self.r:
             raise ValueError("r is only meaningful for binomial")
+
+    # -- derived once from the family's row of _SPECS ----------------------
+
+    @functools.cached_property
+    def _moves(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The sorted move deltas of a site, by its coordinate sum mod d."""
+        spec = _SPECS[self.kind]
+        return tuple(tuple(sorted(spec.moves(self, res))) for res in range(self.d))
+
+    @functools.cached_property
+    def _sum_residues(self) -> tuple[int, ...]:
+        """Coordinate-sum geometry: the residues of sum(x) mod d that hold
+        sites.  Layer k holds the sums d * (k // c) + residues[k % c], with
+        c = len(residues)."""
+        spec = _SPECS[self.kind]
+        return tuple(s for s in range(self.d) if spec.member(self, (s,) + (0,) * (self.d - 1)))
 
     # -- descriptors ------------------------------------------------------
 
@@ -80,22 +155,12 @@ class GraphFamily:
 
     @property
     def out_degree(self) -> int:
-        return {
-            "z2": 2,
-            "zd": self.d,
-            "even": 2 * (self.d - 1),
-            "bcc": 2 ** (self.d - 1),
-            "subset": 2 ** self.d - 2,
-            "binomial": comb(self.d, self.r),
-            "even_ext": 2 * (self.d - 1) + 1,
-        }[self.kind]
+        return len(self._moves[0])
 
     @property
     def has_A2(self) -> bool:
         """Whether the standard layer-automorphism assumption holds."""
-        if self.kind == "zd":
-            return self.d == 2
-        return self.kind != "even_ext"
+        return self.d == 2 if self.kind == "zd" else self.kind != "even_ext"
 
     @property
     def has_A2_prime(self) -> bool:
@@ -105,10 +170,11 @@ class GraphFamily:
     def torus_classes(self) -> int:
         """Residue classes of the transverse-coordinate torus.
 
-        Layers of a slab occupy class (layer mod torus_classes).  Equals m
-        except for zd(d), whose transverse quotient has d residues.
+        Layers of a slab occupy class (layer mod torus_classes): the parity
+        of x_d, or the index of the coordinate-sum residue.  Equals m except
+        for zd(d), whose transverse quotient has d residues.
         """
-        return self.d if self.kind == "zd" else self.m
+        return 2 if _SPECS[self.kind].last_layer else len(self._sum_residues)
 
     @property
     def name(self) -> str:
@@ -173,16 +239,7 @@ def family_from_name(name: str) -> GraphFamily:
 
 def is_member(family: GraphFamily, x) -> bool:
     x = tuple(int(c) for c in x)
-    if len(x) != family.d:
-        return False
-    s = sum(x)
-    if family.kind in ("even", "even_ext"):
-        return s % 2 == 0
-    if family.kind == "bcc":
-        return all((c - x[0]) % 2 == 0 for c in x)
-    if family.kind == "binomial":
-        return s % family.d in (0, family.r % family.d)
-    return True
+    return len(x) == family.d and _SPECS[family.kind].member(family, x)
 
 
 def check_site(family: GraphFamily, x) -> tuple[int, ...]:
@@ -195,96 +252,48 @@ def check_site(family: GraphFamily, x) -> tuple[int, ...]:
 def layer_of(family: GraphFamily, x) -> int:
     """Index k with x in S_k."""
     x = check_site(family, x)
-    if family.kind in ("even", "bcc", "even_ext"):
+    if _SPECS[family.kind].last_layer:
         return x[-1]
-    if family.kind == "binomial":
-        s, d, r = sum(x), family.d, family.r
-        if s % d == 0:
-            return 2 * (s // d)
-        return 2 * ((s - r) // d) + 1
-    return sum(x)  # z2, zd, subset
-
-
-def _move_deltas(family: GraphFamily, x) -> list[tuple[int, ...]]:
-    d = family.d
-    k = family.kind
-    if k == "z2" or k == "zd":
-        return [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    if k in ("even", "even_ext"):
-        deltas = []
-        for i in range(d - 1):
-            for s in (-1, 1):
-                delta = [0] * d
-                delta[i] = s
-                delta[d - 1] = 1
-                deltas.append(tuple(delta))
-        if k == "even_ext":
-            deltas.append(tuple([0] * (d - 1) + [2]))  # the phi move
-        return deltas
-    if k == "bcc":
-        return [tuple(list(signs) + [1])
-                for signs in itertools.product((-1, 1), repeat=d - 1)]
-    if k == "subset":
-        return [tuple(int(i in S) for i in range(d))
-                for size in range(1, d)
-                for S in itertools.combinations(range(d), size)]
-    if k == "binomial":
-        size = family.r if sum(x) % d == 0 else d - family.r
-        return [tuple(int(i in S) for i in range(d))
-                for S in itertools.combinations(range(d), size)]
-    raise AssertionError(k)
+    residues = family._sum_residues
+    q, s = divmod(sum(x), family.d)
+    return len(residues) * q + residues.index(s)
 
 
 def out_neighbors(family: GraphFamily, x) -> list[tuple[int, ...]]:
-    """Out(x), in lexicographic order."""
+    """Out(x), in lexicographic order (the moves are sorted, and a
+    translation keeps the order)."""
     x = check_site(family, x)
-    nbrs = [tuple(c + e for c, e in zip(x, delta)) for delta in _move_deltas(family, x)]
-    return sorted(nbrs)
+    return [tuple(c + e for c, e in zip(x, delta))
+            for delta in family._moves[sum(x) % family.d]]
 
 
 def in_neighbors(family: GraphFamily, x) -> list[tuple[int, ...]]:
     """In(x) = sites y with x in Out(y), in lexicographic order."""
     x = check_site(family, x)
-    candidates = set()
-    if family.kind == "binomial":
-        # the inverse move size depends on the predecessor's residue
-        d, r = family.d, family.r
-        for size in (r, d - r):
-            for S in itertools.combinations(range(d), size):
-                y = tuple(c - int(i in S) for i, c in enumerate(x))
-                if is_member(family, y) and x in out_neighbors(family, y):
-                    candidates.add(y)
-    else:
-        for delta in _move_deltas(family, x):
-            y = tuple(c - e for c, e in zip(x, delta))
-            if is_member(family, y) and x in out_neighbors(family, y):
-                candidates.add(y)
-    return sorted(candidates)
+    # the moves of a predecessor depend on its own residue: try every residue's
+    deltas = {delta for moves in family._moves for delta in moves}
+    ys = (tuple(c - e for c, e in zip(x, delta)) for delta in deltas)
+    return sorted(y for y in ys if is_member(family, y) and x in out_neighbors(family, y))
+
+
+def _translate(family: GraphFamily, x, sign: int) -> tuple[int, ...]:
+    """x + sign * phi, with phi the translation by 2 e_d (x_d layers) or by
+    (1,...,1) (coordinate-sum layers)."""
+    x = check_site(family, x)
+    if not (family.has_A2 or family.has_A2_prime):
+        raise UnsupportedFamilyError(f"{family.name} has no layer automorphism")
+    if _SPECS[family.kind].last_layer:
+        return x[:-1] + (x[-1] + 2 * sign,)
+    return tuple(c + sign for c in x)
 
 
 def phi(family: GraphFamily, x) -> tuple[int, ...]:
     """The layer automorphism (layer shift by m)."""
-    x = check_site(family, x)
-    if not (family.has_A2 or family.has_A2_prime):
-        raise UnsupportedFamilyError(f"{family.name} has no layer automorphism")
-    d = family.d
-    if family.kind == "z2" or (family.kind == "zd" and d == 2):
-        return (x[0] + 1, x[1] + 1)
-    if family.kind in ("even", "bcc", "even_ext"):
-        return x[:-1] + (x[-1] + 2,)
-    return tuple(c + 1 for c in x)  # subset, binomial
+    return _translate(family, x, 1)
 
 
 def phi_inverse(family: GraphFamily, x) -> tuple[int, ...]:
-    x = check_site(family, x)
-    if not (family.has_A2 or family.has_A2_prime):
-        raise UnsupportedFamilyError(f"{family.name} has no layer automorphism")
-    d = family.d
-    if family.kind == "z2" or (family.kind == "zd" and d == 2):
-        return (x[0] - 1, x[1] - 1)
-    if family.kind in ("even", "bcc", "even_ext"):
-        return x[:-1] + (x[-1] - 2,)
-    return tuple(c - 1 for c in x)
+    return _translate(family, x, -1)
 
 
 def patch_sites(family: GraphFamily, radius: int) -> list[tuple[int, ...]]:
@@ -390,18 +399,17 @@ def verify_axioms(family: GraphFamily, patch_radius: int) -> AxiomReport:
 FORMULAS = ("difference", "projection", "trihex", "diamond")
 
 
+# explicit doubling maps of the coordinate-sum families, by family name
+_SUM_FORMULAS = {"z2": "difference", "zd(2)": "difference", "subset(3)": "trihex",
+                 "binomial(3,1)": "trihex", "binomial(4,1)": "diamond"}
+
+
 def default_formula(family: GraphFamily) -> str:
-    if family.kind == "z2" or (family.kind == "zd" and family.d == 2):
-        return "difference"
-    if family.kind in ("even", "bcc", "even_ext"):
+    if _SPECS[family.kind].last_layer:
         return "projection"
-    if family.kind == "subset" and family.d == 3:
-        return "trihex"
-    if family.kind == "binomial" and family.d == 3 and family.r == 1:
-        return "trihex"
-    if family.kind == "binomial" and family.d == 4 and family.r == 1:
-        return "diamond"
-    raise UnsupportedFamilyError(f"no explicit doubling map for {family.name}")
+    if family.name not in _SUM_FORMULAS:
+        raise UnsupportedFamilyError(f"no explicit doubling map for {family.name}")
+    return _SUM_FORMULAS[family.name]
 
 
 @dataclass(frozen=True)
@@ -492,13 +500,7 @@ def _doubling_offsets(iso: IsoMap) -> set[tuple[int, ...]]:
     if iso.formula == "projection":
         if fam.kind == "bcc":
             return set(itertools.product((-1, 1), repeat=fam.d - 1))
-        offs = set()
-        for i in range(fam.d - 1):
-            for s in (-1, 1):
-                o = [0] * (fam.d - 1)
-                o[i] = s
-                offs.add(tuple(o))
-        return offs
+        return set(_signed_units(fam.d - 1))
     if iso.formula == "trihex":
         return {(2, 0), (-2, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)}
     if iso.formula == "diamond":
@@ -583,65 +585,36 @@ def transverse_coord(family: GraphFamily, x) -> tuple[int, ...]:
     parameterize the layers of a slab, so they are provided for it too.
     """
     x = check_site(family, x)
-    k = family.kind
-    if k == "z2":
-        return (x[0] - x[1],)
-    if k in ("even", "bcc", "even_ext"):
+    if _SPECS[family.kind].last_layer:
         return tuple(x[:-1])
-    # zd, subset, binomial: differences against the last coordinate
-    if k == "zd" and family.d == 2:
-        return (x[0] - x[1],)
     return tuple(c - x[-1] for c in x[:-1])
 
 
 def lift_site(family: GraphFamily, tcoord, layer: int) -> tuple[int, ...]:
     """The unique site with given transverse coordinates and layer."""
     t = tuple(int(c) for c in tcoord)
-    k = family.kind
+    if _SPECS[family.kind].last_layer:
+        return check_site(family, t + (layer,))
     d = family.d
-    if k == "z2" or (k == "zd" and d == 2):
-        v = t[0]
-        if (layer + v) % 2:
-            raise InvalidSiteError(f"no z2 site with v={v} on layer {layer}")
-        return ((layer + v) // 2, (layer - v) // 2)
-    if k in ("even", "bcc", "even_ext"):
-        x = t + (layer,)
-        return check_site(family, x)
-    if k in ("zd", "subset"):
-        total = layer
-    else:  # binomial
-        total = (d * (layer // 2) + (layer % 2) * family.r)
-    rem = total - sum(t)
+    if len(t) != d - 1:
+        raise InvalidSiteError(f"{family.name} needs {d - 1} transverse coordinates, got {t}")
+    # the layer fixes the coordinate sum, and sum(x) = sum(t) + d x_d
+    residues = family._sum_residues
+    q, cls = divmod(layer, len(residues))
+    rem = d * q + residues[cls] - sum(t)
     if rem % d:
         raise InvalidSiteError(f"no {family.name} site with tcoord={t} on layer {layer}")
     xd = rem // d
-    x = tuple(c + xd for c in t) + (xd,)
-    if layer_of(family, x) != layer:
-        raise InvalidSiteError(f"lift of {t} landed on wrong layer")
-    return x
+    return tuple(c + xd for c in t) + (xd,)
 
 
 def torus_class(family: GraphFamily, tcoord) -> int:
     """Which layer residue a torus vertex belongs to (layer mod torus_classes)."""
     t = tuple(int(c) for c in tcoord)
-    k = family.kind
-    if k == "z2" or (k == "zd" and family.d == 2):
-        return t[0] % 2
-    if k in ("even", "even_ext"):
-        return sum(t) % 2
-    if k == "bcc":
-        if any((c - t[0]) % 2 for c in t):
-            raise InvalidSiteError(f"{t} is not a doubling-graph vertex of {family.name}")
-        return t[0] % 2
-    if k in ("zd", "subset"):
-        return sum(t) % family.d
-    # binomial: residues 0 and r of sum(t) mod d are the two classes
-    s = sum(t) % family.d
-    if s == 0:
-        return 0
-    if s == family.r % family.d:
-        return 1
-    raise InvalidSiteError(f"{t} is not a doubling-graph vertex of {family.name}")
+    cls = _SPECS[family.kind].torus_class(family, t)
+    if cls is None:
+        raise InvalidSiteError(f"{t} is not a doubling-graph vertex of {family.name}")
+    return cls
 
 
 def is_torus_vertex(family: GraphFamily, tcoord) -> bool:
@@ -649,31 +622,23 @@ def is_torus_vertex(family: GraphFamily, tcoord) -> bool:
         torus_class(family, tcoord)
     except InvalidSiteError:
         return False
-    else:
-        if family.kind == "bcc":
-            return all((c - tcoord[0]) % 2 == 0 for c in tcoord)
-        return True
+    return True
 
 
 def validate_torus_sizes(family: GraphFamily, sizes: tuple[int, ...]) -> tuple[int, ...]:
     """Transverse torus sizes compatible with the membership constraint."""
     sizes = tuple(int(s) for s in sizes)
-    tdim = 1 if family.kind == "z2" or (family.kind == "zd" and family.d == 2) \
-        else family.d - 1
+    tdim = family.d - 1
     if len(sizes) != tdim:
         raise ValueError(f"{family.name} needs {tdim} transverse sizes, got {len(sizes)}")
     if any(s < 2 for s in sizes):
         raise ValueError("torus sizes must be >= 2")
-    k = family.kind
-    if k in ("z2", "even", "bcc", "even_ext") or (k == "zd" and family.d == 2):
-        bad = [s for s in sizes if s % 2]
-        if bad:
-            raise ValueError(f"{family.name} torus sizes must be even, got {sizes}")
-    else:  # zd (d>=3), subset, binomial: residues mod d must survive wrapping
-        bad = [s for s in sizes if s % family.d]
-        if bad:
-            raise ValueError(
-                f"{family.name} torus sizes must be multiples of {family.d}, got {sizes}")
+    # wrapping must keep the layer class: the parity of the last-coordinate
+    # geometry, the residue mod d of the coordinate sum
+    period = 2 if _SPECS[family.kind].last_layer else family.d
+    if any(s % period for s in sizes):
+        rule = "even" if period == 2 else f"multiples of {period}"
+        raise ValueError(f"{family.name} torus sizes must be {rule}, got {sizes}")
     return sizes
 
 
@@ -713,14 +678,8 @@ def torus_vertices(family: GraphFamily, sizes) -> list[tuple[int, ...]]:
 
 
 def _class_representative(family: GraphFamily, cls: int) -> tuple[int, ...]:
-    k = family.kind
-    if k == "z2" or (k == "zd" and family.d == 2):
-        return (cls,)
-    if k in ("even", "even_ext"):
-        return (cls,) + (0,) * (family.d - 2)
-    if k == "bcc":
-        return (cls,) * (family.d - 1)
-    if k in ("zd", "subset"):
-        return (cls,) + (0,) * (family.d - 2)
-    # binomial: class 0 -> sum 0, class 1 -> sum r
-    return ((family.r if cls else 0),) + (0,) * (family.d - 2)
+    """A torus vertex of class cls."""
+    if _SPECS[family.kind].last_layer:
+        # the projection of cls steps along the largest move from the origin
+        return tuple(cls * c for c in family._moves[0][-1][:-1])
+    return (family._sum_residues[cls],) + (0,) * (family.d - 2)

@@ -38,7 +38,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .sitefield import SiteField, hash_uniforms
+from .sitefield import SiteField, hash_below
 from .symbols import ONE, QUES, ZERO, as_cells
 
 KINDS = ("A", "B", "F", "G", "D", "R0", "R1", "stavskaya", "flip")
@@ -104,24 +104,29 @@ def local_rule(kind: str, left: int, right: int, u: float, p: float) -> int:
     return out
 
 
+def _update(kind: str, cells: np.ndarray, p: float, seeds, time_tag: int) -> np.ndarray:
+    """The synchronous update shared by step and step_batch: cell i takes the
+    kind's randomized value iff its (seed, i, time_tag) uniform is below p,
+    decided on the hash words (threshold lemma).  ``seeds`` is one seed, one
+    seed per ring, or None when the caller has no SiteField."""
+    _validate_input(kind, cells)
+    det, rand = _det_and_rand(kind, cells, np.roll(cells, -1, axis=-1))
+    if rand is None:
+        return det
+    if seeds is None:
+        raise ValueError(f"PCA {kind} consumes randomness; a SiteField is required")
+    return np.where(hash_below(seeds, np.arange(cells.shape[-1]), time_tag, p),
+                    np.int8(rand), det)
+
+
 def step(kind: str, config, p: float, field: Optional[SiteField] = None,
          time_tag: int = 0) -> np.ndarray:
     """One synchronous update of a ring configuration."""
     _check_kind(kind)
     cells = as_cells(config)
-    n = cells.shape[-1]
-    if n < 3:
+    if cells.shape[-1] < 3:
         raise ValueError("ring length must be >= 3")
-    _validate_input(kind, cells)
-    left = cells
-    right = np.roll(cells, -1, axis=-1)
-    det, rand = _det_and_rand(kind, left, right)
-    if rand is None:
-        return det
-    if field is None:
-        raise ValueError(f"PCA {kind} consumes randomness; a SiteField is required")
-    u = field.uniforms(np.arange(n), time_tag)
-    return np.where(u < p, np.int8(rand), det)
+    return _update(kind, cells, p, None if field is None else field.seed, time_tag)
 
 
 def coupled_step(kind: str, configs: Iterable, p: float,
@@ -137,15 +142,7 @@ def step_batch(kind: str, configs: np.ndarray, p: float, seeds: np.ndarray,
                time_tag: int = 0) -> np.ndarray:
     """Vectorized step of one ring per seed; configs has shape (S, n)."""
     _check_kind(kind)
-    cells = np.asarray(configs, dtype=np.int8)
-    _validate_input(kind, cells)
-    left = cells
-    right = np.roll(cells, -1, axis=-1)
-    det, rand = _det_and_rand(kind, left, right)
-    if rand is None:
-        return det
-    u = hash_uniforms(seeds, np.arange(cells.shape[-1]), time_tag)
-    return np.where(u < p, np.int8(rand), det)
+    return _update(kind, np.asarray(configs, dtype=np.int8), p, seeds, time_tag)
 
 
 def trajectory_stats(kind: str, initial, p: float, steps: int,

@@ -286,9 +286,6 @@ class SiteField:
     def uniform_at(self, x, stream_tag=0) -> float:
         return hash_uniform_scalar(self.seed, x, stream_tag)
 
-    def uniforms(self, coords, stream_tag=0) -> np.ndarray:
-        return hash_uniforms(self.seed, coords, stream_tag)
-
     def is_closed(self, x) -> bool:
         return self.uniform_at(x, 0) < self.p
 

@@ -311,3 +311,46 @@ def test_win_curve_grid_rows_equal_one_p_at_a_time(tmp_path):
         assert run(["win-curve", "--p-grid", p, "--depth", "30", "--seeds", "25",
                     "--out", str(one)]) == 0
         assert read_csv(str(one))[1:] == [rows[i]]
+
+
+def _config_usage_error(tmp_path, capsys, subcommand, values, text):
+    """A --config file holding ``values`` over the defaults exits 2 with one
+    stderr line containing ``text``, before writing anything."""
+    settings = json.loads(cli.RunConfig(subcommand=subcommand, family="z2",
+                                        sizes=[8]).to_json())
+    settings.update(values)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(settings))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    _assert_usage_error(capsys, [subcommand, "--config", str(path),
+                                 "--out", str(out_dir / "o.csv")], text, out_dir)
+
+
+def test_config_empty_sizes_exits_2(tmp_path, capsys):
+    _config_usage_error(tmp_path, capsys, "pca-run", {"sizes": []}, "the size list is empty")
+
+
+def test_config_string_steps_exits_2(tmp_path, capsys):
+    _config_usage_error(tmp_path, capsys, "glauber", {"steps": "3"},
+                        "steps must be int, got '3'")
+
+
+def test_config_string_depth_exits_2(tmp_path, capsys):
+    _config_usage_error(tmp_path, capsys, "win-curve", {"depth": "4"},
+                        "depth must be int, got '4'")
+
+
+def test_config_unknown_init_exits_2(tmp_path, capsys):
+    _config_usage_error(tmp_path, capsys, "glauber", {"init": "bogus"},
+                        "init must be one of even, odd, empty, got 'bogus'")
+
+
+def test_config_unknown_pca_kind_exits_2(tmp_path, capsys):
+    _config_usage_error(tmp_path, capsys, "pca-run", {"kind": "Q"},
+                        "kind must be one of A, B, F, G, D, R0, R1, stavskaya, flip, got 'Q'")
+
+
+def test_config_unknown_variant_exits_2(tmp_path, capsys):
+    _config_usage_error(tmp_path, capsys, "glauber", {"variant": "bogus"},
+                        "variant must be one of standard, extended, got 'bogus'")

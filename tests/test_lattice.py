@@ -1,5 +1,6 @@
 """Graph families: moves, layers, automorphisms, doubling maps."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -203,3 +204,74 @@ def test_family_names_round_trip():
 def test_malformed_family_names_raise_value_error(name):
     with pytest.raises(ValueError):
         lat.family_from_name(name)
+
+
+# -- golden dump of the whole family API ---------------------------------------
+
+GOLDEN_FAMILIES = (
+    ["z2"] + [f"{kind}({d})" for kind in ("zd", "even", "bcc", "subset", "even_ext")
+              for d in (2, 3, 4)]
+    + [f"binomial({d},{r})" for d, r in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2))])
+
+# SHA-256 of _lattice_dump(), recorded before the family definitions became
+# one spec table; any change to what the lattice API returns moves it
+LATTICE_DUMP_SHA256 = "0cccb3bdd3ef4f1cad208b82d2bcd0ca9cbea95698425d1bb38ced21666dc920"
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the name of the exception it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as e:  # the exception class is part of the API
+        return f"!{type(e).__name__}"
+
+
+def _lattice_dump() -> str:
+    lines = []
+    for name in GOLDEN_FAMILIES:
+        fam = lat.family_from_name(name)
+        d = fam.d
+        lines.append(repr((fam, fam.name, fam.m, fam.out_degree, fam.has_A2,
+                           fam.has_A2_prime, fam.torus_classes)))
+        lines.append(_outcome(lat.default_formula, fam))
+        radius = 2 if d <= 3 else 1
+        box = list(itertools.product(range(-radius, radius + 1), repeat=d))
+        for x in box:
+            lines.append(f"{x} {lat.is_member(fam, x)}")
+            for fn in (lat.layer_of, lat.out_neighbors, lat.in_neighbors, lat.phi,
+                       lat.phi_inverse, lat.transverse_coord):
+                lines.append(_outcome(fn, fam, x))
+        tdim = len(lat.transverse_coord(fam, (0,) * d))
+        for t in itertools.product(range(-2, 3), repeat=tdim):
+            lines.append(f"{t} {_outcome(lat.torus_class, fam, t)} "
+                         f"{_outcome(lat.is_torus_vertex, fam, t)}")
+            for layer in range(-2, 4):
+                lines.append(_outcome(lat.lift_site, fam, t, layer))
+        for cls in range(fam.torus_classes):
+            lines.append(_outcome(lat._class_representative, fam, cls))
+        for n in range(tdim - 1, tdim + 2):
+            for s in (1, 2, 3, 4, 5, 6, 8, 12):
+                sizes = (s,) * n
+                lines.append(_outcome(lat.validate_torus_sizes, fam, sizes))
+        lines.append(_outcome(lat.validate_torus_sizes, fam, (4, 6, 12)[:tdim][::-1]))
+        for s in (4, 6, 12):
+            sizes = (s,) * tdim
+            lines.append(_outcome(lat.torus_vertices, fam, sizes))
+            lines.append(_outcome(lat.out_offset_table, fam, sizes))
+        for formula in ("",) + lat.FORMULAS:
+            try:
+                iso = IsoMap(fam, 1, formula)
+            except Exception as e:
+                lines.append(f"IsoMap {formula!r} !{type(e).__name__}")
+                continue
+            lines.append(f"IsoMap {iso.formula} "
+                         f"{sorted(lat._doubling_offsets(iso))}")
+            for x in box:
+                lines.append(_outcome(lat.doubling_map_exact, iso, x))
+                lines.append(_outcome(lat.doubling_map, iso, x))
+    return "\n".join(lines) + "\n"
+
+
+def test_lattice_api_golden_digest():
+    digest = hashlib.sha256(_lattice_dump().encode()).hexdigest()
+    assert digest == LATTICE_DUMP_SHA256
