@@ -10,7 +10,7 @@ from .exact import (CylinderTable, MarkovMeasure, conditional_win_probability,
                     gibbs_exact, kernel_stationarity_check, matrix_P, matrix_Q,
                     pushforward_cylinder, symmetric_weight,
                     weight_identities_check, win_probability)
-from .glauber import (build_doubling_torus, class_update,
+from .glauber import (build_doubling_torus, class_update, coupling_mismatches,
                       game_glauber_coupling_check, run_chains, sweep_chain)
 from .lattice import (GraphFamily, IsoMap, bcc_lattice, binomial_family,
                       doubling_map, even_sublattice, even_sublattice_extended,

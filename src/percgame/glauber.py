@@ -18,10 +18,26 @@ Randomness: a free-running chain uses one uniform per vertex per update,
 tag (sweep, class); the coupled chain driven by a game environment uses
 the tag-0 closedness of the slab site (vertex coords..., layer), which is
 exactly what the game recursion consumes.
+
+The coupling (the paper's dimension reduction): the two-valued game
+recursion on a slab equals, layer by layer and path by path, the class
+updates of the coupled chain on the doubling torus.  ``coupling_mismatches``
+checks this exactly for a batch of seeds.  Its game side is an oracle that
+derives its own view of the slab from the lattice: it lists the torus
+vertices with ``lattice.torus_vertices`` and ``torus_class``, lifts each
+vertex to its slab site, applies the family's move set and wraps every
+target back onto the torus.  It never reads the index's out-table
+(``SlabIndex.nbr_pos``, ``nbr_layer_delta``), its undirected adjacency or
+its coordinate map, which the Glauber side runs on; it checks only that
+both list the class vertices in the same order.  This move table is built
+once per (family, sizes).  A seed enters only through the hash: one array
+call per layer for the closed bits (tag 0) and for the boundary values
+(tag 1), for all seeds at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +46,7 @@ import numpy as np
 from . import lattice
 from .lattice import GraphFamily
 from .sitefield import (SiteField, below, closed_threshold, finish_tag,
-                        hash_prefix, hash_uniforms)
+                        hash_below, hash_prefix, hash_uniforms)
 from .solver import SlabIndex
 from .symbols import ONE, ZERO
 
@@ -197,58 +213,9 @@ class CouplingReport:
         return self.mismatches == 0
 
 
-def _game_recursion_on_slab(family: GraphFamily, index: SlabIndex, depth: int,
-                            field: SiteField) -> dict:
-    """Site-by-site two-valued game recursion, independent of the torus
-    adjacency tables: every site is lifted to its lattice coordinates and
-    the family's move set is applied directly.
-
-    Boundary layers depth..depth+m-1 take the tag-1 Bernoulli(1/2) values.
-    Returns {layer: value array over the layer's class vertices}.
-    """
-    m = family.m
-    sizes = index.sizes
-    gamma: dict[int, np.ndarray] = {}
-    for layer in range(depth, depth + m):
-        verts = index.verts_by_class[layer % index.q]
-        vals = np.empty(verts.shape[0], dtype=np.int8)
-        for i, t in enumerate(verts):
-            u = field.uniform_at(tuple(int(c) for c in t) + (layer,), 1)
-            vals[i] = ONE if u < 0.5 else ZERO
-        gamma[layer] = vals
-    for k in range(depth - 1, -1, -1):
-        verts = index.verts_by_class[k % index.q]
-        vals = np.empty(verts.shape[0], dtype=np.int8)
-        for i, t in enumerate(verts):
-            tt = tuple(int(c) for c in t)
-            if field.uniform_at(tt + (k,), 0) < field.p:
-                vals[i] = ZERO
-                continue
-            x = lattice.lift_site(family, tt, k)
-            win = ONE
-            for y in lattice.out_neighbors(family, x):
-                ky = lattice.layer_of(family, y)
-                ty = lattice.wrap_tcoord(lattice.transverse_coord(family, y), sizes)
-                pos = index.pos[ty]
-                if gamma[ky][pos] != ZERO:
-                    win = ZERO
-                    break
-            vals[i] = win
-        gamma[k] = vals
-    return gamma
-
-
-def game_glauber_coupling_check(family: GraphFamily, depth: int, sizes,
-                                p: float, seed: int,
-                                variant: Optional[str] = None) -> CouplingReport:
-    """Exact pathwise identity sigma_k(v) = gamma(f_k^{-1}(v)).
-
-    Runs the two-valued game recursion on the slab (site coordinates, move
-    set applied directly) and, sharing the identical closed/open bits, the
-    class-update chain on the doubling torus; checks equality at every
-    layer k from depth-1 down to 0.  Any mismatch indicates an indexing
-    inconsistency between the move set, the quotient map and the torus.
-    """
+def _coupling_variant(family: GraphFamily, variant: Optional[str]) -> str:
+    """The class-update variant the coupling runs: extended for (A2'),
+    standard for (A2), unless asked for; refused where its assumption fails."""
     if variant is None:
         variant = "extended" if family.has_A2_prime else "standard"
     _check_variant(variant)
@@ -256,21 +223,151 @@ def game_glauber_coupling_check(family: GraphFamily, depth: int, sizes,
         raise ValueError(f"{family.name} does not satisfy the standard assumptions")
     if variant == "extended" and not family.has_A2_prime:
         raise ValueError(f"{family.name} does not satisfy the extended assumptions")
-    field = SiteField(seed, p, family)
-    torus = build_doubling_torus(family, sizes)
-    gamma = _game_recursion_on_slab(family, torus, depth, field)
+    return variant
 
-    sigma = np.zeros(torus.n_vertices, dtype=np.int8)
-    for layer in range(depth, depth + family.m):
-        sigma[torus.class_members[layer % torus.m]] = gamma[layer]
-    mismatches = 0
+
+_SEED_CHUNK = 256  # seeds per array pass of the coupling check
+
+
+@functools.lru_cache(maxsize=64)
+def _coupling_torus(family: GraphFamily, sizes: tuple) -> SlabIndex:
+    """The doubling torus of the Glauber side, built once per (family, sizes)."""
+    return build_doubling_torus(family, sizes)
+
+
+@dataclass(frozen=True)
+class _OracleTable:
+    """The game side's own view of the slab, per vertex class c: the class
+    vertices' torus coordinates, sorted, and their out-moves grouped by
+    layer delta, as (delta, targets) with ``targets[i, j]`` the position,
+    within the class of layer c + delta, of vertex i's j-th move of that
+    delta."""
+
+    verts: tuple[np.ndarray, ...]
+    moves: tuple[tuple[tuple[int, np.ndarray], ...], ...]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _oracle_table(family: GraphFamily, sizes: tuple[int, ...]) -> _OracleTable:
+    """The coupling oracle's move table, derived site by site from the
+    lattice alone.
+
+    Each vertex of class c is lifted to its slab site on layer c, the
+    family's move set is applied to that site, and every target is wrapped
+    onto the torus and looked up in a coordinate -> position map built here
+    from ``lattice.torus_vertices``.  phi shifts layers by m and keeps
+    transverse coordinates, so the table of layer c holds on every layer
+    k = c (mod m).  The seed never enters: the table is built once per
+    (family, sizes).
+    """
+    q = family.torus_classes
+    by_class: list[list[tuple[int, ...]]] = [[] for _ in range(q)]
+    for t in lattice.torus_vertices(family, sizes):
+        by_class[lattice.torus_class(family, t)].append(t)
+    where = {t: (c, i) for c, verts in enumerate(by_class) for i, t in enumerate(verts)}
+    moves = []
+    for c, verts in enumerate(by_class):
+        deltas, targets = [], []
+        for t in verts:
+            row_delta, row_target = [], []
+            for y in lattice.out_neighbors(family, lattice.lift_site(family, t, c)):
+                delta = lattice.layer_of(family, y) - c
+                cls, i = where[lattice.wrap_tcoord(lattice.transverse_coord(family, y), sizes)]
+                if cls != (c + delta) % q:
+                    raise AssertionError(
+                        f"{family.name}: a move from {t} leaves its layer's class")
+                row_delta.append(delta)
+                row_target.append(i)
+            deltas.append(row_delta)
+            targets.append(row_target)
+        delta, target = np.array(deltas), np.array(targets, dtype=np.int64)
+        # sorted moves of translated sites keep their order, so every vertex
+        # of a class has the same layer delta in each move column
+        if (delta != delta[0]).any():
+            raise AssertionError(f"{family.name}: class {c} layer deltas differ by vertex")
+        moves.append(tuple((dl, _frozen(np.ascontiguousarray(target[:, delta[0] == dl])))
+                           for dl in sorted(set(delta[0].tolist()))))
+    verts = tuple(_frozen(np.array(v, dtype=np.int64)) for v in by_class)
+    return _OracleTable(verts, tuple(moves))
+
+
+def _coupled_mismatches(table: _OracleTable, torus: SlabIndex, depth: int,
+                        p: float, seeds: np.ndarray, variant: str) -> np.ndarray:
+    """Both sides of the coupling, top-down over layers depth-1..0, on
+    (seeds, class vertices) arrays; the mismatch count of each seed.
+
+    Game side: the two-valued recursion on the oracle's table.  Boundary
+    layers depth..depth+m-1 are 1 where the tag-1 uniform is below 1/2; on
+    a layer below, a closed site (tag-0 uniform below p) is 0, and an open
+    site is 1 iff every move target is 0.  Glauber side: the class update
+    of class k mod m with the tag-0 uniforms of layer k, from the boundary
+    layers placed on their classes.  Only the m + 1 layers that moves reach
+    are kept.
+    """
+    m = len(table.verts)
+
+    def site_coords(k):
+        verts = table.verts[k % m]
+        return np.concatenate([verts, np.full((len(verts), 1), k, dtype=np.int64)], axis=1)
+
+    gamma = {k: hash_below(seeds, site_coords(k), 1, 0.5) for k in range(depth, depth + m)}
+    sigma = np.zeros((seeds.size, torus.n_vertices), dtype=np.int8)
+    for k, value in gamma.items():
+        sigma[:, torus.class_members[k % m]] = value
+    mismatches = np.zeros(seeds.size, dtype=np.int64)
     for k in range(depth - 1, -1, -1):
-        c = k % torus.m
-        u = hash_uniforms(np.asarray(seed), torus.layer_site_coords(k), 0)
+        c = k % m
+        value = ~hash_below(seeds, site_coords(k), 0, p)
+        for delta, targets in table.moves[c]:
+            value &= ~gamma[k + delta][:, targets].any(axis=-1)
+        gamma[k] = value
+        del gamma[k + m]
+        u = hash_uniforms(seeds, torus.layer_site_coords(k), 0)
         sigma = class_update(torus, sigma, c, p, variant, u)
-        mismatches += int((sigma[torus.class_members[c]] != gamma[k]).sum())
-    return CouplingReport(family, depth, tuple(torus.sizes), p, seed, variant,
-                          depth, mismatches)
+        mismatches += (sigma[:, torus.class_members[c]] != value).sum(axis=1)
+    return mismatches
+
+
+def coupling_mismatches(family: GraphFamily, depth: int, sizes, p: float, seeds,
+                        variant: Optional[str] = None) -> np.ndarray:
+    """Mismatch count, per seed, of the exact pathwise identity
+    sigma_k(v) = gamma(f_k^{-1}(v)) at every layer k from depth-1 down to 0.
+
+    gamma is the two-valued game recursion on the slab, run on a move table
+    that the oracle derives from the lattice itself (site coordinates, the
+    move set applied directly); sigma is the class-update chain on the
+    doubling torus, driven by the identical closed/open bits.  Any mismatch
+    indicates an indexing inconsistency between the move set, the quotient
+    map and the torus.
+    """
+    variant = _coupling_variant(family, variant)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    torus = _coupling_torus(family, tuple(sizes))
+    table = _oracle_table(family, torus.sizes)
+    if len(table.verts) != torus.m or not all(
+            np.array_equal(a, b) for a, b in zip(table.verts, torus.verts_by_class)):
+        raise AssertionError("the oracle and the torus order the class vertices differently")
+    # seeds in chunks, so that memory stays O(chunk x vertices) for any batch
+    chunks = np.split(seeds, range(_SEED_CHUNK, seeds.size, _SEED_CHUNK))
+    return np.concatenate([_coupled_mismatches(table, torus, depth, p, chunk, variant)
+                           for chunk in chunks])
+
+
+def game_glauber_coupling_check(family: GraphFamily, depth: int, sizes,
+                                p: float, seed: int,
+                                variant: Optional[str] = None) -> CouplingReport:
+    """The coupling identity for one seed (see :func:`coupling_mismatches`)."""
+    variant = _coupling_variant(family, variant)
+    mismatches = coupling_mismatches(family, depth, sizes, p, [seed], variant)
+    return CouplingReport(family, depth, tuple(int(s) for s in sizes), p, seed,
+                          variant, depth, int(mismatches[0]))
 
 
 # -- small graphs for exact stationarity tests --------------------------------
