@@ -38,7 +38,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .sitefield import SiteField, hash_below
+from .sitefield import SiteField, below, closed_threshold, finish_tag, hash_below, hash_prefix
 from .symbols import ONE, QUES, ZERO, as_cells
 
 KINDS = ("A", "B", "F", "G", "D", "R0", "R1", "stavskaya", "flip")
@@ -98,10 +98,7 @@ def local_rule(kind: str, left: int, right: int, u: float, p: float) -> int:
     lr = as_cells([left, right])
     _validate_input(kind, lr)
     det, rand = _det_and_rand(kind, lr[:1], lr[1:2])
-    out = int(det[0])
-    if rand is not None and u < p:
-        out = rand
-    return out
+    return rand if rand is not None and u < p else int(det[0])
 
 
 def _update(kind: str, cells: np.ndarray, p: float, seeds, time_tag: int) -> np.ndarray:
@@ -148,20 +145,29 @@ def step_batch(kind: str, configs: np.ndarray, p: float, seeds: np.ndarray,
 def trajectory_stats(kind: str, initial, p: float, steps: int,
                      field: Optional[SiteField]) -> np.ndarray:
     """Per-step symbol densities; row t is (density0, densityQ, density1)
-    after t steps (row 0 is the initial configuration)."""
+    after t steps (row 0 is the initial configuration), as by :func:`step`
+    with time tags 0, 1, ...; the ring is checked and hashed once."""
+    _check_kind(kind)
     cells = as_cells(initial)
     n = cells.shape[-1]
-    out = np.empty((steps + 1, 3), dtype=np.float64)
-
-    def densities(c):
-        counts = np.bincount(c, minlength=3)
-        return np.array([counts[ZERO], counts[QUES], counts[ONE]]) / n
-
-    out[0] = densities(cells)
+    if n < 3:
+        raise ValueError("ring length must be >= 3")
+    _validate_input(kind, cells)
+    if field is None and kind not in DETERMINISTIC_KINDS:
+        raise ValueError(f"PCA {kind} consumes randomness; a SiteField is required")
+    prefix = None if field is None else hash_prefix(field.seed, np.arange(n))
+    threshold = closed_threshold(p)
+    words, tmp = np.empty((2, n), dtype=np.uint64)
+    hit = np.empty(n, dtype=bool)
+    counts = np.empty((steps + 1, 3), dtype=np.int64)
+    counts[0] = np.bincount(cells, minlength=3)
     for t in range(steps):
-        cells = step(kind, cells, p, field, time_tag=t)
-        out[t + 1] = densities(cells)
-    return out
+        cells, rand = _det_and_rand(kind, cells, np.roll(cells, -1))
+        if rand is not None:
+            below(finish_tag(prefix, t, out=words, tmp=tmp), threshold, out=hit)
+            np.copyto(cells, np.int8(rand), where=hit)
+        counts[t + 1] = np.bincount(cells, minlength=3)
+    return counts[:, [ZERO, QUES, ONE]] / n
 
 
 def ques_density_batch(kind: str, n: int, p: float, steps: int,
@@ -179,11 +185,8 @@ def ques_density_batch(kind: str, n: int, p: float, steps: int,
 
 
 # -- exact ring kernels -----------------------------------------------------
-#
-# A kernel row is the one-step output distribution of one input ring,
-# stored sparsely as (codes, probs) with configurations encoded in base 3
-# (digit i = cell i).  Per-cell outputs are independent given the input, so
-# a row is the product of per-cell two-point distributions.
+# Rings are coded in base 3 (digit i = cell i).  Internally a kernel is three
+# flat arrays (input code, output code, probability), sorted by input code.
 
 
 def input_alphabet(kind: str) -> tuple[int, ...]:
@@ -197,123 +200,140 @@ def all_inputs(kind: str, n: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _kernel(kind: str, n: int, p: float):
+    """Flat exact kernel.  A row with a random cells has 2^a columns; column
+    s switches the k-th random cell to the randomized value iff bit k of s
+    is set, with probability the product over k, in cell order, of p or 1-p."""
+    _check_kind(kind)
+    powers = 3 ** np.arange(n, dtype=np.int64)
+    inputs = all_inputs(kind, n)[:, ::-1]  # cell n-1 slowest: codes increase
+    det, rand = _det_and_rand(kind, inputs, np.roll(inputs, -1, axis=1))
+    in_codes, det_codes = inputs @ powers, det @ powers
+    if rand is None:
+        return in_codes, det_codes, np.ones(len(in_codes))
+    active = det != rand
+    deltas = (np.int64(rand) - det.astype(np.int64)) * powers
+    width = 1 << active.sum(axis=1)
+    first = np.cumsum(width) - width
+    cols, probs = np.empty(width.sum(), dtype=np.int64), np.empty(width.sum())
+    for a in range(n + 1):
+        sel = np.flatnonzero(width == 1 << a)
+        bits = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
+        pos = first[sel, None] + np.arange(1 << a)
+        cols[pos] = det_codes[sel, None] + deltas[sel][active[sel]].reshape(sel.size, a) @ bits.T
+        probs[pos] = np.where(bits == 1, p, 1.0 - p).prod(axis=1)
+    return np.repeat(in_codes, width), cols, probs
+
+
+def _merge(key, probs):
+    """Sums of the probabilities of equal keys, in increasing key order."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    return key[starts], np.add.reduceat(probs[order], starts)
+
+
+def _compose(first, second):
+    """Flat kernel of 'apply first, then second': a join on the middle code,
+    then one merge of the (row, column) keys."""
+    rows, mids, pmid = first
+    lo = np.searchsorted(second[0], mids, "left")
+    counts = np.searchsorted(second[0], mids, "right") - lo
+    if not counts.all():
+        raise ValueError("second kernel has no row for a middle configuration")
+    idx = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    span = int(second[1].max()) + 1
+    key, probs = _merge(np.repeat(rows, counts) * span + second[1][idx],
+                        second[2][idx] * np.repeat(pmid, counts))
+    return (*np.divmod(key, span), probs)
+
+
+def _difference(a, b) -> float:
+    """Max entrywise difference between two flat kernels, by one merge."""
+    if not np.array_equal(a[0][np.diff(a[0], prepend=-1) != 0],
+                          b[0][np.diff(b[0], prepend=-1) != 0]):
+        raise ValueError("kernels have different input sets")
+    span = int(max(a[1].max(), b[1].max())) + 1
+    _, diff = _merge(np.concatenate([a[0], b[0]]) * span + np.concatenate([a[1], b[1]]),
+                     np.concatenate([a[2], -b[2]]))
+    return float(np.abs(diff).max())
+
+
+def _factorization_deviation(kernel, first, second) -> float:
+    """``_difference(kernel, _compose(first, second))``, taken 64 input rows
+    at a time so that memory stays bounded."""
+    ends = np.r_[first[0][np.diff(first[0], prepend=-1) != 0][64::64], np.inf]
+    ck, cf = (np.r_[0, np.searchsorted(k[0], ends)] for k in (kernel, first))
+    return max(_difference([x[ck[i]:ck[i + 1]] for x in kernel],
+                           _compose([x[cf[i]:cf[i + 1]] for x in first], second))
+               for i in range(ends.size))
+
+
+def _to_rows(kernel) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    rows, cols, probs = kernel
+    cuts = np.flatnonzero(np.diff(rows)) + 1
+    return dict(zip(rows[np.r_[0, cuts]].tolist(),
+                    zip(np.split(cols, cuts), np.split(probs, cuts))))
+
+
+def _from_rows(rows: dict):
+    keys = sorted(rows)
+    cols, probs = zip(*(rows[c] for c in keys))
+    return (np.repeat(np.array(keys, dtype=np.int64), [len(c) for c in cols]),
+            np.concatenate(cols).astype(np.int64), np.concatenate(probs).astype(np.float64))
+
+
 def ring_kernel(kind: str, n: int, p: float) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Exact one-step transition kernel on rings of length n (sparse rows)."""
-    _check_kind(kind)
-    inputs = all_inputs(kind, n)
-    left = inputs
-    right = np.roll(inputs, -1, axis=1)
-    det, rand = _det_and_rand(kind, left, right)
-    powers = 3 ** np.arange(n, dtype=np.int64)
-    det_codes = (det.astype(np.int64) * powers).sum(axis=1)
-    in_codes = (inputs.astype(np.int64) * powers).sum(axis=1)
-
-    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if rand is None:
-        for c, dcode in zip(in_codes, det_codes):
-            rows[int(c)] = (np.array([dcode]), np.array([1.0]))
-        return rows
-
-    deltas = (np.int64(rand) - det.astype(np.int64)) * powers  # switch cell to rand
-    active = det != rand
-    for i in range(inputs.shape[0]):
-        codes = np.array([det_codes[i]], dtype=np.int64)
-        probs = np.array([1.0])
-        for j in np.nonzero(active[i])[0]:
-            codes = np.concatenate([codes, codes + deltas[i, j]])
-            probs = np.concatenate([probs * (1.0 - p), probs * p])
-        rows[int(in_codes[i])] = (codes, probs)
-    return rows
+    return _to_rows(_kernel(kind, n, p))
 
 
 def compose_ring_kernels(first: dict, second: dict) -> dict:
     """Kernel of 'apply first, then second' (matrix product, sparse rows)."""
-    rows = {}
-    for c, (mids, pmid) in first.items():
-        acc_codes = []
-        acc_probs = []
-        for mid, pm in zip(mids, pmid):
-            codes2, probs2 = second[int(mid)]
-            acc_codes.append(codes2)
-            acc_probs.append(probs2 * pm)
-        codes = np.concatenate(acc_codes)
-        probs = np.concatenate(acc_probs)
-        uniq, inv = np.unique(codes, return_inverse=True)
-        merged = np.zeros(len(uniq))
-        np.add.at(merged, inv, probs)
-        rows[c] = (uniq, merged)
-    return rows
+    return _to_rows(_compose(_from_rows(first), _from_rows(second)))
 
 
 def max_kernel_difference(a: dict, b: dict) -> float:
     """Max entrywise difference between two sparse kernels."""
-    if set(a) != set(b):
-        raise ValueError("kernels have different input sets")
-    worst = 0.0
-    for c in a:
-        ca, pa = a[c]
-        cb, pb = b[c]
-        codes = np.union1d(ca, cb)
-        va = np.zeros(len(codes))
-        vb = np.zeros(len(codes))
-        va[np.searchsorted(codes, ca)] = pa
-        vb[np.searchsorted(codes, cb)] = pb
-        worst = max(worst, float(np.abs(va - vb).max()))
-    return worst
+    return _difference(_from_rows(a), _from_rows(b))
 
 
 def composition_check(kind: str, n: int, p: float) -> float:
     """Exact kernel distance between F (resp. G) and its randomizer-after-D
     factorization; returns the max entrywise difference."""
-    if kind == "F":
-        composed = compose_ring_kernels(ring_kernel("D", n, p), ring_kernel("R0", n, p))
-    elif kind == "G":
-        composed = compose_ring_kernels(ring_kernel("D", n, p), ring_kernel("R1", n, p))
-    else:
+    if kind not in ("F", "G"):
         raise ValueError("composition_check applies to kinds F and G")
-    return max_kernel_difference(ring_kernel(kind, n, p), composed)
+    return _factorization_deviation(_kernel(kind, n, p), _kernel("D", n, p),
+                                    _kernel({"F": "R0", "G": "R1"}[kind], n, p))
 
 
 def stavskaya_identity_check(p: float, n: int, tol: float = 1e-12) -> bool:
     """True iff the exact ring kernel of flip after stavskaya equals B's."""
     if n > 8:
         raise ValueError("exact kernel enumeration limited to n <= 8")
-    stav = ring_kernel("stavskaya", n, p)
-    flip = ring_kernel("flip", n, p)
-    # flip rows are ternary-indexed; restrict composition to binary inputs
-    composed = compose_ring_kernels(stav, flip)
-    return max_kernel_difference(ring_kernel("B", n, p), composed) <= tol
+    # flip rows are ternary-indexed; the join reads only binary middle codes
+    return _factorization_deviation(_kernel("B", n, p), _kernel("stavskaya", n, p),
+                                    _kernel("flip", n, p)) <= tol
 
 
 def local_kernel(kind: str, p: float) -> np.ndarray:
     """Exact one-cell conditional K[l, r, s]; NaN rows for invalid inputs."""
     _check_kind(kind)
-    K = np.zeros((3, 3, 3))
-    alpha = input_alphabet(kind)
-    for l in (ZERO, ONE, QUES):
-        for r in (ZERO, ONE, QUES):
-            if l not in alpha or r not in alpha:
-                K[l, r, :] = np.nan
-                continue
-            la = np.array([l], dtype=np.int8)
-            ra = np.array([r], dtype=np.int8)
-            det, rand = _det_and_rand(kind, la, ra)
-            d = int(det[0])
-            if rand is None or rand == d:
-                K[l, r, d] = 1.0
-            else:
-                K[l, r, d] = 1.0 - p
-                K[l, r, rand] = p
+    K = np.full((3, 3, 3), np.nan)
+    l, r = np.meshgrid(*[np.array(input_alphabet(kind), dtype=np.int8)] * 2, indexing="ij")
+    det, rand = _det_and_rand(kind, l, r)
+    rand = det if rand is None else np.full_like(det, rand)
+    K[l, r] = 0.0
+    K[l, r, rand] = p
+    K[l, r, det] = np.where(det == rand, 1.0, 1.0 - p)
     return K
 
 
 def has_pattern_101(cells: np.ndarray) -> bool:
     """Cyclic occurrence of the word 1?1."""
     c = as_cells(cells)
-    a = c
-    b = np.roll(c, -1, axis=-1)
-    d = np.roll(c, -2, axis=-1)
-    return bool(np.any((a == ONE) & (b == QUES) & (d == ONE)))
+    return bool(np.any((c == ONE) & (np.roll(c, -1, axis=-1) == QUES)
+                       & (np.roll(c, -2, axis=-1) == ONE)))
 
 
 def pattern_101_reachable(kind: str, n: int) -> int:

@@ -184,14 +184,17 @@ def _diag_coords(k: int) -> np.ndarray:
 
 
 def triangle_sweep(n: int, boundary: Boundary, p, seeds,
-                   keep_all: bool = False, field: Optional[SiteField] = None):
+                   keep_all: bool = False, field: Optional[SiteField] = None,
+                   closed_out: Optional[dict] = None):
     """Solve the triangular region for a batch of seeds.
 
     Returns (origin values (S,), rows) where rows[k] is the (S, k+1) value
     array of diagonal k if keep_all, else None.  ``p`` may also be a 1-d
     sequence of probabilities: every diagonal is then hashed once and each
     p's closed bits are read off the same hash words, and the origin values
-    are (P, S) and rows[k] is (P, S, k+1).
+    are (P, S) and rows[k] is (P, S, k+1).  With keep_all, a dict passed as
+    ``closed_out`` receives the closed bits of each diagonal k = 0..n, shaped
+    as rows[k] (diagonal n is hashed for them; its values are imposed).
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     ps = np.asarray(p, dtype=np.float64)
@@ -209,6 +212,9 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds,
         return arrays[0] if ps.ndim == 0 else np.stack(arrays)
 
     rows = {n: stacked(vals)} if keep_all else None
+    if keep_all and closed_out is not None:
+        h = hash_words(seeds, _diag_coords(n), 0)
+        closed_out[n] = stacked([below(h, t) for t in thresholds])
     # diagonal k < n has k + 1 <= n sites: one flat buffer each for the
     # hash words, their scratch and the closed bits, viewed as (S, k+1)
     words = np.empty(seeds.size * n, dtype=np.uint64)
@@ -223,6 +229,8 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds,
             vals[i] = recurse(c, (vals[i][:, :-1], vals[i][:, 1:]), three)
         if keep_all:
             rows[k] = stacked(vals)
+            if closed_out is not None:
+                closed_out[k] = stacked([below(h, t) for t in thresholds])
     return stacked([v[:, 0] for v in vals]), rows
 
 
@@ -267,8 +275,9 @@ def solve_region(family: GraphFamily, region: RegionSpec, field: SiteField):
         if family.d != 2:
             raise ValueError("Triangle2D regions require a two-dimensional family")
         n = shape.n
+        closed_rows = {}
         _, rows = triangle_sweep(n, region.boundary, field.p, [field.seed],
-                                 keep_all=True, field=field)
+                                 keep_all=True, field=field, closed_out=closed_rows)
         values = np.full((n + 1, n + 1), -1, dtype=np.int8)
         closed = np.zeros((n + 1, n + 1), dtype=bool)
         for k, arr in rows.items():
@@ -277,7 +286,7 @@ def solve_region(family: GraphFamily, region: RegionSpec, field: SiteField):
             # closedness is a property of the site; on the boundary diagonal
             # it does not enter the recursion (values there are imposed) but
             # does drive rendering and counts
-            closed[coords[:, 0], coords[:, 1]] = field.closed_mask(coords)
+            closed[coords[:, 0], coords[:, 1]] = closed_rows[k][0]
         return TriangleOutcome(family, n, field.p, field.seed, region.boundary,
                                values, closed)
     if isinstance(shape, Slab):

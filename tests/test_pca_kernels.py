@@ -1,0 +1,176 @@
+"""Exact ring kernels against a dense reference built here, negative controls
+for the kernel checks, and trajectory_stats against a loop of steps."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from percgame import pca
+from percgame.pca import InvalidSymbolError
+from percgame.sitefield import SiteField
+from percgame.symbols import ONE, QUES, ZERO
+
+TERNARY_KINDS = [k for k in pca.KINDS if k not in pca.BINARY_KINDS]
+
+
+def cell_law(kind, l, r, p):
+    """One output cell's law {value: probability} given its inputs (l, r),
+    read off the update tables in the pca module docstring."""
+    def mix(a, b):  # a w.p. p, b w.p. 1 - p
+        return {a: 1.0} if a == b else {a: p, b: 1.0 - p}
+
+    zz, one = (l, r) == (ZERO, ZERO), ONE in (l, r)
+    return {
+        "A": mix(ZERO, ONE) if zz else {ZERO: 1.0},
+        "B": {ONE: 1.0} if zz else mix(ONE, ZERO),
+        "F": mix(ZERO, ONE) if zz else {ZERO: 1.0} if one else mix(ZERO, QUES),
+        "G": {ONE: 1.0} if zz else mix(ONE, ZERO) if one else mix(ONE, QUES),
+        "D": {ONE: 1.0} if zz else {ZERO: 1.0} if one else {QUES: 1.0},
+        "R0": mix(ZERO, l),
+        "R1": mix(ONE, l),
+        "stavskaya": mix(ZERO, max(l, r)),
+        "flip": {{ZERO: ONE, ONE: ZERO, QUES: QUES}[l]: 1.0},
+    }[kind]
+
+
+def dense_kernel(kind, n, p):
+    """(3^n, 3^n) transition matrix as a product over cells, with base-3
+    codes (digit i = cell i), and the mask of valid input rows; the rows of
+    invalid inputs are 0."""
+    table = np.zeros((3, 3, 3))
+    for l, r in itertools.product((ZERO, ONE, QUES), repeat=2):
+        for s, q in cell_law(kind, l, r, p).items():
+            table[l, r, s] = q
+    digits = (np.arange(3 ** n)[:, None] // 3 ** np.arange(n)) % 3
+    matrix = np.ones((3 ** n, 3 ** n))
+    for i in range(n):
+        matrix *= table[digits[:, i], digits[:, (i + 1) % n]][:, digits[:, i]]
+    valid = np.isin(digits, pca.input_alphabet(kind)).all(axis=1)
+    matrix[~valid] = 0.0
+    return matrix, valid
+
+
+def to_dense(rows, n):
+    matrix = np.zeros((3 ** n, 3 ** n))
+    for code, (cols, probs) in rows.items():
+        assert len(np.unique(cols)) == len(cols)
+        matrix[code, cols] = probs
+    return matrix
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", pca.KINDS)
+def test_ring_kernel_equals_the_dense_product(kind, n):
+    for p in (0.0, 0.3, 1.0):
+        rows = pca.ring_kernel(kind, n, p)
+        ref, valid = dense_kernel(kind, n, p)
+        assert sorted(rows) == np.flatnonzero(valid).tolist()
+        assert np.abs(to_dense(rows, n) - ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("first", pca.KINDS)
+def test_composition_equals_the_dense_matrix_product(first, n):
+    # a binary kind can follow only a kind whose outputs are binary
+    seconds = TERNARY_KINDS + (sorted(pca.BINARY_KINDS) if first in pca.BINARY_KINDS else [])
+    for second in seconds:
+        composed = pca.compose_ring_kernels(pca.ring_kernel(first, n, 0.3),
+                                            pca.ring_kernel(second, n, 0.3))
+        ref = dense_kernel(first, n, 0.3)[0] @ dense_kernel(second, n, 0.3)[0]
+        assert sorted(composed) == sorted(pca.ring_kernel(first, n, 0.3))
+        assert np.abs(to_dense(composed, n) - ref).max() <= 1e-14, second
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_max_kernel_difference_equals_the_dense_difference(n):
+    for alphabet_kinds in (TERNARY_KINDS, sorted(pca.BINARY_KINDS)):
+        for a, b in itertools.combinations(alphabet_kinds, 2):
+            ref = np.abs(dense_kernel(a, n, 0.3)[0] - dense_kernel(b, n, 0.3)[0]).max()
+            got = pca.max_kernel_difference(pca.ring_kernel(a, n, 0.3),
+                                            pca.ring_kernel(b, n, 0.3))
+            assert abs(got - ref) <= 1e-15, (a, b)
+
+
+def test_a_wrong_factorization_is_far_from_the_envelope():
+    d, r0, r1 = (pca.ring_kernel(k, 4, 0.5) for k in ("D", "R0", "R1"))
+    assert pca.max_kernel_difference(pca.ring_kernel("F", 4, 0.5),
+                                     pca.compose_ring_kernels(d, r1)) > 0.1
+    assert pca.max_kernel_difference(pca.ring_kernel("G", 4, 0.5),
+                                     pca.compose_ring_kernels(d, r0)) > 0.1
+    assert pca.max_kernel_difference(pca.ring_kernel("B", 4, 0.5),
+                                     pca.ring_kernel("stavskaya", 4, 0.5)) > 0.1
+
+
+def test_one_probability_moved_by_1e_9_is_caught():
+    kernel = pca.ring_kernel("F", 4, 0.3)
+    moved = dict(kernel)
+    code = sorted(moved)[17]
+    cols, probs = moved[code]
+    probs = probs.copy()
+    probs[-1] += 1e-9
+    moved[code] = (cols, probs)
+    assert pca.max_kernel_difference(kernel, kernel) == 0.0
+    assert pca.max_kernel_difference(kernel, moved) > 1e-12
+    # a missing entry is a difference too
+    moved[code] = (cols[:-1], kernel[code][1][:-1])
+    assert pca.max_kernel_difference(kernel, moved) > 1e-12
+
+
+@pytest.mark.parametrize("victim", ["R0", "R1", "flip"])
+def test_the_identity_checks_fail_on_a_moved_probability(monkeypatch, victim):
+    kernel = pca._kernel
+    # a row that the first factor reaches: D maps the all-? ring to itself,
+    # and stavskaya reaches the all-0 ring with probability p^n
+    target = 0 if victim == "flip" else 3 ** 4 - 1
+
+    def moved(kind, n, p):
+        rows, cols, probs = kernel(kind, n, p)
+        if kind == victim:
+            probs = probs.copy()
+            probs[np.searchsorted(rows, target)] += 1e-9
+        return rows, cols, probs
+
+    monkeypatch.setattr(pca, "_kernel", moved)
+    if victim == "flip":
+        assert not pca.stavskaya_identity_check(0.5, 4, tol=1e-12)
+    else:
+        assert pca.composition_check("F" if victim == "R0" else "G", 4, 0.5) > 1e-12
+
+
+def test_kernels_with_different_inputs_are_rejected():
+    with pytest.raises(ValueError):
+        pca.max_kernel_difference(pca.ring_kernel("B", 4, 0.3), pca.ring_kernel("F", 4, 0.3))
+    with pytest.raises(ValueError):  # B's rows are binary, F's middle codes are not
+        pca.compose_ring_kernels(pca.ring_kernel("F", 4, 0.3), pca.ring_kernel("B", 4, 0.3))
+
+
+def _densities(cells):
+    return np.array([np.count_nonzero(cells == s) for s in (ZERO, QUES, ONE)]) / cells.size
+
+
+@pytest.mark.parametrize("kind", pca.KINDS)
+def test_trajectory_stats_equals_a_loop_of_steps(kind):
+    rng = np.random.default_rng(7)
+    steps = 40
+    for p in (0.0, 0.1, 1.0):
+        for seed in (3, 11):
+            initial = rng.choice(pca.input_alphabet(kind), size=23).astype(np.int8)
+            field = SiteField(seed, p)
+            cells, ref = initial, [_densities(initial)]
+            for t in range(steps):
+                cells = pca.step(kind, cells, p, field, time_tag=t)
+                ref.append(_densities(cells))
+            stats = pca.trajectory_stats(kind, initial, p, steps, field)
+            assert np.array_equal(stats, np.array(ref)), (p, seed)
+
+
+def test_trajectory_stats_checks_the_initial_ring():
+    for kind in pca.BINARY_KINDS:
+        with pytest.raises(InvalidSymbolError):
+            pca.trajectory_stats(kind, "0?10", 0.5, 3, SiteField(0, 0.5))
+    with pytest.raises(ValueError, match="SiteField"):
+        pca.trajectory_stats("F", "0?10", 0.5, 3, None)
+    with pytest.raises(ValueError, match="ring length"):
+        pca.trajectory_stats("D", "0?", 0.5, 3, None)
+    assert pca.trajectory_stats("flip", "0?1", 0.5, 2, None)[2].tolist() == [1 / 3] * 3

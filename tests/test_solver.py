@@ -1,5 +1,7 @@
 """Backward induction: recursion fixtures, couplings, profiles, rendering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -283,3 +285,35 @@ def test_custom_draw_of_zeros_equals_all_zero():
     drawn = solver.slab_sweep(index, 10, Sampled(draw=zeros), 0.25, [5], field=field)
     ref = solver.slab_sweep(index, 10, AllZero(), 0.25, [5])
     assert all(np.array_equal(drawn[k], ref[k]) for k in (0, 1))
+
+
+def test_solve_region_closed_bits_are_the_site_field_bits(tmp_path):
+    # solve_region reads the closed bits off the sweep; pin them, the counts
+    # and the rendered bytes against SiteField.closed_mask on every site
+    for n, p, seed, boundary in ((25, 0.3, 4, AllQuestion()), (12, 0.0, 1, AllZero()),
+                                 (12, 1.0, 2, Checkerboard()), (40, 0.2, 9, Sampled(0.5))):
+        field = SiteField(seed, p, Z2)
+        out = solver.solve_region(Z2, RegionSpec(Triangle2D(n), boundary), field)
+        ref = np.zeros((n + 1, n + 1), dtype=bool)
+        x1, x2 = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+        ref[x1, x2] = field.closed_mask(np.stack([x1, x2], axis=1))
+        assert np.array_equal(out.closed, ref)
+        ref_out = dataclasses.replace(out, closed=ref)
+        assert out.counts() == ref_out.counts()
+        solver.render_outcomes(out, tmp_path / "out.ppm")
+        solver.render_outcomes(ref_out, tmp_path / "ref.ppm")
+        assert (tmp_path / "out.ppm").read_bytes() == (tmp_path / "ref.ppm").read_bytes()
+
+
+def test_triangle_sweep_closed_out_over_a_p_sequence():
+    seeds, grid, n = np.arange(3, 6), [0.0, 0.25, 0.7, 1.0], 9
+    closed = {}
+    _, rows = solver.triangle_sweep(n, AllQuestion(), grid, seeds, keep_all=True,
+                                    closed_out=closed)
+    assert sorted(closed) == list(range(n + 1))
+    for k in range(n + 1):
+        coords = np.stack([k - np.arange(k + 1), np.arange(k + 1)], axis=1)
+        assert closed[k].shape == rows[k].shape
+        for i, p in enumerate(grid):
+            for j, seed in enumerate(seeds):
+                assert np.array_equal(closed[k][i, j], SiteField(int(seed), p).closed_mask(coords))
