@@ -37,8 +37,6 @@ from . import exact, glauber, lattice, pca, solver
 from .sitefield import COORD_LIMIT, SiteField
 from .symbols import QUES
 
-SCHEMA_VERSION = 1
-
 HEADERS = {
     "win_curve": ["p", "empirical", "stderr", "theory", "seeds"],
     "profile": ["depth", "q_fraction", "stderr", "seeds"],
@@ -52,10 +50,6 @@ HEADERS = {
 
 class UsageError(ValueError):
     """Bad input named on the command line; main reports it and exits 2."""
-
-
-# the values of --variant, --kind and --init, also when a --config file sets them
-CHOICES = {"variant": glauber.VARIANTS, "kind": pca.KINDS, "init": ("even", "odd", "empty")}
 
 
 def worker_count() -> int:
@@ -79,23 +73,80 @@ def _parallel_seed_map(fn, seeds: np.ndarray):
         return list(pool.map(fn, chunks))
 
 
+def _probability(value, flag: str) -> None:
+    """--p, or each value of --p-grid, lies in [0, 1]."""
+    for p in value if isinstance(value, list) else [value]:
+        if not 0.0 <= p <= 1.0:
+            raise UsageError(f"{flag} must be in [0, 1], got {p}")
+
+
+def _at_least(value: int, flag: str, low: int = 0) -> int:
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
+def _size_list(sizes: list, flag: str) -> None:
+    if not sizes:
+        raise UsageError("the size list is empty")
+
+
+def _seed_list(seeds: list, flag: Optional[str]) -> None:
+    if not seeds:
+        raise UsageError("the seed list is empty")
+    _at_least(min(seeds), "every seed (--seed0)")
+
+
+def _weight_ring(n: int, flag: str) -> None:
+    if n not in exact.WEIGHT_RINGS:
+        size = "small" if n < exact.WEIGHT_RINGS[0] else "large"
+        raise UsageError(f"{flag} {n}: ring too {size} for the weight identities")
+
+
+def _numbers(kind):
+    """The parser of a comma-separated list of ints or floats; its name
+    says what it takes, as int's and float's do."""
+    def parse(text: str) -> list:
+        return [kind(x) for x in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}s"
+    return parse
+
+
+def _flag(option: Optional[str], default=None, parse=str, check=None, choices=None,
+          help=None):
+    """A RunConfig field, set by the flag ``option`` (None: by the
+    hand-written --seeds and --seed0).  ``parse`` turns the flag's text into
+    the value (``bool``: a switch), and ``check(value, option)`` raises
+    UsageError on a bad value, whether the flag or a --config file set it."""
+    meta = dict(option=option, parse=parse, check=check, choices=choices, help=help)
+    if isinstance(default, list):
+        return dc_field(default_factory=default.copy, metadata=meta)
+    return dc_field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
+    """The input of a run.  Its fields but subcommand are the flag table."""
     subcommand: str
-    family: str = "z2"
-    p: float = 0.1
-    p_grid: Optional[list[float]] = None
-    depth: int = 100
-    sizes: list[int] = dc_field(default_factory=lambda: [64])
-    seeds: list[int] = dc_field(default_factory=lambda: [0])
-    steps: int = 100
-    variant: str = "standard"
-    kind: str = "F"
-    lam: Optional[float] = None
-    init: str = "even"
-    out: str = "out"
-    fault_inject: bool = False
-    weights_n: Optional[int] = None
+    family: str = _flag("--family", "z2",
+                        help="family name, e.g. z2, even(3), subset(3), binomial(4,1)")
+    p: float = _flag("--p", 0.1, float, _probability)
+    p_grid: Optional[list[float]] = _flag("--p-grid", None, _numbers(float), _probability,
+                                          help="comma-separated probabilities")
+    depth: int = _flag("--depth", 100, int, _at_least)
+    sizes: list[int] = _flag("--size", [64], _numbers(int), _size_list,
+                             help="comma-separated transverse sizes (or ring/torus size)")
+    seeds: list[int] = _flag(None, [0], check=_seed_list)
+    steps: int = _flag("--steps", 100, int)
+    variant: str = _flag("--variant", "standard", choices=glauber.VARIANTS)
+    kind: str = _flag("--kind", "F", choices=pca.KINDS)
+    lam: Optional[float] = _flag("--lam", None, float, help="hard-core activity")
+    init: str = _flag("--init", "even", choices=("even", "odd", "empty"))
+    out: str = _flag("--out", "out")
+    fault_inject: bool = _flag("--fault-inject", False, bool,
+                               help="negative control: perturb the exact matrix")
+    weights_n: Optional[int] = _flag("--weights-n", None, int, _weight_ring,
+                                     help="ring length of the weight identities (default: 5, 6)")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -103,6 +154,11 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls(**json.loads(text))
+
+
+# the rows of the flag table, in field order
+_FLAGS = [f for f in dataclasses.fields(RunConfig) if f.metadata]
+_HINTS = typing.get_type_hints(RunConfig)
 
 
 def _has_type(value, hint) -> bool:
@@ -120,24 +176,21 @@ def _has_type(value, hint) -> bool:
 
 def _check_config(cfg: RunConfig) -> None:
     """Check every value of a RunConfig, whether a flag or a --config file
-    set it: its type against its field's, and the choices of the flags
-    --variant, --kind and --init."""
-    hints = typing.get_type_hints(RunConfig)
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if not _has_type(value, hints[f.name]):
+    set it: its type against its field's, then the choices and the check of
+    its row."""
+    for f in _FLAGS:
+        value, row = getattr(cfg, f.name), f.metadata
+        if not _has_type(value, _HINTS[f.name]):
             raise UsageError(f"{f.name} must be {f.type}, got {value!r}")
-        if f.name in CHOICES and value not in CHOICES[f.name]:
-            raise UsageError(f"{f.name} must be one of {', '.join(CHOICES[f.name])}, "
+        if row["choices"] and value not in row["choices"]:
+            raise UsageError(f"{f.name} must be one of {', '.join(row['choices'])}, "
                              f"got {value!r}")
-    if not cfg.seeds:
-        raise UsageError("the seed list is empty")
-    if not cfg.sizes:
-        raise UsageError("the size list is empty")
-    _at_least(min(cfg.seeds), 0, "every seed (--seed0)")
+        if row["check"] and value is not None:
+            row["check"](value, row["option"])
 
 
 def write_csv(path, header, rows):
+    _ensure_outdir(path)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -181,31 +234,9 @@ def _layer_automorphism(fam: lattice.GraphFamily) -> None:
                          "layer-automorphism assumption")
 
 
-def _probability(p: float, flag: str = "--p") -> float:
-    if not 0.0 <= p <= 1.0:
-        raise UsageError(f"{flag} must be in [0, 1], got {p}")
-    return p
-
-
-def _number_list(text: str, kind, flag: str) -> list:
-    """A comma-separated list of ints or floats named by ``flag``."""
-    try:
-        return [kind(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError(f"{flag} takes comma-separated {kind.__name__}s, got {text!r}") from None
-
-
-def _at_least(value: int, low: int, flag: str) -> int:
-    if value < low:
-        raise UsageError(f"{flag} must be >= {low}, got {value}")
-    return value
-
-
 def _depth(depth: int, top: int) -> None:
     """--depth, checked against the largest site coordinate it makes the
     solver hash, ``top`` (n on a triangle, depth + m - 1 on a slab)."""
-    if depth < 0:
-        raise UsageError(f"--depth must be >= 0, got {depth}")
     if top >= COORD_LIMIT:
         raise UsageError(f"--depth {depth} needs site coordinate {top}; "
                          f"the site hash takes coordinates below {COORD_LIMIT}")
@@ -223,9 +254,8 @@ def _ensure_outdir(path):
 def cmd_solve2d(cfg: RunConfig) -> int:
     fam = _family(cfg.family)
     if fam.d != 2:
-        print("solve2d requires a two-dimensional family", file=sys.stderr)
-        return 2
-    _probability(cfg.p)
+        raise UsageError(f"--family: solve2d requires a two-dimensional family, "
+                         f"got {fam.name}")
     _depth(cfg.depth, cfg.depth)
     rows = []
     for seed in cfg.seeds:
@@ -246,7 +276,7 @@ def cmd_solve2d(cfg: RunConfig) -> int:
 def cmd_win_curve(cfg: RunConfig) -> int:
     if _family(cfg.family).name != "z2":
         raise UsageError(f"win-curve solves z2 triangles only, got --family {cfg.family}")
-    grid = [_probability(p, "--p-grid") for p in cfg.p_grid or [0.2, 0.5]]
+    grid = cfg.p_grid or [0.2, 0.5]
     _depth(cfg.depth, cfg.depth)
     seeds = np.asarray(cfg.seeds, dtype=np.int64)
 
@@ -263,7 +293,6 @@ def cmd_win_curve(cfg: RunConfig) -> int:
         se = float(np.sqrt(emp * (1 - emp) / wins.size)) if wins.size > 1 else 0.0
         rows.append([p, emp, se, exact.win_probability(p), wins.size])
         print(f"p={p}: empirical={emp:.5f} +- {se:.5f}, theory={exact.win_probability(p):.5f}")
-    _ensure_outdir(cfg.out)
     write_csv(cfg.out, HEADERS["win_curve"], rows)
     exact_path = cfg.out + ".exact.csv"
     write_csv(exact_path, HEADERS["exact_curve"],
@@ -274,10 +303,7 @@ def cmd_win_curve(cfg: RunConfig) -> int:
 
 def cmd_draw_scan(cfg: RunConfig) -> int:
     families = _families(cfg.family)
-    if cfg.p_grid:
-        grid = [_probability(p, "--p-grid") for p in cfg.p_grid]
-    else:
-        grid = [_probability(cfg.p)]
+    grid = cfg.p_grid or [cfg.p]
     # every family is checked before the first one writes its outputs
     torus_sizes = [_sizes(cfg, fam) for fam in families]
     for fam in families:
@@ -293,7 +319,6 @@ def cmd_draw_scan(cfg: RunConfig) -> int:
             prof = solver.draw_density_profile(fam, cfg.depth, sizes, p, seeds,
                                                closed=closed)
             prof_path = f"{cfg.out}_{fam.name.replace('(', '').replace(')', '').replace(',', 'x')}_p{p}_profile.csv"
-            _ensure_outdir(prof_path)
             write_csv(prof_path, HEADERS["profile"], prof)
             depths = sorted({r[0] for r in prof})
             for K in depths:
@@ -308,14 +333,13 @@ def cmd_draw_scan(cfg: RunConfig) -> int:
 def cmd_glauber(cfg: RunConfig) -> int:
     fam = _family(cfg.family)
     sizes = _sizes(cfg, fam)
+    p = cfg.p
     if cfg.lam is not None:
         try:
             p = exact.p_from_activity(cfg.lam, cfg.variant)
         except ValueError as e:
             raise UsageError(f"--lam: {e}") from None
-    else:
-        p = _probability(cfg.p)
-    _at_least(cfg.steps, 1, "--steps")
+    _at_least(cfg.steps, "--steps", 1)
     try:
         torus = glauber.build_doubling_torus(fam, sizes)
     except lattice.UnsupportedFamilyError as e:
@@ -323,7 +347,6 @@ def cmd_glauber(cfg: RunConfig) -> int:
     field = SiteField(int(cfg.seeds[0]), p, fam)
     rows = glauber.sweep_chain(torus, p, cfg.variant, cfg.steps, field,
                                init=cfg.init, record_every=max(1, cfg.steps // 200))
-    _ensure_outdir(cfg.out)
     write_csv(cfg.out, HEADERS["glauber"], rows)
     print(f"wrote {cfg.out} ({len(rows)} rows, p={p:.6g})")
     return 0
@@ -332,7 +355,6 @@ def cmd_glauber(cfg: RunConfig) -> int:
 def cmd_couple_verify(cfg: RunConfig) -> int:
     fam = _family(cfg.family)
     sizes = _sizes(cfg, fam)
-    _probability(cfg.p)
     _depth(cfg.depth, cfg.depth + fam.m - 1)
     _layer_automorphism(fam)
     variant = "extended" if fam.has_A2_prime else "standard"
@@ -345,12 +367,11 @@ def cmd_couple_verify(cfg: RunConfig) -> int:
 
 
 def cmd_pca_run(cfg: RunConfig) -> int:
-    n = _at_least(cfg.sizes[0], 3, "--size (the ring length)")
-    _at_least(cfg.steps, 0, "--steps")
-    field = SiteField(int(cfg.seeds[0]), _probability(cfg.p))
+    n = _at_least(cfg.sizes[0], "--size (the ring length)", 3)
+    _at_least(cfg.steps, "--steps")
+    field = SiteField(int(cfg.seeds[0]), cfg.p)
     initial = np.full(n, QUES if cfg.kind in ("F", "G", "D") else 0, dtype=np.int8)
     stats = pca.trajectory_stats(cfg.kind, initial, cfg.p, cfg.steps, field)
-    _ensure_outdir(cfg.out)
     write_csv(cfg.out, HEADERS["pca_run"], pca.trajectory_csv_rows(stats))
     print(f"wrote {cfg.out} (final densities {stats[-1]})")
     return 0
@@ -367,10 +388,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             ok, detail = False, f"error: {e}"
         checks.append((name, ok, detail))
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-
-    if cfg.weights_n is not None and cfg.weights_n < 5:
-        print("ring too small: weight identities need n >= 5", file=sys.stderr)
-        return 2
 
     def stationarity():
         worst = 0.0
@@ -453,38 +470,33 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with the table's flags and the
+    hand-written --config, --seeds, --seed0 and --save-config."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="JSON RunConfig; flags override")
+    for f in _FLAGS:
+        row = f.metadata
+        if row["parse"] is bool:
+            flags.add_argument(row["option"], dest=f.name, action="store_const", const=True,
+                               help=row["help"])
+        elif row["option"]:
+            flags.add_argument(row["option"], dest=f.name, choices=row["choices"],
+                               help=row["help"])
+    flags.add_argument("--seeds", type=int, help="number of seeds (seed0, seed0 + 1, ...)")
+    flags.add_argument("--seed0", type=int, help="first seed (default 0); alone, the one seed")
+    flags.add_argument("--save-config", action="store_true",
+                       help="write the resolved RunConfig next to --out")
     ap = argparse.ArgumentParser(prog="percgame",
                                  description="percolation-game experiments")
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON RunConfig; flags override")
-        sp.add_argument("--family", default=None,
-                        help="family name, e.g. z2, even(3), subset(3), binomial(4,1)")
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--p-grid", default=None,
-                        help="comma-separated probabilities")
-        sp.add_argument("--depth", type=int, default=None)
-        sp.add_argument("--size", default=None,
-                        help="comma-separated transverse sizes (or ring/torus size)")
-        sp.add_argument("--seeds", type=int, default=None,
-                        help="number of seeds (0..n-1)")
-        sp.add_argument("--seed0", type=int, default=0, help="first seed")
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--variant", choices=CHOICES["variant"], default=None)
-        sp.add_argument("--kind", choices=CHOICES["kind"], default=None)
-        sp.add_argument("--lam", type=float, default=None, help="hard-core activity")
-        sp.add_argument("--init", choices=CHOICES["init"], default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--fault-inject", action="store_true",
-                        help="negative control: perturb the exact matrix")
-        sp.add_argument("--weights-n", type=int, default=None)
-        sp.add_argument("--save-config", action="store_true",
-                        help="write the resolved RunConfig next to --out")
+        sub.add_parser(name, parents=[flags])
     return ap
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The checked RunConfig of a run: a --config file or the defaults,
+    overridden by every flag that was given."""
     if args.config:
         try:
             with open(args.config) as fh:
@@ -494,50 +506,37 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.subcommand = args.subcommand
     else:
         cfg = RunConfig(subcommand=args.subcommand)
-    if args.family is not None:
-        cfg.family = args.family
-    if args.p is not None:
-        cfg.p = args.p
-    if args.p_grid is not None:
-        cfg.p_grid = _number_list(args.p_grid, float, "--p-grid")
-    if args.depth is not None:
-        cfg.depth = args.depth
-    if args.size is not None:
-        cfg.sizes = _number_list(args.size, int, "--size")
-    if args.seeds is not None:
-        _at_least(args.seeds, 1, "--seeds")
-        cfg.seeds = list(range(args.seed0, args.seed0 + args.seeds))
-    if args.steps is not None:
-        cfg.steps = args.steps
-    if args.variant is not None:
-        cfg.variant = args.variant
-    if args.kind is not None:
-        cfg.kind = args.kind
-    if args.lam is not None:
-        cfg.lam = args.lam
-    if args.init is not None:
-        cfg.init = args.init
-    if args.out is not None:
-        cfg.out = args.out
-    cfg.fault_inject = bool(getattr(args, "fault_inject", False))
-    if args.weights_n is not None:
-        cfg.weights_n = args.weights_n
+    for f in _FLAGS:
+        row = f.metadata
+        text = getattr(args, f.name) if row["option"] else None
+        if text is not None:
+            try:
+                setattr(cfg, f.name, row["parse"](text))
+            except ValueError:
+                raise UsageError(f"{row['option']} takes {row['parse'].__name__}, "
+                                 f"got {text!r}") from None
+    if args.seeds is not None or args.seed0 is not None:
+        start = args.seed0 or 0
+        count = 1 if args.seeds is None else _at_least(args.seeds, "--seeds", 1)
+        cfg.seeds = list(range(start, start + count))
     _check_config(cfg)
-    if getattr(args, "save_config", False):
-        path = cfg.out + ".config.json"
-        _ensure_outdir(path)
-        with open(path, "w") as fh:
-            fh.write(cfg.to_json())
     return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.subcommand](resolve_config(args))
+        cfg = resolve_config(args)
+        code = COMMANDS[args.subcommand](cfg)
     except UsageError as e:
         print(f"percgame {args.subcommand}: error: {e}", file=sys.stderr)
         return 2
+    if args.save_config:
+        path = cfg.out + ".config.json"
+        _ensure_outdir(path)
+        with open(path, "w") as fh:
+            fh.write(cfg.to_json())
+    return code
 
 
 if __name__ == "__main__":

@@ -162,17 +162,6 @@ class CylinderTable:
         return self.probs[w]
 
     @classmethod
-    def from_markov(cls, mm: MarkovMeasure, max_len: int) -> "CylinderTable":
-        probs = {}
-        for L in range(1, max_len + 1):
-            for w in itertools.product((ZERO, ONE), repeat=L):
-                probs[w] = mm.cylinder(w)
-            for w in itertools.product((ZERO, ONE, QUES), repeat=L):
-                if QUES in w:
-                    probs[w] = 0.0
-        return cls(probs, max_len)
-
-    @classmethod
     def from_markov3(cls, T: np.ndarray, pi: np.ndarray, max_len: int) -> "CylinderTable":
         """Shift-invariant table of a stationary 3-state Markov chain
         (test utility for pushforward identities on random measures)."""
@@ -191,15 +180,14 @@ class CylinderTable:
     def from_ring_word(cls, config, max_len: int, exact: bool = False) -> "CylinderTable":
         """Orbit-uniform measure of a ring word: uniform over all rotations
         and reflections, with cylinder probabilities given by exact cyclic
-        pattern counting.  With exact=True probabilities are Fractions."""
+        pattern counting (see ``_orbit_count``).  With exact=True probabilities
+        are Fractions."""
         cells = tuple(as_cells(config).tolist())
-        orbit = ring_orbit(cells)
-        n = len(cells)
-        denom = n * len(orbit)
+        denom = 2 * len(cells)
         probs = {}
         for L in range(1, max_len + 1):
             for w in itertools.product((ZERO, ONE, QUES), repeat=L):
-                num = sum(count_cyclic(c, w) for c in orbit)
+                num = _orbit_count(cells, w)
                 probs[w] = Fraction(num, denom) if exact else num / denom
         return cls(probs, max_len)
 
@@ -310,6 +298,14 @@ def count_cyclic(config: Sequence[int], word: Sequence[int]) -> int:
     return sum(1 for i in range(n) if ext[i:i + L] == tuple(word))
 
 
+def _orbit_count(cells: Sequence[int], word: Sequence[int]) -> int:
+    """2n times the probability of ``word`` under the orbit-uniform measure of
+    a ring word of n cells.  Cyclic counts are rotation-invariant, so the
+    uniform average over the 2n rotations and reflections is that over the
+    word and its reversal."""
+    return count_cyclic(cells, word) + count_cyclic(cells[::-1], word)
+
+
 def ring_orbit(cells: Sequence[int]) -> list[tuple[int, ...]]:
     """Distinct rotations and reflections of a ring word."""
     c = tuple(cells)
@@ -334,23 +330,18 @@ _W_1Q1 = parse_word("1?1")
 
 def _orbit_cylinders(cells: tuple[int, ...]) -> dict:
     """Exact cylinder probabilities (Fractions) of the orbit-uniform measure
-    of a ring word and of its image under the deterministic CA."""
-    orbit = ring_orbit(cells)
-    n = len(cells)
-    denom = n * len(orbit)
-    words_in = (_W_Q, _W_Q0, _W_0Q, _W_QQ, _W_Q01, _W_QQ1, _W_0Q1, _W_1Q1)
-    words_out = (_W_Q, _W_Q0, _W_Q01)
-    mu = {w: 0 for w in words_in}
-    dmu = {w: 0 for w in words_out}
-    for c in orbit:
+    of a ring word and of its image under the deterministic CA.  D commutes
+    with rotations but not with the reflection, so the image measure averages
+    the images of the word and of its reversal."""
+    denom = 2 * len(cells)
+    images = []
+    for c in (cells, cells[::-1]):
         arr = np.array(c, dtype=np.int8)
-        img = tuple(pca.D_TABLE[arr, np.roll(arr, -1)].tolist())
-        for w in words_in:
-            mu[w] += count_cyclic(c, w)
-        for w in words_out:
-            dmu[w] += count_cyclic(img, w)
-    mu = {w: Fraction(v, denom) for w, v in mu.items()}
-    dmu = {w: Fraction(v, denom) for w, v in dmu.items()}
+        images.append(tuple(pca.D_TABLE[arr, np.roll(arr, -1)].tolist()))
+    mu = {w: Fraction(_orbit_count(cells, w), denom)
+          for w in (_W_Q, _W_Q0, _W_0Q, _W_QQ, _W_Q01, _W_QQ1, _W_0Q1, _W_1Q1)}
+    dmu = {w: Fraction(sum(count_cyclic(img, w) for img in images), denom)
+           for w in (_W_Q, _W_Q0, _W_Q01)}
     return {"mu": mu, "dmu": dmu}
 
 
@@ -374,6 +365,10 @@ class WeightSystemReport:
                 f"({self.words_checked} words, {self.orbits_checked} orbits)")
 
 
+# the ring lengths that weight_identities_check takes
+WEIGHT_RINGS = range(5, 11)
+
+
 def weight_identities_check(n: int, all_words: bool = True) -> WeightSystemReport:
     """Exhaustive exact check of the weight system on rings of length n.
 
@@ -392,7 +387,7 @@ def weight_identities_check(n: int, all_words: bool = True) -> WeightSystemRepor
     Needs n >= 5: shorter rings wrap the length-<=4 windows around and the
     identities are not claimed there.
     """
-    if not 5 <= n <= 10:
+    if n not in WEIGHT_RINGS:
         raise ValueError("ring too small" if n < 5 else "ring too large (n <= 10)")
     cache: dict[tuple, dict] = {}
     id_viol = []

@@ -309,8 +309,8 @@ class SlabIndex:
     Vertices are listed class by class, sorted within a class: vertex i has
     torus coordinates ``coords[i]`` and class ``classes[i]``; class c holds
     the vertices ``class_members[c]``, whose coordinates are
-    ``verts_by_class[c]``, and ``pos`` maps coordinates to the position
-    within the class.  Layer k of a slab occupies class k mod q.
+    ``verts_by_class[c]``.  Layer k of a slab occupies class k mod q, and
+    ``origin_pos`` is the position of the origin within class 0.
 
     The directed out-table gives, per class, each out-move's target as a
     position within the target class (``nbr_pos``, one column per move) and
@@ -331,7 +331,6 @@ class SlabIndex:
         self._start = np.concatenate([[0], np.cumsum(counts)])
         self.class_members = [np.arange(a, b) for a, b in zip(self._start, self._start[1:])]
         self.verts_by_class = [self.coords[sel] for sel in self.class_members]
-        self.pos = {t: i for v in by_class for i, t in enumerate(v)}
         # position within its class of every vertex, by torus coordinates
         slot = np.full(self.sizes, -1, dtype=np.int64)
         slot[tuple(self.coords.T)] = np.concatenate([np.arange(n) for n in counts])
@@ -345,7 +344,7 @@ class SlabIndex:
         origin = tuple(0 for _ in self.sizes)
         if lattice.torus_class(family, origin) != 0:
             raise AssertionError("origin must sit in class 0")
-        self.origin_pos = self.pos[origin]
+        self.origin_pos = int(slot[origin])
 
     @functools.cached_property
     def neighbors(self) -> np.ndarray:

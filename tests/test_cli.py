@@ -1,6 +1,8 @@
 """CLI subcommands: smoke runs, schema pinning, reproducibility."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
 
@@ -354,3 +356,78 @@ def test_config_unknown_pca_kind_exits_2(tmp_path, capsys):
 def test_config_unknown_variant_exits_2(tmp_path, capsys):
     _config_usage_error(tmp_path, capsys, "glauber", {"variant": "bogus"},
                         "variant must be one of standard, extended, got 'bogus'")
+
+
+def test_config_file_fault_inject_makes_verify_fail(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(cli.RunConfig(subcommand="verify", seeds=[0],
+                                  fault_inject=True).to_json())
+    assert run(["verify", "--config", str(path)]) == 1
+
+
+def test_seed0_alone_selects_one_seed(tmp_path):
+    out = str(tmp_path / "pca.csv")
+    assert run(["pca-run", "--seed0", "7", "--size", "8", "--steps", "2", "--out", out,
+                "--save-config"]) == 0
+    assert json.loads((tmp_path / "pca.csv.config.json").read_text())["seeds"] == [7]
+
+
+def test_refused_run_saves_no_config(tmp_path, capsys):
+    _assert_usage_error(capsys, ["pca-run", "--size", "2", "--save-config",
+                                 "--out", str(tmp_path / "pca.csv")],
+                        "ring length) must be >= 3", tmp_path)
+
+
+def test_verify_rejects_large_weight_ring(tmp_path, capsys):
+    _assert_usage_error(capsys, ["verify", "--weights-n", "11",
+                                 "--out", str(tmp_path / "v")], "ring too large", tmp_path)
+
+
+def test_solve2d_rejects_a_family_that_is_not_2d(tmp_path, capsys):
+    _assert_usage_error(capsys, ["solve2d", "--family", "even(3)", "--depth", "4",
+                                 "--out", str(tmp_path / "tri")],
+                        "percgame solve2d: error: --family: solve2d requires a "
+                        "two-dimensional family", tmp_path)
+
+
+def test_p_is_checked_for_every_subcommand(tmp_path, capsys):
+    for sub in cli.COMMANDS:
+        _assert_usage_error(capsys, [sub, "--p", "2", "--out", str(tmp_path / "o")],
+                            f"percgame {sub}: error: --p must be in [0, 1], got 2.0",
+                            tmp_path)
+
+
+def test_every_config_field_has_one_flag_in_every_subcommand():
+    fields = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "subcommand"]
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(cli.COMMANDS)
+    for sub, parser in subparsers.choices.items():
+        dests = [a.dest for a in parser._actions]
+        for name in fields:
+            assert dests.count(name) == 1, (sub, name)
+
+
+# every RunConfig field but subcommand at a legal value other than its
+# default, and the flags that give the same values
+ALL_FIELDS = {"family": "even(3)", "p": 0.3, "p_grid": [0.2, 0.4], "depth": 7,
+              "sizes": [8, 8], "seeds": [3, 4], "steps": 5, "variant": "extended",
+              "kind": "G", "lam": 0.5, "init": "odd", "out": "x", "fault_inject": True,
+              "weights_n": 6}
+ALL_FLAGS = ["--family", "even(3)", "--p", "0.3", "--p-grid", "0.2,0.4", "--depth", "7",
+             "--size", "8,8", "--seeds", "2", "--seed0", "3", "--steps", "5",
+             "--variant", "extended", "--kind", "G", "--lam", "0.5", "--init", "odd",
+             "--out", "x", "--fault-inject", "--weights-n", "6"]
+
+
+def test_config_file_and_flags_resolve_to_the_same_config(tmp_path):
+    default = cli.RunConfig(subcommand="verify")
+    assert set(ALL_FIELDS) == {f.name for f in dataclasses.fields(default)} - {"subcommand"}
+    assert all(getattr(default, name) != value for name, value in ALL_FIELDS.items())
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"subcommand": "verify", **ALL_FIELDS}))
+    parser = cli.build_parser()
+    for sub in cli.COMMANDS:
+        from_flags = cli.resolve_config(parser.parse_args([sub] + ALL_FLAGS))
+        from_file = cli.resolve_config(parser.parse_args([sub, "--config", str(path)]))
+        assert from_flags == from_file == cli.RunConfig(subcommand=sub, **ALL_FIELDS)
