@@ -26,7 +26,6 @@ import json
 import os
 import re
 import sys
-import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -65,8 +64,7 @@ def worker_count() -> int:
 def _parallel_seed_map(fn, seeds: np.ndarray):
     """Apply fn to chunks of the seed list, in parallel, preserving order."""
     workers = worker_count()
-    chunks = np.array_split(seeds, min(workers, max(1, seeds.size)))
-    chunks = [c for c in chunks if c.size]
+    chunks = np.array_split(seeds, min(workers, seeds.size))
     if len(chunks) <= 1:
         return [fn(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -109,6 +107,7 @@ def _numbers(kind):
     def parse(text: str) -> list:
         return [kind(x) for x in text.split(",")]
     parse.__name__ = f"comma-separated {kind.__name__}s"
+    parse.kind = kind
     return parse
 
 
@@ -116,8 +115,8 @@ def _flag(option: Optional[str], default=None, parse=str, check=None, choices=No
           help=None):
     """A RunConfig field, set by the flag ``option`` (None: by the
     hand-written --seeds and --seed0).  ``parse`` turns the flag's text into
-    the value (``bool``: a switch), and ``check(value, option)`` raises
-    UsageError on a bad value, whether the flag or a --config file set it."""
+    the value, so it names the type (``bool``: a switch); ``check(value,
+    option)`` raises UsageError on a bad value from a flag or a --config file."""
     meta = dict(option=option, parse=parse, check=check, choices=choices, help=help)
     if isinstance(default, list):
         return dc_field(default_factory=default.copy, metadata=meta)
@@ -136,7 +135,7 @@ class RunConfig:
     depth: int = _flag("--depth", 100, int, _at_least)
     sizes: list[int] = _flag("--size", [64], _numbers(int), _size_list,
                              help="comma-separated transverse sizes (or ring/torus size)")
-    seeds: list[int] = _flag(None, [0], check=_seed_list)
+    seeds: list[int] = _flag(None, [0], _numbers(int), _seed_list)
     steps: int = _flag("--steps", 100, int)
     variant: str = _flag("--variant", "standard", choices=glauber.VARIANTS)
     kind: str = _flag("--kind", "F", choices=pca.KINDS)
@@ -158,34 +157,33 @@ class RunConfig:
 
 # the rows of the flag table, in field order
 _FLAGS = [f for f in dataclasses.fields(RunConfig) if f.metadata]
-_HINTS = typing.get_type_hints(RunConfig)
 
 
-def _has_type(value, hint) -> bool:
-    """isinstance for the type hints of RunConfig: Optional[X], list[X], and
-    float, which takes ints too (JSON writes 1.0 as 1); a bool is no number."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is typing.Union:
-        return any(_has_type(value, a) for a in args)
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+def _has_type(value, parse) -> bool:
+    """Whether a value has the type that ``parse`` makes of a flag's text: a
+    list for a comma-separated parse, and a float takes ints too (JSON
+    writes 1.0 as 1); a bool is no number."""
+    if hasattr(parse, "kind"):
+        return isinstance(value, list) and all(_has_type(v, parse.kind) for v in value)
     if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+        return parse is bool
+    return isinstance(value, (int, float) if parse is float else parse)
 
 
 def _check_config(cfg: RunConfig) -> None:
     """Check every value of a RunConfig, whether a flag or a --config file
     set it: its type against its field's, then the choices and the check of
-    its row."""
+    its row.  A field whose default is None may be None."""
     for f in _FLAGS:
         value, row = getattr(cfg, f.name), f.metadata
-        if not _has_type(value, _HINTS[f.name]):
+        if value is None and f.default is None:
+            continue
+        if not _has_type(value, row["parse"]):
             raise UsageError(f"{f.name} must be {f.type}, got {value!r}")
         if row["choices"] and value not in row["choices"]:
             raise UsageError(f"{f.name} must be one of {', '.join(row['choices'])}, "
                              f"got {value!r}")
-        if row["check"] and value is not None:
+        if row["check"]:
             row["check"](value, row["option"])
 
 
@@ -469,10 +467,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors (an unknown flag, a missing value) as UsageError."""
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, each with the table's flags and the
     hand-written --config, --seeds, --seed0 and --save-config."""
-    flags = argparse.ArgumentParser(add_help=False)
+    flags = _Parser(add_help=False)
     flags.add_argument("--config", help="JSON RunConfig; flags override")
     for f in _FLAGS:
         row = f.metadata
@@ -480,18 +484,25 @@ def build_parser() -> argparse.ArgumentParser:
             flags.add_argument(row["option"], dest=f.name, action="store_const", const=True,
                                help=row["help"])
         elif row["option"]:
-            flags.add_argument(row["option"], dest=f.name, choices=row["choices"],
+            metavar = "{" + ",".join(row["choices"]) + "}" if row["choices"] else None
+            flags.add_argument(row["option"], dest=f.name, metavar=metavar,
                                help=row["help"])
-    flags.add_argument("--seeds", type=int, help="number of seeds (seed0, seed0 + 1, ...)")
-    flags.add_argument("--seed0", type=int, help="first seed (default 0); alone, the one seed")
+    flags.add_argument("--seeds", help="number of seeds (seed0, seed0 + 1, ...)")
+    flags.add_argument("--seed0", help="first seed (default 0); alone, the one seed")
     flags.add_argument("--save-config", action="store_true",
                        help="write the resolved RunConfig next to --out")
-    ap = argparse.ArgumentParser(prog="percgame",
-                                 description="percolation-game experiments")
+    ap = _Parser(prog="percgame", description="percolation-game experiments")
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name in COMMANDS:
         sub.add_parser(name, parents=[flags])
     return ap
+
+
+def _parse(parse, option: str, text: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise UsageError(f"{option} takes {parse.__name__}, got {text!r}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -510,26 +521,24 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         row = f.metadata
         text = getattr(args, f.name) if row["option"] else None
         if text is not None:
-            try:
-                setattr(cfg, f.name, row["parse"](text))
-            except ValueError:
-                raise UsageError(f"{row['option']} takes {row['parse'].__name__}, "
-                                 f"got {text!r}") from None
+            setattr(cfg, f.name, _parse(row["parse"], row["option"], text))
     if args.seeds is not None or args.seed0 is not None:
-        start = args.seed0 or 0
-        count = 1 if args.seeds is None else _at_least(args.seeds, "--seeds", 1)
-        cfg.seeds = list(range(start, start + count))
+        start = 0 if args.seed0 is None else _parse(int, "--seed0", args.seed0)
+        count = 1 if args.seeds is None else _parse(int, "--seeds", args.seeds)
+        cfg.seeds = list(range(start, start + _at_least(count, "--seeds", 1)))
     _check_config(cfg)
     return cfg
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    prog = "percgame"
     try:
+        args = build_parser().parse_args(argv)
+        prog = f"percgame {args.subcommand}"
         cfg = resolve_config(args)
         code = COMMANDS[args.subcommand](cfg)
     except UsageError as e:
-        print(f"percgame {args.subcommand}: error: {e}", file=sys.stderr)
+        print(f"{prog}: error: {e}", file=sys.stderr)
         return 2
     if args.save_config:
         path = cfg.out + ".config.json"

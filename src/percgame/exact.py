@@ -389,7 +389,7 @@ def weight_identities_check(n: int, all_words: bool = True) -> WeightSystemRepor
     """
     if n not in WEIGHT_RINGS:
         raise ValueError("ring too small" if n < 5 else "ring too large (n <= 10)")
-    cache: dict[tuple, dict] = {}
+    seen = set()
     id_viol = []
     ineq_viol = []
     strict_viol = []
@@ -398,11 +398,10 @@ def weight_identities_check(n: int, all_words: bool = True) -> WeightSystemRepor
         if all_words:
             words_checked += 1
         canon = min(ring_orbit(cells)) if all_words else cells
-        res = cache.get(canon)
-        if res is not None:
+        if canon in seen:
             continue
+        seen.add(canon)
         res = _orbit_cylinders(canon)
-        cache[canon] = res
         mu, dmu = res["mu"], res["dmu"]
         ok = (dmu[_W_Q] == mu[_W_QQ] + mu[_W_0Q] + mu[_W_Q0]
               and dmu[_W_Q0] == mu[_W_QQ1] + mu[_W_0Q1] + mu[_W_Q01]
@@ -419,8 +418,8 @@ def weight_identities_check(n: int, all_words: bool = True) -> WeightSystemRepor
         if has_101 != (after < before):
             strict_viol.append(format_word(canon))
     if not all_words:
-        words_checked = len(cache)
-    return WeightSystemReport(n, words_checked, len(cache), id_viol, ineq_viol, strict_viol)
+        words_checked = len(seen)
+    return WeightSystemReport(n, words_checked, len(seen), id_viol, ineq_viol, strict_viol)
 
 
 # -- exact hard-core computations -------------------------------------------

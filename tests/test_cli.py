@@ -431,3 +431,28 @@ def test_config_file_and_flags_resolve_to_the_same_config(tmp_path):
         from_flags = cli.resolve_config(parser.parse_args([sub] + ALL_FLAGS))
         from_file = cli.resolve_config(parser.parse_args([sub, "--config", str(path)]))
         assert from_flags == from_file == cli.RunConfig(subcommand=sub, **ALL_FIELDS)
+
+
+def test_bad_choice_and_seed_flags_exit_2_with_one_line(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    for argv, text in (
+            (["pca-run", "--kind", "Q"], "percgame pca-run: error: kind must be one of A, B"),
+            (["glauber", "--variant", "bogus"], "variant must be one of standard, extended"),
+            (["glauber", "--init", "bogus"], "init must be one of even, odd, empty"),
+            (["pca-run", "--seeds", "abc"], "percgame pca-run: error: --seeds takes int, "
+                                            "got 'abc'"),
+            (["pca-run", "--seed0", "1.5"], "--seed0 takes int, got '1.5'")):
+        _assert_usage_error(capsys, argv + ["--out", out], text, tmp_path)
+
+
+def test_malformed_command_lines_exit_2_with_one_line(tmp_path, capsys):
+    for argv, text in ((["pca-run", "--bogus", "1"], "unrecognized arguments: --bogus"),
+                       (["pca-run", "--kind"], "argument --kind: expected one argument"),
+                       (["nosuch"], "argument subcommand: invalid choice: 'nosuch'")):
+        _assert_usage_error(capsys, argv, f"percgame: error: {text}", tmp_path)
+
+
+def test_help_lists_the_choices_of_a_flag():
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert "--variant {standard,extended}" in subparsers.choices["glauber"].format_help()
