@@ -14,9 +14,7 @@ N = 200
 SEED = 7
 
 for p in (0.1, 0.2):
-    field = pg.SiteField(SEED, p, pg.z2())
-    region = solver.RegionSpec(solver.Triangle2D(N), solver.AllQuestion())
-    outcome = solver.solve_region(pg.z2(), region, field)
+    outcome = solver.solve_triangle(N, solver.AllQuestion(), pg.SiteField(SEED, p))
     path = f"outcomes_p{p:g}.ppm"
     solver.render_outcomes(outcome, path)
     counts = outcome.counts()

@@ -20,9 +20,8 @@ from .lattice import (GraphFamily, IsoMap, bcc_lattice, binomial_family,
 from .pca import coupled_step, local_rule, stavskaya_identity_check, step, trajectory_stats
 from .sitefield import SiteField
 from .solver import (AllOne, AllQuestion, AllZero, Checkerboard, ClosedLayers,
-                     Explicit, RegionSpec, Sampled, Slab, Triangle2D,
-                     boundary_sensitivity, draw_density_profile, render_outcomes,
-                     solve_region)
+                     Explicit, Sampled, SlabIndex, boundary_sensitivity,
+                     draw_density_profile, render_outcomes, solve_triangle)
 from .symbols import ONE, QUES, ZERO, format_word, parse_word
 
 __version__ = "0.1.0"

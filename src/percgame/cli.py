@@ -257,9 +257,8 @@ def cmd_solve2d(cfg: RunConfig) -> int:
     _depth(cfg.depth, cfg.depth)
     rows = []
     for seed in cfg.seeds:
-        field = SiteField(int(seed), cfg.p, fam)
-        region = solver.RegionSpec(solver.Triangle2D(cfg.depth), solver.AllQuestion())
-        outcome = solver.solve_region(fam, region, field)
+        outcome = solver.solve_triangle(cfg.depth, solver.AllQuestion(),
+                                        SiteField(int(seed), cfg.p))
         img_path = f"{cfg.out}_seed{seed}.ppm"
         _ensure_outdir(img_path)
         solver.render_outcomes(outcome, img_path)
@@ -314,13 +313,12 @@ def cmd_draw_scan(cfg: RunConfig) -> int:
         for p in grid:
             # every depth and boundary at this p reads one cache of closed bits
             closed = solver.ClosedLayers(index, p, seeds)
-            prof = solver.draw_density_profile(fam, cfg.depth, sizes, p, seeds,
-                                               closed=closed)
+            prof = solver.draw_density_profile(closed, cfg.depth)
             prof_path = f"{cfg.out}_{fam.name.replace('(', '').replace(')', '').replace(',', 'x')}_p{p}_profile.csv"
             write_csv(prof_path, HEADERS["profile"], prof)
             depths = sorted({r[0] for r in prof})
             for K in depths:
-                res = solver.boundary_sensitivity(fam, K, sizes, p, seeds, closed=closed)
+                res = solver.boundary_sensitivity(closed, K)
                 sens_rows.append([fam.name, p, K, res.fraction, res.stderr, seeds.size])
             print(f"{fam.name} p={p}: profile -> {prof_path}")
     write_csv(f"{cfg.out}_sensitivity.csv", HEADERS["sensitivity"], sens_rows)
@@ -342,7 +340,7 @@ def cmd_glauber(cfg: RunConfig) -> int:
         torus = glauber.build_doubling_torus(fam, sizes)
     except lattice.UnsupportedFamilyError as e:
         raise UsageError(f"--family: {e}") from None
-    field = SiteField(int(cfg.seeds[0]), p, fam)
+    field = SiteField(int(cfg.seeds[0]), p)
     rows = glauber.sweep_chain(torus, p, cfg.variant, cfg.steps, field,
                                init=cfg.init, record_every=max(1, cfg.steps // 200))
     write_csv(cfg.out, HEADERS["glauber"], rows)
@@ -355,8 +353,7 @@ def cmd_couple_verify(cfg: RunConfig) -> int:
     sizes = _sizes(cfg, fam)
     _depth(cfg.depth, cfg.depth + fam.m - 1)
     _layer_automorphism(fam)
-    variant = "extended" if fam.has_A2_prime else "standard"
-    counts = glauber.coupling_mismatches(fam, cfg.depth, sizes, cfg.p, cfg.seeds, variant)
+    counts = glauber.coupling_mismatches(fam, cfg.depth, sizes, cfg.p, cfg.seeds)
     for seed, n in zip(cfg.seeds, counts):
         print(f"seed {seed}: {'ok' if n == 0 else f'MISMATCH ({n} sites)'}")
     failures = int(np.count_nonzero(counts))

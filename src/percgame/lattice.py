@@ -397,6 +397,8 @@ def verify_axioms(family: GraphFamily, patch_radius: int) -> AxiomReport:
 # -- doubling-graph maps ---------------------------------------------------
 
 FORMULAS = ("difference", "projection", "trihex", "diamond")
+# the dimension each closed form is written for; projection takes any d
+_FORMULA_DIM = {"difference": 2, "trihex": 3, "diamond": 4}
 
 
 # explicit doubling maps of the coordinate-sum families, by family name
@@ -430,6 +432,10 @@ class IsoMap:
         f = self.formula or default_formula(self.family)
         if f not in FORMULAS:
             raise ValueError(f"unknown formula {f!r}")
+        d = self.family.d
+        if _FORMULA_DIM.get(f, d) != d:
+            raise ValueError(f"the {f} map takes d = {_FORMULA_DIM[f]}, "
+                             f"not {self.family.name} (d = {d})")
         object.__setattr__(self, "formula", f)
 
 

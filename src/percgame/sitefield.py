@@ -62,8 +62,7 @@ update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,13 +270,12 @@ class SiteField:
     """Percolation environment: each site closed with probability p.
 
     ``is_closed`` is a deterministic pure function of (seed, site, p); the
-    closed/open bit of a site is derived from the tag-0 uniform.  ``family``
-    is optional context (carried for reporting, not used in the hash).
+    closed/open bit of a site is derived from the tag-0 uniform.  The site
+    coordinates carry the lattice, so the field needs no family.
     """
 
     seed: int
     p: float
-    family: Optional[object] = dataclass_field(default=None)
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:

@@ -2,11 +2,11 @@
 
 Two region shapes:
 
-* ``Triangle2D(n)``: the planar region {x in Z_+^2 : x1 + x2 <= n}, with the
-  boundary condition living on the diagonal x1 + x2 = n (z2 only);
-* ``Slab(depth, sizes)``: layers S_0 .. S_{depth+m-1} of any supported
-  family, with the transverse directions wrapped into a torus of the given
-  sizes and the boundary condition on the top m layers.
+* the z2 triangle {x in Z_+^2 : x1 + x2 <= n}, with the boundary condition
+  on the diagonal x1 + x2 = n (``triangle_sweep``, ``solve_triangle``);
+* the slab of layers S_0 .. S_{depth+m-1} of any supported family, with the
+  transverse directions wrapped into the torus of a ``SlabIndex`` and the
+  boundary condition on the top m layers (``slab_sweep``).
 
 With the ``AllQuestion`` boundary the three-valued recursion is used
 (closed -> 0; else 1 if all out-values are 0, 0 if some out-value is 1,
@@ -24,7 +24,8 @@ function of (seed, site): it does not depend on the depth of a sweep, on
 its boundary or on p.  So every slab sweep of a run at one p (each depth of
 ``draw_density_profile``, both boundaries of ``boundary_sensitivity``)
 reads its closed bits from one ``ClosedLayers`` cache, which hashes each
-layer once; and ``triangle_sweep`` over a sequence of p hashes each
+layer once and fixes the index, p and seeds of the experiments that take
+it; and ``triangle_sweep`` over a sequence of p hashes each
 diagonal once and applies every p's threshold to the same hash words.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -42,21 +43,7 @@ from .sitefield import (SiteField, below, closed_threshold, hash_below, hash_uni
                         hash_words)
 from .symbols import ONE, QUES, ZERO
 
-# -- region and boundary specifications -------------------------------------
-
-
-@dataclass(frozen=True)
-class Triangle2D:
-    n: int
-
-
-@dataclass(frozen=True)
-class Slab:
-    depth: int
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+# -- boundary specifications --------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -82,27 +69,20 @@ class Checkerboard:
 @dataclass(frozen=True)
 class Sampled:
     """iid Bernoulli(q) boundary (value 1 with probability q), drawn from
-    the field's tag-1 uniforms, or a custom draw(field, layer, coords)."""
+    the tag-1 uniforms of the boundary sites."""
 
     q: float = 0.5
-    draw: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
 class Explicit:
-    """Explicit {0,1} boundary values: an (n+1,) array for Triangle2D
-    (indexed by x2), or {layer: per-vertex array} for Slab."""
+    """Arbitrary {0,1} boundary values: an (n+1,) array on a triangle
+    (indexed by x2), or {layer: (n_class,) array} on a slab."""
 
     values: object
 
 
 Boundary = Union[AllQuestion, AllZero, AllOne, Checkerboard, Sampled, Explicit]
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    shape: Union[Triangle2D, Slab]
-    boundary: Boundary
 
 
 class BoundaryShapeError(ValueError):
@@ -146,19 +126,17 @@ _CONSTANT = {AllQuestion: QUES, AllZero: ZERO, AllOne: ONE}
 
 
 def _boundary_layer(boundary: Boundary, layer: int, coords: np.ndarray, parity,
-                    explicit, seeds: np.ndarray, field: Optional[SiteField]):
+                    explicit, seeds: np.ndarray):
     """(S, n) values of one boundary layer whose n sites have the hashing
     coordinates ``coords``; ``parity()`` and ``explicit()`` return their
     checkerboard and explicit (n,) values."""
     shape = (seeds.size, coords.shape[0])
     if type(boundary) in _CONSTANT:
         return np.full(shape, _CONSTANT[type(boundary)], dtype=np.int8)
-    if isinstance(boundary, Sampled) and boundary.draw is None:
+    if isinstance(boundary, Sampled):
         return hash_below(seeds, coords, 1, boundary.q).view(np.int8)
     if isinstance(boundary, Checkerboard):
         vals = parity()
-    elif isinstance(boundary, Sampled):
-        vals = boundary.draw(field, layer, coords)
     elif isinstance(boundary, Explicit):
         try:
             vals = explicit()
@@ -184,8 +162,7 @@ def _diag_coords(k: int) -> np.ndarray:
 
 
 def triangle_sweep(n: int, boundary: Boundary, p, seeds,
-                   keep_all: bool = False, field: Optional[SiteField] = None,
-                   closed_out: Optional[dict] = None):
+                   keep_all: bool = False, closed_out: Optional[dict] = None):
     """Solve the triangular region for a batch of seeds.
 
     Returns (origin values (S,), rows) where rows[k] is the (S, k+1) value
@@ -205,7 +182,7 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds,
     three = isinstance(boundary, AllQuestion)
     top = _boundary_layer(boundary, n, _diag_coords(n),
                           lambda: np.full(n + 1, n % 2), lambda: boundary.values,
-                          seeds, field)
+                          seeds)
     vals = [top] * len(thresholds)
 
     def stacked(arrays):
@@ -236,7 +213,6 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds,
 
 @dataclass
 class TriangleOutcome:
-    family: GraphFamily
     n: int
     p: float
     seed: int
@@ -256,47 +232,21 @@ class TriangleOutcome:
         }
 
 
-@dataclass
-class SlabOutcome:
-    family: GraphFamily
-    sizes: tuple[int, ...]
-    depth: int
-    p: float
-    seed: int
-    boundary: Boundary
-    index: "SlabIndex"
-    layers: dict  # layer -> (n_class,) int8 values
-
-
-def solve_region(family: GraphFamily, region: RegionSpec, field: SiteField):
-    """Game outcomes on a finite region under the given boundary condition."""
-    shape = region.shape
-    if isinstance(shape, Triangle2D):
-        if family.d != 2:
-            raise ValueError("Triangle2D regions require a two-dimensional family")
-        n = shape.n
-        closed_rows = {}
-        _, rows = triangle_sweep(n, region.boundary, field.p, [field.seed],
-                                 keep_all=True, field=field, closed_out=closed_rows)
-        values = np.full((n + 1, n + 1), -1, dtype=np.int8)
-        closed = np.zeros((n + 1, n + 1), dtype=bool)
-        for k, arr in rows.items():
-            coords = _diag_coords(k)
-            values[coords[:, 0], coords[:, 1]] = arr[0]
-            # closedness is a property of the site; on the boundary diagonal
-            # it does not enter the recursion (values there are imposed) but
-            # does drive rendering and counts
-            closed[coords[:, 0], coords[:, 1]] = closed_rows[k][0]
-        return TriangleOutcome(family, n, field.p, field.seed, region.boundary,
-                               values, closed)
-    if isinstance(shape, Slab):
-        index = SlabIndex(family, shape.sizes)
-        layers = slab_sweep(index, shape.depth, region.boundary, field.p,
-                            [field.seed], field=field)
-        final = {k: arr[0] for k, arr in layers.items() if k < family.m}
-        return SlabOutcome(family, index.sizes, shape.depth, field.p, field.seed,
-                           region.boundary, index, final)
-    raise ValueError(f"unknown region shape {shape!r}")
+def solve_triangle(n: int, boundary: Boundary, field: SiteField) -> TriangleOutcome:
+    """Game outcomes on the z2 triangle of side n under the given boundary."""
+    closed_rows = {}
+    _, rows = triangle_sweep(n, boundary, field.p, [field.seed], keep_all=True,
+                             closed_out=closed_rows)
+    values = np.full((n + 1, n + 1), -1, dtype=np.int8)
+    closed = np.zeros((n + 1, n + 1), dtype=bool)
+    for k, arr in rows.items():
+        coords = _diag_coords(k)
+        values[coords[:, 0], coords[:, 1]] = arr[0]
+        # closedness is a property of the site; on the boundary diagonal
+        # it does not enter the recursion (values there are imposed) but
+        # does drive rendering and counts
+        closed[coords[:, 0], coords[:, 1]] = closed_rows[k][0]
+    return TriangleOutcome(n, field.p, field.seed, boundary, values, closed)
 
 
 # -- slab solver --------------------------------------------------------------
@@ -395,12 +345,12 @@ class SlabIndex:
 
 
 def _slab_boundary(index: SlabIndex, boundary: Boundary, k_top: int,
-                   m: int, seeds: np.ndarray, field: Optional[SiteField]):
+                   m: int, seeds: np.ndarray):
     """Boundary values on layers k_top .. k_top+m-1, each (S, n_class)."""
     return {layer: _boundary_layer(
                 boundary, layer, index.layer_site_coords(layer),
                 lambda: index.checkerboard_values(layer),
-                lambda: boundary.values[layer], seeds, field)
+                lambda: boundary.values[layer], seeds)
             for layer in range(k_top, k_top + m)}
 
 
@@ -451,22 +401,8 @@ class ClosedLayers:
             raise ValueError("closed layers were built for another seed vector")
 
 
-def _closed_layers(family: GraphFamily, sizes, p: float, seeds: np.ndarray,
-                   closed: Optional[ClosedLayers]) -> ClosedLayers:
-    """``closed`` checked against the family, sizes, p and seeds, or a new
-    cache on a new index if it is None."""
-    if closed is None:
-        return ClosedLayers(SlabIndex(family, sizes), p, seeds)
-    index = closed.index
-    if index.family != family or index.sizes != lattice.validate_torus_sizes(family, sizes):
-        raise ValueError(f"closed layers were built for {index.family.name} {index.sizes}")
-    closed.check(index, p, seeds)
-    return closed
-
-
 def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
-               seeds, record_layers=None, field: Optional[SiteField] = None,
-               closed: Optional[ClosedLayers] = None):
+               seeds, record_layers=None, closed: Optional[ClosedLayers] = None):
     """Solve a slab for a batch of seeds.
 
     Returns {layer: (S, n_class) int8}; always contains layers 0..m-1, plus
@@ -480,7 +416,7 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
         closed.check(index, p, seeds)
     m = index.family.m
     three = isinstance(boundary, AllQuestion)
-    top = _slab_boundary(index, boundary, depth, m, seeds, field)
+    top = _slab_boundary(index, boundary, depth, m, seeds)
     keep = set(range(m)) | set(record_layers or ())
     out = {k: v for k, v in top.items() if k in keep}
     # the sweep runs site-major, on (n_class, S) arrays: gathering a move's
@@ -503,23 +439,21 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
 # -- derived experiments -------------------------------------------------------
 
 
-def draw_density_profile(family: GraphFamily, k_max: int, sizes, p: float,
-                         seeds, depths=None, closed: Optional[ClosedLayers] = None):
-    """Mean ?-fraction on layer 0 under the all-? boundary, per depth.
+def draw_density_profile(closed: ClosedLayers, k_max: int, depths=None):
+    """Mean ?-fraction on layer 0 under the all-? boundary, per depth, on
+    the index, p and seeds of ``closed``, whose closed bits every depth reads.
 
     Returns rows (depth, q_fraction, stderr, n_seeds).  For a fixed seed the
     layer-0 ?-set shrinks pointwise as the depth grows, so q_fraction is
-    non-increasing along the rows for each individual seed.  Every depth
-    reads the closed bits from ``closed`` (a new cache if None).
+    non-increasing along the rows for each individual seed.
     """
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    closed = _closed_layers(family, sizes, p, seeds, closed)
+    index, p, seeds = closed.index, closed.p, closed.seeds
     if depths is None:
         step = max(1, k_max // 20)
-        depths = sorted(set(list(range(family.m, k_max + 1, step)) + [k_max]))
+        depths = sorted(set(list(range(index.family.m, k_max + 1, step)) + [k_max]))
     rows = []
     for K in depths:
-        layers = slab_sweep(closed.index, K, AllQuestion(), p, seeds, closed=closed)
+        layers = slab_sweep(index, K, AllQuestion(), p, seeds, closed=closed)
         frac = (layers[0] == QUES).mean(axis=1)  # per seed
         rows.append((K, float(frac.mean()),
                      float(frac.std(ddof=1) / np.sqrt(seeds.size)) if seeds.size > 1 else 0.0,
@@ -545,16 +479,14 @@ class SensitivityResult:
         return float(np.sqrt(q * (1 - q) / self.disagree.size))
 
 
-def boundary_sensitivity(family: GraphFamily, depth: int, sizes, p: float,
-                         seeds, closed: Optional[ClosedLayers] = None) -> SensitivityResult:
+def boundary_sensitivity(closed: ClosedLayers, depth: int) -> SensitivityResult:
     """Fraction of seeds where the all-0 and all-1 boundary solutions
-    disagree at the origin (two-valued recursion, shared randomness: both
-    sweeps read the closed bits from ``closed``, a new cache if None)."""
+    disagree at the origin, on the index, p and seeds of ``closed``
+    (two-valued recursion, shared randomness: both sweeps read its bits)."""
+    index, p, seeds = closed.index, closed.p, closed.seeds
+    family = index.family
     if not (family.has_A2 or family.has_A2_prime):
         raise ValueError(f"{family.name} does not satisfy the layer-automorphism assumption")
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    closed = _closed_layers(family, sizes, p, seeds, closed)
-    index = closed.index
     zero = slab_sweep(index, depth, AllZero(), p, seeds, closed=closed)[0][:, index.origin_pos]
     one = slab_sweep(index, depth, AllOne(), p, seeds, closed=closed)[0][:, index.origin_pos]
     return SensitivityResult(family, depth, p, seeds.size, zero != one)

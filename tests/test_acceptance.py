@@ -208,11 +208,13 @@ def test_11_dimension_contrast():
     # calibrated: z2 ring 64; even(3) torus 32^2 (see README)
     t0 = time.time()
     seeds = np.arange(200)
-    s50 = solver.boundary_sensitivity(Z2, 50, (64,), 0.1, seeds).fraction
-    s400 = solver.boundary_sensitivity(Z2, 400, (64,), 0.1, seeds).fraction
+    ring = solver.ClosedLayers(solver.SlabIndex(Z2, (64,)), 0.1, seeds)
+    s50 = solver.boundary_sensitivity(ring, 50).fraction
+    s400 = solver.boundary_sensitivity(ring, 400).fraction
     decay_ok = s50 > 0 and s400 <= s50 / 3
-    s20 = solver.boundary_sensitivity(EVEN3, 20, (32, 32), 0.05, seeds).fraction
-    s60 = solver.boundary_sensitivity(EVEN3, 60, (32, 32), 0.05, seeds).fraction
+    torus = solver.ClosedLayers(solver.SlabIndex(EVEN3, (32, 32)), 0.05, seeds)
+    s20 = solver.boundary_sensitivity(torus, 20).fraction
+    s60 = solver.boundary_sensitivity(torus, 60).fraction
     plateau_ok = s60 >= 0.5 * s20 > 0
     dt = time.time() - t0
     report(11, decay_ok and plateau_ok and dt < 1800,

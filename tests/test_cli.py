@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -58,6 +59,35 @@ def test_draw_scan(tmp_path):
     assert rows[0] == cli.HEADERS["profile"]
     sens = read_csv(out + "_sensitivity.csv")
     assert sens[0] == cli.HEADERS["sensitivity"]
+
+
+# SHA-256 of every file the two commands below write, recorded before the
+# solver took one name per input: the triangle renders and counts, and the
+# slab experiments reading their closed bits from one cache per (family, p)
+SOLVER_OUTPUT_SHA256 = {
+    "tri_seed0.ppm": "338df2121d368e3f227828dd2e80d69281b185880ae197d7a70e575b2cf4486f",
+    "tri_seed1.ppm": "fa5c4b4fb7b6026755f0a02ebbfbb041fd3ae52f2de082c1ab9b2ae25208daeb",
+    "tri_counts.csv": "6d1b7d3a85e8bd3e3a9e20cb00e74e5b63a5ece99e46b74332231bccb7e13339",
+    "scan_z2_p0.1_profile.csv":
+        "64dba9750cd848cb6719294a838e07e601f950285faea6faa05e244b555e0cca",
+    "scan_z2_p0.2_profile.csv":
+        "c2843baf59558f4904f8751965c5c2a045a55d5d0e459bc73623420a8e19b197",
+    "scan_binomial3x1_p0.1_profile.csv":
+        "4d6010811c2644f9cfa4db2c50a85b31b8c5bc02c264571b006500c14ecac462",
+    "scan_binomial3x1_p0.2_profile.csv":
+        "9dc459cf4ad63149de66c317ba3fe88d8113b1eb130587c454412a96e6d6b74c",
+    "scan_sensitivity.csv": "2213f97c07c9d9da6c8d99864bb749d933cebda8567404ea78840dc7016abc4a",
+}
+
+
+def test_solver_outputs_are_byte_identical(tmp_path):
+    assert run(["solve2d", "--p", "0.2", "--depth", "24", "--seeds", "2",
+                "--out", str(tmp_path / "tri")]) == 0
+    assert run(["draw-scan", "--family", "z2,binomial(3,1)", "--p-grid", "0.1,0.2",
+                "--depth", "12", "--size", "6", "--seeds", "8",
+                "--out", str(tmp_path / "scan")]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == SOLVER_OUTPUT_SHA256
 
 
 def test_glauber_cmd(tmp_path):

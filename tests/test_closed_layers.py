@@ -6,7 +6,7 @@ import pytest
 
 from percgame import lattice as lat
 from percgame import solver
-from percgame.sitefield import SiteField, hash_uniforms, hash_words
+from percgame.sitefield import hash_uniforms, hash_words
 from percgame.solver import (AllOne, AllQuestion, AllZero, Checkerboard,
                              ClosedLayers, Sampled)
 from percgame.symbols import ONE, QUES, ZERO
@@ -74,12 +74,12 @@ def test_shared_cache_equals_fresh_sweeps(family, sizes):
     index = solver.SlabIndex(family, sizes)
     closed = ClosedLayers(index, p, seeds)
     depths = [family.m, 5, 9, 14]
-    assert (solver.draw_density_profile(family, 14, sizes, p, seeds, depths, closed=closed)
-            == solver.draw_density_profile(family, 14, sizes, p, seeds, depths))
+    assert (solver.draw_density_profile(closed, 14, depths)
+            == solver.draw_density_profile(ClosedLayers(index, p, seeds), 14, depths))
     # deeper than the profile reached, shallower, and the same depth again
     for depth in (20, 3, 14, 14):
-        shared = solver.boundary_sensitivity(family, depth, sizes, p, seeds, closed=closed)
-        fresh = solver.boundary_sensitivity(family, depth, sizes, p, seeds)
+        shared = solver.boundary_sensitivity(closed, depth)
+        fresh = solver.boundary_sensitivity(ClosedLayers(index, p, seeds), depth)
         assert np.array_equal(shared.disagree, fresh.disagree)
     for boundary in (AllZero(), AllQuestion(), Checkerboard(), Sampled(0.4)):
         shared = solver.slab_sweep(index, 11, boundary, p, seeds, closed=closed)
@@ -99,9 +99,9 @@ def test_each_layer_is_hashed_once_per_cache(monkeypatch):
     fam, sizes = lat.even_sublattice(3), (8, 8)
     seeds = np.arange(4)
     closed = ClosedLayers(solver.SlabIndex(fam, sizes), 0.1, seeds)
-    solver.draw_density_profile(fam, 12, sizes, 0.1, seeds, closed=closed)
+    solver.draw_density_profile(closed, 12)
     for depth in (2, 7, 12):
-        solver.boundary_sensitivity(fam, depth, sizes, 0.1, seeds, closed=closed)
+        solver.boundary_sensitivity(closed, depth)
     assert sorted(hashed) == list(range(12))
 
 
@@ -116,16 +116,12 @@ def test_a_cache_built_for_other_inputs_raises():
         lambda: solver.slab_sweep(index, 4, AllZero(), 0.3, seeds, closed=closed),
         lambda: solver.slab_sweep(index, 4, AllZero(), 0.2, seeds + 1, closed=closed),
         lambda: solver.slab_sweep(index, 4, AllZero(), 0.2, seeds[:3], closed=closed),
-        lambda: solver.draw_density_profile(fam, 6, (10, 10), 0.2, seeds, closed=closed),
-        lambda: solver.draw_density_profile(lat.bcc_lattice(3), 6, sizes, 0.2, seeds, closed=closed),
-        lambda: solver.boundary_sensitivity(fam, 6, sizes, 0.25, seeds, closed=closed),
-        lambda: solver.boundary_sensitivity(fam, 6, sizes, 0.2, [9], closed=closed),
     ]
     for call in mismatched:
         with pytest.raises(ValueError, match="closed layers were built for"):
             call()
     # the matching inputs are accepted, a scalar seed vector included
-    solver.boundary_sensitivity(fam, 6, [8, 8], 0.2, list(range(4)), closed=closed)
+    solver.slab_sweep(index, 4, AllZero(), 0.2, list(range(4)), closed=closed)
     one = ClosedLayers(index, 0.2, 7)
     solver.slab_sweep(index, 4, AllZero(), 0.2, [7], closed=one)
 
@@ -155,8 +151,7 @@ def test_triangle_sweep_scalar_p_keeps_its_shapes():
     seeds = np.arange(3)
     origin, rows = solver.triangle_sweep(6, AllZero(), np.float64(0.2), seeds, keep_all=True)
     assert origin.shape == (3,) and rows[2].shape == (3, 3) and rows[6].shape == (3, 7)
-    field = SiteField(2, 0.2)
-    origin, _ = solver.triangle_sweep(0, AllQuestion(), [0.2, 0.5], [2], field=field)
+    origin, _ = solver.triangle_sweep(0, AllQuestion(), [0.2, 0.5], [2])
     assert origin.shape == (2, 1) and (origin == QUES).all()
     for bad in ([[0.2]], []):
         with pytest.raises(ValueError):

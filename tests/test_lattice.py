@@ -149,6 +149,17 @@ def test_doubling_map_slab_guard():
         lat.doubling_map(IsoMap(Z2, 0), (3, 2))  # layer 5 outside S_0..S_1
 
 
+def test_isomap_refuses_a_formula_of_another_dimension():
+    # difference is written for d = 2, trihex for d = 3, diamond for d = 4
+    with pytest.raises(ValueError, match="trihex map takes d = 3"):
+        IsoMap(Z2, 0, "trihex")
+    with pytest.raises(ValueError, match="diamond map takes d = 4"):
+        IsoMap(lat.even_sublattice(3), 0, "diamond")
+    with pytest.raises(ValueError, match="difference map takes d = 2"):
+        IsoMap(SUB3, 0, "difference")
+    assert IsoMap(lat.even_sublattice(4), 0, "projection").formula == "projection"
+
+
 @pytest.mark.parametrize("fam,radius,degree", [
     (Z2, 6, 2), (EVEN3, 4, 4), (BCC3, 4, 4),
     (SUB3, 4, 6), (BIN31, 4, 3), (BIN41, 3, 4), (EXT3, 4, 4),
@@ -214,8 +225,10 @@ GOLDEN_FAMILIES = (
     + [f"binomial({d},{r})" for d, r in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2))])
 
 # SHA-256 of _lattice_dump(), recorded before the family definitions became
-# one spec table; any change to what the lattice API returns moves it
-LATTICE_DUMP_SHA256 = "0cccb3bdd3ef4f1cad208b82d2bcd0ca9cbea95698425d1bb38ced21666dc920"
+# one spec table and re-recorded when IsoMap began to refuse a formula of
+# another dimension (each such (family, formula) block became one ValueError
+# line); any change to what the lattice API returns moves it
+LATTICE_DUMP_SHA256 = "9252e2b821e60c087aa2609dcc0161076324c4c52e8a98dc1adeb0bc66885e6f"
 
 
 def _outcome(fn, *args):

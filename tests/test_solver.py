@@ -9,8 +9,8 @@ from percgame import lattice as lat
 from percgame import solver
 from percgame.sitefield import SiteField
 from percgame.solver import (AllQuestion, AllZero, BoundaryShapeError,
-                             Checkerboard, Explicit, RegionSpec, Sampled, Slab,
-                             Triangle2D)
+                             Checkerboard, ClosedLayers, Explicit, Sampled,
+                             SlabIndex)
 from percgame.symbols import LINEAR_RANK, ONE, QUES, ZERO
 
 Z2 = lat.z2()
@@ -31,40 +31,33 @@ def test_loss_when_both_moves_blocked():
     p = 0.6
     seed = _find_seed(lambda f: (not f.is_closed((0, 0))) and f.is_closed((0, 1))
                       and f.is_closed((1, 0)), p)
-    field = SiteField(seed, p, Z2)
-    out = solver.solve_region(Z2, RegionSpec(Triangle2D(2), AllQuestion()), field)
+    field = SiteField(seed, p)
+    out = solver.solve_triangle(2, AllQuestion(), field)
     assert out.values[0, 0] == ONE
     assert out.values[0, 1] == ZERO and out.values[1, 0] == ZERO
 
 
 def test_p0_all_question_all_draws():
-    field = SiteField(3, 0.0, Z2)
-    out = solver.solve_region(Z2, RegionSpec(Triangle2D(15), AllQuestion()), field)
+    field = SiteField(3, 0.0)
+    out = solver.solve_triangle(15, AllQuestion(), field)
     inside = out.values >= 0
     assert ((out.values == QUES) == inside).all()
 
 
 def test_p0_checkerboard_gives_alternating_solution():
-    field = SiteField(3, 0.0, Z2)
-    out = solver.solve_region(Z2, RegionSpec(Triangle2D(9), Checkerboard()), field)
+    field = SiteField(3, 0.0)
+    out = solver.solve_triangle(9, Checkerboard(), field)
     for x1 in range(10):
         for x2 in range(10 - x1):
             assert out.values[x1, x2] == (x1 + x2) % 2
 
 
 def test_explicit_boundary_binary_only():
-    field = SiteField(0, 0.2, Z2)
+    field = SiteField(0, 0.2)
     with pytest.raises(BoundaryShapeError):
-        solver.solve_region(Z2, RegionSpec(
-            Triangle2D(3), Explicit(np.array([0, 1, QUES, 0]))), field)
+        solver.solve_triangle(3, Explicit(np.array([0, 1, QUES, 0])), field)
     with pytest.raises(BoundaryShapeError):
-        solver.solve_region(Z2, RegionSpec(Triangle2D(3), Explicit(np.zeros(3))), field)
-
-
-def test_triangle_requires_2d():
-    with pytest.raises(ValueError):
-        solver.solve_region(EVEN3, RegionSpec(Triangle2D(3), AllQuestion()),
-                            SiteField(0, 0.2))
+        solver.solve_triangle(3, Explicit(np.zeros(3)), field)
 
 
 def test_envelope_domination_triangle():
@@ -72,12 +65,12 @@ def test_envelope_domination_triangle():
     rng = np.random.default_rng(0)
     n = 24
     for seed in range(10):
-        field = SiteField(seed, 0.15, Z2)
+        field = SiteField(seed, 0.15)
         b1 = rng.integers(0, 2, n + 1).astype(np.int8)
         b2 = rng.integers(0, 2, n + 1).astype(np.int8)
-        s1 = solver.solve_region(Z2, RegionSpec(Triangle2D(n), Explicit(b1)), field)
-        s2 = solver.solve_region(Z2, RegionSpec(Triangle2D(n), Explicit(b2)), field)
-        sq = solver.solve_region(Z2, RegionSpec(Triangle2D(n), AllQuestion()), field)
+        s1 = solver.solve_triangle(n, Explicit(b1), field)
+        s2 = solver.solve_triangle(n, Explicit(b2), field)
+        sq = solver.solve_triangle(n, AllQuestion(), field)
         inside = s1.values >= 0
         disagree = (s1.values != s2.values) & inside
         assert (sq.values[disagree] == QUES).all()
@@ -88,7 +81,7 @@ def test_order_reversal_by_layer_triangle():
     rng = np.random.default_rng(1)
     n = 16
     for seed in range(10):
-        field = SiteField(100 + seed, 0.2, Z2)
+        field = SiteField(100 + seed, 0.2)
         b2 = rng.integers(0, 2, n + 1).astype(np.int8)
         b1 = (b2 & rng.integers(0, 2, n + 1)).astype(np.int8)
         _, rows1 = solver.triangle_sweep(n, Explicit(b1), 0.2, [100 + seed], keep_all=True)
@@ -137,15 +130,16 @@ def test_slab_explicit_boundary_shape_guard():
 def test_checkerboard_slab_even_family_degenerates_to_zero():
     # even-sum membership makes the coordinate-sum parity vanish
     index = solver.SlabIndex(EVEN3, (6, 6))
-    layers = solver._slab_boundary(index, Checkerboard(), 10, 2, np.array([0]), None)
+    layers = solver._slab_boundary(index, Checkerboard(), 10, 2, np.array([0]))
     assert all((v == 0).all() for v in layers.values())
 
 
 def test_draw_profile_fixtures():
     seeds = np.arange(4)
-    rows1 = solver.draw_density_profile(Z2, 12, (16,), 1.0, seeds, depths=[4, 8, 12])
+    index = SlabIndex(Z2, (16,))
+    rows1 = solver.draw_density_profile(ClosedLayers(index, 1.0, seeds), 12, depths=[4, 8, 12])
     assert all(r[1] == 0.0 for r in rows1)  # p=1: everything closed, no draws
-    rows0 = solver.draw_density_profile(Z2, 12, (16,), 0.0, seeds, depths=[4, 8, 12])
+    rows0 = solver.draw_density_profile(ClosedLayers(index, 0.0, seeds), 12, depths=[4, 8, 12])
     assert all(r[1] == 1.0 for r in rows0)  # p=0: all draws
 
 
@@ -161,17 +155,17 @@ def test_draw_profile_monotone_per_seed():
 
 def test_draw_profile_strict_decay_z2():
     # deeper information strictly resolves draws at p = 0.1 (seed average)
-    rows = solver.draw_density_profile(Z2, 200, (32,), 0.1, np.arange(100),
-                                       depths=[20, 200])
+    closed = ClosedLayers(SlabIndex(Z2, (32,)), 0.1, np.arange(100))
+    rows = solver.draw_density_profile(closed, 200, depths=[20, 200])
     assert rows[1][1] < rows[0][1]
 
 
 def test_boundary_sensitivity_fixtures():
     seeds = np.arange(16)
-    res = solver.boundary_sensitivity(Z2, 12, (16,), 1.0, seeds)
+    res = solver.boundary_sensitivity(ClosedLayers(SlabIndex(Z2, (16,)), 1.0, seeds), 12)
     assert res.fraction == 0.0  # closed origin forces 0 under both boundaries
     with pytest.raises(ValueError):
-        solver.boundary_sensitivity(lat.zd(3), 6, (9, 9), 0.2, seeds)
+        solver.boundary_sensitivity(ClosedLayers(SlabIndex(lat.zd(3), (9, 9)), 0.2, seeds), 6)
 
 
 def test_sampled_boundary_reproducible():
@@ -185,7 +179,7 @@ def test_slab_matches_triangle_interior():
     # on a wide ring the slab recursion reproduces the plane recursion at the
     # origin when the light cone never wraps
     K = 10
-    field = SiteField(11, 0.3, Z2)
+    field = SiteField(11, 0.3)
     index = solver.SlabIndex(Z2, (64,))
     slab = solver.slab_sweep(index, K, AllZero(), 0.3, [11])
     # plane solve with the same site keys (v, k): replicate by direct recursion
@@ -207,8 +201,8 @@ def test_slab_matches_triangle_interior():
 
 
 def test_render_outcomes(tmp_path):
-    field1 = SiteField(2, 1.0, Z2)
-    out1 = solver.solve_region(Z2, RegionSpec(Triangle2D(12), AllQuestion()), field1)
+    field1 = SiteField(2, 1.0)
+    out1 = solver.solve_triangle(12, AllQuestion(), field1)
     path = tmp_path / "all_closed.ppm"
     solver.render_outcomes(out1, path)
     data = path.read_bytes()
@@ -217,25 +211,24 @@ def test_render_outcomes(tmp_path):
     inside = solver.outcome_image(out1) != 255
     assert ((img == 0) | ~inside).all()  # triangle all black, rest white
 
-    field0 = SiteField(2, 0.0, Z2)
-    out0 = solver.solve_region(Z2, RegionSpec(Triangle2D(12), AllQuestion()), field0)
+    field0 = SiteField(2, 0.0)
+    out0 = solver.solve_triangle(12, AllQuestion(), field0)
     img0 = solver.outcome_image(out0)
     reds = (img0 == np.array([220, 0, 0], dtype=np.uint8)).all(axis=2)
     assert reds.sum() == 13 * 14 // 2  # whole region is drawn
 
 
 def test_render_byte_identical(tmp_path):
-    field = SiteField(9, 0.2, Z2)
-    region = RegionSpec(Triangle2D(40), AllQuestion())
+    field = SiteField(9, 0.2)
     p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
-    solver.render_outcomes(solver.solve_region(Z2, region, field), p1)
-    solver.render_outcomes(solver.solve_region(Z2, region, field), p2)
+    solver.render_outcomes(solver.solve_triangle(40, AllQuestion(), field), p1)
+    solver.render_outcomes(solver.solve_triangle(40, AllQuestion(), field), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_counts_precedence():
-    field = SiteField(4, 0.35, Z2)
-    out = solver.solve_region(Z2, RegionSpec(Triangle2D(30), AllQuestion()), field)
+    field = SiteField(4, 0.35)
+    out = solver.solve_triangle(30, AllQuestion(), field)
     c = out.counts()
     n_sites = 31 * 32 // 2
     assert c["closed"] + c["win"] + c["loss"] + c["draw"] == n_sites
@@ -265,35 +258,13 @@ def test_triangle_sampled_extremes_equal_constant_boundaries():
         assert all(np.array_equal(rows[k], ref[k]) for k in ref)
 
 
-def test_custom_draw_of_zeros_equals_all_zero():
-    def zeros(field, layer, coords):
-        return np.zeros(coords.shape[0], dtype=np.int8)
-
-    field = SiteField(5, 0.25, Z2)
-    drawn = solver.triangle_sweep(16, Sampled(draw=zeros), 0.25, [5], True, field)[1]
-    ref = solver.triangle_sweep(16, AllZero(), 0.25, [5], keep_all=True)[1]
-    assert all(np.array_equal(drawn[k], ref[k]) for k in ref)
-    out = solver.solve_region(Z2, RegionSpec(Triangle2D(16), Sampled(draw=zeros)), field)
-    ref = solver.solve_region(Z2, RegionSpec(Triangle2D(16), AllZero()), field)
-    assert np.array_equal(out.values, ref.values)
-
-    field = SiteField(5, 0.25, EVEN3)
-    out = solver.solve_region(EVEN3, RegionSpec(Slab(10, (6, 6)), Sampled(draw=zeros)), field)
-    ref = solver.solve_region(EVEN3, RegionSpec(Slab(10, (6, 6)), AllZero()), field)
-    assert all(np.array_equal(out.layers[k], ref.layers[k]) for k in (0, 1))
-    index = solver.SlabIndex(EVEN3, (6, 6))
-    drawn = solver.slab_sweep(index, 10, Sampled(draw=zeros), 0.25, [5], field=field)
-    ref = solver.slab_sweep(index, 10, AllZero(), 0.25, [5])
-    assert all(np.array_equal(drawn[k], ref[k]) for k in (0, 1))
-
-
-def test_solve_region_closed_bits_are_the_site_field_bits(tmp_path):
-    # solve_region reads the closed bits off the sweep; pin them, the counts
+def test_solve_triangle_closed_bits_are_the_site_field_bits(tmp_path):
+    # solve_triangle reads the closed bits off the sweep; pin them, the counts
     # and the rendered bytes against SiteField.closed_mask on every site
     for n, p, seed, boundary in ((25, 0.3, 4, AllQuestion()), (12, 0.0, 1, AllZero()),
                                  (12, 1.0, 2, Checkerboard()), (40, 0.2, 9, Sampled(0.5))):
-        field = SiteField(seed, p, Z2)
-        out = solver.solve_region(Z2, RegionSpec(Triangle2D(n), boundary), field)
+        field = SiteField(seed, p)
+        out = solver.solve_triangle(n, boundary, field)
         ref = np.zeros((n + 1, n + 1), dtype=bool)
         x1, x2 = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
         ref[x1, x2] = field.closed_mask(np.stack([x1, x2], axis=1))
