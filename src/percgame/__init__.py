@@ -17,7 +17,7 @@ from .lattice import (GraphFamily, IsoMap, bcc_lattice, binomial_family,
                       family_from_name, layer_of, out_neighbors, phi,
                       subset_increment, verify_axioms, verify_isomorphism, z2,
                       zd)
-from .pca import coupled_step, local_rule, stavskaya_identity_check, step, trajectory_stats
+from .pca import local_rule, stavskaya_identity_check, step, trajectory_stats
 from .sitefield import SiteField
 from .solver import (AllOne, AllQuestion, AllZero, Checkerboard, ClosedLayers,
                      Explicit, Sampled, SlabIndex, boundary_sensitivity,

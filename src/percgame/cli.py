@@ -340,8 +340,7 @@ def cmd_glauber(cfg: RunConfig) -> int:
         torus = glauber.build_doubling_torus(fam, sizes)
     except lattice.UnsupportedFamilyError as e:
         raise UsageError(f"--family: {e}") from None
-    field = SiteField(int(cfg.seeds[0]), p)
-    rows = glauber.sweep_chain(torus, p, cfg.variant, cfg.steps, field,
+    rows = glauber.sweep_chain(torus, p, cfg.variant, cfg.steps, int(cfg.seeds[0]),
                                init=cfg.init, record_every=max(1, cfg.steps // 200))
     write_csv(cfg.out, HEADERS["glauber"], rows)
     print(f"wrote {cfg.out} ({len(rows)} rows, p={p:.6g})")
@@ -364,9 +363,8 @@ def cmd_couple_verify(cfg: RunConfig) -> int:
 def cmd_pca_run(cfg: RunConfig) -> int:
     n = _at_least(cfg.sizes[0], "--size (the ring length)", 3)
     _at_least(cfg.steps, "--steps")
-    field = SiteField(int(cfg.seeds[0]), cfg.p)
     initial = np.full(n, QUES if cfg.kind in ("F", "G", "D") else 0, dtype=np.int8)
-    stats = pca.trajectory_stats(cfg.kind, initial, cfg.p, cfg.steps, field)
+    stats = pca.trajectory_stats(cfg.kind, initial, cfg.p, cfg.steps, int(cfg.seeds[0]))
     write_csv(cfg.out, HEADERS["pca_run"], pca.trajectory_csv_rows(stats))
     print(f"wrote {cfg.out} (final densities {stats[-1]})")
     return 0

@@ -45,8 +45,8 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import (SiteField, below, closed_threshold, finish_tag,
-                        hash_below, hash_prefix, hash_uniforms)
+from .sitefield import (below, closed_threshold, finish_tag, hash_below, hash_prefix,
+                        hash_uniforms)
 from .solver import SlabIndex
 from .symbols import ONE, ZERO
 
@@ -182,10 +182,10 @@ def staggered_difference(occupations: np.ndarray) -> np.ndarray:
 
 
 def sweep_chain(torus: SlabIndex, p: float, variant: str, sweeps: int,
-                field: SiteField, init="even", record_every: int = 1):
+                seed: int, init="even", record_every: int = 1):
     """Single-seed chain; returns rows for the
     'sweep,class,occupation,staggered_diff' schema."""
-    ts, occ = run_chains(torus, p, variant, sweeps, [field.seed], init, record_every)
+    ts, occ = run_chains(torus, p, variant, sweeps, [seed], init, record_every)
     rows = []
     for r, t in enumerate(ts):
         diff = float(occ[0, r, 0] - occ[0, r, 1]) if torus.m == 2 else None

@@ -29,23 +29,22 @@ reflection, which preserves every distributional statement tested here.
 Site-wise kinds (R0, R1, flip) ignore the right cell.
 
 Randomness: cell i at time tag t consumes ``uniform(seed, (i,), tag=t)``,
-one variate per cell per step; D and flip consume none.
+one variate per cell per step; D and flip consume none.  :func:`step` and
+:func:`trajectory_stats` take one ring (n,) or a stack of rings (..., n),
+with one seed shared by all rings (a coupled step) or one seed per ring.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 import numpy as np
 
-from .sitefield import SiteField, below, closed_threshold, finish_tag, hash_below, hash_prefix
+from .sitefield import below, closed_threshold, finish_tag, hash_below, hash_prefix
 from .symbols import ONE, QUES, ZERO, as_cells
 
 KINDS = ("A", "B", "F", "G", "D", "R0", "R1", "stavskaya", "flip")
 
 BINARY_KINDS = frozenset({"A", "B", "stavskaya"})
 DETERMINISTIC_KINDS = frozenset({"D", "flip"})
-SITEWISE_KINDS = frozenset({"R0", "R1", "flip"})
 
 # deterministic CA D: (0,0) -> 1, any 1 present -> 0, else ?
 D_TABLE = np.full((3, 3), QUES, dtype=np.int8)
@@ -54,17 +53,15 @@ D_TABLE[ONE, :] = ZERO
 D_TABLE[:, ONE] = ZERO
 
 _FLIP = np.array([ONE, ZERO, QUES], dtype=np.int8)  # 0<->1, ? fixed
-_MAX_BIN = np.maximum  # binary max; alphabet {0,1} so integer max is correct
 
 
 class InvalidSymbolError(ValueError):
     pass
 
 
-def _check_kind(kind: str) -> str:
+def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown PCA kind {kind!r}; expected one of {KINDS}")
-    return kind
 
 
 def _det_and_rand(kind: str, left: np.ndarray, right: np.ndarray):
@@ -77,7 +74,7 @@ def _det_and_rand(kind: str, left: np.ndarray, right: np.ndarray):
     if kind == "D":
         return D_TABLE[left, right], None
     if kind == "stavskaya":
-        return _MAX_BIN(left, right), ZERO
+        return np.maximum(left, right), ZERO  # binary alphabet: the integer max
     if kind == "flip":
         return _FLIP[left], None
     if kind == "R0":
@@ -101,92 +98,73 @@ def local_rule(kind: str, left: int, right: int, u: float, p: float) -> int:
     return rand if rand is not None and u < p else int(det[0])
 
 
-def _update(kind: str, cells: np.ndarray, p: float, seeds, time_tag: int) -> np.ndarray:
-    """The synchronous update shared by step and step_batch: cell i takes the
-    kind's randomized value iff its (seed, i, time_tag) uniform is below p,
-    decided on the hash words (threshold lemma).  ``seeds`` is one seed, one
-    seed per ring, or None when the caller has no SiteField."""
+def _rings(kind: str, config, seeds):
+    """The checked cells, shape (..., n), and the seeds as an int array of
+    shape () (shared) or (...) (one per ring); None only for D and flip."""
+    _check_kind(kind)
+    cells = as_cells(config)
+    if cells.ndim == 0 or cells.shape[-1] < 3:
+        raise ValueError("ring length must be >= 3")
     _validate_input(kind, cells)
+    if seeds is None:
+        if kind not in DETERMINISTIC_KINDS:
+            raise ValueError(f"PCA {kind} consumes randomness; a seed is required")
+        return cells, None
+    seeds = np.asarray(seeds)
+    if seeds.dtype.kind not in "iu" or seeds.shape not in ((), cells.shape[:-1]):
+        raise ValueError(f"seeds must be one int or one int per ring, shape {cells.shape[:-1]}")
+    return cells, seeds
+
+
+def step(kind: str, config, p: float, seeds=None, time_tag: int = 0) -> np.ndarray:
+    """One synchronous update of one ring (n,) or a stack of rings (..., n).
+
+    Cell i of a ring takes the kind's randomized value iff its (seed, i,
+    time_tag) uniform is below p, decided on the hash words (threshold
+    lemma).  ``seeds`` is None (D and flip only), one int shared by every
+    ring (a coupled step: all rings read the same uniforms), or one seed
+    per ring, shape ``config.shape[:-1]``."""
+    cells, seeds = _rings(kind, config, seeds)
     det, rand = _det_and_rand(kind, cells, np.roll(cells, -1, axis=-1))
     if rand is None:
         return det
-    if seeds is None:
-        raise ValueError(f"PCA {kind} consumes randomness; a SiteField is required")
-    return np.where(hash_below(seeds, np.arange(cells.shape[-1]), time_tag, p),
-                    np.int8(rand), det)
+    hit = hash_below(seeds, np.arange(cells.shape[-1]), time_tag, p)
+    return np.where(hit.reshape(seeds.shape + (-1,)), np.int8(rand), det)
 
 
-def step(kind: str, config, p: float, field: Optional[SiteField] = None,
-         time_tag: int = 0) -> np.ndarray:
-    """One synchronous update of a ring configuration."""
-    _check_kind(kind)
-    cells = as_cells(config)
-    if cells.shape[-1] < 3:
-        raise ValueError("ring length must be >= 3")
-    return _update(kind, cells, p, None if field is None else field.seed, time_tag)
-
-
-def coupled_step(kind: str, configs: Iterable, p: float,
-                 field: Optional[SiteField] = None, time_tag: int = 0) -> list[np.ndarray]:
-    """Step several configurations with identical per-cell uniforms."""
-    confs = [as_cells(c) for c in configs]
-    if len({c.shape[-1] for c in confs}) > 1:
-        raise ValueError("coupled configurations must share the ring length")
-    return [step(kind, c, p, field, time_tag) for c in confs]
-
-
-def step_batch(kind: str, configs: np.ndarray, p: float, seeds: np.ndarray,
-               time_tag: int = 0) -> np.ndarray:
-    """Vectorized step of one ring per seed; configs has shape (S, n)."""
-    _check_kind(kind)
-    return _update(kind, np.asarray(configs, dtype=np.int8), p, seeds, time_tag)
-
-
-def trajectory_stats(kind: str, initial, p: float, steps: int,
-                     field: Optional[SiteField]) -> np.ndarray:
-    """Per-step symbol densities; row t is (density0, densityQ, density1)
-    after t steps (row 0 is the initial configuration), as by :func:`step`
-    with time tags 0, 1, ...; the ring is checked and hashed once."""
-    _check_kind(kind)
-    cells = as_cells(initial)
-    n = cells.shape[-1]
-    if n < 3:
-        raise ValueError("ring length must be >= 3")
-    _validate_input(kind, cells)
-    if field is None and kind not in DETERMINISTIC_KINDS:
-        raise ValueError(f"PCA {kind} consumes randomness; a SiteField is required")
-    prefix = None if field is None else hash_prefix(field.seed, np.arange(n))
-    threshold = closed_threshold(p)
-    words, tmp = np.empty((2, n), dtype=np.uint64)
-    hit = np.empty(n, dtype=bool)
-    counts = np.empty((steps + 1, 3), dtype=np.int64)
-    counts[0] = np.bincount(cells, minlength=3)
+def trajectory_stats(kind: str, initial, p: float, steps: int, seeds=None) -> np.ndarray:
+    """Per-step symbol densities of each ring, shape (..., steps + 1, 3): row
+    t is (density0, densityQ, density1) after t steps, as by :func:`step`
+    (same shapes and seeds) with time tags 0, 1, ...  The prefix is hashed
+    once; each step finishes its tag into reused buffers and counts all
+    rings in one bincount, each ring's symbols offset into its own bins."""
+    cells, seeds = _rings(kind, initial, seeds)
+    rings, n = cells.shape[:-1], cells.shape[-1]
+    cells = cells.reshape(-1, n)
+    shift = np.r_[1:n, 0]  # cell i reads cells i and shift[i]
+    if seeds is not None:
+        prefix = hash_prefix(seeds, np.arange(n))  # (n,) shared, else (rings, n)
+        threshold = closed_threshold(p)
+        words, tmp = np.empty((2,) + prefix.shape, dtype=np.uint64)
+        hit = np.empty(prefix.shape, dtype=bool)
+    bins = 3 * len(cells)
+    offsets = np.arange(0, bins, 3)[:, None]
+    codes = np.empty(cells.shape, dtype=np.intp)
+    counts = np.empty((steps + 1, bins), dtype=np.int64)
+    counts[0] = np.bincount(np.add(cells, offsets, out=codes).ravel(), minlength=bins)
     for t in range(steps):
-        cells, rand = _det_and_rand(kind, cells, np.roll(cells, -1))
+        cells, rand = _det_and_rand(kind, cells, cells[:, shift])
         if rand is not None:
             below(finish_tag(prefix, t, out=words, tmp=tmp), threshold, out=hit)
             np.copyto(cells, np.int8(rand), where=hit)
-        counts[t + 1] = np.bincount(cells, minlength=3)
-    return counts[:, [ZERO, QUES, ONE]] / n
-
-
-def ques_density_batch(kind: str, n: int, p: float, steps: int,
-                       seeds, initial_symbol: int = QUES,
-                       record_every: int = 1) -> np.ndarray:
-    """Mean ?-density trajectories over a batch of seeds, shape (S, R)."""
-    seeds = np.asarray(seeds)
-    cells = np.full((seeds.size, n), initial_symbol, dtype=np.int8)
-    records = [(cells == QUES).mean(axis=1)]
-    for t in range(steps):
-        cells = step_batch(kind, cells, p, seeds, time_tag=t)
-        if (t + 1) % record_every == 0:
-            records.append((cells == QUES).mean(axis=1))
-    return np.stack(records, axis=1)
+        counts[t + 1] = np.bincount(np.add(cells, offsets, out=codes).ravel(), minlength=bins)
+    counts = counts.reshape(steps + 1, -1, 3)[..., [ZERO, QUES, ONE]].swapaxes(0, 1)
+    return counts.reshape(rings + counts.shape[1:]) / n
 
 
 # -- exact ring kernels -----------------------------------------------------
-# Rings are coded in base 3 (digit i = cell i).  Internally a kernel is three
-# flat arrays (input code, output code, probability), sorted by input code.
+# Rings are coded in base 3 (digit i = cell i).  A kernel is three flat
+# arrays (input code, output code, probability), sorted by input code.
 
 
 def input_alphabet(kind: str) -> tuple[int, ...]:
@@ -200,10 +178,12 @@ def all_inputs(kind: str, n: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _kernel(kind: str, n: int, p: float):
-    """Flat exact kernel.  A row with a random cells has 2^a columns; column
-    s switches the k-th random cell to the randomized value iff bit k of s
-    is set, with probability the product over k, in cell order, of p or 1-p."""
+def ring_kernel(kind: str, n: int, p: float):
+    """Exact one-step kernel on rings of length n.  A row with a random
+    cells has 2^a columns; column
+    s switches the k-th random cell to the randomized value iff bit k of
+    s is set, with probability the product over k, in cell order, of p or
+    1-p."""
     _check_kind(kind)
     powers = 3 ** np.arange(n, dtype=np.int64)
     inputs = all_inputs(kind, n)[:, ::-1]  # cell n-1 slowest: codes increase
@@ -233,9 +213,9 @@ def _merge(key, probs):
     return key[starts], np.add.reduceat(probs[order], starts)
 
 
-def _compose(first, second):
-    """Flat kernel of 'apply first, then second': a join on the middle code,
-    then one merge of the (row, column) keys."""
+def compose_ring_kernels(first, second):
+    """Kernel of 'apply first, then second' (the matrix product): a join
+    on the middle code, then one merge of the (row, column) keys."""
     rows, mids, pmid = first
     lo = np.searchsorted(second[0], mids, "left")
     counts = np.searchsorted(second[0], mids, "right") - lo
@@ -248,8 +228,8 @@ def _compose(first, second):
     return (*np.divmod(key, span), probs)
 
 
-def _difference(a, b) -> float:
-    """Max entrywise difference between two flat kernels, by one merge."""
+def max_kernel_difference(a, b) -> float:
+    """Max entrywise difference between two kernels, by one merge."""
     if not np.array_equal(a[0][np.diff(a[0], prepend=-1) != 0],
                           b[0][np.diff(b[0], prepend=-1) != 0]):
         raise ValueError("kernels have different input sets")
@@ -260,42 +240,14 @@ def _difference(a, b) -> float:
 
 
 def _factorization_deviation(kernel, first, second) -> float:
-    """``_difference(kernel, _compose(first, second))``, taken 64 input rows
-    at a time so that memory stays bounded."""
+    """``max_kernel_difference(kernel, compose_ring_kernels(first,
+    second))``, taken 64 input rows at a time so that memory stays bounded."""
     ends = np.r_[first[0][np.diff(first[0], prepend=-1) != 0][64::64], np.inf]
     ck, cf = (np.r_[0, np.searchsorted(k[0], ends)] for k in (kernel, first))
-    return max(_difference([x[ck[i]:ck[i + 1]] for x in kernel],
-                           _compose([x[cf[i]:cf[i + 1]] for x in first], second))
+    return max(max_kernel_difference([x[ck[i]:ck[i + 1]] for x in kernel],
+                                     compose_ring_kernels([x[cf[i]:cf[i + 1]] for x in first],
+                                                          second))
                for i in range(ends.size))
-
-
-def _to_rows(kernel) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    rows, cols, probs = kernel
-    cuts = np.flatnonzero(np.diff(rows)) + 1
-    return dict(zip(rows[np.r_[0, cuts]].tolist(),
-                    zip(np.split(cols, cuts), np.split(probs, cuts))))
-
-
-def _from_rows(rows: dict):
-    keys = sorted(rows)
-    cols, probs = zip(*(rows[c] for c in keys))
-    return (np.repeat(np.array(keys, dtype=np.int64), [len(c) for c in cols]),
-            np.concatenate(cols).astype(np.int64), np.concatenate(probs).astype(np.float64))
-
-
-def ring_kernel(kind: str, n: int, p: float) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Exact one-step transition kernel on rings of length n (sparse rows)."""
-    return _to_rows(_kernel(kind, n, p))
-
-
-def compose_ring_kernels(first: dict, second: dict) -> dict:
-    """Kernel of 'apply first, then second' (matrix product, sparse rows)."""
-    return _to_rows(_compose(_from_rows(first), _from_rows(second)))
-
-
-def max_kernel_difference(a: dict, b: dict) -> float:
-    """Max entrywise difference between two sparse kernels."""
-    return _difference(_from_rows(a), _from_rows(b))
 
 
 def composition_check(kind: str, n: int, p: float) -> float:
@@ -303,8 +255,8 @@ def composition_check(kind: str, n: int, p: float) -> float:
     factorization; returns the max entrywise difference."""
     if kind not in ("F", "G"):
         raise ValueError("composition_check applies to kinds F and G")
-    return _factorization_deviation(_kernel(kind, n, p), _kernel("D", n, p),
-                                    _kernel({"F": "R0", "G": "R1"}[kind], n, p))
+    return _factorization_deviation(ring_kernel(kind, n, p), ring_kernel("D", n, p),
+                                    ring_kernel({"F": "R0", "G": "R1"}[kind], n, p))
 
 
 def stavskaya_identity_check(p: float, n: int, tol: float = 1e-12) -> bool:
@@ -312,8 +264,8 @@ def stavskaya_identity_check(p: float, n: int, tol: float = 1e-12) -> bool:
     if n > 8:
         raise ValueError("exact kernel enumeration limited to n <= 8")
     # flip rows are ternary-indexed; the join reads only binary middle codes
-    return _factorization_deviation(_kernel("B", n, p), _kernel("stavskaya", n, p),
-                                    _kernel("flip", n, p)) <= tol
+    return _factorization_deviation(ring_kernel("B", n, p), ring_kernel("stavskaya", n, p),
+                                    ring_kernel("flip", n, p)) <= tol
 
 
 def local_kernel(kind: str, p: float) -> np.ndarray:
@@ -345,16 +297,12 @@ def pattern_101_reachable(kind: str, n: int) -> int:
     """
     inputs = all_inputs(kind, n)
     det, rand = _det_and_rand(kind, inputs, np.roll(inputs, -1, axis=1))
-    can_one = det == ONE
-    can_ques = det == QUES
-    if rand is not None:
-        can_one |= np.int8(rand) == ONE
-        can_ques |= np.int8(rand) == QUES
+    can_one = (det == ONE) | (rand == ONE)  # rand is None: no random branch
+    can_ques = (det == QUES) | (rand == QUES)
     hit = can_one & np.roll(can_ques, -1, axis=1) & np.roll(can_one, -2, axis=1)
     return int(hit.any(axis=1).sum())
 
 
 def trajectory_csv_rows(stats: np.ndarray):
     """Rows for the 'step,density0,densityQ,density1' schema."""
-    for t, (d0, dq, d1) in enumerate(stats):
-        yield t, d0, dq, d1
+    return ((t, *row) for t, row in enumerate(stats))

@@ -214,9 +214,6 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds,
 @dataclass
 class TriangleOutcome:
     n: int
-    p: float
-    seed: int
-    boundary: Boundary
     values: np.ndarray  # (n+1, n+1) int8, -1 outside the region
     closed: np.ndarray  # (n+1, n+1) bool; False on the boundary diagonal
 
@@ -246,7 +243,7 @@ def solve_triangle(n: int, boundary: Boundary, field: SiteField) -> TriangleOutc
         # it does not enter the recursion (values there are imposed) but
         # does drive rendering and counts
         closed[coords[:, 0], coords[:, 1]] = closed_rows[k][0]
-    return TriangleOutcome(n, field.p, field.seed, boundary, values, closed)
+    return TriangleOutcome(n, values, closed)
 
 
 # -- slab solver --------------------------------------------------------------
@@ -463,10 +460,6 @@ def draw_density_profile(closed: ClosedLayers, k_max: int, depths=None):
 
 @dataclass
 class SensitivityResult:
-    family: GraphFamily
-    depth: int
-    p: float
-    n_seeds: int
     disagree: np.ndarray  # per-seed bool at the origin
 
     @property
@@ -489,7 +482,7 @@ def boundary_sensitivity(closed: ClosedLayers, depth: int) -> SensitivityResult:
         raise ValueError(f"{family.name} does not satisfy the layer-automorphism assumption")
     zero = slab_sweep(index, depth, AllZero(), p, seeds, closed=closed)[0][:, index.origin_pos]
     one = slab_sweep(index, depth, AllOne(), p, seeds, closed=closed)[0][:, index.origin_pos]
-    return SensitivityResult(family, depth, p, seeds.size, zero != one)
+    return SensitivityResult(zero != one)
 
 
 # -- rendering -----------------------------------------------------------------

@@ -127,18 +127,18 @@ def test_07_monotone_couplings():
         b2 = rng.integers(0, 2, (batch, n)).astype(np.int8)
         q = np.full((batch, n), QUES, dtype=np.int8)
         for t in range(steps):
-            o1 = pca.step_batch("F", c1, 0.3, seeds, t)
-            o2 = pca.step_batch("F", c2, 0.3, seeds, t)
-            o3 = pca.step_batch("F", c3, 0.3, seeds, t)
+            o1 = pca.step("F", c1, 0.3, seeds, t)
+            o2 = pca.step("F", c2, 0.3, seeds, t)
+            o3 = pca.step("F", c3, 0.3, seeds, t)
             # order reversal: c1 <= c2 alternates, so compare pairwise per step
             viol_rev += int((LINEAR_RANK[o1] < LINEAR_RANK[o2]).any(axis=1).sum()) \
                 if t % 2 == 0 else \
                 int((LINEAR_RANK[o1] > LINEAR_RANK[o2]).any(axis=1).sum())
             viol_q += int((~((o3 == QUES) | (o2 == o3))).any(axis=1).sum())
             c1, c2, c3 = o1, o2, o3
-            b1 = pca.step_batch("F", b1, 0.3, seeds, t)
-            b2 = pca.step_batch("F", b2, 0.3, seeds, t)
-            q = pca.step_batch("F", q, 0.3, seeds, t)
+            b1 = pca.step("F", b1, 0.3, seeds, t)
+            b2 = pca.step("F", b2, 0.3, seeds, t)
+            q = pca.step("F", q, 0.3, seeds, t)
             viol_env += int(((b1 != b2) & (q != QUES)).any(axis=1).sum())
             checks += batch
     dt = time.time() - t0
@@ -157,7 +157,7 @@ def test_08_no_preimage_pattern():
         seeds = np.arange(rep_i * batch, (rep_i + 1) * batch) + 10_000
         cells = rng.choice([ZERO, ONE, QUES], size=(batch, n)).astype(np.int8)
         for t in range(steps):
-            cells = pca.step_batch("F", cells, 0.2, seeds, t)
+            cells = pca.step("F", cells, 0.2, seeds, t)
             hits += int(pca.has_pattern_101(cells))
     dt = time.time() - t0
     report(8, exhaustive_hits == 0 and hits == 0,

@@ -90,6 +90,28 @@ def test_solver_outputs_are_byte_identical(tmp_path):
     assert written == SOLVER_OUTPUT_SHA256
 
 
+# SHA-256 of the pca-run (one ternary and one binary kind) and glauber CSVs
+# below, recorded before pca.step took its seeds directly
+PCA_GLAUBER_OUTPUT_SHA256 = {
+    "pca_F.csv": "9b54b2c978fcc234ec4cdaab6b4289c643c44ea05ec89c5d17f9b01d9073a692",
+    "pca_A.csv": "311fd3b568395226f913f7e46a81d5fb7af42fe46153112d5dfab146de86d287",
+    "chain.csv": "7d00fde6e615201946c93141b29eaab3de097601d89a5020438fc7d962663c1c",
+}
+
+
+def test_pca_and_glauber_outputs_are_byte_identical(tmp_path):
+    for kind, p, size, steps, seed in (("F", "0.2", "64", "30", "2"),
+                                       ("A", "0.3", "48", "25", "3")):
+        assert run(["pca-run", "--kind", kind, "--p", p, "--size", size, "--steps", steps,
+                    "--seed0", seed, "--seeds", "1",
+                    "--out", str(tmp_path / f"pca_{kind}.csv")]) == 0
+    assert run(["glauber", "--family", "even(3)", "--size", "8,8", "--lam", "2.0", "--steps", "40",
+                "--seed0", "4", "--seeds", "1", "--init", "even",
+                "--out", str(tmp_path / "chain.csv")]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == PCA_GLAUBER_OUTPUT_SHA256
+
+
 def test_glauber_cmd(tmp_path):
     out = str(tmp_path / "chain.csv")
     assert run(["glauber", "--family", "even(3)", "--size", "8,8", "--lam", "2.0",

@@ -5,7 +5,7 @@ import pytest
 
 from percgame import exact, glauber
 from percgame import lattice as lat
-from percgame.sitefield import SiteField, hash_uniforms
+from percgame.sitefield import hash_uniforms
 
 Z2 = lat.z2()
 EVEN3 = lat.even_sublattice(3)
@@ -130,7 +130,7 @@ def test_ring_staggered_difference_vanishes():
 
 def test_sweep_chain_rows_schema():
     t = glauber.build_doubling_torus(Z2, (12,))
-    rows = glauber.sweep_chain(t, 0.4, "standard", 10, SiteField(1, 0.4), "even", 5)
+    rows = glauber.sweep_chain(t, 0.4, "standard", 10, 1, "even", 5)
     assert rows[0][:2] == (5, 0)
     assert all(len(r) == 4 for r in rows)
 

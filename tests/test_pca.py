@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from percgame import pca
 from percgame.pca import InvalidSymbolError
-from percgame.sitefield import SiteField
+from percgame.sitefield import hash_uniform_scalar
 from percgame.symbols import LINEAR_RANK, ONE, QUES, ZERO, format_word, parse_word
 
 
@@ -47,26 +47,24 @@ def test_binary_kinds_reject_question():
     with pytest.raises(InvalidSymbolError):
         pca.local_rule("A", 2, 0, 0.5, 0.5)
     with pytest.raises(InvalidSymbolError):
-        pca.step("B", "0?1", 0.5, SiteField(0, 0.5))
+        pca.step("B", "0?1", 0.5, 0)
 
 
 def test_step_examples():
-    f = SiteField(3, 0.5)
     assert format_word(pca.step("D", "0000", 0.5)) == "1111"
-    assert format_word(pca.step("A", [1] * 8, 0.5, f)) == "0" * 8
-    # deterministic kinds need no field
+    assert format_word(pca.step("A", [1] * 8, 0.5, 3)) == "0" * 8
+    # deterministic kinds need no seed
     assert format_word(pca.step("flip", "01?01?", 0.5)) == "10?10?"
 
 
 def test_step_matches_local_rule():
     rng = np.random.default_rng(1)
-    field = SiteField(17, 0.37)
     for kind in pca.KINDS:
         alpha = pca.input_alphabet(kind)
         cells = rng.choice(alpha, size=12).astype(np.int8)
-        out = pca.step(kind, cells, 0.37, field, time_tag=5)
+        out = pca.step(kind, cells, 0.37, 17, time_tag=5)
         for i in range(12):
-            u = field.uniform_at((i,), 5)
+            u = hash_uniform_scalar(17, (i,), 5)
             assert out[i] == pca.local_rule(kind, cells[i], cells[(i + 1) % 12], u, 0.37)
 
 
@@ -74,22 +72,47 @@ def test_restriction_pathwise():
     # on ?-free rings F equals A and G equals B under shared randomness
     rng = np.random.default_rng(2)
     for seed in range(20):
-        field = SiteField(seed, 0.3)
         c = rng.integers(0, 2, size=16).astype(np.int8)
-        assert np.array_equal(pca.step("F", c, 0.3, field, 1), pca.step("A", c, 0.3, field, 1))
-        assert np.array_equal(pca.step("G", c, 0.3, field, 1), pca.step("B", c, 0.3, field, 1))
+        assert np.array_equal(pca.step("F", c, 0.3, seed, 1), pca.step("A", c, 0.3, seed, 1))
+        assert np.array_equal(pca.step("G", c, 0.3, seed, 1), pca.step("B", c, 0.3, seed, 1))
 
 
-def test_coupled_step_identical_configs():
-    field = SiteField(5, 0.4)
-    c = parse_word("01?0110??101")
-    a, b = pca.coupled_step("F", [c, c], 0.4, field, 2)
-    assert np.array_equal(a, b)
+def _stack(rng, kind, shape):
+    return rng.choice(pca.input_alphabet(kind), size=shape).astype(np.int8)
 
 
-def test_coupled_step_length_mismatch():
+@pytest.mark.parametrize("kind", pca.KINDS)
+def test_a_shared_seed_steps_each_ring_as_alone(kind):
+    cells = _stack(np.random.default_rng(5), kind, (2, 3, 12))
+    cells[0, 1] = cells[1, 2]  # equal rings under one seed step alike
+    out = pca.step(kind, cells, 0.4, 5, 2)
+    assert out.shape == cells.shape and np.array_equal(out[0, 1], out[1, 2])
+    for ring, got in zip(cells.reshape(-1, 12), out.reshape(-1, 12)):
+        assert np.array_equal(got, pca.step(kind, ring, 0.4, 5, 2))
+
+
+@pytest.mark.parametrize("kind", pca.KINDS)
+def test_per_ring_seeds_step_each_ring_as_alone(kind):
+    cells = _stack(np.random.default_rng(6), kind, (2, 3, 12))
+    seeds = np.arange(6).reshape(2, 3) + 3
+    out = pca.step(kind, cells, 0.3, seeds, time_tag=7)
+    for ring, seed, got in zip(cells.reshape(-1, 12), seeds.ravel(), out.reshape(-1, 12)):
+        assert np.array_equal(got, pca.step(kind, ring, 0.3, int(seed), 7))
+
+
+def test_ragged_rings_are_refused():
     with pytest.raises(ValueError):
-        pca.coupled_step("F", ["000", "0000"], 0.5, SiteField(0, 0.5))
+        pca.step("F", [parse_word("000"), parse_word("0000")], 0.5, 0)
+    with pytest.raises(ValueError, match="one int per ring"):
+        pca.step("F", np.zeros((2, 5), dtype=np.int8), 0.5, [0, 1, 2])
+
+
+def test_a_stack_of_short_rings_is_refused():
+    for kind, seeds in (("F", [0, 1]), ("D", None), ("flip", 0)):
+        with pytest.raises(ValueError, match="ring length"):
+            pca.step(kind, np.zeros((2, 2), dtype=np.int8), 0.5, seeds)
+        with pytest.raises(ValueError, match="ring length"):
+            pca.trajectory_stats(kind, np.zeros((2, 2), dtype=np.int8), 0.5, 3, seeds)
 
 
 def _lower_linear(rng, cells):
@@ -106,26 +129,24 @@ def _lower_linear(rng, cells):
 def test_monotone_coupling_small(kind):
     rng = np.random.default_rng(7)
     for trial in range(200):
-        field = SiteField(1000 + trial, 0.3)
         c2 = rng.choice([ZERO, ONE, QUES], size=14).astype(np.int8)
         c1 = _lower_linear(rng, c2)
-        o1, o2 = pca.coupled_step(kind, [c1, c2], 0.3, field, trial)
+        o1, o2 = pca.step(kind, np.stack([c1, c2]), 0.3, 1000 + trial, trial)
         assert (LINEAR_RANK[o1] >= LINEAR_RANK[o2]).all()  # order reversal
         c3 = c2.copy()
         c3[rng.random(14) < 0.4] = QUES  # c2 <= c3 with ? maximal
-        o2b, o3 = pca.coupled_step(kind, [c2, c3], 0.3, field, trial)
+        o2b, o3 = pca.step(kind, np.stack([c2, c3]), 0.3, 1000 + trial, trial)
         assert (((o3 == QUES) | (o2b == o3))).all()  # ?-order preserved
 
 
 def test_envelope_domination_small():
     rng = np.random.default_rng(8)
     for trial in range(100):
-        field = SiteField(trial, 0.25)
         b1 = rng.integers(0, 2, size=12).astype(np.int8)
         b2 = rng.integers(0, 2, size=12).astype(np.int8)
         q = np.full(12, QUES, dtype=np.int8)
         for t in range(4):
-            b1, b2, q = pca.coupled_step("F", [b1, b2, q], 0.25, field, t)
+            b1, b2, q = pca.step("F", np.stack([b1, b2, q]), 0.25, trial, t)
             assert ((b1 == b2) | (q == QUES)).all()
 
 
@@ -155,10 +176,9 @@ def test_stavskaya_identity(p):
 
 def test_ring_kernel_rows_are_distributions():
     for kind in ("F", "B", "stavskaya", "D"):
-        rows = pca.ring_kernel(kind, 4, 0.3)
-        for codes, probs in rows.values():
-            assert len(np.unique(codes)) == len(codes)
-            assert abs(probs.sum() - 1) < 1e-12
+        rows, cols, probs = pca.ring_kernel(kind, 4, 0.3)
+        assert len(np.unique(rows * 3 ** 4 + cols)) == len(rows)
+        assert np.abs(np.bincount(rows, probs)[np.unique(rows)] - 1).max() < 1e-12
 
 
 def test_no_preimage_pattern_exhaustive():
@@ -172,10 +192,10 @@ def test_no_preimage_pattern_exhaustive():
 def test_trajectory_fixtures():
     n = 64
     # p=1: every cell randomizes to 0 after one step
-    stats = pca.trajectory_stats("F", [QUES] * n, 1.0, 1, SiteField(0, 1.0))
+    stats = pca.trajectory_stats("F", [QUES] * n, 1.0, 1, 0)
     assert stats[1, 1] == 0.0 and stats[1, 0] == 1.0
     # p=0: F = D fixes the all-? ring
-    stats = pca.trajectory_stats("F", [QUES] * n, 0.0, 10, SiteField(0, 0.0))
+    stats = pca.trajectory_stats("F", [QUES] * n, 0.0, 10, 0)
     assert (stats[:, 1] == 1.0).all()
 
 
@@ -183,7 +203,8 @@ def test_trajectory_relaxation_calibrated():
     # pilot-calibrated: mean ?-density from all-? at p=0.1 is non-increasing
     # (within 2 SE) and far below 0.05 by step 2000
     seeds = np.arange(50)
-    traj = pca.ques_density_batch("F", 512, 0.1, 2000, seeds, record_every=100)
+    rings = np.full((seeds.size, 512), QUES, dtype=np.int8)
+    traj = pca.trajectory_stats("F", rings, 0.1, 2000, seeds)[:, ::100, 1]
     mean = traj.mean(axis=0)
     se = traj.std(axis=0, ddof=1) / np.sqrt(len(seeds))
     assert mean[-1] < 0.05
@@ -197,11 +218,3 @@ def test_trajectory_csv_schema():
     assert rows[0] == (0, 1 / 3, 1 / 3, 1 / 3)
     assert len(rows) == 3
 
-
-def test_step_batch_matches_step():
-    seeds = np.array([3, 4, 5])
-    cells = np.tile(parse_word("0?110?0?1011"), (3, 1)).astype(np.int8)
-    batch = pca.step_batch("F", cells, 0.3, seeds, time_tag=7)
-    for i, s in enumerate(seeds):
-        single = pca.step("F", cells[i], 0.3, SiteField(int(s), 0.3), 7)
-        assert np.array_equal(batch[i], single)

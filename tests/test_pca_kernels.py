@@ -8,7 +8,6 @@ import pytest
 
 from percgame import pca
 from percgame.pca import InvalidSymbolError
-from percgame.sitefield import SiteField
 from percgame.symbols import ONE, QUES, ZERO
 
 TERNARY_KINDS = [k for k in pca.KINDS if k not in pca.BINARY_KINDS]
@@ -51,11 +50,11 @@ def dense_kernel(kind, n, p):
     return matrix, valid
 
 
-def to_dense(rows, n):
+def to_dense(kernel, n):
+    rows, cols, probs = kernel
+    assert len(np.unique(rows * 3 ** n + cols)) == len(rows)  # no repeated entry
     matrix = np.zeros((3 ** n, 3 ** n))
-    for code, (cols, probs) in rows.items():
-        assert len(np.unique(cols)) == len(cols)
-        matrix[code, cols] = probs
+    matrix[rows, cols] = probs
     return matrix
 
 
@@ -63,10 +62,10 @@ def to_dense(rows, n):
 @pytest.mark.parametrize("kind", pca.KINDS)
 def test_ring_kernel_equals_the_dense_product(kind, n):
     for p in (0.0, 0.3, 1.0):
-        rows = pca.ring_kernel(kind, n, p)
+        kernel = pca.ring_kernel(kind, n, p)
         ref, valid = dense_kernel(kind, n, p)
-        assert sorted(rows) == np.flatnonzero(valid).tolist()
-        assert np.abs(to_dense(rows, n) - ref).max() <= 1e-15
+        assert np.array_equal(np.unique(kernel[0]), np.flatnonzero(valid))
+        assert np.abs(to_dense(kernel, n) - ref).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -78,7 +77,7 @@ def test_composition_equals_the_dense_matrix_product(first, n):
         composed = pca.compose_ring_kernels(pca.ring_kernel(first, n, 0.3),
                                             pca.ring_kernel(second, n, 0.3))
         ref = dense_kernel(first, n, 0.3)[0] @ dense_kernel(second, n, 0.3)[0]
-        assert sorted(composed) == sorted(pca.ring_kernel(first, n, 0.3))
+        assert np.array_equal(np.unique(composed[0]), np.unique(pca.ring_kernel(first, n, 0.3)[0]))
         assert np.abs(to_dense(composed, n) - ref).max() <= 1e-14, second
 
 
@@ -104,22 +103,19 @@ def test_a_wrong_factorization_is_far_from_the_envelope():
 
 def test_one_probability_moved_by_1e_9_is_caught():
     kernel = pca.ring_kernel("F", 4, 0.3)
-    moved = dict(kernel)
-    code = sorted(moved)[17]
-    cols, probs = moved[code]
-    probs = probs.copy()
-    probs[-1] += 1e-9
-    moved[code] = (cols, probs)
+    rows, cols, probs = kernel
+    last = np.searchsorted(rows, np.unique(rows)[17], "right") - 1  # last entry of a row
+    moved = probs.copy()
+    moved[last] += 1e-9
     assert pca.max_kernel_difference(kernel, kernel) == 0.0
-    assert pca.max_kernel_difference(kernel, moved) > 1e-12
+    assert pca.max_kernel_difference(kernel, (rows, cols, moved)) > 1e-12
     # a missing entry is a difference too
-    moved[code] = (cols[:-1], kernel[code][1][:-1])
-    assert pca.max_kernel_difference(kernel, moved) > 1e-12
+    assert pca.max_kernel_difference(kernel, [np.delete(x, last) for x in kernel]) > 1e-12
 
 
 @pytest.mark.parametrize("victim", ["R0", "R1", "flip"])
 def test_the_identity_checks_fail_on_a_moved_probability(monkeypatch, victim):
-    kernel = pca._kernel
+    kernel = pca.ring_kernel
     # a row that the first factor reaches: D maps the all-? ring to itself,
     # and stavskaya reaches the all-0 ring with probability p^n
     target = 0 if victim == "flip" else 3 ** 4 - 1
@@ -131,7 +127,7 @@ def test_the_identity_checks_fail_on_a_moved_probability(monkeypatch, victim):
             probs[np.searchsorted(rows, target)] += 1e-9
         return rows, cols, probs
 
-    monkeypatch.setattr(pca, "_kernel", moved)
+    monkeypatch.setattr(pca, "ring_kernel", moved)
     if victim == "flip":
         assert not pca.stavskaya_identity_check(0.5, 4, tol=1e-12)
     else:
@@ -146,31 +142,41 @@ def test_kernels_with_different_inputs_are_rejected():
 
 
 def _densities(cells):
-    return np.array([np.count_nonzero(cells == s) for s in (ZERO, QUES, ONE)]) / cells.size
+    counts = [np.count_nonzero(cells == s, axis=-1) for s in (ZERO, QUES, ONE)]
+    return np.stack(counts, axis=-1) / cells.shape[-1]
 
 
+@pytest.mark.parametrize("rings", ["one ring", "per-ring seeds", "shared seed"])
 @pytest.mark.parametrize("kind", pca.KINDS)
-def test_trajectory_stats_equals_a_loop_of_steps(kind):
+def test_trajectory_stats_equals_a_loop_of_steps(kind, rings):
     rng = np.random.default_rng(7)
-    steps = 40
+    steps, shape = 40, {"one ring": (), "per-ring seeds": (2, 3), "shared seed": (4,)}[rings]
     for p in (0.0, 0.1, 1.0):
         for seed in (3, 11):
-            initial = rng.choice(pca.input_alphabet(kind), size=23).astype(np.int8)
-            field = SiteField(seed, p)
+            initial = rng.choice(pca.input_alphabet(kind), size=shape + (23,)).astype(np.int8)
+            seeds = seed + 7 * np.arange(6).reshape(shape) if rings == "per-ring seeds" else seed
             cells, ref = initial, [_densities(initial)]
             for t in range(steps):
-                cells = pca.step(kind, cells, p, field, time_tag=t)
+                cells = pca.step(kind, cells, p, seeds, time_tag=t)
                 ref.append(_densities(cells))
-            stats = pca.trajectory_stats(kind, initial, p, steps, field)
-            assert np.array_equal(stats, np.array(ref)), (p, seed)
+            stats = pca.trajectory_stats(kind, initial, p, steps, seeds)
+            assert np.array_equal(stats, np.stack(ref, axis=-2)), (p, seed)
+            # each ring of a stack runs as if alone
+            for ring, ring_seed, got in zip(initial.reshape(-1, 23),
+                                            np.broadcast_to(seeds, shape).ravel(),
+                                            stats.reshape(-1, steps + 1, 3)):
+                assert np.array_equal(got, pca.trajectory_stats(kind, ring, p, steps,
+                                                                int(ring_seed)))
 
 
 def test_trajectory_stats_checks_the_initial_ring():
     for kind in pca.BINARY_KINDS:
         with pytest.raises(InvalidSymbolError):
-            pca.trajectory_stats(kind, "0?10", 0.5, 3, SiteField(0, 0.5))
-    with pytest.raises(ValueError, match="SiteField"):
+            pca.trajectory_stats(kind, "0?10", 0.5, 3, 0)
+    with pytest.raises(ValueError, match="a seed is required"):
         pca.trajectory_stats("F", "0?10", 0.5, 3, None)
+    with pytest.raises(ValueError, match="one int per ring"):
+        pca.trajectory_stats("F", "0?10", 0.5, 3, [0])
     with pytest.raises(ValueError, match="ring length"):
         pca.trajectory_stats("D", "0?", 0.5, 3, None)
     assert pca.trajectory_stats("flip", "0?1", 0.5, 2, None)[2].tolist() == [1 / 3] * 3
