@@ -33,5 +33,5 @@ for fam, sizes, depth, p in CASES:
     ok = sum(r.ok for r in results)
     torus = glauber.build_doubling_torus(fam, sizes)
     print(f"{fam.name:<14} {variant:<8} torus {torus.n_vertices:>4} vertices "
-          f"(degree {torus.degree}, {torus.m} classes), depth {depth}: "
+          f"(degree {torus.degree}, {torus.q} classes), depth {depth}: "
           f"{ok}/10 seeds exact")

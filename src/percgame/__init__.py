@@ -19,9 +19,9 @@ from .lattice import (GraphFamily, IsoMap, bcc_lattice, binomial_family,
                       zd)
 from .pca import local_rule, stavskaya_identity_check, step, trajectory_stats
 from .sitefield import SiteField
-from .solver import (AllOne, AllQuestion, AllZero, Checkerboard, ClosedLayers,
-                     Explicit, Sampled, SlabIndex, boundary_sensitivity,
-                     draw_density_profile, render_outcomes, solve_triangle)
+from .solver import (AllOne, AllQuestion, AllZero, Checkerboard, Explicit,
+                     Sampled, SlabIndex, boundary_sensitivity, draw_density_profile,
+                     draw_scan, render_outcomes, solve_triangle)
 from .symbols import ONE, QUES, ZERO, format_word, parse_word
 
 __version__ = "0.1.0"

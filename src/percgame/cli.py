@@ -310,15 +310,12 @@ def cmd_draw_scan(cfg: RunConfig) -> int:
     sens_rows = []
     for fam, sizes in zip(families, torus_sizes):
         index = solver.SlabIndex(fam, sizes)
+        depths = solver.profile_depths(fam.m, cfg.depth)
         for p in grid:
-            # every depth and boundary at this p reads one cache of closed bits
-            closed = solver.ClosedLayers(index, p, seeds)
-            prof = solver.draw_density_profile(closed, cfg.depth)
+            prof, sens = solver.draw_scan(index, p, seeds, depths)
             prof_path = f"{cfg.out}_{fam.name.replace('(', '').replace(')', '').replace(',', 'x')}_p{p}_profile.csv"
             write_csv(prof_path, HEADERS["profile"], prof)
-            depths = sorted({r[0] for r in prof})
-            for K in depths:
-                res = solver.boundary_sensitivity(closed, K)
+            for K, res in zip(depths, sens):
                 sens_rows.append([fam.name, p, K, res.fraction, res.stderr, seeds.size])
             print(f"{fam.name} p={p}: profile -> {prof_path}")
     write_csv(f"{cfg.out}_sensitivity.csv", HEADERS["sensitivity"], sens_rows)

@@ -180,15 +180,14 @@ class CylinderTable:
     def from_ring_word(cls, config, max_len: int, exact: bool = False) -> "CylinderTable":
         """Orbit-uniform measure of a ring word: uniform over all rotations
         and reflections, with cylinder probabilities given by exact cyclic
-        pattern counting (see ``_orbit_count``).  With exact=True probabilities
-        are Fractions."""
+        pattern counting (see ``_orbit_counts``).  With exact=True
+        probabilities are Fractions."""
         cells = tuple(as_cells(config).tolist())
         denom = 2 * len(cells)
-        probs = {}
-        for L in range(1, max_len + 1):
-            for w in itertools.product((ZERO, ONE, QUES), repeat=L):
-                num = _orbit_count(cells, w)
-                probs[w] = Fraction(num, denom) if exact else num / denom
+        words = [w for L in range(1, max_len + 1)
+                 for w in itertools.product((ZERO, ONE, QUES), repeat=L)]
+        probs = {w: Fraction(num, denom) if exact else num / denom
+                 for w, num in _orbit_counts(cells, words).items()}
         return cls(probs, max_len)
 
     def consistency_error(self) -> float:
@@ -290,20 +289,24 @@ def symmetric_weight(word, i: int) -> int:
     return left + right_weight(w, i)
 
 
-def count_cyclic(config: Sequence[int], word: Sequence[int]) -> int:
-    """Occurrences of `word` in the cyclic configuration (one per start)."""
-    n = len(config)
-    L = len(word)
-    ext = tuple(config) + tuple(config[: L - 1])
-    return sum(1 for i in range(n) if ext[i:i + L] == tuple(word))
+def count_cyclic(config: Sequence[int], words) -> dict:
+    """Occurrences of each word (as a tuple) in the cyclic configuration,
+    one per start; the windows are read once per word length, not per word."""
+    counts = dict.fromkeys(map(tuple, words), 0)
+    ext = tuple(config) * 2
+    for L, i in itertools.product({len(w) for w in counts}, range(len(config))):
+        if (w := ext[i:i + L]) in counts:
+            counts[w] += 1
+    return counts
 
 
-def _orbit_count(cells: Sequence[int], word: Sequence[int]) -> int:
-    """2n times the probability of ``word`` under the orbit-uniform measure of
-    a ring word of n cells.  Cyclic counts are rotation-invariant, so the
+def _orbit_counts(cells: Sequence[int], words) -> dict:
+    """2n times the probability of each word under the orbit-uniform measure
+    of a ring word of n cells.  Cyclic counts are rotation-invariant, so the
     uniform average over the 2n rotations and reflections is that over the
     word and its reversal."""
-    return count_cyclic(cells, word) + count_cyclic(cells[::-1], word)
+    fwd, rev = count_cyclic(cells, words), count_cyclic(cells[::-1], words)
+    return {w: fwd[w] + rev[w] for w in fwd}
 
 
 def ring_orbit(cells: Sequence[int]) -> list[tuple[int, ...]]:
@@ -338,10 +341,10 @@ def _orbit_cylinders(cells: tuple[int, ...]) -> dict:
     for c in (cells, cells[::-1]):
         arr = np.array(c, dtype=np.int8)
         images.append(tuple(pca.D_TABLE[arr, np.roll(arr, -1)].tolist()))
-    mu = {w: Fraction(_orbit_count(cells, w), denom)
-          for w in (_W_Q, _W_Q0, _W_0Q, _W_QQ, _W_Q01, _W_QQ1, _W_0Q1, _W_1Q1)}
-    dmu = {w: Fraction(sum(count_cyclic(img, w) for img in images), denom)
-           for w in (_W_Q, _W_Q0, _W_Q01)}
+    mu = {w: Fraction(n, denom) for w, n in _orbit_counts(
+        cells, (_W_Q, _W_Q0, _W_0Q, _W_QQ, _W_Q01, _W_QQ1, _W_0Q1, _W_1Q1)).items()}
+    counts = [count_cyclic(img, (_W_Q, _W_Q0, _W_Q01)) for img in images]
+    dmu = {w: Fraction(sum(c[w] for c in counts), denom) for w in counts[0]}
     return {"mu": mu, "dmu": dmu}
 
 

@@ -82,7 +82,7 @@ def build_doubling_torus(family: GraphFamily, sizes) -> SlabIndex:
 def checkerboard_config(torus: SlabIndex, occupied_class: int) -> np.ndarray:
     """Extremal configuration occupying exactly one vertex class."""
     vals = np.zeros(torus.n_vertices, dtype=np.int8)
-    vals[torus.class_members[occupied_class % torus.m]] = ONE
+    vals[torus.class_members[occupied_class % torus.q]] = ONE
     return vals
 
 
@@ -118,7 +118,7 @@ def class_update(torus: SlabIndex, values: np.ndarray, class_i: int,
     class-i vertex (trailing axis), broadcast against leading axes of
     `values`."""
     _check_variant(variant)
-    sel = torus.class_members[class_i % torus.m]
+    sel = torus.class_members[class_i % torus.q]
     out = np.array(values, dtype=np.int8, copy=True)
     open_ = np.broadcast_to(uniforms >= p, out.shape[:-1] + sel.shape)
     _update_class(np.moveaxis(out, -1, 0), sel, torus.neighbors[sel].T,
@@ -166,7 +166,7 @@ def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
             [(values[mem] == ONE).mean(axis=0) for mem in members], axis=1))
 
     for t in range(sweeps):
-        for i in range(torus.m):
+        for i in range(torus.q):
             h = finish_tag(prefixes[i], (t, i), out=hashed[i], tmp=scratch[i])
             np.logical_not(below(h, threshold, out=open_[i]), out=open_[i])
             _update_class(values, members[i], nbr_cols[i], open_[i], extended)
@@ -188,8 +188,8 @@ def sweep_chain(torus: SlabIndex, p: float, variant: str, sweeps: int,
     ts, occ = run_chains(torus, p, variant, sweeps, [seed], init, record_every)
     rows = []
     for r, t in enumerate(ts):
-        diff = float(occ[0, r, 0] - occ[0, r, 1]) if torus.m == 2 else None
-        for c in range(torus.m):
+        diff = float(occ[0, r, 0] - occ[0, r, 1]) if torus.q == 2 else None
+        for c in range(torus.q):
             rows.append((int(t), c, float(occ[0, r, c]), diff))
     return rows
 
@@ -351,7 +351,7 @@ def coupling_mismatches(family: GraphFamily, depth: int, sizes, p: float, seeds,
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     torus = _coupling_torus(family, tuple(sizes))
     table = _oracle_table(family, torus.sizes)
-    if len(table.verts) != torus.m or not all(
+    if len(table.verts) != torus.q or not all(
             np.array_equal(a, b) for a, b in zip(table.verts, torus.verts_by_class)):
         raise AssertionError("the oracle and the torus order the class vertices differently")
     # seeds in chunks, so that memory stays O(chunk x vertices) for any batch

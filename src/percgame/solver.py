@@ -19,21 +19,18 @@ Randomness/tag conventions: the open/closed bit of a slab site with
 coordinate tuple t + (k,); triangle sites use their plane coordinates
 (x1, x2).  Sampled boundary values use tag 1 on the same coordinates.
 
-Closed bits are computed once per run.  A site's tag-0 uniform is a pure
-function of (seed, site): it does not depend on the depth of a sweep, on
-its boundary or on p.  So every slab sweep of a run at one p (each depth of
-``draw_density_profile``, both boundaries of ``boundary_sensitivity``)
-reads its closed bits from one ``ClosedLayers`` cache, which hashes each
-layer once and fixes the index, p and seeds of the experiments that take
-it; and ``triangle_sweep`` over a sequence of p hashes each
-diagonal once and applies every p's threshold to the same hash words.
+A site's closed bit depends on neither the depth of a sweep nor its
+boundary, so each is hashed once per run: ``draw_scan`` reads every depth
+and boundary of a draw-scan off one ``sliced_sweep`` (the bits of two
+uint64 words per site), and ``triangle_sweep`` over a sequence of p
+applies every p's threshold to the same hash words.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -161,17 +158,14 @@ def _diag_coords(k: int) -> np.ndarray:
     return np.stack([k - j, j], axis=1)  # (x1, x2) with x1 + x2 = k
 
 
-def triangle_sweep(n: int, boundary: Boundary, p, seeds,
-                   keep_all: bool = False, closed_out: Optional[dict] = None):
+def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False):
     """Solve the triangular region for a batch of seeds.
 
     Returns (origin values (S,), rows) where rows[k] is the (S, k+1) value
     array of diagonal k if keep_all, else None.  ``p`` may also be a 1-d
     sequence of probabilities: every diagonal is then hashed once and each
     p's closed bits are read off the same hash words, and the origin values
-    are (P, S) and rows[k] is (P, S, k+1).  With keep_all, a dict passed as
-    ``closed_out`` receives the closed bits of each diagonal k = 0..n, shaped
-    as rows[k] (diagonal n is hashed for them; its values are imposed).
+    are (P, S) and rows[k] is (P, S, k+1).
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     ps = np.asarray(p, dtype=np.float64)
@@ -189,9 +183,6 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds,
         return arrays[0] if ps.ndim == 0 else np.stack(arrays)
 
     rows = {n: stacked(vals)} if keep_all else None
-    if keep_all and closed_out is not None:
-        h = hash_words(seeds, _diag_coords(n), 0)
-        closed_out[n] = stacked([below(h, t) for t in thresholds])
     # diagonal k < n has k + 1 <= n sites: one flat buffer each for the
     # hash words, their scratch and the closed bits, viewed as (S, k+1)
     words = np.empty(seeds.size * n, dtype=np.uint64)
@@ -206,8 +197,6 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds,
             vals[i] = recurse(c, (vals[i][:, :-1], vals[i][:, 1:]), three)
         if keep_all:
             rows[k] = stacked(vals)
-            if closed_out is not None:
-                closed_out[k] = stacked([below(h, t) for t in thresholds])
     return stacked([v[:, 0] for v in vals]), rows
 
 
@@ -231,9 +220,7 @@ class TriangleOutcome:
 
 def solve_triangle(n: int, boundary: Boundary, field: SiteField) -> TriangleOutcome:
     """Game outcomes on the z2 triangle of side n under the given boundary."""
-    closed_rows = {}
-    _, rows = triangle_sweep(n, boundary, field.p, [field.seed], keep_all=True,
-                             closed_out=closed_rows)
+    _, rows = triangle_sweep(n, boundary, field.p, [field.seed], keep_all=True)
     values = np.full((n + 1, n + 1), -1, dtype=np.int8)
     closed = np.zeros((n + 1, n + 1), dtype=bool)
     for k, arr in rows.items():
@@ -242,7 +229,7 @@ def solve_triangle(n: int, boundary: Boundary, field: SiteField) -> TriangleOutc
         # closedness is a property of the site; on the boundary diagonal
         # it does not enter the recursion (values there are imposed) but
         # does drive rendering and counts
-        closed[coords[:, 0], coords[:, 1]] = closed_rows[k][0]
+        closed[coords[:, 0], coords[:, 1]] = field.closed_mask(coords)
     return TriangleOutcome(n, values, closed)
 
 
@@ -306,10 +293,6 @@ class SlabIndex:
         return np.concatenate(rows)
 
     @property
-    def m(self) -> int:
-        return self.q
-
-    @property
     def n_vertices(self) -> int:
         return self.coords.shape[0]
 
@@ -351,111 +334,97 @@ def _slab_boundary(index: SlabIndex, boundary: Boundary, k_top: int,
             for layer in range(k_top, k_top + m)}
 
 
-class ClosedLayers:
-    """The closed bits of the slab sites of one index, p and seed vector.
-
-    A site's closed bit is its tag-0 uniform below p, which depends on
-    neither the depth of a sweep nor its boundary, so every sweep of a run
-    at this p reads its layers from one instance.  ``closed[k]`` is the
-    (S, n_class) bool mask of layer k.  Layer k is hashed on its first
-    read, with one ``hash_uniforms`` call into a reused uniforms buffer of
-    its class, and kept bit-packed: the layers 0 .. depth-1 take
-    depth * S * n_class / 8 bytes.
-    """
-
-    def __init__(self, index: SlabIndex, p: float, seeds):
-        self.index = index
-        self.p = float(p)
-        self.seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-        self._packed: dict[int, np.ndarray] = {}
-        # one uniforms buffer per class, reused by every layer of the class,
-        # so that the allocator does not hand its pages back and fault them
-        # in again at each layer (whether it does depends on the heap layout)
-        self._uniforms: list[Optional[np.ndarray]] = [None] * index.q
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        c = k % self.index.q
-        shape = (self.seeds.size, self.index.class_size(c))
-        if k not in self._packed:
-            if self._uniforms[c] is None:
-                self._uniforms[c] = np.empty(shape)
-            u = hash_uniforms(self.seeds, self.index.layer_site_coords(k), 0,
-                              out=self._uniforms[c])
-            self._packed[k] = np.packbits((u < self.p).T)
-        # packed site-major: the mask is the transpose of a C-ordered
-        # (n_class, S) array, the layout slab_sweep works in
-        bits = np.unpackbits(self._packed[k], count=shape[0] * shape[1])
-        return bits.view(bool).reshape(shape[::-1]).T
-
-    def check(self, index: SlabIndex, p: float, seeds: np.ndarray) -> None:
-        """Raise ValueError unless this cache was built for exactly this
-        index, p and seed vector."""
-        if index is not self.index:
-            raise ValueError("closed layers were built for another SlabIndex")
-        if float(p) != self.p:
-            raise ValueError(f"closed layers were built for p={self.p}, not p={p}")
-        if not np.array_equal(seeds, self.seeds):
-            raise ValueError("closed layers were built for another seed vector")
-
-
 def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
-               seeds, record_layers=None, closed: Optional[ClosedLayers] = None):
-    """Solve a slab for a batch of seeds.
+               seeds, record_layers=None):
+    """Solve a slab of one depth under any boundary for a batch of seeds;
+    with a constant boundary, the per-depth reference of ``sliced_sweep``.
 
     Returns {layer: (S, n_class) int8}; always contains layers 0..m-1, plus
-    any layers listed in record_layers.  ``closed`` shares the closed bits
-    with other sweeps of the same index, p and seeds.
+    any layers listed in record_layers.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    if closed is None:
-        closed = ClosedLayers(index, p, seeds)
-    else:
-        closed.check(index, p, seeds)
     m = index.family.m
     three = isinstance(boundary, AllQuestion)
-    top = _slab_boundary(index, boundary, depth, m, seeds)
+    layers = _slab_boundary(index, boundary, depth, m, seeds)
     keep = set(range(m)) | set(record_layers or ())
-    out = {k: v for k, v in top.items() if k in keep}
-    # the sweep runs site-major, on (n_class, S) arrays: gathering a move's
-    # targets copies whole rows, and every array the rule combines, the
-    # closed bits included, has the same layout
-    layers = {k: np.ascontiguousarray(v.T) for k, v in top.items()}
+    out = {k: v for k, v in layers.items() if k in keep}
+    uniforms = {}  # one buffer per class, reused by every layer of the class
     for k in range(depth - 1, -1, -1):
         c = k % index.q
-        pos = index.nbr_pos[c]
-        nbrs = [np.take(layers[k + int(dl)], pos[:, j], axis=0)
-                for j, dl in enumerate(index.nbr_layer_delta[c])]
-        vals = recurse(closed[k].T, nbrs, three)
-        layers[k] = vals
+        u = uniforms[c] = hash_uniforms(seeds, index.layer_site_coords(k), 0,
+                                        out=uniforms.get(c))
+        nbrs = [np.take(layers[k + int(dl)], pos, axis=1)
+                for dl, pos in zip(index.nbr_layer_delta[c], index.nbr_pos[c].T)]
+        layers[k] = recurse(u < p, nbrs, three)
         if k in keep:
-            out[k] = np.ascontiguousarray(vals.T)
+            out[k] = layers[k]
         layers.pop(k + m, None)
     return out
 
 
-# -- derived experiments -------------------------------------------------------
+# -- draw-scan: every depth and boundary in one bit-sliced sweep ---------------
+
+DEPTHS_PER_SWEEP = 64 // 3  # 3 boundaries x 21 depths in the bits of a word
+SEED_BLOCK = 32  # seeds swept at once; bounds the layer, gather and hash buffers
 
 
-def draw_density_profile(closed: ClosedLayers, k_max: int, depths=None):
-    """Mean ?-fraction on layer 0 under the all-? boundary, per depth, on
-    the index, p and seeds of ``closed``, whose closed bits every depth reads.
+def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
+    """Layer-0 values of the slabs of up to 21 depths under the all-?,
+    all-0 and all-1 boundaries, from one sweep of the deepest slab: (zero,
+    one), (S, n_class) uint64 each, whose bit 3i + b holds depth
+    ``depths[i]`` under boundary b (?, 0, 1) as a bit pair, ? = (0, 0),
+    0 = (1, 0), 1 = (0, 1).  One rule serves both recursions (a two-valued
+    pair has zero = ~one), and on layer k each bit whose depth is <= k
+    takes its boundary value:
 
-    Returns rows (depth, q_fraction, stderr, n_seeds).  For a fixed seed the
-    layer-0 ?-set shrinks pointwise as the depth grows, so q_fraction is
-    non-increasing along the rows for each individual seed.
+        zero = closed | OR(one[target]),   one = ~closed & AND(zero[target])
     """
-    index, p, seeds = closed.index, closed.p, closed.seeds
-    if depths is None:
-        step = max(1, k_max // 20)
-        depths = sorted(set(list(range(index.family.m, k_max + 1, step)) + [k_max]))
-    rows = []
-    for K in depths:
-        layers = slab_sweep(index, K, AllQuestion(), p, seeds, closed=closed)
-        frac = (layers[0] == QUES).mean(axis=1)  # per seed
-        rows.append((K, float(frac.mean()),
-                     float(frac.std(ddof=1) / np.sqrt(seeds.size)) if seeds.size > 1 else 0.0,
-                     int(seeds.size)))
-    return rows
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    if not 0 < len(depths) <= DEPTHS_PER_SWEEP or min(depths) < 0:
+        raise ValueError(f"a sliced sweep takes 1 to {DEPTHS_PER_SWEEP} depths >= 0, got {depths}")
+    m, q, top, threshold = index.family.m, index.q, max(depths), closed_threshold(p)
+    # per layer k: the boundary zero and one bits of the depths <= k, and all their bits
+    fixed = [[np.uint64(sum(w << 3 * i for i, K in enumerate(depths) if K <= k))
+              for w in (2, 4, 7)] for k in range(top + m)]
+    size = max(map(index.class_size, range(q))) * min(SEED_BLOCK, seeds.size)
+    ring = np.empty((m + 1, 2 * size), dtype=np.uint64)  # layer k in row k mod (m + 1)
+    gathered, words, tmp = (np.empty(n, dtype=np.uint64) for n in (2 * size, size, size))
+    closed = np.empty(size, dtype=bool)
+    zero, one = np.empty((2, seeds.size, index.class_size(0)), dtype=np.uint64)
+    for lo in range(0, seeds.size, SEED_BLOCK):
+        block = seeds[lo:lo + SEED_BLOCK]
+        s = block.size
+
+        def layer(k):  # (2, n_class, s): the zero and the one words, site-major
+            return ring[k % (m + 1), :2 * index.class_size(k) * s].reshape(2, -1, s)
+
+        for k in range(top + m - 1, -1, -1):
+            z, o = layer(k)
+            c, n = k % q, z.shape[0]
+            if k < top:
+                h = hash_words(block, index.layer_site_coords(k), 0,
+                               out=words[:n * s].reshape(s, n), tmp=tmp[:n * s].reshape(s, n))
+                np.copyto(z, below(h, threshold, out=closed[:n * s].reshape(s, n)).T)
+                np.negative(z, out=z)  # a closed site's words are all ones
+                np.invert(z, out=o)
+                for j, dl in enumerate(index.nbr_layer_delta[c]):
+                    # mode="clip": the default "raise" would buffer the output
+                    gz, go = np.take(layer(k + int(dl)), index.nbr_pos[c][:, j], axis=1,
+                                     mode="clip", out=gathered[:2 * n * s].reshape(2, n, s))
+                    z |= go
+                    o &= gz
+            fz, fo, f = fixed[k]
+            if f:
+                np.bitwise_or(z & ~f, fz, out=z)
+                np.bitwise_or(o & ~f, fo, out=o)
+        zero[lo:lo + s], one[lo:lo + s] = z.T, o.T
+    return zero, one
+
+
+def profile_depths(m: int, k_max: int) -> list[int]:
+    """The default depths of a draw-density profile: from m to k_max in
+    about 20 steps, k_max included."""
+    return sorted(set(range(m, k_max + 1, max(1, k_max // 20))) | {k_max})
 
 
 @dataclass
@@ -468,21 +437,47 @@ class SensitivityResult:
 
     @property
     def stderr(self) -> float:
-        q = self.fraction
-        return float(np.sqrt(q * (1 - q) / self.disagree.size))
+        return float(np.sqrt(self.fraction * (1 - self.fraction) / self.disagree.size))
 
 
-def boundary_sensitivity(closed: ClosedLayers, depth: int) -> SensitivityResult:
-    """Fraction of seeds where the all-0 and all-1 boundary solutions
-    disagree at the origin, on the index, p and seeds of ``closed``
-    (two-valued recursion, shared randomness: both sweeps read its bits)."""
-    index, p, seeds = closed.index, closed.p, closed.seeds
-    family = index.family
-    if not (family.has_A2 or family.has_A2_prime):
-        raise ValueError(f"{family.name} does not satisfy the layer-automorphism assumption")
-    zero = slab_sweep(index, depth, AllZero(), p, seeds, closed=closed)[0][:, index.origin_pos]
-    one = slab_sweep(index, depth, AllOne(), p, seeds, closed=closed)[0][:, index.origin_pos]
-    return SensitivityResult(zero != one)
+def draw_scan(index: SlabIndex, p: float, seeds, depths):
+    """Per depth, a draw-density profile row (depth, q_fraction, stderr,
+    n_seeds), q_fraction being the seed mean of the layer-0 ?-fraction under
+    the all-? boundary, and a ``SensitivityResult`` (do the all-0 and all-1
+    boundaries disagree at the origin), from one sliced sweep per 21 depths.
+    """
+    rows, results, n_seeds = [], [], int(np.size(seeds))
+    for lo in range(0, len(depths), DEPTHS_PER_SWEEP):
+        chunk = depths[lo:lo + DEPTHS_PER_SWEEP]
+        zero, one = sliced_sweep(index, p, seeds, chunk)
+        origin = one[:, index.origin_pos].copy()
+        # the ?-bits, then each depth's ?-bit, overwrite the words in place
+        ques = np.invert(np.bitwise_or(zero, one, out=zero), out=zero)
+        for i, K in enumerate(chunk):
+            bit = np.bitwise_and(ques, np.uint64(1 << 3 * i), out=one)
+            frac = np.count_nonzero(bit, axis=1) / ques.shape[1]
+            rows.append((int(K), float(frac.mean()), float(frac.std(ddof=1) / np.sqrt(n_seeds))
+                         if n_seeds > 1 else 0.0, n_seeds))
+            differ = origin >> np.uint64(3 * i + 1) ^ origin >> np.uint64(3 * i + 2)
+            results.append(SensitivityResult((differ & np.uint64(1)).astype(bool)))
+    return rows, results
+
+
+def draw_density_profile(index: SlabIndex, p: float, seeds, k_max: int, depths=None):
+    """The profile rows of ``draw_scan`` at ``depths``, by default
+    ``profile_depths(m, k_max)``.  For each seed, the layer-0 ?-set shrinks
+    as the depth grows, so q_fraction does not increase along the rows."""
+    if depths is None:
+        depths = profile_depths(index.family.m, k_max)
+    return draw_scan(index, p, seeds, depths)[0]
+
+
+def boundary_sensitivity(index: SlabIndex, p: float, seeds, depth: int) -> SensitivityResult:
+    """The sensitivity result of ``draw_scan`` at one depth, on a family
+    with a layer automorphism."""
+    if not (index.family.has_A2 or index.family.has_A2_prime):
+        raise ValueError(f"{index.family.name} does not satisfy the layer-automorphism assumption")
+    return draw_scan(index, p, seeds, [depth])[1][0]
 
 
 # -- rendering -----------------------------------------------------------------

@@ -45,9 +45,14 @@ def format_word(cells) -> str:
 
 
 def as_cells(word) -> np.ndarray:
-    """Accept a ``0?1`` string, a sequence of codes, or an array."""
+    """Accept a ``0?1`` string, a sequence of codes, an array, or a list or
+    tuple of ``0?1`` strings of one length: a stack of rings, (rings, n)."""
     if isinstance(word, str):
         word = parse_word(word)
+    elif isinstance(word, (list, tuple)) and word and all(isinstance(w, str) for w in word):
+        if len({len(w) for w in word}) > 1:
+            raise ValueError(f"a stack of rings needs rings of one length, got {list(word)}")
+        word = [parse_word(w) for w in word]
     cells = np.asarray(word, dtype=np.int8)
     if cells.size and not np.isin(cells, SYMBOLS).all():
         raise ValueError("cell values must be 0, 1 or 2 (=?)")

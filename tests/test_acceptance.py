@@ -208,13 +208,11 @@ def test_11_dimension_contrast():
     # calibrated: z2 ring 64; even(3) torus 32^2 (see README)
     t0 = time.time()
     seeds = np.arange(200)
-    ring = solver.ClosedLayers(solver.SlabIndex(Z2, (64,)), 0.1, seeds)
-    s50 = solver.boundary_sensitivity(ring, 50).fraction
-    s400 = solver.boundary_sensitivity(ring, 400).fraction
+    _, (r50, r400) = solver.draw_scan(solver.SlabIndex(Z2, (64,)), 0.1, seeds, [50, 400])
+    s50, s400 = r50.fraction, r400.fraction
     decay_ok = s50 > 0 and s400 <= s50 / 3
-    torus = solver.ClosedLayers(solver.SlabIndex(EVEN3, (32, 32)), 0.05, seeds)
-    s20 = solver.boundary_sensitivity(torus, 20).fraction
-    s60 = solver.boundary_sensitivity(torus, 60).fraction
+    _, (r20, r60) = solver.draw_scan(solver.SlabIndex(EVEN3, (32, 32)), 0.05, seeds, [20, 60])
+    s20, s60 = r20.fraction, r60.fraction
     plateau_ok = s60 >= 0.5 * s20 > 0
     dt = time.time() - t0
     report(11, decay_ok and plateau_ok and dt < 1800,

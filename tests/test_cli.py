@@ -63,7 +63,7 @@ def test_draw_scan(tmp_path):
 
 # SHA-256 of every file the two commands below write, recorded before the
 # solver took one name per input: the triangle renders and counts, and the
-# slab experiments reading their closed bits from one cache per (family, p)
+# slab experiments (draw-density profiles and boundary sensitivity)
 SOLVER_OUTPUT_SHA256 = {
     "tri_seed0.ppm": "338df2121d368e3f227828dd2e80d69281b185880ae197d7a70e575b2cf4486f",
     "tri_seed1.ppm": "fa5c4b4fb7b6026755f0a02ebbfbb041fd3ae52f2de082c1ab9b2ae25208daeb",
@@ -88,6 +88,22 @@ def test_solver_outputs_are_byte_identical(tmp_path):
                 "--out", str(tmp_path / "scan")]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == SOLVER_OUTPUT_SHA256
+
+
+# SHA-256 of the outputs of a draw-scan with 29 profile depths, more than
+# one bit-sliced sweep takes, recorded from the per-depth slab sweeps
+CHUNKED_DRAW_SCAN_SHA256 = {
+    "scan_binomial4x2_p0.1_profile.csv":
+        "da0a522a0d73490865334f4fb2dfe788b98b1de54abdb5a27769b808ee5074c8",
+    "scan_sensitivity.csv": "30a5021fc8511621b404ffca7e1f30b3f9395bc2d64420379528522b704080c0",
+}
+
+
+def test_a_chunked_draw_scan_is_byte_identical(tmp_path):
+    assert run(["draw-scan", "--family", "binomial(4,2)", "--size", "8", "--depth", "30",
+                "--out", str(tmp_path / "scan")]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == CHUNKED_DRAW_SCAN_SHA256
 
 
 # SHA-256 of the pca-run (one ternary and one binary kind) and glauber CSVs

@@ -18,7 +18,7 @@ EXT3 = lat.even_sublattice_extended(3)
 
 def test_torus_z2_is_cycle():
     t = glauber.build_doubling_torus(Z2, (10,))
-    assert t.n_vertices == 10 and t.degree == 2 and t.m == 2
+    assert t.n_vertices == 10 and t.degree == 2 and t.q == 2
     for i in range(10):
         v = int(t.coords[i, 0])
         assert sorted(int(t.coords[j, 0]) for j in t.neighbors[i]) == \
@@ -36,7 +36,7 @@ def test_torus_even3_is_grid():
 
 def test_torus_sub3_is_triangular():
     t = glauber.build_doubling_torus(SUB3, (6, 6))
-    assert t.n_vertices == 36 and t.degree == 6 and t.m == 3
+    assert t.n_vertices == 36 and t.degree == 6 and t.q == 3
     # classes partition into three independent sets of equal size
     assert [len(m) for m in t.class_members] == [12, 12, 12]
     for i in range(36):
@@ -45,12 +45,12 @@ def test_torus_sub3_is_triangular():
 
 def test_torus_bin31_is_hexagonal():
     t = glauber.build_doubling_torus(BIN31, (6, 6))
-    assert t.n_vertices == 24 and t.degree == 3 and t.m == 2
+    assert t.n_vertices == 24 and t.degree == 3 and t.q == 2
 
 
 def test_torus_bin41_is_diamond():
     t = glauber.build_doubling_torus(BIN41, (4, 4, 4))
-    assert t.n_vertices == 32 and t.degree == 4 and t.m == 2
+    assert t.n_vertices == 32 and t.degree == 4 and t.q == 2
 
 
 def test_torus_bcc4():
@@ -102,7 +102,7 @@ def test_one_sweep_repairs_independence():
     assert glauber.independence_violations(t, vals) > 0
     seeds = np.array([3])
     for sweep in range(3):
-        for i in range(t.m):
+        for i in range(t.q):
             sel = t.class_members[i]
             from percgame.sitefield import hash_uniforms
             u = hash_uniforms(seeds, t.coords[sel], (sweep, i))
@@ -187,7 +187,7 @@ def _reference_chains(torus, p, variant, sweeps, seeds, init, record_every):
     vals = np.broadcast_to(base, (len(seeds), torus.n_vertices)).copy()
     ts, occs = [], []
     for t in range(sweeps):
-        for i in range(torus.m):
+        for i in range(torus.q):
             u = hash_uniforms(seeds, torus.coords[torus.class_members[i]], (t, i))
             vals = glauber.class_update(torus, vals, i, p, variant, u)
         if (t + 1) % record_every == 0 or t == sweeps - 1:

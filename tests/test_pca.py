@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from percgame import pca
 from percgame.pca import InvalidSymbolError
 from percgame.sitefield import hash_uniform_scalar
-from percgame.symbols import LINEAR_RANK, ONE, QUES, ZERO, format_word, parse_word
+from percgame.symbols import (LINEAR_RANK, ONE, QUES, ZERO, as_cells, format_word,
+                              parse_word)
 
 
 def test_local_rule_tables():
@@ -105,6 +106,21 @@ def test_ragged_rings_are_refused():
         pca.step("F", [parse_word("000"), parse_word("0000")], 0.5, 0)
     with pytest.raises(ValueError, match="one int per ring"):
         pca.step("F", np.zeros((2, 5), dtype=np.int8), 0.5, [0, 1, 2])
+
+
+def test_a_list_of_words_is_a_stack_of_rings():
+    words = ["01?", "0?1", "111"]
+    codes = np.array([parse_word(w) for w in words], dtype=np.int8)
+    assert np.array_equal(as_cells(words), codes)
+    assert np.array_equal(as_cells(tuple(words)), codes)
+    assert np.array_equal(pca.step("F", words, 0.5, 0), pca.step("F", codes, 0.5, 0))
+
+
+def test_a_ragged_list_of_words_is_refused():
+    with pytest.raises(ValueError, match="rings of one length"):
+        as_cells(["01?", "0?10"])
+    with pytest.raises(ValueError, match="rings of one length"):
+        pca.step("F", ["01?", "0?1", "1111"], 0.5, 0)
 
 
 def test_a_stack_of_short_rings_is_refused():

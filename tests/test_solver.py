@@ -9,8 +9,7 @@ from percgame import lattice as lat
 from percgame import solver
 from percgame.sitefield import SiteField
 from percgame.solver import (AllQuestion, AllZero, BoundaryShapeError,
-                             Checkerboard, ClosedLayers, Explicit, Sampled,
-                             SlabIndex)
+                             Checkerboard, Explicit, Sampled, SlabIndex)
 from percgame.symbols import LINEAR_RANK, ONE, QUES, ZERO
 
 Z2 = lat.z2()
@@ -137,9 +136,9 @@ def test_checkerboard_slab_even_family_degenerates_to_zero():
 def test_draw_profile_fixtures():
     seeds = np.arange(4)
     index = SlabIndex(Z2, (16,))
-    rows1 = solver.draw_density_profile(ClosedLayers(index, 1.0, seeds), 12, depths=[4, 8, 12])
+    rows1 = solver.draw_density_profile(index, 1.0, seeds, 12, depths=[4, 8, 12])
     assert all(r[1] == 0.0 for r in rows1)  # p=1: everything closed, no draws
-    rows0 = solver.draw_density_profile(ClosedLayers(index, 0.0, seeds), 12, depths=[4, 8, 12])
+    rows0 = solver.draw_density_profile(index, 0.0, seeds, 12, depths=[4, 8, 12])
     assert all(r[1] == 1.0 for r in rows0)  # p=0: all draws
 
 
@@ -155,17 +154,17 @@ def test_draw_profile_monotone_per_seed():
 
 def test_draw_profile_strict_decay_z2():
     # deeper information strictly resolves draws at p = 0.1 (seed average)
-    closed = ClosedLayers(SlabIndex(Z2, (32,)), 0.1, np.arange(100))
-    rows = solver.draw_density_profile(closed, 200, depths=[20, 200])
+    rows = solver.draw_density_profile(SlabIndex(Z2, (32,)), 0.1, np.arange(100), 200,
+                                       depths=[20, 200])
     assert rows[1][1] < rows[0][1]
 
 
 def test_boundary_sensitivity_fixtures():
     seeds = np.arange(16)
-    res = solver.boundary_sensitivity(ClosedLayers(SlabIndex(Z2, (16,)), 1.0, seeds), 12)
+    res = solver.boundary_sensitivity(SlabIndex(Z2, (16,)), 1.0, seeds, 12)
     assert res.fraction == 0.0  # closed origin forces 0 under both boundaries
     with pytest.raises(ValueError):
-        solver.boundary_sensitivity(ClosedLayers(SlabIndex(lat.zd(3), (9, 9)), 0.2, seeds), 6)
+        solver.boundary_sensitivity(SlabIndex(lat.zd(3), (9, 9)), 0.2, seeds, 6)
 
 
 def test_sampled_boundary_reproducible():
@@ -259,8 +258,8 @@ def test_triangle_sampled_extremes_equal_constant_boundaries():
 
 
 def test_solve_triangle_closed_bits_are_the_site_field_bits(tmp_path):
-    # solve_triangle reads the closed bits off the sweep; pin them, the counts
-    # and the rendered bytes against SiteField.closed_mask on every site
+    # pin the closed bits of solve_triangle, its counts and its rendered
+    # bytes against SiteField.closed_mask on every site
     for n, p, seed, boundary in ((25, 0.3, 4, AllQuestion()), (12, 0.0, 1, AllZero()),
                                  (12, 1.0, 2, Checkerboard()), (40, 0.2, 9, Sampled(0.5))):
         field = SiteField(seed, p)
@@ -276,15 +275,15 @@ def test_solve_triangle_closed_bits_are_the_site_field_bits(tmp_path):
         assert (tmp_path / "out.ppm").read_bytes() == (tmp_path / "ref.ppm").read_bytes()
 
 
-def test_triangle_sweep_closed_out_over_a_p_sequence():
-    seeds, grid, n = np.arange(3, 6), [0.0, 0.25, 0.7, 1.0], 9
-    closed = {}
-    _, rows = solver.triangle_sweep(n, AllQuestion(), grid, seeds, keep_all=True,
-                                    closed_out=closed)
-    assert sorted(closed) == list(range(n + 1))
-    for k in range(n + 1):
-        coords = np.stack([k - np.arange(k + 1), np.arange(k + 1)], axis=1)
-        assert closed[k].shape == rows[k].shape
-        for i, p in enumerate(grid):
-            for j, seed in enumerate(seeds):
-                assert np.array_equal(closed[k][i, j], SiteField(int(seed), p).closed_mask(coords))
+def test_solve_triangle_equals_a_sweep_over_a_p_sequence():
+    # each p of one batched sweep gives the values that solve_triangle
+    # places on the plane, next to the closed bits of the site field
+    seed, grid, n = 4, [0.0, 0.25, 0.7, 1.0], 9
+    _, rows = solver.triangle_sweep(n, AllQuestion(), grid, [seed], keep_all=True)
+    for i, p in enumerate(grid):
+        out = solver.solve_triangle(n, AllQuestion(), SiteField(seed, p))
+        for k in range(n + 1):
+            coords = np.stack([k - np.arange(k + 1), np.arange(k + 1)], axis=1)
+            assert np.array_equal(out.values[coords[:, 0], coords[:, 1]], rows[k][i, 0])
+            assert np.array_equal(out.closed[coords[:, 0], coords[:, 1]],
+                                  SiteField(seed, p).closed_mask(coords))
