@@ -7,14 +7,13 @@ wins, green = first player loses, red = draw, black = closed site.  At
 p = 0.1 large drawn regions survive; at p = 0.2 they are sparse.
 """
 
-import percgame as pg
 from percgame import solver
 
 N = 200
 SEED = 7
 
 for p in (0.1, 0.2):
-    outcome = solver.solve_triangle(N, solver.AllQuestion(), pg.SiteField(SEED, p))
+    outcome = solver.solve_triangle(N, solver.AllQuestion(), p, SEED)
     path = f"outcomes_p{p:g}.ppm"
     solver.render_outcomes(outcome, path)
     counts = outcome.counts()

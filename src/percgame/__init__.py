@@ -18,7 +18,6 @@ from .lattice import (GraphFamily, IsoMap, bcc_lattice, binomial_family,
                       subset_increment, verify_axioms, verify_isomorphism, z2,
                       zd)
 from .pca import local_rule, stavskaya_identity_check, step, trajectory_stats
-from .sitefield import SiteField
 from .solver import (AllOne, AllQuestion, AllZero, Checkerboard, Explicit,
                      Sampled, SlabIndex, boundary_sensitivity, draw_density_profile,
                      draw_scan, render_outcomes, solve_triangle)

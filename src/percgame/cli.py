@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import exact, glauber, lattice, pca, solver
-from .sitefield import COORD_LIMIT, SiteField
+from .sitefield import COORD_LIMIT
 from .symbols import QUES
 
 HEADERS = {
@@ -257,8 +257,7 @@ def cmd_solve2d(cfg: RunConfig) -> int:
     _depth(cfg.depth, cfg.depth)
     rows = []
     for seed in cfg.seeds:
-        outcome = solver.solve_triangle(cfg.depth, solver.AllQuestion(),
-                                        SiteField(int(seed), cfg.p))
+        outcome = solver.solve_triangle(cfg.depth, solver.AllQuestion(), cfg.p, int(seed))
         img_path = f"{cfg.out}_seed{seed}.ppm"
         _ensure_outdir(img_path)
         solver.render_outcomes(outcome, img_path)

@@ -23,16 +23,13 @@ The coupling (the paper's dimension reduction): the two-valued game
 recursion on a slab equals, layer by layer and path by path, the class
 updates of the coupled chain on the doubling torus.  ``coupling_mismatches``
 checks this exactly for a batch of seeds.  Its game side is an oracle that
-derives its own view of the slab from the lattice: it lists the torus
-vertices with ``lattice.torus_vertices`` and ``torus_class``, lifts each
-vertex to its slab site, applies the family's move set and wraps every
-target back onto the torus.  It never reads the index's out-table
+derives its own move table from the lattice, site by site (``_oracle_table``,
+built once per (family, sizes)).  It never reads the index's out-table
 (``SlabIndex.nbr_pos``, ``nbr_layer_delta``), its undirected adjacency or
 its coordinate map, which the Glauber side runs on; it checks only that
-both list the class vertices in the same order.  This move table is built
-once per (family, sizes).  A seed enters only through the hash: one array
-call per layer for the closed bits (tag 0) and for the boundary values
-(tag 1), for all seeds at once.
+both list the class vertices in the same order.  A seed enters only through
+the hash: one array call per layer for the closed bits (tag 0) and for the
+boundary values (tag 1), for all seeds at once.
 """
 
 from __future__ import annotations
@@ -94,22 +91,19 @@ def independence_violations(torus: SlabIndex, values: np.ndarray) -> int:
 
 def _update_class(values: np.ndarray, sel: np.ndarray, nbr_cols: np.ndarray,
                   open_: np.ndarray, extended: bool) -> None:
-    """The class-update rule, in place.
+    """The class-update rule, in place, on 0/1 int8 values (``open_``
+    bool) or on bit lanes (``open_`` words of the same type):
+    ``values[sel] = open_ & ~(OR of neighbors [| values[sel] if extended])``.
 
-    ``values`` is a 0/1 int8 configuration with the vertex axis first,
-    shape (V, ...); ``sel`` the class's vertices; ``nbr_cols`` their
-    neighbors, shape (deg, len(sel)); ``open_`` (len(sel), ...) bool, True
-    where the vertex's uniform is >= p.  A vertex becomes 1 iff it is open
-    and no neighbor is occupied (extended: and it was empty).
-    """
-    blocked = values[nbr_cols[0]]
-    for col in nbr_cols[1:]:
+    ``values`` has the vertex axis first, (V, ...); ``nbr_cols`` are the
+    neighbors of ``sel``, (deg, len(sel)); ``open_`` (len(sel), ...) is set
+    where the vertex's uniform is >= p."""
+    blocked = values[sel] if extended else values[nbr_cols[0]]
+    for col in (nbr_cols if extended else nbr_cols[1:]):
         blocked |= values[col]
-    allowed = blocked == ZERO
-    allowed &= open_
-    if extended:
-        allowed &= values[sel] == ZERO
-    values[sel] = allowed
+    np.invert(blocked, out=blocked)
+    blocked &= open_
+    values[sel] = blocked
 
 
 def class_update(torus: SlabIndex, values: np.ndarray, class_i: int,
@@ -126,50 +120,67 @@ def class_update(torus: SlabIndex, values: np.ndarray, class_i: int,
     return out
 
 
+def _pack_lanes(bits: np.ndarray) -> np.ndarray:
+    """Bool (n, 64 W) -> (n, W) uint64 words; lane s is bit s % 8 of byte s // 8."""
+    return np.packbits(bits.reshape(-1), bitorder="little").view(np.uint64).reshape(len(bits), -1)
+
+
 def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
                seeds, init="even", record_every: int = 1):
     """Alternating class updates over a batch of seeds.
 
     init: 'even' / 'odd' (checkerboard states), 'empty', or an explicit
-    (V,) array.  Vertex v in class i at sweep t draws uniform(seed, coords
-    of v, tag=(t, i)).  Returns (record_sweeps, occupations (S, R, m)).
+    (V,) 0/1 array.  Vertex v in class i at sweep t draws uniform(seed,
+    coords of v, tag=(t, i)).  Returns (record_sweeps, occupations
+    (S, R, m)).
 
     Each class's hash prefix (seed and coordinate words) is computed once;
     a sweep finishes only the (t, i) tag and decides ``uniform >= p`` on
-    the hash words (see ``sitefield``).  The configuration is kept
-    vertex-major, (V, S), so that neighbor gathers copy whole rows.
+    the hash words (see ``sitefield``).  The configuration is bit-sliced,
+    (V, ceil(S / 64)) uint64 words: seed s is bit s % 64 of word s // 64,
+    and the padding lanes stay 0.  A class update packs the open bits into
+    the same lanes; an occupation is the count of set lanes / class size.
     """
     _check_variant(variant)
     extended = variant == "extended"
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    if isinstance(init, str):
-        base = {"even": lambda: checkerboard_config(torus, 0),
-                "odd": lambda: checkerboard_config(torus, 1),
-                "empty": lambda: np.zeros(torus.n_vertices, dtype=np.int8)}[init]()
-    else:
-        base = np.asarray(init, dtype=np.int8)
-    values = np.broadcast_to(base, (seeds.size, torus.n_vertices)).T.copy()
+    for name, n in (("sweeps", sweeps), ("record_every", record_every), ("len(seeds)", seeds.size)):
+        if n < 1:
+            raise ValueError(f"run_chains needs {name} >= 1, got {n}")
+    if isinstance(init, str) and init in ("even", "odd", "empty"):
+        init = (np.zeros(torus.n_vertices, dtype=np.int8) if init == "empty"
+                else checkerboard_config(torus, int(init == "odd")))
+    base = np.asarray(init)
+    if base.shape != (torus.n_vertices,) or not np.isin(base, (ZERO, ONE)).all():
+        raise ValueError(f"init must be 'even', 'odd', 'empty' or a 0/1 array of shape "
+                         f"({torus.n_vertices},)")
     members = torus.class_members
+    n_lanes = -(-seeds.size // 64) * 64
+    lanes = _pack_lanes(np.arange(n_lanes)[None] < seeds.size)
+    values = lanes * (base[:, None] == ONE)
     prefixes = [np.ascontiguousarray(hash_prefix(seeds, torus.coords[sel]).T)
                 for sel in members]
     nbr_cols = [np.ascontiguousarray(torus.neighbors[sel].T) for sel in members]
     hashed = [np.empty_like(pre) for pre in prefixes]
     scratch = [np.empty_like(pre) for pre in prefixes]
-    open_ = [np.empty(pre.shape, dtype=bool) for pre in prefixes]
+    # closed bits, seed-padded to whole words; the padding stays False
+    closed = [np.zeros((len(sel), n_lanes), dtype=bool) for sel in members]
     threshold = closed_threshold(p)
-    record_sweeps = []
-    occs = []
+    record_sweeps, occs = [], []
 
     def record(t):
         record_sweeps.append(t)
         occs.append(np.stack(
-            [(values[mem] == ONE).mean(axis=0) for mem in members], axis=1))
+            [np.unpackbits(values[mem].view(np.uint8), axis=-1, count=seeds.size,
+                           bitorder="little").sum(axis=0) / len(mem)
+             for mem in members], axis=1))
 
     for t in range(sweeps):
         for i in range(torus.q):
             h = finish_tag(prefixes[i], (t, i), out=hashed[i], tmp=scratch[i])
-            np.logical_not(below(h, threshold, out=open_[i]), out=open_[i])
-            _update_class(values, members[i], nbr_cols[i], open_[i], extended)
+            below(h, threshold, out=closed[i][:, :seeds.size])
+            _update_class(values, members[i], nbr_cols[i], _pack_lanes(closed[i]) ^ lanes,
+                          extended)
         if (t + 1) % record_every == 0 or t == sweeps - 1:
             record(t + 1)
     return np.array(record_sweeps), np.stack(occs, axis=1)
@@ -382,36 +393,22 @@ def cycle_graph(n: int):
     return nbrs, classes
 
 
+def _patch(rows: int, cols: int, steps, q: int):
+    """Open rows x cols patch with an edge along each step, both ways, and
+    the classes (i + j) mod q."""
+    nbrs = [[a * cols + b for di, dj in steps for a, b in ((i + di, j + dj), (i - di, j - dj))
+             if 0 <= a < rows and 0 <= b < cols] for i in range(rows) for j in range(cols)]
+    classes = [[i * cols + j for i in range(rows) for j in range(cols) if (i + j) % q == c]
+               for c in range(q)]
+    return nbrs, classes
+
+
 def grid_graph(rows: int, cols: int):
     """Open-boundary grid with parity classes."""
-    def vid(i, j):
-        return i * cols + j
-
-    nbrs = [[] for _ in range(rows * cols)]
-    for i in range(rows):
-        for j in range(cols):
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                a, b = i + di, j + dj
-                if 0 <= a < rows and 0 <= b < cols:
-                    nbrs[vid(i, j)].append(vid(a, b))
-    classes = [[vid(i, j) for i in range(rows) for j in range(cols) if (i + j) % 2 == 0],
-               [vid(i, j) for i in range(rows) for j in range(cols) if (i + j) % 2 == 1]]
-    return nbrs, classes
+    return _patch(rows, cols, ((1, 0), (0, 1)), 2)
 
 
 def triangular_patch(rows: int, cols: int):
     """Open patch of the triangular lattice (edges east, north, northeast),
     with the three-coloring classes (i + j) mod 3."""
-    def vid(i, j):
-        return i * cols + j
-
-    nbrs = [[] for _ in range(rows * cols)]
-    for i in range(rows):
-        for j in range(cols):
-            for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1)):
-                a, b = i + di, j + dj
-                if 0 <= a < rows and 0 <= b < cols:
-                    nbrs[vid(i, j)].append(vid(a, b))
-    classes = [[vid(i, j) for i in range(rows) for j in range(cols)
-                if (i + j) % 3 == c] for c in range(3)]
-    return nbrs, classes
+    return _patch(rows, cols, ((0, 1), (1, 0), (1, 1)), 3)

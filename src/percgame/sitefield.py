@@ -33,6 +33,15 @@ the *tag finisher* mixes the tag elements into it:
 A consumer that draws many tags at fixed sites (a Glauber chain drawing
 tag (t, i) at every sweep t) computes each site's prefix once.
 
+The first step of ``mix64``, ``z ^= z >> 30``, is linear over GF(2), so
+the step of ``a ^ b`` is the xor of the steps of a and b.  The array paths
+apply it once to an operand that many xors share: to the (S,) seed states
+and to the sites' first coordinate words, whose xor then runs through the
+other six steps only.  ``hash_prefix`` returns the prefix with this step
+already applied, and ``finish_tag`` xors into it the step of the first tag
+element, one int.  A tag element of 0 is not xored at all.  The bits are
+those defined above; ``hash_uniform_scalar`` computes them as written.
+
 Threshold lemma.  A decision ``u < p`` is made on the 64-bit word h alone:
 
     (h >> 11) * 2.0**-53 < p   <=>   h < ceil(p * 2**53) << 11    (0 < p < 1)
@@ -49,7 +58,7 @@ conversion.
 A tag is a non-negative int or a tuple of them; an int tag behaves as a
 1-tuple.  Tag registry used in this package:
 
-    0          open/closed status of a lattice site (``is_closed``)
+    0          open/closed status of a lattice site
     1          boundary-value sampling in the slab/triangle solver
     t          ring-PCA step at time t (sites are 1-d cell indices)
     (t, i)     free-running Glauber sweep t, vertex class i
@@ -62,7 +71,6 @@ update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,18 +99,28 @@ _U30, _U27, _U31, _U11 = (np.uint64(k) for k in (30, 27, 31, 11))
 _UC1, _UC2 = np.uint64(_C1), np.uint64(_C2)
 
 
-def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Splitmix64 finalizer on a uint64 array, in place; ``tmp`` is a
-    scratch array of the same shape."""
+def _xorshift30(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The linear first step of ``mix64``, z ^= z >> 30, in place."""
     np.right_shift(z, _U30, out=tmp)
     z ^= tmp
-    z *= _UC1
-    np.right_shift(z, _U27, out=tmp)
-    z ^= tmp
-    z *= _UC2
-    np.right_shift(z, _U31, out=tmp)
-    z ^= tmp
     return z
+
+
+def _mix_rest(src: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The six steps of ``mix64`` after the first, from ``src`` into
+    ``out`` (which may be ``src``); ``tmp`` is scratch of the same shape."""
+    np.multiply(src, _UC1, out=out)
+    np.right_shift(out, _U27, out=tmp)
+    out ^= tmp
+    out *= _UC2
+    np.right_shift(out, _U31, out=tmp)
+    out ^= tmp
+    return out
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Splitmix64 finalizer on a uint64 array, in place, with scratch ``tmp``."""
+    return _mix_rest(_xorshift30(z, tmp), z, tmp)
 
 
 def _tag_elements(tag) -> tuple[int, ...]:
@@ -139,58 +157,69 @@ def _buffer(buf, shape, scalar_seed: bool, name: str) -> np.ndarray:
 def _chain(seeds, coords, tag=(), out=None, tmp=None) -> np.ndarray:
     """The chain core: hash words of every (seed, site, tag), mixed in place
     on one state buffer (``out`` if given) with one scratch buffer (``tmp``
-    if given).  The empty tag gives the prefix.  Shapes as for
-    :func:`hash_prefix`."""
+    if given).  The empty tag gives the prefix, before its first step.
+    Shapes as for :func:`hash_prefix`."""
     coords = np.asarray(coords, dtype=np.int64)
-    if coords.ndim == 0:
-        coords = coords.reshape(1)
-    if coords.ndim == 1:
-        coords = coords[:, None]
+    if coords.ndim <= 1:
+        coords = coords.reshape(-1, 1)
     seeds_arr = np.asarray(seeds, dtype=np.uint64)
-    h = seeds_arr.reshape(-1).copy()  # (S,)
-    _mix64_inplace(h, np.empty_like(h))
     words = _pack_words(coords)  # (..., nw)
-    shape = (h.shape[0],) + words.shape[:-1]
+    h = seeds_arr.reshape((-1,) + (1,) * (words.ndim - 1)).copy()  # (S, 1, ...)
+    h_tmp = np.empty_like(h)
+    _mix64_inplace(h, h_tmp)
+    shape = h.shape[:1] + words.shape[:-1]
     state = _buffer(out, shape, seeds_arr.ndim == 0, "out")
     tmp = _buffer(tmp, shape, seeds_arr.ndim == 0, "tmp")
-    h = h.reshape((-1,) + (1,) * (words.ndim - 1))
     if words.shape[-1] == 0:
         state[...] = h
-    for w in range(words.shape[-1]):
-        np.bitwise_xor(h if w == 0 else state, words[None, ..., w], out=state)
+    else:
+        # the linear first step, applied once per seed and once per site
+        np.bitwise_xor(_xorshift30(h, h_tmp), _xorshift30(words[..., 0], tmp[0]), out=state)
+        _mix_rest(state, state, tmp)
+    for w in range(1, words.shape[-1]):
+        state ^= words[None, ..., w]
         _mix64_inplace(state, tmp)
-    finish_tag(state, tag, out=state, tmp=tmp)
+    if _tag_elements(tag):
+        finish_tag(_xorshift30(state, tmp), tag, out=state, tmp=tmp)
     return state[0] if seeds_arr.ndim == 0 else state
 
 
 def hash_prefix(seeds, coords) -> np.ndarray:
-    """Chain state after the seed and coordinate words, as uint64.
+    """Chain state after the seed and coordinate words, with the linear
+    first step of the next ``mix64`` applied, as uint64: the operand that
+    :func:`finish_tag` takes.
 
     ``seeds`` is a scalar or shape (S,) int array; ``coords`` is an integer
     array of shape (..., d) (or (...,) for 1-d sites).  Returns shape (...)
     for a scalar seed, or (S, ...) for a seed vector.
     """
-    return _chain(seeds, coords)
+    state = _chain(seeds, coords)
+    return _xorshift30(state, np.empty_like(state))
 
 
 def finish_tag(prefix: np.ndarray, tag, out: np.ndarray = None,
                tmp: np.ndarray = None) -> np.ndarray:
-    """Hash words of (seed, site, tag) from the prefix of (seed, site).
+    """Hash words of (seed, site, tag) from :func:`hash_prefix` of
+    (seed, site); the tag has at least one element.
 
     Writes into ``out`` (a new array if None; may be ``prefix`` itself) and
     uses ``tmp`` as scratch; both are uint64 of the prefix's shape.
     """
-    if out is None:
-        out = np.empty_like(prefix)
-    if tmp is None:
-        tmp = np.empty_like(prefix)
+    elements = _tag_elements(tag)
+    if not elements:
+        raise ValueError("finish_tag needs a tag with at least one element")
+    out = np.empty_like(prefix) if out is None else out
+    tmp = np.empty_like(prefix) if tmp is None else tmp
+    first = elements[0] & _MASK
     src = prefix
-    for t in _tag_elements(tag):
-        np.bitwise_xor(src, np.uint64(t & _MASK), out=out)
-        _mix64_inplace(out, tmp)
+    if first:
+        np.bitwise_xor(prefix, np.uint64(first ^ (first >> 30)), out=out)
         src = out
-    if src is not out:  # empty tag
-        out[...] = prefix
+    _mix_rest(src, out, tmp)
+    for t in elements[1:]:
+        if t & _MASK:
+            out ^= np.uint64(t & _MASK)
+        _mix64_inplace(out, tmp)
     return out
 
 
@@ -263,30 +292,3 @@ def hash_uniform_scalar(seed: int, coords, tag=0) -> float:
     for t in _tag_elements(tag):
         h = mix64(h ^ (t & _MASK))
     return (h >> 11) * _INV_2_53
-
-
-@dataclass(frozen=True)
-class SiteField:
-    """Percolation environment: each site closed with probability p.
-
-    ``is_closed`` is a deterministic pure function of (seed, site, p); the
-    closed/open bit of a site is derived from the tag-0 uniform.  The site
-    coordinates carry the lattice, so the field needs no family.
-    """
-
-    seed: int
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-
-    def uniform_at(self, x, stream_tag=0) -> float:
-        return hash_uniform_scalar(self.seed, x, stream_tag)
-
-    def is_closed(self, x) -> bool:
-        return self.uniform_at(x, 0) < self.p
-
-    def closed_mask(self, coords) -> np.ndarray:
-        """Vectorized is_closed over an array of sites, shape (..., d)."""
-        return hash_below(self.seed, coords, 0, self.p)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import (SiteField, below, closed_threshold, hash_below, hash_uniforms,
+from .sitefield import (below, closed_threshold, hash_below, hash_uniforms,
                         hash_words)
 from .symbols import ONE, QUES, ZERO
 
@@ -218,9 +218,12 @@ class TriangleOutcome:
         }
 
 
-def solve_triangle(n: int, boundary: Boundary, field: SiteField) -> TriangleOutcome:
-    """Game outcomes on the z2 triangle of side n under the given boundary."""
-    _, rows = triangle_sweep(n, boundary, field.p, [field.seed], keep_all=True)
+def solve_triangle(n: int, boundary: Boundary, p: float, seed: int) -> TriangleOutcome:
+    """Game outcomes on the z2 triangle of side n under the given boundary,
+    each site closed with probability p (its tag-0 uniform below p)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    _, rows = triangle_sweep(n, boundary, p, [seed], keep_all=True)
     values = np.full((n + 1, n + 1), -1, dtype=np.int8)
     closed = np.zeros((n + 1, n + 1), dtype=bool)
     for k, arr in rows.items():
@@ -229,7 +232,7 @@ def solve_triangle(n: int, boundary: Boundary, field: SiteField) -> TriangleOutc
         # closedness is a property of the site; on the boundary diagonal
         # it does not enter the recursion (values there are imposed) but
         # does drive rendering and counts
-        closed[coords[:, 0], coords[:, 1]] = field.closed_mask(coords)
+        closed[coords[:, 0], coords[:, 1]] = hash_below(seed, coords, 0, p)
     return TriangleOutcome(n, values, closed)
 
 

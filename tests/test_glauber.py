@@ -1,5 +1,7 @@
 """Doubling tori, class updates, chains, and the game coupling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -203,12 +205,55 @@ def _reference_chains(torus, p, variant, sweeps, seeds, init, record_every):
 @pytest.mark.parametrize("init", ["even", "odd", "empty"])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
 def test_run_chains_matches_reference_loop(fam, sizes, variant, init, p):
+    _assert_chains_match_reference(fam, sizes, variant, init, p, np.arange(3, 7))
+
+
+def _assert_chains_match_reference(fam, sizes, variant, init, p, seeds):
     t = glauber.build_doubling_torus(fam, sizes)
-    seeds = np.arange(3, 7)
     ts, occ = glauber.run_chains(t, p, variant, 12, seeds, init, 5)
     ref_ts, ref_occ = _reference_chains(t, p, variant, 12, seeds, init, 5)
     assert np.array_equal(ts, ref_ts)
     assert occ.dtype == ref_occ.dtype and np.array_equal(occ, ref_occ)
+
+
+# seed counts on both sides of the 64-lane word edges; p = 0.3 makes the
+# seeds' chains differ, so that a lane read from the wrong seed shows
+@pytest.mark.parametrize("fam,variant", [(EVEN3, "standard"), (EXT3, "extended")],
+                         ids=["even3", "even_ext3"])
+@pytest.mark.parametrize("init", ["even", "odd"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n_seeds", [1, 63, 64, 65, 130])
+def test_run_chains_matches_reference_loop_across_word_edges(fam, variant, init, p, n_seeds):
+    _assert_chains_match_reference(fam, (8, 8), variant, init, p, np.arange(n_seeds) + 3)
+
+
+# SHA-256 of the occupations of 130 seeds (three 64-lane words), recorded
+# before the configuration was bit-sliced
+CHAINS_OCCUPATION_SHA256 = {
+    "standard": "b7db2d3a0f3010cb5701d6acd1052487255d8a0b8179e72692d018638d08b0d1",
+    "extended": "cb837eb991b3dd302d2bc30991977868a48f592d5c7a19cd51f46323883598be",
+}
+
+
+@pytest.mark.parametrize("fam,variant", [(EVEN3, "standard"), (EXT3, "extended")],
+                         ids=["even3", "even_ext3"])
+def test_run_chains_occupations_are_byte_identical(fam, variant):
+    t = glauber.build_doubling_torus(fam, (8, 8))
+    ts, occ = glauber.run_chains(t, 0.3, variant, 20, np.arange(1000, 1130), "even", 7)
+    assert ts.tolist() == [7, 14, 20] and occ.shape == (130, 3, 2)
+    digest = hashlib.sha256(np.ascontiguousarray(occ).tobytes()).hexdigest()
+    assert digest == CHAINS_OCCUPATION_SHA256[variant]
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(sweeps=0), "sweeps"), (dict(record_every=0), "record_every"),
+    (dict(seeds=[]), "seeds"), (dict(init=np.full(64, 2)), "init")],
+    ids=["sweeps", "record_every", "seeds", "init"])
+def test_run_chains_refuses_edge_inputs(kwargs, name):
+    t = glauber.build_doubling_torus(EVEN3, (8, 8))
+    args = dict(sweeps=5, seeds=[1, 2], init="even", record_every=1) | kwargs
+    with pytest.raises(ValueError, match=name):
+        glauber.run_chains(t, 0.3, "standard", **args)
 
 
 SMALLEST_TORI = [

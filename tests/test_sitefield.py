@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from percgame.sitefield import (SiteField, hash_below, hash_uniform_scalar,
-                                hash_uniforms, mix64)
+from percgame import solver
+from percgame.sitefield import (_mix64_inplace, _mix_rest, finish_tag, hash_below,
+                                hash_prefix, hash_uniform_scalar, hash_uniforms, hash_words,
+                                mix64)
 
 # frozen reference outputs pin the bit-level definition across platforms
 GOLDEN = [
@@ -42,24 +44,23 @@ def test_seed_batch_agreement():
 
 
 def test_determinism_and_range():
-    f = SiteField(31337, 0.4)
-    u1 = f.uniform_at((5, -7), 3)
-    u2 = f.uniform_at((5, -7), 3)
+    u1 = hash_uniform_scalar(31337, (5, -7), 3)
+    u2 = hash_uniform_scalar(31337, (5, -7), 3)
     assert u1 == u2
     assert 0.0 <= u1 < 1.0
 
 
 def test_is_closed_edge_probabilities():
     sites = [(i, j) for i in range(20) for j in range(20)]
-    f0 = SiteField(1, 0.0)
-    f1 = SiteField(1, 1.0)
-    assert not any(f0.is_closed(x) for x in sites)
-    assert all(f1.is_closed(x) for x in sites)
+    assert not any(hash_uniform_scalar(1, x, 0) < 0.0 for x in sites)
+    assert all(hash_uniform_scalar(1, x, 0) < 1.0 for x in sites)
+    assert not hash_below(1, np.array(sites), 0, 0.0).any()
+    assert hash_below(1, np.array(sites), 0, 1.0).all()
 
 
 def test_invalid_p():
     with pytest.raises(ValueError):
-        SiteField(0, 1.5)
+        solver.solve_triangle(3, solver.AllQuestion(), 1.5, 0)
 
 
 def test_coordinate_range_guard():
@@ -72,10 +73,9 @@ def test_coordinate_range_guard():
 def test_closed_fraction_concentration():
     # binomial concentration: closed fraction within 3 sigma of p over 1e6 sites
     p = 0.3
-    f = SiteField(2024, p)
     n = 1000
     grid = np.stack(np.meshgrid(np.arange(n), np.arange(n), indexing="ij"), -1)
-    frac = f.closed_mask(grid.reshape(-1, 2)).mean()
+    frac = hash_below(2024, grid.reshape(-1, 2), 0, p).mean()
     tol = 3 * np.sqrt(p * (1 - p) / (n * n))
     assert abs(frac - p) < tol
 
@@ -172,3 +172,57 @@ def test_hash_uniforms_out_buffer_is_checked():
         hash_uniforms(np.arange(2), coords, 0, out=np.empty((2, 300), dtype=np.float32))
     with pytest.raises(ValueError):
         hash_uniforms(np.arange(2), coords, 0, out=np.empty((300, 2)).T)
+
+
+# -- the prefix / finisher split ----------------------------------------------
+
+_COORD = st.integers(-(2 ** 20 - 1), 2 ** 20 - 1)
+_TAG_ELEMENT = st.one_of(st.just(0), st.just(2 ** 64 - 1), st.integers(0, 2 ** 30 - 1),
+                         st.integers(2 ** 30, 2 ** 64 - 1))
+
+
+def _finish_without_first_step(prefix, tag):
+    """A wrong finisher: xors the first tag element in without the
+    xorshift that hash_prefix has already applied to the prefix."""
+    out, tmp = np.empty_like(prefix), np.empty_like(prefix)
+    _mix_rest(prefix ^ np.uint64(tag[0]), out, tmp)
+    for t in tag[1:]:
+        out ^= np.uint64(t)
+        _mix64_inplace(out, tmp)
+    return out
+
+
+def _finisher_agrees(finish, seeds, coords, tag) -> bool:
+    """finish(hash_prefix) against hash_words (all 64 bits) and against the
+    scalar reference (the 53 bits of the uniform)."""
+    words = hash_words(np.array(seeds, dtype=np.uint64), coords, tag)
+    got = finish(hash_prefix(np.array(seeds, dtype=np.uint64), coords), tag)
+    scalar = np.array([[hash_uniform_scalar(s, tuple(c), tag) for c in coords]
+                       for s in seeds])
+    return (np.array_equal(got, words)
+            and np.array_equal((words >> np.uint64(11)) * 2.0 ** -53, scalar))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=3),
+       d=st.integers(1, 7), data=st.data(),
+       tag=st.lists(_TAG_ELEMENT, min_size=1, max_size=3).map(tuple))
+def test_finish_tag_of_hash_prefix_is_the_hash(seeds, d, data, tag):
+    coords = np.array(data.draw(st.lists(st.lists(_COORD, min_size=d, max_size=d),
+                                         min_size=1, max_size=3)), dtype=np.int64)
+    assert _finisher_agrees(finish_tag, seeds, coords, tag)
+
+
+def test_finish_tag_refuses_an_empty_tag():
+    prefix = hash_prefix(np.arange(2), np.array([[1, 2]]))
+    with pytest.raises(ValueError):
+        finish_tag(prefix, ())
+
+
+@pytest.mark.parametrize("tag", [(2 ** 30,), (2 ** 64 - 1, 0), (2 ** 40 + 5, 2 ** 30)])
+def test_a_finisher_without_the_first_step_is_caught(tag):
+    # negative control: for a first tag element below 2**30 the xorshift is
+    # the identity, above it the check must see the difference
+    coords = np.array([[3, -4, 5, 2 ** 20 - 1]])
+    assert _finisher_agrees(finish_tag, [7, 2 ** 63 - 1], coords, tag)
+    assert not _finisher_agrees(_finish_without_first_step, [7, 2 ** 63 - 1], coords, tag)

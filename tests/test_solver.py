@@ -7,7 +7,7 @@ import pytest
 
 from percgame import lattice as lat
 from percgame import solver
-from percgame.sitefield import SiteField
+from percgame.sitefield import hash_below, hash_uniform_scalar
 from percgame.solver import (AllQuestion, AllZero, BoundaryShapeError,
                              Checkerboard, Explicit, Sampled, SlabIndex)
 from percgame.symbols import LINEAR_RANK, ONE, QUES, ZERO
@@ -18,9 +18,9 @@ SUB3 = lat.subset_increment(3)
 EXT3 = lat.even_sublattice_extended(3)
 
 
-def _find_seed(pred, p, limit=5000):
+def _find_seed(pred, limit=5000):
     for seed in range(limit):
-        if pred(SiteField(seed, p)):
+        if pred(seed):
             return seed
     raise AssertionError("no seed found")
 
@@ -28,35 +28,34 @@ def _find_seed(pred, p, limit=5000):
 def test_loss_when_both_moves_blocked():
     # open origin whose two out-neighbors are closed: eta(origin) = 1 (loss)
     p = 0.6
-    seed = _find_seed(lambda f: (not f.is_closed((0, 0))) and f.is_closed((0, 1))
-                      and f.is_closed((1, 0)), p)
-    field = SiteField(seed, p)
-    out = solver.solve_triangle(2, AllQuestion(), field)
+    def closed(seed, x):
+        return hash_uniform_scalar(seed, x, 0) < p
+
+    seed = _find_seed(lambda s: not closed(s, (0, 0)) and closed(s, (0, 1))
+                      and closed(s, (1, 0)))
+    out = solver.solve_triangle(2, AllQuestion(), p, seed)
     assert out.values[0, 0] == ONE
     assert out.values[0, 1] == ZERO and out.values[1, 0] == ZERO
 
 
 def test_p0_all_question_all_draws():
-    field = SiteField(3, 0.0)
-    out = solver.solve_triangle(15, AllQuestion(), field)
+    out = solver.solve_triangle(15, AllQuestion(), 0.0, 3)
     inside = out.values >= 0
     assert ((out.values == QUES) == inside).all()
 
 
 def test_p0_checkerboard_gives_alternating_solution():
-    field = SiteField(3, 0.0)
-    out = solver.solve_triangle(9, Checkerboard(), field)
+    out = solver.solve_triangle(9, Checkerboard(), 0.0, 3)
     for x1 in range(10):
         for x2 in range(10 - x1):
             assert out.values[x1, x2] == (x1 + x2) % 2
 
 
 def test_explicit_boundary_binary_only():
-    field = SiteField(0, 0.2)
     with pytest.raises(BoundaryShapeError):
-        solver.solve_triangle(3, Explicit(np.array([0, 1, QUES, 0])), field)
+        solver.solve_triangle(3, Explicit(np.array([0, 1, QUES, 0])), 0.2, 0)
     with pytest.raises(BoundaryShapeError):
-        solver.solve_triangle(3, Explicit(np.zeros(3)), field)
+        solver.solve_triangle(3, Explicit(np.zeros(3)), 0.2, 0)
 
 
 def test_envelope_domination_triangle():
@@ -64,12 +63,11 @@ def test_envelope_domination_triangle():
     rng = np.random.default_rng(0)
     n = 24
     for seed in range(10):
-        field = SiteField(seed, 0.15)
         b1 = rng.integers(0, 2, n + 1).astype(np.int8)
         b2 = rng.integers(0, 2, n + 1).astype(np.int8)
-        s1 = solver.solve_triangle(n, Explicit(b1), field)
-        s2 = solver.solve_triangle(n, Explicit(b2), field)
-        sq = solver.solve_triangle(n, AllQuestion(), field)
+        s1 = solver.solve_triangle(n, Explicit(b1), 0.15, seed)
+        s2 = solver.solve_triangle(n, Explicit(b2), 0.15, seed)
+        sq = solver.solve_triangle(n, AllQuestion(), 0.15, seed)
         inside = s1.values >= 0
         disagree = (s1.values != s2.values) & inside
         assert (sq.values[disagree] == QUES).all()
@@ -80,7 +78,6 @@ def test_order_reversal_by_layer_triangle():
     rng = np.random.default_rng(1)
     n = 16
     for seed in range(10):
-        field = SiteField(100 + seed, 0.2)
         b2 = rng.integers(0, 2, n + 1).astype(np.int8)
         b1 = (b2 & rng.integers(0, 2, n + 1)).astype(np.int8)
         _, rows1 = solver.triangle_sweep(n, Explicit(b1), 0.2, [100 + seed], keep_all=True)
@@ -178,7 +175,6 @@ def test_slab_matches_triangle_interior():
     # on a wide ring the slab recursion reproduces the plane recursion at the
     # origin when the light cone never wraps
     K = 10
-    field = SiteField(11, 0.3)
     index = solver.SlabIndex(Z2, (64,))
     slab = solver.slab_sweep(index, K, AllZero(), 0.3, [11])
     # plane solve with the same site keys (v, k): replicate by direct recursion
@@ -190,7 +186,7 @@ def test_slab_matches_triangle_interior():
         for v in range(-k - 2, k + 3):
             if (v + k) % 2:
                 continue
-            if field.uniform_at((v % 64, k), 0) < 0.3:
+            if hash_uniform_scalar(11, (v % 64, k), 0) < 0.3:
                 vals[(v, k)] = ZERO
             else:
                 a = vals[(v + 1, k + 1)]
@@ -200,8 +196,7 @@ def test_slab_matches_triangle_interior():
 
 
 def test_render_outcomes(tmp_path):
-    field1 = SiteField(2, 1.0)
-    out1 = solver.solve_triangle(12, AllQuestion(), field1)
+    out1 = solver.solve_triangle(12, AllQuestion(), 1.0, 2)
     path = tmp_path / "all_closed.ppm"
     solver.render_outcomes(out1, path)
     data = path.read_bytes()
@@ -210,24 +205,21 @@ def test_render_outcomes(tmp_path):
     inside = solver.outcome_image(out1) != 255
     assert ((img == 0) | ~inside).all()  # triangle all black, rest white
 
-    field0 = SiteField(2, 0.0)
-    out0 = solver.solve_triangle(12, AllQuestion(), field0)
+    out0 = solver.solve_triangle(12, AllQuestion(), 0.0, 2)
     img0 = solver.outcome_image(out0)
     reds = (img0 == np.array([220, 0, 0], dtype=np.uint8)).all(axis=2)
     assert reds.sum() == 13 * 14 // 2  # whole region is drawn
 
 
 def test_render_byte_identical(tmp_path):
-    field = SiteField(9, 0.2)
     p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
-    solver.render_outcomes(solver.solve_triangle(40, AllQuestion(), field), p1)
-    solver.render_outcomes(solver.solve_triangle(40, AllQuestion(), field), p2)
+    solver.render_outcomes(solver.solve_triangle(40, AllQuestion(), 0.2, 9), p1)
+    solver.render_outcomes(solver.solve_triangle(40, AllQuestion(), 0.2, 9), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_counts_precedence():
-    field = SiteField(4, 0.35)
-    out = solver.solve_triangle(30, AllQuestion(), field)
+    out = solver.solve_triangle(30, AllQuestion(), 0.35, 4)
     c = out.counts()
     n_sites = 31 * 32 // 2
     assert c["closed"] + c["win"] + c["loss"] + c["draw"] == n_sites
@@ -259,14 +251,13 @@ def test_triangle_sampled_extremes_equal_constant_boundaries():
 
 def test_solve_triangle_closed_bits_are_the_site_field_bits(tmp_path):
     # pin the closed bits of solve_triangle, its counts and its rendered
-    # bytes against SiteField.closed_mask on every site
+    # bytes against the site-by-site scalar hash, u < p, on every site
     for n, p, seed, boundary in ((25, 0.3, 4, AllQuestion()), (12, 0.0, 1, AllZero()),
                                  (12, 1.0, 2, Checkerboard()), (40, 0.2, 9, Sampled(0.5))):
-        field = SiteField(seed, p)
-        out = solver.solve_triangle(n, boundary, field)
+        out = solver.solve_triangle(n, boundary, p, seed)
         ref = np.zeros((n + 1, n + 1), dtype=bool)
         x1, x2 = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
-        ref[x1, x2] = field.closed_mask(np.stack([x1, x2], axis=1))
+        ref[x1, x2] = [hash_uniform_scalar(seed, x, 0) < p for x in zip(x1, x2)]
         assert np.array_equal(out.closed, ref)
         ref_out = dataclasses.replace(out, closed=ref)
         assert out.counts() == ref_out.counts()
@@ -281,9 +272,9 @@ def test_solve_triangle_equals_a_sweep_over_a_p_sequence():
     seed, grid, n = 4, [0.0, 0.25, 0.7, 1.0], 9
     _, rows = solver.triangle_sweep(n, AllQuestion(), grid, [seed], keep_all=True)
     for i, p in enumerate(grid):
-        out = solver.solve_triangle(n, AllQuestion(), SiteField(seed, p))
+        out = solver.solve_triangle(n, AllQuestion(), p, seed)
         for k in range(n + 1):
             coords = np.stack([k - np.arange(k + 1), np.arange(k + 1)], axis=1)
             assert np.array_equal(out.values[coords[:, 0], coords[:, 1]], rows[k][i, 0])
             assert np.array_equal(out.closed[coords[:, 0], coords[:, 1]],
-                                  SiteField(seed, p).closed_mask(coords))
+                                  hash_below(seed, coords, 0, p))
