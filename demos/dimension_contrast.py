@@ -41,6 +41,5 @@ for K, r in zip(DEPTHS, results):
 
 print()
 print("draw-density profile on even(3) at p = 0.05 (all-? boundary)")
-for depth, frac, se, n in solver.draw_density_profile(TORUS, 0.05, SEEDS[:50], 60,
-                                                      depths=[10, 20, 40, 60]):
+for depth, frac, se, n in solver.draw_scan(TORUS, 0.05, SEEDS[:50], [10, 20, 40, 60])[0]:
     print(f"  depth {depth:>3}: ?-fraction on layer 0 = {frac:.3f} +- {se:.3f}")

@@ -227,7 +227,7 @@ def _sizes(cfg: RunConfig, fam: lattice.GraphFamily) -> tuple[int, ...]:
 
 def _layer_automorphism(fam: lattice.GraphFamily) -> None:
     """Boundary sensitivity and the game/Glauber coupling need (A2) or (A2')."""
-    if not (fam.has_A2 or fam.has_A2_prime):
+    if not fam.has_phi:
         raise UsageError(f"--family: {fam.name} does not satisfy the "
                          "layer-automorphism assumption")
 
@@ -272,7 +272,7 @@ def cmd_solve2d(cfg: RunConfig) -> int:
 def cmd_win_curve(cfg: RunConfig) -> int:
     if _family(cfg.family).name != "z2":
         raise UsageError(f"win-curve solves z2 triangles only, got --family {cfg.family}")
-    grid = cfg.p_grid or [0.2, 0.5]
+    grid = cfg.p_grid or [cfg.p]
     _depth(cfg.depth, cfg.depth)
     seeds = np.asarray(cfg.seeds, dtype=np.int64)
 

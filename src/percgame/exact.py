@@ -332,19 +332,18 @@ _W_1Q1 = parse_word("1?1")
 
 
 def _orbit_cylinders(cells: tuple[int, ...]) -> dict:
-    """Exact cylinder probabilities (Fractions) of the orbit-uniform measure
-    of a ring word and of its image under the deterministic CA.  D commutes
-    with rotations but not with the reflection, so the image measure averages
-    the images of the word and of its reversal."""
-    denom = 2 * len(cells)
+    """Cylinder probabilities of the orbit-uniform measure of a ring word of
+    n cells and of its image under the deterministic CA, as exact integer
+    counts over their common denominator 2n.  D commutes with rotations but
+    not with the reflection, so the image measure averages the images of
+    the word and of its reversal."""
     images = []
     for c in (cells, cells[::-1]):
         arr = np.array(c, dtype=np.int8)
         images.append(tuple(pca.D_TABLE[arr, np.roll(arr, -1)].tolist()))
-    mu = {w: Fraction(n, denom) for w, n in _orbit_counts(
-        cells, (_W_Q, _W_Q0, _W_0Q, _W_QQ, _W_Q01, _W_QQ1, _W_0Q1, _W_1Q1)).items()}
+    mu = _orbit_counts(cells, (_W_Q, _W_Q0, _W_0Q, _W_QQ, _W_Q01, _W_QQ1, _W_0Q1, _W_1Q1))
     counts = [count_cyclic(img, (_W_Q, _W_Q0, _W_Q01)) for img in images]
-    dmu = {w: Fraction(sum(c[w] for c in counts), denom) for w in counts[0]}
+    dmu = {w: sum(c[w] for c in counts) for w in counts[0]}
     return {"mu": mu, "dmu": dmu}
 
 
@@ -375,8 +374,8 @@ WEIGHT_RINGS = range(5, 11)
 def weight_identities_check(n: int) -> WeightSystemReport:
     """Exhaustive exact check of the weight system on rings of length n.
 
-    For the orbit-uniform measure mu of every ring word, verifies with
-    rational arithmetic:
+    For the orbit-uniform measure mu of every ring word, verifies exactly,
+    on integer counts over the common denominator 2n:
 
       * the three pre-image identities of the deterministic CA:
         Dmu(?) = mu(??) + mu(0?) + mu(?0),

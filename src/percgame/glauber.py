@@ -28,8 +28,8 @@ built once per (family, sizes)).  It never reads the index's out-table
 (``SlabIndex.nbr_pos``, ``nbr_layer_delta``), its undirected adjacency or
 its coordinate map, which the Glauber side runs on; it checks only that
 both list the class vertices in the same order.  A seed enters only through
-the hash: one array call per layer for the closed bits (tag 0) and for the
-boundary values (tag 1), for all seeds at once.
+the hash: one array call per layer for the tag-0 uniforms, which both sides
+read, and for the boundary values (tag 1), for all seeds at once.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import (below, closed_threshold, finish_tag, hash_below, hash_prefix,
-                        hash_uniforms)
+from .sitefield import (below, check_p, closed_threshold, finish_tag, hash_below,
+                        hash_prefix, hash_uniforms)
 from .solver import SlabIndex
 from .symbols import ONE, ZERO
 
@@ -67,7 +67,7 @@ def build_doubling_torus(family: GraphFamily, sizes) -> SlabIndex:
     parity-constrained lattices, multiples of the residue period for
     subset/binomial kinds).
     """
-    if not (family.has_A2 or family.has_A2_prime):
+    if not family.has_phi:
         raise lattice.UnsupportedFamilyError("zd(d>=3) has no doubling graph")
     try:
         sizes = lattice.validate_torus_sizes(family, sizes)
@@ -114,7 +114,7 @@ def class_update(torus: SlabIndex, values: np.ndarray, class_i: int,
     _check_variant(variant)
     sel = torus.class_members[class_i % torus.q]
     out = np.array(values, dtype=np.int8, copy=True)
-    open_ = np.broadcast_to(uniforms >= p, out.shape[:-1] + sel.shape)
+    open_ = np.broadcast_to(uniforms >= check_p(p), out.shape[:-1] + sel.shape)
     _update_class(np.moveaxis(out, -1, 0), sel, torus.neighbors[sel].T,
                   np.moveaxis(open_, -1, 0), variant == "extended")
     return out
@@ -312,13 +312,14 @@ def _coupled_mismatches(table: _OracleTable, torus: SlabIndex, depth: int,
     """Both sides of the coupling, top-down over layers depth-1..0, on
     (seeds, class vertices) arrays; the mismatch count of each seed.
 
-    Game side: the two-valued recursion on the oracle's table.  Boundary
-    layers depth..depth+m-1 are 1 where the tag-1 uniform is below 1/2; on
-    a layer below, a closed site (tag-0 uniform below p) is 0, and an open
-    site is 1 iff every move target is 0.  Glauber side: the class update
-    of class k mod m with the tag-0 uniforms of layer k, from the boundary
-    layers placed on their classes.  Only the m + 1 layers that moves reach
-    are kept.
+    Layer k's tag-0 uniforms are hashed once, on the oracle's coordinates,
+    and both sides read them.  Game side: the two-valued recursion on the
+    oracle's table.  Boundary layers depth..depth+m-1 are 1 where the tag-1
+    uniform is below 1/2; on a layer below, a closed site (uniform below p)
+    is 0, and an open site is 1 iff every move target is 0.  Glauber side:
+    the class update of class k mod m with the same uniforms, from the
+    boundary layers placed on their classes.  Only the m + 1 layers that
+    moves reach are kept.
     """
     m = len(table.verts)
 
@@ -333,12 +334,12 @@ def _coupled_mismatches(table: _OracleTable, torus: SlabIndex, depth: int,
     mismatches = np.zeros(seeds.size, dtype=np.int64)
     for k in range(depth - 1, -1, -1):
         c = k % m
-        value = ~hash_below(seeds, site_coords(k), 0, p)
+        u = hash_uniforms(seeds, site_coords(k), 0)
+        value = u >= p
         for delta, targets in table.moves[c]:
             value &= ~gamma[k + delta][:, targets].any(axis=-1)
         gamma[k] = value
         del gamma[k + m]
-        u = hash_uniforms(seeds, torus.layer_site_coords(k), 0)
         sigma = class_update(torus, sigma, c, p, variant, u)
         mismatches += (sigma[:, torus.class_members[c]] != value).sum(axis=1)
     return mismatches

@@ -167,6 +167,11 @@ class GraphFamily:
         return self.kind == "even_ext"
 
     @property
+    def has_phi(self) -> bool:
+        """Whether the family has a layer automorphism phi: (A2) or (A2')."""
+        return self.has_A2 or self.has_A2_prime
+
+    @property
     def torus_classes(self) -> int:
         """Residue classes of the transverse-coordinate torus.
 
@@ -280,7 +285,7 @@ def _translate(family: GraphFamily, x, sign: int) -> tuple[int, ...]:
     """x + sign * phi, with phi the translation by 2 e_d (x_d layers) or by
     (1,...,1) (coordinate-sum layers)."""
     x = check_site(family, x)
-    if not (family.has_A2 or family.has_A2_prime):
+    if not family.has_phi:
         raise UnsupportedFamilyError(f"{family.name} has no layer automorphism")
     if _SPECS[family.kind].last_layer:
         return x[:-1] + (x[-1] + 2 * sign,)
@@ -358,7 +363,7 @@ def verify_axioms(family: GraphFamily, patch_radius: int) -> AxiomReport:
     a2 = []
     for x in sites:
         kx = layer_of(family, x)
-        fx = phi(family, x) if (family.has_A2 or family.has_A2_prime) else None
+        fx = phi(family, x) if family.has_phi else None
         for y in out_neighbors(family, x):
             dk = layer_of(family, y) - kx
             if family.has_A2_prime and y == fx:
@@ -369,7 +374,7 @@ def verify_axioms(family: GraphFamily, patch_radius: int) -> AxiomReport:
                 a1.append((x, y, dk))
 
     searched = None
-    if family.has_A2 or family.has_A2_prime:
+    if family.has_phi:
         for x in sites:
             v = _check_a2_at(family, x)
             if v is not None:

@@ -223,10 +223,19 @@ def finish_tag(prefix: np.ndarray, tag, out: np.ndarray = None,
     return out
 
 
+def check_p(p: float) -> float:
+    """p itself; a NaN p, which no site could be decided by, raises
+    ``ValueError``."""
+    if math.isnan(p):
+        raise ValueError("p must be a number, got nan")
+    return p
+
+
 def closed_threshold(p: float) -> int:
     """Integer T with  h < T  <=>  (h >> 11) * 2**-53 < p  for every 64-bit
-    h (the threshold lemma); T = 2**64 when p >= 1 and 0 when p <= 0."""
-    if not p > 0.0:
+    h (the threshold lemma); T = 2**64 when p >= 1 and 0 when p <= 0.  A
+    NaN p raises ``ValueError``."""
+    if check_p(p) <= 0.0:
         return 0
     if p >= 1.0:
         return 1 << 64
@@ -258,24 +267,20 @@ def hash_below(seeds, coords, tag, p: float) -> np.ndarray:
     return below(_chain(seeds, coords, tag), closed_threshold(p))
 
 
-def hash_uniforms(seeds, coords, tag=0, out=None) -> np.ndarray:
+def hash_uniforms(seeds, coords, tag=0) -> np.ndarray:
     """Uniform variates for every (seed, site, tag) combination.
 
     ``seeds`` is a scalar or shape (S,) int array; ``coords`` is an integer
     array of shape (..., d) (or (...,) for 1-d sites).  Returns float64 of
-    shape (...) for a scalar seed, or (S, ...) for a seed vector.  ``out``,
-    a C-contiguous float64 array of that shape, receives the variates and
-    is returned; a caller hashing layer after layer reuses one buffer.
+    shape (...) for a scalar seed, or (S, ...) for a seed vector.
     """
-    if out is not None and out.dtype != np.float64:
-        raise ValueError(f"out must be float64, got {out.dtype}")
-    h = _chain(seeds, coords, tag, None if out is None else out.view(np.uint64))
+    h = _chain(seeds, coords, tag)
     h >>= _U11
     # converted in place: h < 2**53, so the conversion and the scaling by
     # 2**-53 are exact
     u = h.view(np.float64)
     np.multiply(h, _INV_2_53, out=u)
-    return u if out is None else out
+    return u
 
 
 def hash_uniform_scalar(seed: int, coords, tag=0) -> float:

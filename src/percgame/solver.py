@@ -22,8 +22,8 @@ coordinate tuple t + (k,); triangle sites use their plane coordinates
 A site's closed bit depends on neither the depth of a sweep nor its
 boundary, so each is hashed once per run: ``draw_scan`` reads every depth
 and boundary of a draw-scan off one ``sliced_sweep`` (the bits of two
-uint64 words per site), and ``triangle_sweep`` over a sequence of p
-applies every p's threshold to the same hash words.
+uint64 words per site), and ``triangle_sweep`` applies the threshold of
+every p of its sequence to the same hash words.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import (below, closed_threshold, hash_below, hash_uniforms,
+from .sitefield import (below, check_p, closed_threshold, hash_below, hash_uniforms,
                         hash_words)
 from .symbols import ONE, QUES, ZERO
 
@@ -159,30 +159,24 @@ def _diag_coords(k: int) -> np.ndarray:
 
 
 def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False):
-    """Solve the triangular region for a batch of seeds.
+    """Solve the triangular region for a batch of seeds and a non-empty 1-d
+    sequence of probabilities ``p``.  Every diagonal is hashed once, and
+    each p's closed bits are read off the same hash words.
 
-    Returns (origin values (S,), rows) where rows[k] is the (S, k+1) value
-    array of diagonal k if keep_all, else None.  ``p`` may also be a 1-d
-    sequence of probabilities: every diagonal is then hashed once and each
-    p's closed bits are read off the same hash words, and the origin values
-    are (P, S) and rows[k] is (P, S, k+1).
+    Returns (origin values (P, S), rows) where rows[k] is the (P, S, k+1)
+    value array of diagonal k if keep_all, else None.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     ps = np.asarray(p, dtype=np.float64)
-    if ps.ndim > 1 or ps.size == 0:
-        raise ValueError(f"p must be a probability or a non-empty 1-d sequence, "
-                         f"got shape {ps.shape}")
-    thresholds = [closed_threshold(float(q)) for q in ps.reshape(-1)]
+    if ps.ndim != 1 or ps.size == 0:
+        raise ValueError(f"p must be a non-empty 1-d sequence, got shape {ps.shape}")
+    thresholds = [closed_threshold(float(q)) for q in ps]
     three = isinstance(boundary, AllQuestion)
     top = _boundary_layer(boundary, n, _diag_coords(n),
                           lambda: np.full(n + 1, n % 2), lambda: boundary.values,
                           seeds)
     vals = [top] * len(thresholds)
-
-    def stacked(arrays):
-        return arrays[0] if ps.ndim == 0 else np.stack(arrays)
-
-    rows = {n: stacked(vals)} if keep_all else None
+    rows = {n: np.stack(vals)} if keep_all else None
     # diagonal k < n has k + 1 <= n sites: one flat buffer each for the
     # hash words, their scratch and the closed bits, viewed as (S, k+1)
     words = np.empty(seeds.size * n, dtype=np.uint64)
@@ -196,15 +190,15 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False)
             c = below(h, threshold, out=closed[:size].reshape(shape))
             vals[i] = recurse(c, (vals[i][:, :-1], vals[i][:, 1:]), three)
         if keep_all:
-            rows[k] = stacked(vals)
-    return stacked([v[:, 0] for v in vals]), rows
+            rows[k] = np.stack(vals)
+    return np.stack([v[:, 0] for v in vals]), rows
 
 
 @dataclass
 class TriangleOutcome:
     n: int
     values: np.ndarray  # (n+1, n+1) int8, -1 outside the region
-    closed: np.ndarray  # (n+1, n+1) bool; False on the boundary diagonal
+    closed: np.ndarray  # (n+1, n+1) bool: tag-0 uniform < p inside the region
 
     def counts(self) -> dict:
         """Site counts with the rendering precedence (closed beats value)."""
@@ -223,12 +217,12 @@ def solve_triangle(n: int, boundary: Boundary, p: float, seed: int) -> TriangleO
     each site closed with probability p (its tag-0 uniform below p)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    _, rows = triangle_sweep(n, boundary, p, [seed], keep_all=True)
+    _, rows = triangle_sweep(n, boundary, [p], [seed], keep_all=True)
     values = np.full((n + 1, n + 1), -1, dtype=np.int8)
     closed = np.zeros((n + 1, n + 1), dtype=bool)
     for k, arr in rows.items():
         coords = _diag_coords(k)
-        values[coords[:, 0], coords[:, 1]] = arr[0]
+        values[coords[:, 0], coords[:, 1]] = arr[0, 0]
         # closedness is a property of the site; on the boundary diagonal
         # it does not enter the recursion (values there are imposed) but
         # does drive rendering and counts
@@ -346,16 +340,14 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
     any layers listed in record_layers.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    m = index.family.m
+    p, m = check_p(p), index.family.m
     three = isinstance(boundary, AllQuestion)
     layers = _slab_boundary(index, boundary, depth, m, seeds)
     keep = set(range(m)) | set(record_layers or ())
     out = {k: v for k, v in layers.items() if k in keep}
-    uniforms = {}  # one buffer per class, reused by every layer of the class
     for k in range(depth - 1, -1, -1):
         c = k % index.q
-        u = uniforms[c] = hash_uniforms(seeds, index.layer_site_coords(k), 0,
-                                        out=uniforms.get(c))
+        u = hash_uniforms(seeds, index.layer_site_coords(k), 0)
         nbrs = [np.take(layers[k + int(dl)], pos, axis=1)
                 for dl, pos in zip(index.nbr_layer_delta[c], index.nbr_pos[c].T)]
         layers[k] = recurse(u < p, nbrs, three)
@@ -466,19 +458,17 @@ def draw_scan(index: SlabIndex, p: float, seeds, depths):
     return rows, results
 
 
-def draw_density_profile(index: SlabIndex, p: float, seeds, k_max: int, depths=None):
-    """The profile rows of ``draw_scan`` at ``depths``, by default
-    ``profile_depths(m, k_max)``.  For each seed, the layer-0 ?-set shrinks
-    as the depth grows, so q_fraction does not increase along the rows."""
-    if depths is None:
-        depths = profile_depths(index.family.m, k_max)
-    return draw_scan(index, p, seeds, depths)[0]
+def draw_density_profile(index: SlabIndex, p: float, seeds, k_max: int):
+    """The profile rows of ``draw_scan`` at ``profile_depths(m, k_max)``.
+    For each seed, the layer-0 ?-set shrinks as the depth grows, so
+    q_fraction does not increase along the rows."""
+    return draw_scan(index, p, seeds, profile_depths(index.family.m, k_max))[0]
 
 
 def boundary_sensitivity(index: SlabIndex, p: float, seeds, depth: int) -> SensitivityResult:
     """The sensitivity result of ``draw_scan`` at one depth, on a family
     with a layer automorphism."""
-    if not (index.family.has_A2 or index.family.has_A2_prime):
+    if not index.family.has_phi:
         raise ValueError(f"{index.family.name} does not satisfy the layer-automorphism assumption")
     return draw_scan(index, p, seeds, [depth])[1][0]
 

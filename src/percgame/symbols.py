@@ -12,7 +12,7 @@ occupation variables, where 1 = occupied).  Two partial orders matter:
 * the linear order 0 < ? < 1, used by the order-reversing coupling; encoded
   ranks are given by ``LINEAR_RANK``;
 * the "information" order in which ? is the unique maximal element
-  (0 and 1 are incomparable), tested with ``ques_le``.
+  (0 and 1 are incomparable).
 """
 
 from __future__ import annotations
@@ -58,9 +58,3 @@ def as_cells(word) -> np.ndarray:
         raise ValueError("cell values must be 0, 1 or 2 (=?)")
     return cells
 
-
-def ques_le(a, b) -> bool:
-    """Cellwise a <= b under the order with ? maximal (0, 1 incomparable)."""
-    a = as_cells(a)
-    b = as_cells(b)
-    return bool(np.all((b == QUES) | (a == b)))

@@ -383,6 +383,18 @@ def test_win_curve_grid_rows_equal_one_p_at_a_time(tmp_path):
         assert read_csv(str(one))[1:] == [rows[i]]
 
 
+def test_win_curve_without_a_grid_runs_its_p(tmp_path):
+    # like draw-scan, win-curve runs --p unless --p-grid is given
+    for p_flag, grid_flag in ((["--p", "0.3"], ["--p-grid", "0.3"]), ([], ["--p-grid", "0.1"])):
+        one, ref = tmp_path / "one.csv", tmp_path / "ref.csv"
+        for flags, out in ((p_flag, one), (grid_flag, ref)):
+            assert run(["win-curve", *flags, "--depth", "30", "--seeds", "25",
+                        "--out", str(out)]) == 0
+        rows = read_csv(str(one))[1:]
+        assert len(rows) == 1 and rows == read_csv(str(ref))[1:]
+        assert float(rows[0][0]) == float(grid_flag[1])
+
+
 def _config_usage_error(tmp_path, capsys, subcommand, values, text):
     """A --config file holding ``values`` over the defaults exits 2 with one
     stderr line containing ``text``, before writing anything."""

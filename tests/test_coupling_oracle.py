@@ -39,7 +39,7 @@ FAMILY_TORI = [(fam, sizes) for fam in FAMILIES for sizes in _three_smallest_tor
 
 def test_twenty_families():
     assert len({fam.name for fam in FAMILIES}) == 20
-    assert all(fam.has_A2 or fam.has_A2_prime for fam in FAMILIES)
+    assert all(fam.has_phi for fam in FAMILIES)
 
 
 @pytest.mark.parametrize("fam,sizes", FAMILY_TORI,

@@ -106,7 +106,8 @@ def test_draw_scan_equals_the_per_depth_reference(family, sizes):
     depths = [family.m, 5, 9, 14]
     rows, results = solver.draw_scan(index, p, seeds, depths)
     assert rows == reference_profile(index, p, seeds, depths)
-    assert rows == solver.draw_density_profile(index, p, seeds, 14, depths)
+    profile = solver.draw_density_profile(index, p, seeds, 14)
+    assert [r for r in profile if r[0] in depths] == rows
     for K, res in zip(depths, results):
         assert np.array_equal(res.disagree, reference_disagree(index, p, seeds, K))
     # deeper than the profile reached, shallower, and the same depth again
@@ -119,9 +120,9 @@ def test_each_layer_is_hashed_once_per_sweep_and_seed_block(monkeypatch):
     uniforms, words = [], []
     real_uniforms, real_words = solver.hash_uniforms, solver.hash_words
 
-    def counting_uniforms(seeds, coords, tag=0, out=None):
+    def counting_uniforms(seeds, coords, tag=0):
         uniforms.append(int(coords[0, -1]))  # the layer coordinate
-        return real_uniforms(seeds, coords, tag, out=out)
+        return real_uniforms(seeds, coords, tag)
 
     def counting_words(seeds, coords, tag=0, out=None, tmp=None):
         words.append(int(coords[0, -1]))
@@ -230,22 +231,22 @@ def test_triangle_sweep_over_a_p_sequence_equals_the_scalar_sweeps(boundary):
     assert origin.shape == (len(grid), seeds.size)
     assert sorted(rows) == list(range(n + 1))
     for i, p in enumerate(grid):
-        ref_origin, ref_rows = solver.triangle_sweep(n, boundary, p, seeds, keep_all=True)
-        assert np.array_equal(origin[i], ref_origin)
+        ref_origin, ref_rows = solver.triangle_sweep(n, boundary, [p], seeds, keep_all=True)
+        assert np.array_equal(origin[i], ref_origin[0])
         for k in range(n + 1):
             assert rows[k].shape == (len(grid), seeds.size, k + 1)
-            assert np.array_equal(rows[k][i], ref_rows[k])
+            assert np.array_equal(rows[k][i], ref_rows[k][0])
     alone, none = solver.triangle_sweep(n, boundary, np.array(grid), seeds)
     assert none is None and np.array_equal(alone, origin)
 
 
-def test_triangle_sweep_scalar_p_keeps_its_shapes():
+def test_triangle_sweep_takes_p_only_as_a_1d_sequence():
     seeds = np.arange(3)
-    origin, rows = solver.triangle_sweep(6, AllZero(), np.float64(0.2), seeds, keep_all=True)
-    assert origin.shape == (3,) and rows[2].shape == (3, 3) and rows[6].shape == (3, 7)
+    origin, rows = solver.triangle_sweep(6, AllZero(), [0.2], seeds, keep_all=True)
+    assert origin.shape == (1, 3) and rows[2].shape == (1, 3, 3) and rows[6].shape == (1, 3, 7)
     origin, _ = solver.triangle_sweep(0, AllQuestion(), [0.2, 0.5], [2])
     assert origin.shape == (2, 1) and (origin == QUES).all()
-    for bad in ([[0.2]], []):
+    for bad in (0.2, np.float64(0.2), [[0.2]], []):
         with pytest.raises(ValueError):
             solver.triangle_sweep(6, AllZero(), bad, seeds)
 

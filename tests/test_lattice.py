@@ -35,6 +35,9 @@ def test_descriptor_invariants():
     assert not lat.zd(3).has_A2 and not lat.zd(5).has_A2
     assert lat.zd(2).has_A2
     assert EXT3.has_A2_prime and not EXT3.has_A2
+    # phi exists under (A2) or (A2'), and only zd(d >= 3) has neither
+    assert all(f.has_phi for f in (Z2, EVEN3, BCC4, SUB3, BIN41, BIN42, EXT3, lat.zd(2)))
+    assert not lat.zd(3).has_phi and not lat.zd(5).has_phi
 
 
 def test_out_neighbors_examples():
@@ -92,7 +95,7 @@ def test_layer_increments(fam):
     # extended kind additionally allows a jump of m, only to phi(x)
     radius = 5 if fam.d <= 3 else 3
     for x in lat.patch_sites(fam, radius):
-        fx = lat.phi(fam, x) if (fam.has_A2 or fam.has_A2_prime) else None
+        fx = lat.phi(fam, x) if fam.has_phi else None
         for y in lat.out_neighbors(fam, x):
             dk = lat.layer_of(fam, y) - lat.layer_of(fam, x)
             if fam.has_A2_prime and dk == fam.m:

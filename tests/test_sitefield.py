@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from percgame import solver
-from percgame.sitefield import (_mix64_inplace, _mix_rest, finish_tag, hash_below,
-                                hash_prefix, hash_uniform_scalar, hash_uniforms, hash_words,
-                                mix64)
+from percgame import glauber, pca, solver
+from percgame import lattice as lat
+from percgame.sitefield import (_mix64_inplace, _mix_rest, closed_threshold, finish_tag,
+                                hash_below, hash_prefix, hash_uniform_scalar, hash_uniforms,
+                                hash_words, mix64)
 
 # frozen reference outputs pin the bit-level definition across platforms
 GOLDEN = [
@@ -150,28 +151,44 @@ def test_hash_below_matches_at_float_neighbors(p, seed, d, vector):
             assert np.array_equal(hash_below(seeds, coords, 2, float(r)), u < r)
 
 
-@pytest.mark.parametrize("seeds", [17, np.arange(5)])
-@pytest.mark.parametrize("d", [1, 3, 4])
-def test_hash_uniforms_into_out_buffer(seeds, d):
-    coords = _sites(d)
-    expected = hash_uniforms(seeds, coords, (3, 1))
-    out = np.full(expected.shape, -1.0)
-    got = hash_uniforms(seeds, coords, (3, 1), out=out)
-    assert got is out
-    assert np.array_equal(out, expected)
-    # a reused buffer is overwritten completely
-    assert np.array_equal(hash_uniforms(seeds, coords, 0, out=out),
-                          hash_uniforms(seeds, coords, 0))
+# a NaN p decides no site: every entry point that takes p refuses it
+_TORUS = solver.SlabIndex(lat.even_sublattice(3), (4, 4))
+NAN_P_ENTRY_POINTS = {
+    "closed_threshold": closed_threshold,
+    "hash_below": lambda p: hash_below(0, _sites(2), 0, p),
+    "triangle_sweep": lambda p: solver.triangle_sweep(4, solver.AllZero(), [0.2, p], [0]),
+    "slab_sweep": lambda p: solver.slab_sweep(_TORUS, 3, solver.AllQuestion(), p, [0]),
+    "draw_scan": lambda p: solver.draw_scan(_TORUS, p, [0], [2]),
+    "run_chains": lambda p: glauber.run_chains(_TORUS, p, "standard", 1, [0]),
+    "class_update": lambda p: glauber.class_update(
+        _TORUS, glauber.checkerboard_config(_TORUS, 0), 1, p, "standard",
+        np.full(_TORUS.class_size(1), 0.5)),
+    "pca.step": lambda p: pca.step("F", "0?1?0", p, seeds=3),
+    "trajectory_stats": lambda p: pca.trajectory_stats("F", "0?1?0", p, 2, seeds=3),
+}
 
 
-def test_hash_uniforms_out_buffer_is_checked():
-    coords = _sites(3)
-    with pytest.raises(ValueError):
-        hash_uniforms(np.arange(2), coords, 0, out=np.empty((2, 299)))
-    with pytest.raises(ValueError):
-        hash_uniforms(np.arange(2), coords, 0, out=np.empty((2, 300), dtype=np.float32))
-    with pytest.raises(ValueError):
-        hash_uniforms(np.arange(2), coords, 0, out=np.empty((300, 2)).T)
+@pytest.mark.parametrize("name", NAN_P_ENTRY_POINTS)
+def test_a_nan_p_is_refused(name):
+    call = NAN_P_ENTRY_POINTS[name]
+    for p in (0.0, 1.0, -0.5, 1.5):  # the documented meanings, outside [0, 1] too
+        call(p)
+    with pytest.raises(ValueError, match="nan"):
+        call(float("nan"))
+
+
+def test_p_outside_the_unit_interval_keeps_its_meaning():
+    assert closed_threshold(-0.5) == closed_threshold(0.0) == 0
+    assert closed_threshold(1.5) == closed_threshold(1.0) == 1 << 64
+    config = glauber.checkerboard_config(_TORUS, 0)
+    u = hash_uniforms(0, _TORUS.layer_site_coords(1), 0)
+    for out, edge in ((-0.5, 0.0), (1.5, 1.0)):
+        assert np.array_equal(glauber.class_update(_TORUS, config, 1, out, "standard", u),
+                              glauber.class_update(_TORUS, config, 1, edge, "standard", u))
+        slabs = [solver.slab_sweep(_TORUS, 5, solver.AllQuestion(), q, [0, 1]) for q in (out, edge)]
+        assert all(np.array_equal(slabs[0][k], slabs[1][k]) for k in slabs[1])
+        origins = solver.triangle_sweep(6, solver.AllZero(), [out, edge], [0, 1])[0]
+        assert np.array_equal(origins[0], origins[1])
 
 
 # -- the prefix / finisher split ----------------------------------------------

@@ -80,11 +80,11 @@ def test_order_reversal_by_layer_triangle():
     for seed in range(10):
         b2 = rng.integers(0, 2, n + 1).astype(np.int8)
         b1 = (b2 & rng.integers(0, 2, n + 1)).astype(np.int8)
-        _, rows1 = solver.triangle_sweep(n, Explicit(b1), 0.2, [100 + seed], keep_all=True)
-        _, rows2 = solver.triangle_sweep(n, Explicit(b2), 0.2, [100 + seed], keep_all=True)
+        _, rows1 = solver.triangle_sweep(n, Explicit(b1), [0.2], [100 + seed], keep_all=True)
+        _, rows2 = solver.triangle_sweep(n, Explicit(b2), [0.2], [100 + seed], keep_all=True)
         for k in range(n + 1):
-            r1 = LINEAR_RANK[rows1[k][0]]
-            r2 = LINEAR_RANK[rows2[k][0]]
+            r1 = LINEAR_RANK[rows1[k][0, 0]]
+            r2 = LINEAR_RANK[rows2[k][0, 0]]
             if (n - k) % 2 == 0:
                 assert (r1 <= r2).all()
             else:
@@ -133,9 +133,9 @@ def test_checkerboard_slab_even_family_degenerates_to_zero():
 def test_draw_profile_fixtures():
     seeds = np.arange(4)
     index = SlabIndex(Z2, (16,))
-    rows1 = solver.draw_density_profile(index, 1.0, seeds, 12, depths=[4, 8, 12])
+    rows1 = solver.draw_scan(index, 1.0, seeds, [4, 8, 12])[0]
     assert all(r[1] == 0.0 for r in rows1)  # p=1: everything closed, no draws
-    rows0 = solver.draw_density_profile(index, 0.0, seeds, 12, depths=[4, 8, 12])
+    rows0 = solver.draw_scan(index, 0.0, seeds, [4, 8, 12])[0]
     assert all(r[1] == 1.0 for r in rows0)  # p=0: all draws
 
 
@@ -151,8 +151,7 @@ def test_draw_profile_monotone_per_seed():
 
 def test_draw_profile_strict_decay_z2():
     # deeper information strictly resolves draws at p = 0.1 (seed average)
-    rows = solver.draw_density_profile(SlabIndex(Z2, (32,)), 0.1, np.arange(100), 200,
-                                       depths=[20, 200])
+    rows = solver.draw_scan(SlabIndex(Z2, (32,)), 0.1, np.arange(100), [20, 200])[0]
     assert rows[1][1] < rows[0][1]
 
 
@@ -244,8 +243,8 @@ def test_recurse_matches_the_rule_site_by_site():
 def test_triangle_sampled_extremes_equal_constant_boundaries():
     seeds = np.arange(5)
     for q, const in ((0.0, solver.AllZero()), (1.0, solver.AllOne())):
-        _, rows = solver.triangle_sweep(12, Sampled(q), 0.3, seeds, keep_all=True)
-        _, ref = solver.triangle_sweep(12, const, 0.3, seeds, keep_all=True)
+        _, rows = solver.triangle_sweep(12, Sampled(q), [0.3], seeds, keep_all=True)
+        _, ref = solver.triangle_sweep(12, const, [0.3], seeds, keep_all=True)
         assert all(np.array_equal(rows[k], ref[k]) for k in ref)
 
 
