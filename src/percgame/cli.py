@@ -4,7 +4,8 @@ Subcommands: solve2d, win-curve, draw-scan, glauber, couple-verify, verify,
 pca-run.  Every run resolves its flags into a RunConfig (JSON-serializable;
 written next to the outputs on request), and the outputs are a pure
 function of that config: CSV tables with fixed headers and binary P6 PPM
-images.  PERC_THREADS caps the worker threads used for seed-parallel runs.
+images.  PERC_THREADS caps the worker processes that seed-parallel runs
+fork (win-curve; the fork start method, so Linux).
 
 CSV schemas (versioned, v1):
 
@@ -26,7 +27,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -52,23 +52,57 @@ class UsageError(ValueError):
 
 
 def worker_count() -> int:
+    """The number of worker processes PERC_THREADS asks for (default: the
+    CPU count, at most 8); a value below 1 is refused."""
     env = os.environ.get("PERC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"PERC_THREADS must be an integer, got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        workers = int(env)
+    except ValueError:
+        raise UsageError(f"PERC_THREADS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise UsageError(f"PERC_THREADS must be >= 1, got {workers}")
+    return workers
+
+
+# (fn, chunks) of the running _parallel_seed_map, set in each forked worker
+_JOB = None
+
+
+def _set_job(job) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _run_chunk(i: int):
+    fn, chunks = _JOB
+    return fn(chunks[i])
 
 
 def _parallel_seed_map(fn, seeds: np.ndarray):
-    """Apply fn to chunks of the seed list, in parallel, preserving order."""
-    workers = worker_count()
-    chunks = np.array_split(seeds, min(workers, seeds.size))
-    if len(chunks) <= 1:
+    """Apply fn to chunks of the seed list, in forked worker processes,
+    preserving order.  At most one worker per CPU of this process's
+    affinity mask and per seed is forked.  The workers inherit fn and the
+    chunks through the fork (the pool's initializer arguments are not
+    pickled under fork), so fn may be a closure; only chunk indices and
+    fn's results cross the pipes."""
+    workers = min(worker_count(), len(os.sched_getaffinity(0)), seeds.size)
+    chunks = np.array_split(seeds, workers)
+    if workers <= 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+    import multiprocessing
+
+    # fork, not spawn: fn may be a closure, which cannot be pickled, and a
+    # spawned worker would import numpy and percgame again.  The pool forks
+    # its workers before it starts its handler threads, and percgame starts
+    # no thread of its own.
+    with multiprocessing.get_context("fork").Pool(
+            workers, initializer=_set_job, initargs=((fn, chunks),)) as pool:
+        results = pool.map(_run_chunk, range(workers))
+        pool.close()
+        pool.join()
+    return results
 
 
 def _probability(value, flag: str) -> None:

@@ -163,8 +163,10 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False)
     sequence of probabilities ``p``.  Every diagonal is hashed once, and
     each p's closed bits are read off the same hash words.
 
-    Returns (origin values (P, S), rows) where rows[k] is the (P, S, k+1)
-    value array of diagonal k if keep_all, else None.
+    Returns (origin values (P, S), rows).  If keep_all, rows[k] is the pair
+    (values, closed) of diagonal k: its (P, S, k+1) values and, for k < n,
+    its (P, S, k+1) closed bits (None on the boundary diagonal k = n, which
+    the sweep does not hash).  Otherwise rows is None.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     ps = np.asarray(p, dtype=np.float64)
@@ -176,7 +178,7 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False)
                           lambda: np.full(n + 1, n % 2), lambda: boundary.values,
                           seeds)
     vals = [top] * len(thresholds)
-    rows = {n: np.stack(vals)} if keep_all else None
+    rows = {n: (np.stack(vals), None)} if keep_all else None
     # diagonal k < n has k + 1 <= n sites: one flat buffer each for the
     # hash words, their scratch and the closed bits, viewed as (S, k+1)
     words = np.empty(seeds.size * n, dtype=np.uint64)
@@ -186,11 +188,14 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False)
         shape, size = (seeds.size, k + 1), seeds.size * (k + 1)
         h = hash_words(seeds, _diag_coords(k), 0, out=words[:size].reshape(shape),
                        tmp=tmp[:size].reshape(shape))
+        kept = []
         for i, threshold in enumerate(thresholds):
             c = below(h, threshold, out=closed[:size].reshape(shape))
             vals[i] = recurse(c, (vals[i][:, :-1], vals[i][:, 1:]), three)
+            if keep_all:
+                kept.append(c.copy())
         if keep_all:
-            rows[k] = np.stack(vals)
+            rows[k] = (np.stack(vals), np.stack(kept))
     return np.stack([v[:, 0] for v in vals]), rows
 
 
@@ -220,13 +225,14 @@ def solve_triangle(n: int, boundary: Boundary, p: float, seed: int) -> TriangleO
     _, rows = triangle_sweep(n, boundary, [p], [seed], keep_all=True)
     values = np.full((n + 1, n + 1), -1, dtype=np.int8)
     closed = np.zeros((n + 1, n + 1), dtype=bool)
-    for k, arr in rows.items():
+    for k, (vals, bits) in rows.items():
         coords = _diag_coords(k)
-        values[coords[:, 0], coords[:, 1]] = arr[0, 0]
+        values[coords[:, 0], coords[:, 1]] = vals[0, 0]
         # closedness is a property of the site; on the boundary diagonal
         # it does not enter the recursion (values there are imposed) but
         # does drive rendering and counts
-        closed[coords[:, 0], coords[:, 1]] = hash_below(seed, coords, 0, p)
+        closed[coords[:, 0], coords[:, 1]] = (hash_below(seed, coords, 0, p) if bits is None
+                                              else bits[0, 0])
     return TriangleOutcome(n, values, closed)
 
 

@@ -5,7 +5,13 @@ import csv
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
+import types
+
+import numpy as np
+import pytest
 
 from percgame import cli
 
@@ -288,6 +294,108 @@ def test_non_integer_perc_threads_exits_2(tmp_path, capsys, monkeypatch):
     _assert_usage_error(capsys, ["win-curve", "--depth", "4", "--seeds", "3",
                                  "--out", str(tmp_path / "w.csv")],
                         "PERC_THREADS must be an integer", tmp_path)
+
+
+def test_perc_threads_below_one_exits_2(tmp_path, capsys, monkeypatch):
+    for value in ("0", "-3"):
+        monkeypatch.setenv("PERC_THREADS", value)
+        _assert_usage_error(capsys, ["win-curve", "--depth", "4", "--seeds", "3",
+                                     "--out", str(tmp_path / "w.csv")],
+                            "PERC_THREADS must be >= 1", tmp_path)
+
+
+class _InProcessPool:
+    """Stands in for the fork pool: records its size and runs the workers'
+    initializer and tasks in this process, so that no process starts."""
+
+    def __init__(self, sizes, processes, initializer, initargs):
+        sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(i) for i in items]
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.mark.parametrize("threads,cpus,seeds,forked", [
+    ("100000", 4, 30, 4), ("100000", 64, 3, 3), ("2", 64, 30, 2), ("5", 1, 30, None)])
+def test_forked_workers_are_bounded_by_cpus_and_seeds(tmp_path, monkeypatch, threads, cpus,
+                                                      seeds, forked):
+    sizes = []
+
+    def get_context(method):
+        assert method == "fork"
+        return types.SimpleNamespace(Pool=lambda *a, **kw: _InProcessPool(sizes, *a, **kw))
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(cli, "_JOB", None)
+    monkeypatch.setenv("PERC_THREADS", threads)
+    assert cli.worker_count() == int(threads)
+    args = ["win-curve", "--p-grid", "0.3,0.6", "--depth", "12", "--seeds", str(seeds),
+            "--out"]
+    assert run(args + [str(tmp_path / "pool.csv")]) == 0
+    assert sizes == ([forked] if forked else [])
+    monkeypatch.setenv("PERC_THREADS", "1")
+    assert run(args + [str(tmp_path / "serial.csv")]) == 0
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+class _Deadline:
+    """Raises TimeoutError in the main thread if the block outlasts it."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        def expire(signum, frame):
+            raise TimeoutError(f"no result within {self.seconds} s")
+
+        self.previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(self.seconds)
+
+    def __exit__(self, *exc):
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, self.previous)
+        return False
+
+
+def test_win_curve_leaves_no_worker_process(tmp_path, monkeypatch):
+    monkeypatch.setenv("PERC_THREADS", "2")
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    with _Deadline(120):
+        assert run(["win-curve", "--depth", "30", "--seeds", "20",
+                    "--out", str(tmp_path / "w.csv")]) == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setenv("PERC_THREADS", "2")
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def chunk_fn(chunk):
+        if 3 in chunk:
+            raise ValueError(f"bad chunk {chunk.tolist()}")
+        return chunk * 2
+
+    with _Deadline(120), pytest.raises(ValueError, match="bad chunk"):
+        cli._parallel_seed_map(chunk_fn, np.arange(6))
+    assert multiprocessing.active_children() == []
+    with _Deadline(120):
+        assert [c.tolist() for c in cli._parallel_seed_map(chunk_fn, np.arange(10, 14))] \
+            == [[20, 22], [24, 26]]
+    assert multiprocessing.active_children() == []
 
 
 def test_win_curve_rejects_other_families(tmp_path, capsys):

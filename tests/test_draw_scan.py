@@ -234,8 +234,12 @@ def test_triangle_sweep_over_a_p_sequence_equals_the_scalar_sweeps(boundary):
         ref_origin, ref_rows = solver.triangle_sweep(n, boundary, [p], seeds, keep_all=True)
         assert np.array_equal(origin[i], ref_origin[0])
         for k in range(n + 1):
-            assert rows[k].shape == (len(grid), seeds.size, k + 1)
-            assert np.array_equal(rows[k][i], ref_rows[k][0])
+            (vals, closed), (ref_vals, ref_closed) = rows[k], ref_rows[k]
+            assert vals.shape == (len(grid), seeds.size, k + 1)
+            assert np.array_equal(vals[i], ref_vals[0])
+            assert (closed is None) == (k == n)
+            if k < n:
+                assert closed.shape == vals.shape and np.array_equal(closed[i], ref_closed[0])
     alone, none = solver.triangle_sweep(n, boundary, np.array(grid), seeds)
     assert none is None and np.array_equal(alone, origin)
 
@@ -243,7 +247,7 @@ def test_triangle_sweep_over_a_p_sequence_equals_the_scalar_sweeps(boundary):
 def test_triangle_sweep_takes_p_only_as_a_1d_sequence():
     seeds = np.arange(3)
     origin, rows = solver.triangle_sweep(6, AllZero(), [0.2], seeds, keep_all=True)
-    assert origin.shape == (1, 3) and rows[2].shape == (1, 3, 3) and rows[6].shape == (1, 3, 7)
+    assert origin.shape == (1, 3) and rows[2][0].shape == (1, 3, 3) and rows[6][0].shape == (1, 3, 7)
     origin, _ = solver.triangle_sweep(0, AllQuestion(), [0.2, 0.5], [2])
     assert origin.shape == (2, 1) and (origin == QUES).all()
     for bad in (0.2, np.float64(0.2), [[0.2]], []):

@@ -8,9 +8,10 @@ from scipy import stats
 
 from percgame import glauber, pca, solver
 from percgame import lattice as lat
-from percgame.sitefield import (_mix64_inplace, _mix_rest, closed_threshold, finish_tag,
-                                hash_below, hash_prefix, hash_uniform_scalar, hash_uniforms,
-                                hash_words, mix64)
+from percgame.sitefield import (CHAIN_BLOCK, COORD_LIMIT, COORD_OFFSET, _mix64_inplace,
+                                _mix_rest, closed_threshold, finish_tag, hash_below,
+                                hash_prefix, hash_uniform_scalar, hash_uniforms, hash_words,
+                                mix64)
 
 # frozen reference outputs pin the bit-level definition across platforms
 GOLDEN = [
@@ -243,3 +244,71 @@ def test_a_finisher_without_the_first_step_is_caught(tag):
     coords = np.array([[3, -4, 5, 2 ** 20 - 1]])
     assert _finisher_agrees(finish_tag, [7, 2 ** 63 - 1], coords, tag)
     assert not _finisher_agrees(_finish_without_first_step, [7, 2 ** 63 - 1], coords, tag)
+
+
+# -- blocks of seed rows in the chain core ------------------------------------
+
+
+def _mix_array(z):
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _unblocked_words(seeds, coords, tag):
+    """The chain as defined, on whole (S, n) arrays: one mix64 per seed,
+    coordinate word and tag element, with no blocks and no shared first
+    step."""
+    coords = np.asarray(coords, dtype=np.int64).reshape(len(coords), -1)
+    h = _mix_array(np.atleast_1d(np.asarray(seeds, dtype=np.uint64)))[:, None]
+    for g in range(0, coords.shape[1], 3):
+        word = np.zeros(len(coords), dtype=np.uint64)
+        for j, c in enumerate(coords[:, g:g + 3].T):
+            word |= (c + COORD_OFFSET).astype(np.uint64) << np.uint64(21 * j)
+        h = _mix_array(h ^ word)
+    for t in tag:
+        h = _mix_array(h ^ np.uint64(t))
+    return h
+
+
+def _block_cases():
+    sites = 1000
+    rows = CHAIN_BLOCK // sites  # seed rows per block
+    for d in (1, 2, 3, 4):
+        for count in (rows - 1, rows, rows + 1, 2 * rows + 1):
+            yield d, sites, np.arange(count, dtype=np.int64) * 7919
+    # rows larger than a block, one row per block; and a scalar seed
+    yield 2, CHAIN_BLOCK + 5, np.arange(3, dtype=np.int64)
+    yield 3, CHAIN_BLOCK + 5, 12345
+    yield 4, sites, 12345
+
+
+@pytest.mark.parametrize("d,sites,seeds", list(_block_cases()),
+                         ids=lambda v: str(np.size(v)) if isinstance(v, np.ndarray) else None)
+@pytest.mark.parametrize("buffers", [False, True], ids=["fresh", "given"])
+def test_blocked_chain_equals_the_unblocked_chain_and_the_scalar_hash(d, sites, seeds,
+                                                                      buffers):
+    rng = np.random.default_rng(sites + d)
+    coords = rng.integers(-COORD_LIMIT + 1, COORD_LIMIT, size=(sites, d))
+    if d == 1:
+        coords = coords[:, 0]
+    tag = (3, 2 ** 40 + 1)
+    shape = (sites,) if np.ndim(seeds) == 0 else (np.size(seeds), sites)
+    ref = _unblocked_words(seeds, coords, tag).reshape(shape)
+    given = {"out": np.empty(shape, np.uint64), "tmp": np.empty(shape, np.uint64)}
+    words = hash_words(seeds, coords, tag, **(given if buffers else {}))
+    assert np.array_equal(words, ref)
+    assert np.shares_memory(words, given["out"]) == buffers
+    uniforms = hash_uniforms(seeds, coords, tag)
+    assert np.array_equal(uniforms, (ref >> np.uint64(11)) * 2.0 ** -53)
+    # the empty tag: the prefix, with the first step of the next mix64
+    prefix = _unblocked_words(seeds, coords, ()).reshape(shape)
+    assert np.array_equal(hash_prefix(seeds, coords), prefix ^ (prefix >> np.uint64(30)))
+    # the scalar path at the first, last and one inner site of every seed row
+    sites_2d = coords.reshape(sites, -1)
+    for row, seed in enumerate(np.atleast_1d(seeds)):
+        for site in (0, sites - 1, int(rng.integers(sites))):
+            got = uniforms[site] if np.ndim(seeds) == 0 else uniforms[row, site]
+            assert got == hash_uniform_scalar(int(seed), tuple(sites_2d[site]), tag)

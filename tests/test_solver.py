@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from percgame import lattice as lat
-from percgame import solver
+from percgame import sitefield, solver
 from percgame.sitefield import hash_below, hash_uniform_scalar
 from percgame.solver import (AllQuestion, AllZero, BoundaryShapeError,
                              Checkerboard, Explicit, Sampled, SlabIndex)
@@ -83,8 +83,8 @@ def test_order_reversal_by_layer_triangle():
         _, rows1 = solver.triangle_sweep(n, Explicit(b1), [0.2], [100 + seed], keep_all=True)
         _, rows2 = solver.triangle_sweep(n, Explicit(b2), [0.2], [100 + seed], keep_all=True)
         for k in range(n + 1):
-            r1 = LINEAR_RANK[rows1[k][0, 0]]
-            r2 = LINEAR_RANK[rows2[k][0, 0]]
+            r1 = LINEAR_RANK[rows1[k][0][0, 0]]
+            r2 = LINEAR_RANK[rows2[k][0][0, 0]]
             if (n - k) % 2 == 0:
                 assert (r1 <= r2).all()
             else:
@@ -245,7 +245,7 @@ def test_triangle_sampled_extremes_equal_constant_boundaries():
     for q, const in ((0.0, solver.AllZero()), (1.0, solver.AllOne())):
         _, rows = solver.triangle_sweep(12, Sampled(q), [0.3], seeds, keep_all=True)
         _, ref = solver.triangle_sweep(12, const, [0.3], seeds, keep_all=True)
-        assert all(np.array_equal(rows[k], ref[k]) for k in ref)
+        assert all(np.array_equal(rows[k][0], ref[k][0]) for k in ref)
 
 
 def test_solve_triangle_closed_bits_are_the_site_field_bits(tmp_path):
@@ -265,6 +265,21 @@ def test_solve_triangle_closed_bits_are_the_site_field_bits(tmp_path):
         assert (tmp_path / "out.ppm").read_bytes() == (tmp_path / "ref.ppm").read_bytes()
 
 
+def test_solve_triangle_hashes_each_diagonal_once(monkeypatch):
+    # the sweep hashes diagonals 0..n-1 and keeps their closed bits; only
+    # the boundary diagonal n is hashed again, for its closed bits
+    calls = []
+    real_chain = sitefield._chain
+
+    def counting_chain(seeds, coords, tag=(), out=None, tmp=None):
+        calls.append(tag)
+        return real_chain(seeds, coords, tag, out, tmp)
+
+    monkeypatch.setattr(sitefield, "_chain", counting_chain)
+    solver.solve_triangle(50, AllQuestion(), 0.3, 7)
+    assert calls == [0] * 51
+
+
 def test_solve_triangle_equals_a_sweep_over_a_p_sequence():
     # each p of one batched sweep gives the values that solve_triangle
     # places on the plane, next to the closed bits of the site field
@@ -274,6 +289,6 @@ def test_solve_triangle_equals_a_sweep_over_a_p_sequence():
         out = solver.solve_triangle(n, AllQuestion(), p, seed)
         for k in range(n + 1):
             coords = np.stack([k - np.arange(k + 1), np.arange(k + 1)], axis=1)
-            assert np.array_equal(out.values[coords[:, 0], coords[:, 1]], rows[k][i, 0])
+            assert np.array_equal(out.values[coords[:, 0], coords[:, 1]], rows[k][0][i, 0])
             assert np.array_equal(out.closed[coords[:, 0], coords[:, 1]],
                                   hash_below(seed, coords, 0, p))
