@@ -5,7 +5,10 @@ pca-run.  Every run resolves its flags into a RunConfig (JSON-serializable;
 written next to the outputs on request), and the outputs are a pure
 function of that config: CSV tables with fixed headers and binary P6 PPM
 images.  PERC_THREADS caps the worker processes that seed-parallel runs
-fork (win-curve; the fork start method, so Linux).
+fork (the fork start method, so Linux): win-curve's triangle sweeps and
+``glauber.run_chains`` (the glauber subcommand and the demos).  A run forks
+at most one worker per ``workers.FORK_MIN_WORDS`` hashed words, so small
+runs stay in process.
 
 CSV schemas (versioned, v1):
 
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import exact, glauber, lattice, pca, solver
+from . import exact, glauber, lattice, pca, solver, workers
 from .sitefield import COORD_LIMIT
 from .symbols import QUES
 
@@ -49,60 +52,6 @@ HEADERS = {
 
 class UsageError(ValueError):
     """Bad input named on the command line; main reports it and exits 2."""
-
-
-def worker_count() -> int:
-    """The number of worker processes PERC_THREADS asks for (default: the
-    CPU count, at most 8); a value below 1 is refused."""
-    env = os.environ.get("PERC_THREADS")
-    if not env:
-        return min(8, os.cpu_count() or 1)
-    try:
-        workers = int(env)
-    except ValueError:
-        raise UsageError(f"PERC_THREADS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise UsageError(f"PERC_THREADS must be >= 1, got {workers}")
-    return workers
-
-
-# (fn, chunks) of the running _parallel_seed_map, set in each forked worker
-_JOB = None
-
-
-def _set_job(job) -> None:
-    global _JOB
-    _JOB = job
-
-
-def _run_chunk(i: int):
-    fn, chunks = _JOB
-    return fn(chunks[i])
-
-
-def _parallel_seed_map(fn, seeds: np.ndarray):
-    """Apply fn to chunks of the seed list, in forked worker processes,
-    preserving order.  At most one worker per CPU of this process's
-    affinity mask and per seed is forked.  The workers inherit fn and the
-    chunks through the fork (the pool's initializer arguments are not
-    pickled under fork), so fn may be a closure; only chunk indices and
-    fn's results cross the pipes."""
-    workers = min(worker_count(), len(os.sched_getaffinity(0)), seeds.size)
-    chunks = np.array_split(seeds, workers)
-    if workers <= 1:
-        return [fn(c) for c in chunks]
-    import multiprocessing
-
-    # fork, not spawn: fn may be a closure, which cannot be pickled, and a
-    # spawned worker would import numpy and percgame again.  The pool forks
-    # its workers before it starts its handler threads, and percgame starts
-    # no thread of its own.
-    with multiprocessing.get_context("fork").Pool(
-            workers, initializer=_set_job, initargs=((fn, chunks),)) as pool:
-        results = pool.map(_run_chunk, range(workers))
-        pool.close()
-        pool.join()
-    return results
 
 
 def _probability(value, flag: str) -> None:
@@ -316,7 +265,8 @@ def cmd_win_curve(cfg: RunConfig) -> int:
         origin, _ = solver.triangle_sweep(cfg.depth, solver.AllZero(), grid, chunk)
         return origin == 0
 
-    wins_by_p = np.concatenate(_parallel_seed_map(chunk_fn, seeds), axis=1)
+    words = seeds.size * cfg.depth * (cfg.depth + 1) // 2
+    wins_by_p = np.concatenate(workers.parallel_seed_map(chunk_fn, seeds, words), axis=1)
     rows = []
     for p, wins in zip(grid, wins_by_p):
         emp = float(wins.mean())
@@ -366,6 +316,8 @@ def cmd_glauber(cfg: RunConfig) -> int:
         except ValueError as e:
             raise UsageError(f"--lam: {e}") from None
     _at_least(cfg.steps, "--steps", 1)
+    if len(cfg.seeds) > 1:
+        raise UsageError(f"--seeds: glauber runs one chain, got {len(cfg.seeds)} seeds")
     try:
         torus = glauber.build_doubling_torus(fam, sizes)
     except lattice.UnsupportedFamilyError as e:
@@ -562,7 +514,7 @@ def main(argv=None) -> int:
         prog = f"percgame {args.subcommand}"
         cfg = resolve_config(args)
         code = COMMANDS[args.subcommand](cfg)
-    except UsageError as e:
+    except (UsageError, workers.WorkerCountError) as e:
         print(f"{prog}: error: {e}", file=sys.stderr)
         return 2
     if args.save_config:

@@ -46,6 +46,7 @@ from .sitefield import (below, check_p, closed_threshold, finish_tag, hash_below
                         hash_prefix, hash_uniforms)
 from .solver import SlabIndex
 from .symbols import ONE, ZERO
+from .workers import parallel_seed_map
 
 VARIANTS = ("standard", "extended")
 
@@ -134,15 +135,12 @@ def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
     coords of v, tag=(t, i)).  Returns (record_sweeps, occupations
     (S, R, m)).
 
-    Each class's hash prefix (seed and coordinate words) is computed once;
-    a sweep finishes only the (t, i) tag and decides ``uniform >= p`` on
-    the hash words (see ``sitefield``).  The configuration is bit-sliced,
-    (V, ceil(S / 64)) uint64 words: seed s is bit s % 64 of word s // 64,
-    and the padding lanes stay 0.  A class update packs the open bits into
-    the same lanes; an occupation is the count of set lanes / class size.
+    The seeds run in contiguous chunks through ``parallel_seed_map``, one
+    chunk per forked worker once the call hashes enough words (PERC_THREADS
+    caps the workers); each seed's chain depends on its own hash alone, so
+    the occupations do not depend on the chunking.
     """
     _check_variant(variant)
-    extended = variant == "extended"
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     for name, n in (("sweeps", sweeps), ("record_every", record_every), ("len(seeds)", seeds.size)):
         if n < 1:
@@ -154,6 +152,24 @@ def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
     if base.shape != (torus.n_vertices,) or not np.isin(base, (ZERO, ONE)).all():
         raise ValueError(f"init must be 'even', 'odd', 'empty' or a 0/1 array of shape "
                          f"({torus.n_vertices},)")
+    chunk_fn = functools.partial(_chain_chunk, torus, closed_threshold(p),
+                                 variant == "extended", sweeps, record_every, base)
+    runs = parallel_seed_map(chunk_fn, seeds, sweeps * torus.n_vertices * seeds.size)
+    return runs[0][0], np.concatenate([occ for _, occ in runs])
+
+
+def _chain_chunk(torus: SlabIndex, threshold: int, extended: bool, sweeps: int,
+                 record_every: int, base: np.ndarray, seeds: np.ndarray):
+    """``run_chains`` on one chunk of seeds, from the 0/1 configuration
+    ``base``.
+
+    Each class's hash prefix (seed and coordinate words) is computed once;
+    a sweep finishes only the (t, i) tag and decides ``uniform >= p`` on
+    the hash words (see ``sitefield``).  The configuration is bit-sliced,
+    (V, ceil(S / 64)) uint64 words: seed s is bit s % 64 of word s // 64,
+    and the padding lanes stay 0.  A class update packs the open bits into
+    the same lanes; an occupation is the count of set lanes / class size.
+    """
     members = torus.class_members
     n_lanes = -(-seeds.size // 64) * 64
     lanes = _pack_lanes(np.arange(n_lanes)[None] < seeds.size)
@@ -165,7 +181,6 @@ def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
     scratch = [np.empty_like(pre) for pre in prefixes]
     # closed bits, seed-padded to whole words; the padding stays False
     closed = [np.zeros((len(sel), n_lanes), dtype=bool) for sel in members]
-    threshold = closed_threshold(p)
     record_sweeps, occs = [], []
 
     def record(t):

@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 
-from percgame import cli
+from percgame import cli, glauber, lattice, workers
 
 
 def run(args):
@@ -199,7 +199,7 @@ def test_save_config(tmp_path):
 
 def test_perc_threads_env(monkeypatch):
     monkeypatch.setenv("PERC_THREADS", "3")
-    assert cli.worker_count() == 3
+    assert workers.worker_count() == 3
 
 
 def _outputs(directory):
@@ -207,7 +207,8 @@ def _outputs(directory):
 
 
 def test_seed_parallel_outputs_identical_across_threads(tmp_path, monkeypatch):
-    runs = {"win-curve": ["--p-grid", "0.3,0.6", "--depth", "40", "--seeds", "30",
+    # 150 seeds of a depth-300 triangle hash 6.8 M sites: two workers
+    runs = {"win-curve": ["--p-grid", "0.3,0.6", "--depth", "300", "--seeds", "150",
                           "--out"],
             "draw-scan": ["--family", "even(3)", "--p", "0.1", "--depth", "8",
                           "--size", "8", "--seeds", "6", "--out"]}
@@ -328,10 +329,10 @@ class _InProcessPool:
         pass
 
 
-@pytest.mark.parametrize("threads,cpus,seeds,forked", [
-    ("100000", 4, 30, 4), ("100000", 64, 3, 3), ("2", 64, 30, 2), ("5", 1, 30, None)])
-def test_forked_workers_are_bounded_by_cpus_and_seeds(tmp_path, monkeypatch, threads, cpus,
-                                                      seeds, forked):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each fork pool started, by a stand-in pool that runs in
+    this process."""
     sizes = []
 
     def get_context(method):
@@ -339,14 +340,27 @@ def test_forked_workers_are_bounded_by_cpus_and_seeds(tmp_path, monkeypatch, thr
         return types.SimpleNamespace(Pool=lambda *a, **kw: _InProcessPool(sizes, *a, **kw))
 
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(cli, "_JOB", None)
+    monkeypatch.setattr(workers, "_JOB", None)
+    return sizes
+
+
+# a triangle of depth n hashes seeds * n(n+1)/2 sites: at 30 seeds, 12.7 M
+# (depth 920) and 7.4 M (depth 700); at 3 seeds, 9.4 M (depth 2510)
+@pytest.mark.parametrize("threads,cpus,seeds,depth,forked", [
+    ("100000", 4, 30, 920, 4), ("100000", 64, 3, 2510, 3), ("2", 64, 30, 920, 2),
+    ("5", 1, 30, 920, None), ("100000", 64, 30, 700, 2), ("100000", 64, 30, 40, None)])
+def test_forked_workers_are_bounded_by_cpus_and_seeds(tmp_path, monkeypatch, pool_sizes,
+                                                      threads, cpus, seeds, depth, forked):
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setenv("PERC_THREADS", threads)
-    assert cli.worker_count() == int(threads)
-    args = ["win-curve", "--p-grid", "0.3,0.6", "--depth", "12", "--seeds", str(seeds),
+    assert workers.worker_count() == int(threads)
+    words = seeds * depth * (depth + 1) // 2
+    assert forked == (min(int(threads), cpus, seeds, words // workers.FORK_MIN_WORDS)
+                      if forked else None)
+    args = ["win-curve", "--p-grid", "0.3,0.6", "--depth", str(depth), "--seeds", str(seeds),
             "--out"]
     assert run(args + [str(tmp_path / "pool.csv")]) == 0
-    assert sizes == ([forked] if forked else [])
+    assert pool_sizes == ([forked] if forked else [])
     monkeypatch.setenv("PERC_THREADS", "1")
     assert run(args + [str(tmp_path / "serial.csv")]) == 0
     assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
@@ -373,16 +387,17 @@ class _Deadline:
 
 def test_win_curve_leaves_no_worker_process(tmp_path, monkeypatch):
     monkeypatch.setenv("PERC_THREADS", "2")
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
     with _Deadline(120):
-        assert run(["win-curve", "--depth", "30", "--seeds", "20",
+        assert run(["win-curve", "--depth", "300", "--seeds", "150",
                     "--out", str(tmp_path / "w.csv")]) == 0
     assert multiprocessing.active_children() == []
 
 
 def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setenv("PERC_THREADS", "2")
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    words = 2 * workers.FORK_MIN_WORDS
 
     def chunk_fn(chunk):
         if 3 in chunk:
@@ -390,11 +405,49 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
         return chunk * 2
 
     with _Deadline(120), pytest.raises(ValueError, match="bad chunk"):
-        cli._parallel_seed_map(chunk_fn, np.arange(6))
+        workers.parallel_seed_map(chunk_fn, np.arange(6), words)
     assert multiprocessing.active_children() == []
     with _Deadline(120):
-        assert [c.tolist() for c in cli._parallel_seed_map(chunk_fn, np.arange(10, 14))] \
+        assert [c.tolist() for c in workers.parallel_seed_map(chunk_fn, np.arange(10, 14),
+                                                              words)] \
             == [[20, 22], [24, 26]]
+    assert multiprocessing.active_children() == []
+
+
+# the even(3) 8x8 torus has 64 vertices: 130 seeds hash 8320 words a sweep
+@pytest.mark.parametrize("threads,cpus,sweeps", [
+    ("100000", 64, 5), ("100000", 64, 1200), ("2", 64, 1200), ("100000", 1, 1200)])
+def test_forked_chains_are_bounded_by_threads_cpus_and_words(monkeypatch, pool_sizes, threads,
+                                                             cpus, sweeps):
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    torus = glauber.build_doubling_torus(lattice.even_sublattice(3), (8, 8))
+    seeds = np.arange(130)
+    forked = min(int(threads), cpus, seeds.size,
+                 sweeps * torus.n_vertices * seeds.size // workers.FORK_MIN_WORDS)
+    monkeypatch.setenv("PERC_THREADS", threads)
+    _, occ = glauber.run_chains(torus, 0.3, "standard", sweeps, seeds, "odd", 100)
+    assert pool_sizes == ([forked] if forked > 1 else [])
+    monkeypatch.setenv("PERC_THREADS", "1")
+    _, serial = glauber.run_chains(torus, 0.3, "standard", sweeps, seeds, "odd", 100)
+    assert occ.tobytes() == serial.tobytes()
+
+
+def test_an_error_in_a_chains_chunk_reaches_the_caller(monkeypatch):
+    monkeypatch.setenv("PERC_THREADS", "2")
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    torus = glauber.build_doubling_torus(lattice.even_sublattice(3), (32, 32))
+    seeds = np.arange(50)
+    assert 500 * torus.n_vertices * seeds.size >= 2 * workers.FORK_MIN_WORDS
+    hash_prefix = glauber.hash_prefix
+
+    def failing(chunk, coords):
+        if 40 in chunk:
+            raise ValueError(f"bad chunk from seed {chunk[0]}")
+        return hash_prefix(chunk, coords)
+
+    monkeypatch.setattr(glauber, "hash_prefix", failing)
+    with _Deadline(120), pytest.raises(ValueError, match="bad chunk from seed 25"):
+        glauber.run_chains(torus, 0.3, "standard", 500, seeds)
     assert multiprocessing.active_children() == []
 
 
@@ -447,6 +500,24 @@ def test_counts_below_their_minimum_exit_2(tmp_path, capsys):
     assert run(["pca-run", "--size", "3", "--steps", "0", "--out", out]) == 0
     assert run(["glauber", "--family", "z2", "--size", "8", "--steps", "1",
                 "--out", out]) == 0
+
+
+def test_glauber_refuses_more_than_one_seed(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = str(out_dir / "chain.csv")
+    _assert_usage_error(capsys, ["glauber", "--family", "z2", "--size", "8", "--steps", "4",
+                                 "--seeds", "3", "--out", out],
+                        "--seeds: glauber runs one chain, got 3 seeds", out_dir)
+    cfg = tmp_path / "seeds.json"
+    cfg.write_text(cli.RunConfig(subcommand="glauber", family="z2", sizes=[8], steps=4,
+                                 seeds=[5, 6]).to_json())
+    _assert_usage_error(capsys, ["glauber", "--config", str(cfg), "--out", out],
+                        "glauber runs one chain, got 2 seeds", out_dir)
+    # one seed, by --seeds 1 or by --seed0 alone, still runs
+    for argv in (["--seeds", "1"], ["--seed0", "7"]):
+        assert run(["glauber", "--family", "z2", "--size", "8", "--steps", "4",
+                    "--out", out] + argv) == 0
 
 
 def test_families_without_the_needed_structure_exit_2(tmp_path, capsys):

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from percgame import exact, glauber
+from percgame import exact, glauber, workers
 from percgame import lattice as lat
 from percgame.sitefield import hash_uniforms
 
@@ -243,6 +243,36 @@ def test_run_chains_occupations_are_byte_identical(fam, variant):
     assert ts.tolist() == [7, 14, 20] and occ.shape == (130, 3, 2)
     digest = hashlib.sha256(np.ascontiguousarray(occ).tobytes()).hexdigest()
     assert digest == CHAINS_OCCUPATION_SHA256[variant]
+
+
+# 130 seeds on the 16x16 torus (256 vertices) for 200 sweeps hash 6.7 M
+# words: two forked chunks of 65 seeds, each cutting the second 64-lane word
+FORKED_CHAINS = dict(sizes=(16, 16), sweeps=200, seeds=np.arange(1000, 1130))
+
+
+@pytest.mark.parametrize("fam,variant", [(EVEN3, "standard"), (EXT3, "extended")],
+                         ids=["even3", "even_ext3"])
+def test_run_chains_bytes_do_not_depend_on_the_worker_count(fam, variant, monkeypatch):
+    t = glauber.build_doubling_torus(fam, FORKED_CHAINS["sizes"])
+    sweeps, seeds = FORKED_CHAINS["sweeps"], FORKED_CHAINS["seeds"]
+    assert sweeps * t.n_vertices * seeds.size >= 2 * workers.FORK_MIN_WORDS
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    explicit = np.random.default_rng(5).integers(0, 2, t.n_vertices).astype(np.int8)
+    for init in ("even", "odd", "empty", explicit):
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PERC_THREADS", threads)
+            ts, occ = glauber.run_chains(t, 0.3, variant, sweeps, seeds, init, 30)
+            runs.append(ts.tobytes() + np.ascontiguousarray(occ).tobytes())
+        assert occ.shape == (130, 7, 2) and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("value,text", [("0", "must be >= 1"), ("abc", "must be an integer")])
+def test_run_chains_refuses_a_bad_perc_threads(value, text, monkeypatch):
+    t = glauber.build_doubling_torus(EVEN3, (8, 8))
+    monkeypatch.setenv("PERC_THREADS", value)
+    with pytest.raises(ValueError, match=f"PERC_THREADS {text}"):
+        glauber.run_chains(t, 0.3, "standard", 2, [1, 2])
 
 
 @pytest.mark.parametrize("kwargs,name", [
