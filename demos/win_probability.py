@@ -4,7 +4,9 @@
 The probability that the first player wins (or the origin is closed) is
 (1 + sqrt(p / (4 - 3p))) / 2.  The empirical frequency comes from solving
 the two-valued recursion on a depth-400 triangle with an all-0 boundary:
-by ergodicity the boundary choice is forgotten at that depth.
+by ergodicity the boundary choice is forgotten at that depth.  Most origins
+are decided far sooner, where the all-0 and the all-1 boundaries agree
+(``solver.win_origins``; see decision_depth.py).
 
 Also writes the exact curve (win probability and its conditional-on-open
 version) as CSV; the conditional curve exceeds 1/2 exactly for p < 1/3 and
@@ -19,9 +21,9 @@ from percgame import exact, solver
 
 seeds = np.arange(400)
 ps = (0.1, 0.2, 0.3, 0.5, 0.7)
-# one sweep for the whole grid: each diagonal is hashed once and every p's
-# closed bits are read off the same hash words
-origins, _ = solver.triangle_sweep(400, solver.AllZero(), ps, seeds)
+# the origins of the depth-400 all-0 sweep, each decided at the first depth
+# where the two constant boundaries agree
+origins, _ = solver.win_origins(400, ps, seeds)
 print("p      empirical   exact       z-score")
 for p, origin in zip(ps, origins):
     emp = (origin == 0).mean()

@@ -5,7 +5,8 @@ pca-run.  Every run resolves its flags into a RunConfig (JSON-serializable;
 written next to the outputs on request), and the outputs are a pure
 function of that config: CSV tables with fixed headers and binary P6 PPM
 images.  PERC_THREADS caps the worker processes that seed-parallel runs
-fork (the fork start method, so Linux): win-curve's triangle sweeps and
+fork (the fork start method, so Linux): the full-depth triangle sweep of
+the seeds that win-curve cannot decide early (``solver.win_origins``) and
 ``glauber.run_chains`` (the glauber subcommand and the demos).  A run forks
 at most one worker per ``workers.FORK_MIN_WORDS`` hashed words, so small
 runs stay in process.
@@ -257,16 +258,8 @@ def cmd_win_curve(cfg: RunConfig) -> int:
         raise UsageError(f"win-curve solves z2 triangles only, got --family {cfg.family}")
     grid = cfg.p_grid or [cfg.p]
     _depth(cfg.depth, cfg.depth)
-    seeds = np.asarray(cfg.seeds, dtype=np.int64)
-
-    def chunk_fn(chunk):
-        # one sweep per seed chunk over the whole grid: each diagonal is
-        # hashed once and shared by every p
-        origin, _ = solver.triangle_sweep(cfg.depth, solver.AllZero(), grid, chunk)
-        return origin == 0
-
-    words = seeds.size * cfg.depth * (cfg.depth + 1) // 2
-    wins_by_p = np.concatenate(workers.parallel_seed_map(chunk_fn, seeds, words), axis=1)
+    origins, _ = solver.win_origins(cfg.depth, grid, cfg.seeds)
+    wins_by_p = origins == 0
     rows = []
     for p, wins in zip(grid, wins_by_p):
         emp = float(wins.mean())
@@ -345,6 +338,8 @@ def cmd_couple_verify(cfg: RunConfig) -> int:
 def cmd_pca_run(cfg: RunConfig) -> int:
     n = _at_least(cfg.sizes[0], "--size (the ring length)", 3)
     _at_least(cfg.steps, "--steps")
+    if len(cfg.seeds) > 1:
+        raise UsageError(f"--seeds: pca-run runs one trajectory, got {len(cfg.seeds)} seeds")
     initial = np.full(n, QUES if cfg.kind in ("F", "G", "D") else 0, dtype=np.int8)
     stats = pca.trajectory_stats(cfg.kind, initial, cfg.p, cfg.steps, int(cfg.seeds[0]))
     write_csv(cfg.out, HEADERS["pca_run"], pca.trajectory_csv_rows(stats))

@@ -24,6 +24,12 @@ boundary, so each is hashed once per run: ``draw_scan`` reads every depth
 and boundary of a draw-scan off one ``sliced_sweep`` (the bits of two
 uint64 words per site), and ``triangle_sweep`` applies the threshold of
 every p of its sequence to the same hash words.
+
+``win_origins`` gives the origins of the depth-n all-0 triangle sweep
+without sweeping the whole triangle where it need not: the two-valued rule
+is antimonotone, so an origin is decided at the first depth d where its
+values under the all-0 and the all-1 boundaries at d agree, and only the
+seeds undecided at every depth of ``stop_depths(n)`` take the full sweep.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .lattice import GraphFamily
 from .sitefield import (below, check_p, closed_threshold, hash_below, hash_uniforms,
                         hash_words)
 from .symbols import ONE, QUES, ZERO
+from .workers import parallel_seed_map
 
 # -- boundary specifications --------------------------------------------------
 
@@ -158,25 +165,20 @@ def _diag_coords(k: int) -> np.ndarray:
     return np.stack([k - j, j], axis=1)  # (x1, x2) with x1 + x2 = k
 
 
-def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False):
-    """Solve the triangular region for a batch of seeds and a non-empty 1-d
-    sequence of probabilities ``p``.  Every diagonal is hashed once, and
-    each p's closed bits are read off the same hash words.
-
-    Returns (origin values (P, S), rows).  If keep_all, rows[k] is the pair
-    (values, closed) of diagonal k: its (P, S, k+1) values and, for k < n,
-    its (P, S, k+1) closed bits (None on the boundary diagonal k = n, which
-    the sweep does not hash).  Otherwise rows is None.
-    """
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+def _thresholds(p) -> list[int]:
+    """The closed thresholds of a non-empty 1-d sequence of probabilities."""
     ps = np.asarray(p, dtype=np.float64)
     if ps.ndim != 1 or ps.size == 0:
         raise ValueError(f"p must be a non-empty 1-d sequence, got shape {ps.shape}")
-    thresholds = [closed_threshold(float(q)) for q in ps]
-    three = isinstance(boundary, AllQuestion)
-    top = _boundary_layer(boundary, n, _diag_coords(n),
-                          lambda: np.full(n + 1, n % 2), lambda: boundary.values,
-                          seeds)
+    return [closed_threshold(float(q)) for q in ps]
+
+
+def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, three: bool,
+           keep_all: bool = False):
+    """The triangle sweep under the boundary values ``top``, shaped
+    (..., S, n+1): any leading axes are boundaries swept side by side on the
+    same closed bits.  Returns the (P, ..., S) origin values and the rows of
+    ``triangle_sweep``."""
     vals = [top] * len(thresholds)
     rows = {n: (np.stack(vals), None)} if keep_all else None
     # diagonal k < n has k + 1 <= n sites: one flat buffer each for the
@@ -191,12 +193,106 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False)
         kept = []
         for i, threshold in enumerate(thresholds):
             c = below(h, threshold, out=closed[:size].reshape(shape))
-            vals[i] = recurse(c, (vals[i][:, :-1], vals[i][:, 1:]), three)
+            vals[i] = recurse(c, (vals[i][..., :-1], vals[i][..., 1:]), three)
             if keep_all:
                 kept.append(c.copy())
         if keep_all:
             rows[k] = (np.stack(vals), np.stack(kept))
-    return np.stack([v[:, 0] for v in vals]), rows
+    return np.stack([v[..., 0] for v in vals]), rows
+
+
+def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False):
+    """Solve the triangular region for a batch of seeds and a non-empty 1-d
+    sequence of probabilities ``p``.  Every diagonal is hashed once, and
+    each p's closed bits are read off the same hash words.
+
+    Returns (origin values (P, S), rows).  If keep_all, rows[k] is the pair
+    (values, closed) of diagonal k: its (P, S, k+1) values and, for k < n,
+    its (P, S, k+1) closed bits (None on the boundary diagonal k = n, which
+    the sweep does not hash).  Otherwise rows is None.
+    """
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    thresholds = _thresholds(p)
+    top = _boundary_layer(boundary, n, _diag_coords(n),
+                          lambda: np.full(n + 1, n % 2), lambda: boundary.values,
+                          seeds)
+    return _sweep(n, top, thresholds, seeds, isinstance(boundary, AllQuestion), keep_all)
+
+
+# -- win-curve origins: certified early stop -----------------------------------
+
+def stop_depths(n: int) -> list[int]:
+    """The depths below n at which ``win_origins`` tries to decide the
+    origins of depth-n triangles: 8, 16, 32, ... below n/4, then n/4 and
+    n/2 (8, 16, 32, 64, 100, 200 at n = 400); none below 8, and none at
+    all unless the depth-8 triangle holds at most a quarter of the sites
+    of the depth-n one (n >= 17).
+
+    The rounds at n/4 and n/2 come last so that a seed the doubling
+    rounds leave is almost always decided by n/2.  A round's cost is
+    mostly its d diagonals, whatever its seed count, so one seed left for
+    the depth-n sweep costs about as much as every round before it."""
+    if 4 * 8 * 9 > n * (n + 1):
+        return []
+    depths, d = {8}, 16
+    while d < n // 4:
+        depths.add(d)
+        d *= 2
+    return sorted(depths | {x for x in (n // 4, n // 2) if x > 8})
+
+
+def _origin_bounds(d: int, thresholds, seeds: np.ndarray):
+    """The (P, S) origin values of the depth-d triangles under the all-0
+    and under the all-1 boundary, from one sweep of both."""
+    top = np.full((2, seeds.size, d + 1), ZERO, dtype=np.int8)
+    top[1] = ONE
+    origins, _ = _sweep(d, top, thresholds, seeds, False)
+    return origins[:, 0], origins[:, 1]
+
+
+def win_origins(n: int, p, seeds):
+    """The origin values of ``triangle_sweep(n, AllZero(), p, seeds)``,
+    (P, S), and the depth at which each (p, seed) was decided, (P, S).
+
+    The two-valued rule is antimonotone in the out-values, so the origin of
+    the depth-n triangle lies between the origins of its first d diagonals
+    under the all-0 and the all-1 boundaries at depth d; where these agree,
+    the origin is decided at depth d.  At each of ``stop_depths(n)`` one
+    sweep hashes each diagonal once for the seeds still undecided at some
+    p, and both boundaries read every p's closed bits off it.  The seeds
+    left undecided take the depth-n ``triangle_sweep`` itself, through
+    ``parallel_seed_map``, and are decided at depth n.  A round that decides
+    a smaller share of its seeds than the next round's share of the
+    depth-n triangle's sites ends the rounds early, so that runs in which
+    almost no seed stops (p near 0) pay for one small round only.  So each
+    later round hashes at most the words its predecessor saved the full
+    sweep, and a run hashes at most S·(n(n+1)/2 + d(d+1)/2) words, d the
+    first of ``stop_depths(n)``: 1.25 times the full sweep at most.
+    """
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    thresholds = _thresholds(p)
+    values = np.zeros((len(thresholds), seeds.size), dtype=np.int8)
+    depths = np.full(values.shape, n, dtype=np.int64)
+    undecided = np.ones(values.shape, dtype=bool)
+    live = np.arange(seeds.size)  # the seeds undecided at some p
+    schedule = stop_depths(n)
+    for d, nxt in zip(schedule, schedule[1:] + [n]):
+        origin0, origin1 = _origin_bounds(d, thresholds, seeds[live])
+        decided = undecided[:, live] & (origin0 == origin1)
+        values[:, live] = np.where(decided, origin0, values[:, live])
+        depths[:, live] = np.where(decided, d, depths[:, live])
+        undecided[:, live] &= ~decided
+        swept, live = live.size, live[undecided[:, live].any(axis=0)]
+        if not live.size or (swept - live.size) * n * (n + 1) < swept * nxt * (nxt + 1):
+            break
+    if live.size:
+        def chunk_fn(chunk):
+            return triangle_sweep(n, AllZero(), p, chunk)[0]
+
+        full = np.concatenate(parallel_seed_map(chunk_fn, seeds[live],
+                                                live.size * n * (n + 1) // 2), axis=1)
+        values[:, live] = np.where(undecided[:, live], full, values[:, live])
+    return values, depths
 
 
 @dataclass

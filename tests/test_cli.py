@@ -345,7 +345,9 @@ def pool_sizes(monkeypatch):
 
 
 # a triangle of depth n hashes seeds * n(n+1)/2 sites: at 30 seeds, 12.7 M
-# (depth 920) and 7.4 M (depth 700); at 3 seeds, 9.4 M (depth 2510)
+# (depth 920) and 7.4 M (depth 700); at 3 seeds, 9.4 M (depth 2510).  The
+# grid holds p = 0, at which no seed is decided early, so every seed takes
+# the full sweep
 @pytest.mark.parametrize("threads,cpus,seeds,depth,forked", [
     ("100000", 4, 30, 920, 4), ("100000", 64, 3, 2510, 3), ("2", 64, 30, 920, 2),
     ("5", 1, 30, 920, None), ("100000", 64, 30, 700, 2), ("100000", 64, 30, 40, None)])
@@ -357,7 +359,7 @@ def test_forked_workers_are_bounded_by_cpus_and_seeds(tmp_path, monkeypatch, poo
     words = seeds * depth * (depth + 1) // 2
     assert forked == (min(int(threads), cpus, seeds, words // workers.FORK_MIN_WORDS)
                       if forked else None)
-    args = ["win-curve", "--p-grid", "0.3,0.6", "--depth", str(depth), "--seeds", str(seeds),
+    args = ["win-curve", "--p-grid", "0,0.6", "--depth", str(depth), "--seeds", str(seeds),
             "--out"]
     assert run(args + [str(tmp_path / "pool.csv")]) == 0
     assert pool_sizes == ([forked] if forked else [])
@@ -388,9 +390,25 @@ class _Deadline:
 def test_win_curve_leaves_no_worker_process(tmp_path, monkeypatch):
     monkeypatch.setenv("PERC_THREADS", "2")
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    # real fork pools, their sizes recorded
+    sizes, get_context = [], multiprocessing.get_context
+
+    def recording_context(method):
+        ctx = get_context(method)
+
+        def pool(processes, *args, **kwargs):
+            sizes.append(processes)
+            return ctx.Pool(processes, *args, **kwargs)
+
+        return types.SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording_context)
+    # at p = 0 no seed is decided early, so every seed takes the forked
+    # depth-300 sweep: 150 * 300 * 301 / 2 = 6.8 M words, two workers
     with _Deadline(120):
-        assert run(["win-curve", "--depth", "300", "--seeds", "150",
+        assert run(["win-curve", "--p", "0", "--depth", "300", "--seeds", "150",
                     "--out", str(tmp_path / "w.csv")]) == 0
+    assert sizes == [2]
     assert multiprocessing.active_children() == []
 
 
@@ -518,6 +536,22 @@ def test_glauber_refuses_more_than_one_seed(tmp_path, capsys):
     for argv in (["--seeds", "1"], ["--seed0", "7"]):
         assert run(["glauber", "--family", "z2", "--size", "8", "--steps", "4",
                     "--out", out] + argv) == 0
+
+
+def test_pca_run_refuses_more_than_one_seed(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = str(out_dir / "pca.csv")
+    _assert_usage_error(capsys, ["pca-run", "--size", "16", "--steps", "3", "--seeds", "3",
+                                 "--out", out],
+                        "--seeds: pca-run runs one trajectory, got 3 seeds", out_dir)
+    cfg = tmp_path / "seeds.json"
+    cfg.write_text(cli.RunConfig(subcommand="pca-run", sizes=[16], steps=3,
+                                 seeds=[5, 6]).to_json())
+    _assert_usage_error(capsys, ["pca-run", "--config", str(cfg), "--out", out],
+                        "pca-run runs one trajectory, got 2 seeds", out_dir)
+    for argv in (["--seeds", "1"], ["--seed0", "7"]):
+        assert run(["pca-run", "--size", "16", "--steps", "3", "--out", out] + argv) == 0
 
 
 def test_families_without_the_needed_structure_exit_2(tmp_path, capsys):

@@ -158,6 +158,7 @@ NAN_P_ENTRY_POINTS = {
     "closed_threshold": closed_threshold,
     "hash_below": lambda p: hash_below(0, _sites(2), 0, p),
     "triangle_sweep": lambda p: solver.triangle_sweep(4, solver.AllZero(), [0.2, p], [0]),
+    "win_origins": lambda p: solver.win_origins(20, [0.2, p], [0]),
     "slab_sweep": lambda p: solver.slab_sweep(_TORUS, 3, solver.AllQuestion(), p, [0]),
     "draw_scan": lambda p: solver.draw_scan(_TORUS, p, [0], [2]),
     "run_chains": lambda p: glauber.run_chains(_TORUS, p, "standard", 1, [0]),
