@@ -8,11 +8,10 @@ Two region shapes:
   transverse directions wrapped into the torus of a ``SlabIndex`` and the
   boundary condition on the top m layers (``slab_sweep``).
 
-With the ``AllQuestion`` boundary the three-valued recursion is used
-(closed -> 0; else 1 if all out-values are 0, 0 if some out-value is 1,
-? otherwise); every other boundary is {0,1}-valued and the two-valued
-recursion applies.  Sites are processed in decreasing layer order, so a
-layer depends only on layers above it.
+Every sweep applies one game rule, ``play``, to (zero, one) bit pairs
+(closed -> 0; else 1 if all out-values are 0, 0 if some is 1, ? otherwise);
+under a {0,1}-valued boundary every pair stays two-valued.  Sites are
+processed in decreasing layer order, so a layer depends only on those above.
 
 Randomness/tag conventions: the open/closed bit of a slab site with
 (wrapped) transverse coordinates t on layer k is the tag-0 uniform of the
@@ -93,68 +92,62 @@ class BoundaryShapeError(ValueError):
     pass
 
 
-# -- the recursion rule and boundary values ----------------------------------
+# -- the game rule and boundary values ----------------------------------------
 
 
-def recurse(closed: np.ndarray, nbrs, three: bool) -> np.ndarray:
-    """The game rule on a batch of sites, as an int8 array.
+def play(zero, one, targets):
+    """The game rule, in place, on (zero, one) pairs, ? = (0, 0), 0 = (1, 0)
+    and 1 = (0, 1), in bool arrays or lane by lane in unsigned words.  On
+    entry ``zero`` holds the closed bits, every lane bit set for a closed
+    site; ``targets`` yields each move's target pairs, shaped like ``zero``:
 
-    ``nbrs`` is a sequence of out-neighbor value arrays, one per move, each
-    shaped like ``closed``.  A closed site is 0.  An open site is 1 if every
-    out-value is 0; otherwise it is 0 if some out-value is 1, and ? if none
-    is.  The two-valued recursion (``three`` False) has no ?: an open site
-    that is not 1 is 0.
-    """
-    first, *rest = nbrs
-    all_win = first == ZERO
-    for v in rest:
-        all_win &= v == ZERO
-    if not three:
-        all_win &= ~closed
-        return all_win.view(np.int8)
-    lost = first == ONE
-    for v in rest:
-        lost |= v == ONE
-    lost |= closed
-    # with ZERO, ONE, QUES = 0, 1, 2: (1 + not all_win) * not lost, on the
-    # masks viewed as 0/1 int8 (a nested np.where with scalar branches made
-    # the three-valued rule about 8x slower)
-    np.invert(all_win, out=all_win)
-    vals = np.add(all_win.view(np.int8), np.int8(ONE))
-    np.invert(lost, out=lost)
-    vals *= lost.view(np.int8)
-    return vals
+        zero = closed | OR(one[target]),   one = ~closed & AND(zero[target])
+
+    A pair with zero = ~one stays so: one rule serves both recursions."""
+    np.invert(zero, out=one)
+    for target_zero, target_one in targets:
+        zero |= target_one
+        one &= target_zero
+    return zero, one
+
+
+# the symbol of each pair byte 2 zero + one; (1, 1) is no pair, read as -1
+_SYMBOLS = np.array([QUES, ONE, ZERO, -1], dtype=np.int8)
+
+
+def _pair_bytes(zero, one) -> np.ndarray:  # of bools or 0/1 bytes
+    return 2 * zero.view(np.uint8) + one.view(np.uint8)
 
 
 _CONSTANT = {AllQuestion: QUES, AllZero: ZERO, AllOne: ONE}
 
 
 def _boundary_layer(boundary: Boundary, layer: int, coords: np.ndarray, parity,
-                    explicit, seeds: np.ndarray):
-    """(S, n) values of one boundary layer whose n sites have the hashing
-    coordinates ``coords``; ``parity()`` and ``explicit()`` return their
-    checkerboard and explicit (n,) values."""
+                    explicit, seeds: np.ndarray) -> np.ndarray:
+    """The (zero, one) pair, (2, S, n) bool, of one boundary layer whose n
+    sites have the hashing coordinates ``coords``; ``parity()`` and
+    ``explicit()`` return their checkerboard and explicit (n,) values."""
     shape = (seeds.size, coords.shape[0])
     if type(boundary) in _CONSTANT:
-        return np.full(shape, _CONSTANT[type(boundary)], dtype=np.int8)
-    if isinstance(boundary, Sampled):
-        return hash_below(seeds, coords, 1, boundary.q).view(np.int8)
-    if isinstance(boundary, Checkerboard):
-        vals = parity()
-    elif isinstance(boundary, Explicit):
+        vals = np.int8(_CONSTANT[type(boundary)])
+    elif isinstance(boundary, Sampled):
+        if not 0.0 <= boundary.q <= 1.0:
+            raise BoundaryShapeError(f"sampled boundary needs q in [0, 1], got q = {boundary.q}")
+        vals = hash_below(seeds, coords, 1, boundary.q).view(np.int8)
+    elif isinstance(boundary, (Checkerboard, Explicit)):
         try:
-            vals = explicit()
+            vals = np.asarray(parity() if isinstance(boundary, Checkerboard) else explicit())
         except (KeyError, TypeError):
             raise BoundaryShapeError(f"explicit boundary missing layer {layer}") from None
+        if vals.shape != shape[1:]:
+            raise BoundaryShapeError(
+                f"layer {layer} boundary needs shape {shape[1:]}, got {vals.shape}")
+        if not np.isin(vals, (ZERO, ONE)).all():  # before any cast: 0.5 is no 0
+            raise BoundaryShapeError("boundary values must be 0/1")
     else:
         raise BoundaryShapeError(f"unsupported boundary {boundary!r}")
-    vals = np.asarray(vals, dtype=np.int8)
-    if vals.shape != shape[1:]:
-        raise BoundaryShapeError(
-            f"layer {layer} boundary needs shape {shape[1:]}, got {vals.shape}")
-    if not np.isin(vals, (ZERO, ONE)).all():
-        raise BoundaryShapeError("boundary values must be 0/1")
-    return np.broadcast_to(vals, shape).copy()
+    vals = np.broadcast_to(vals, shape)
+    return np.stack([vals == ZERO, vals == ONE])
 
 
 # -- triangle solver ---------------------------------------------------------
@@ -173,32 +166,54 @@ def _thresholds(p) -> list[int]:
     return [closed_threshold(float(q)) for q in ps]
 
 
-def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, three: bool,
-           keep_all: bool = False):
-    """The triangle sweep under the boundary values ``top``, shaped
-    (..., S, n+1): any leading axes are boundaries swept side by side on the
-    same closed bits.  Returns the (P, ..., S) origin values and the rows of
-    ``triangle_sweep``."""
-    vals = [top] * len(thresholds)
-    rows = {n: (np.stack(vals), None)} if keep_all else None
-    # diagonal k < n has k + 1 <= n sites: one flat buffer each for the
-    # hash words, their scratch and the closed bits, viewed as (S, k+1)
-    words = np.empty(seeds.size * n, dtype=np.uint64)
-    tmp = np.empty_like(words)
-    closed = np.empty(words.size, dtype=bool)
+def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, keep_all: bool = False):
+    """The triangle sweep of every p under the B boundaries whose (zero, one)
+    pairs on diagonal n are ``top``, (2, B, S, n+1) bool: bit i·B + b of a
+    site's uint8 (zero, one) words (more words past 8 lanes) holds p_i under
+    boundary b.  In rows of n + 1 words, a diagonal's targets are the words
+    above at the same flat index and the next, so the rule runs on flat
+    arrays.  Returns the (P, B, S) origins and ``triangle_sweep``'s rows."""
+    n_b, lanes = top.shape[1], len(thresholds) * top.shape[1]
+    # diagonal k in slot k mod 2, or in slot k if every diagonal is kept
+    slots = np.empty((n + 1 if keep_all else 2, 2, -(-lanes // 8), seeds.size, n + 1),
+                     dtype=np.uint8)
+    flat = slots.reshape(len(slots), 2, -1)
+    # per slot, the rule's arguments: its (zero, one) words and, as targets,
+    # the next slot's words at the same flat index and at the next one
+    rules = [(*cur[:, :-1], (tuple(nxt[:, :-1]), tuple(nxt[:, 1:])))
+             for cur, nxt in zip(flat, [*flat[1:], flat[0]])]
+    for word in range(slots.shape[2]):
+        slots[n % len(slots), :, word] = sum(
+            top[:, lane % n_b].view(np.uint8) * np.uint8(1 << lane % 8)
+            for lane in range(8 * word, min(8 * word + 8, lanes)))
+    kept = {}
+    # the hash words of diagonal k < n and their scratch, viewed as (S, k+1)
+    words, tmp = np.empty((2, seeds.size * n), dtype=np.uint64)
     for k in range(n - 1, -1, -1):
         shape, size = (seeds.size, k + 1), seeds.size * (k + 1)
         h = hash_words(seeds, _diag_coords(k), 0, out=words[:size].reshape(shape),
                        tmp=tmp[:size].reshape(shape))
-        kept = []
+        # each p's closed bits fill its lanes: the first p of a word writes
+        # it whole, the others pass through the hash scratch, free by now
         for i, threshold in enumerate(thresholds):
-            c = below(h, threshold, out=closed[:size].reshape(shape))
-            vals[i] = recurse(c, (vals[i][..., :-1], vals[i][..., 1:]), three)
-            if keep_all:
-                kept.append(c.copy())
+            word, bit = divmod(i * n_b, 8)
+            lane_words = slots[k % len(slots), 0, word, :, :k + 1]
+            if bit:
+                c = below(h, threshold, out=tmp.view(bool)[:size].reshape(shape)).view(np.uint8)
+                lane_words |= np.multiply(c, (1 << n_b) - 1 << bit, out=c)
+            else:
+                below(h, threshold, out=lane_words.view(bool))
+                if n_b > 1:
+                    lane_words *= np.uint8((1 << n_b) - 1)
         if keep_all:
-            rows[k] = (np.stack(vals), np.stack(kept))
-    return np.stack([v[..., 0] for v in vals]), rows
+            kept[k] = np.stack([below(h, threshold) for threshold in thresholds])
+        play(*rules[k % len(slots)])
+    # the symbols of every diagonal kept, or else of the origins: (slots, P·B, S, n+1)
+    bits = np.unpackbits(slots if keep_all else slots[:1, ..., :1], axis=2, count=lanes,
+                         bitorder="little")
+    vals = _SYMBOLS[_pair_bytes(bits[:, 0], bits[:, 1])]
+    rows = {k: (vals[k, ..., :k + 1], kept.get(k)) for k in range(n + 1)} if keep_all else None
+    return vals[0, ..., 0].reshape(-1, n_b, seeds.size), rows
 
 
 def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False):
@@ -216,7 +231,8 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False)
     top = _boundary_layer(boundary, n, _diag_coords(n),
                           lambda: np.full(n + 1, n % 2), lambda: boundary.values,
                           seeds)
-    return _sweep(n, top, thresholds, seeds, isinstance(boundary, AllQuestion), keep_all)
+    origins, rows = _sweep(n, top[:, None], thresholds, seeds, keep_all)
+    return origins[:, 0], rows
 
 
 # -- win-curve origins: certified early stop -----------------------------------
@@ -244,9 +260,9 @@ def stop_depths(n: int) -> list[int]:
 def _origin_bounds(d: int, thresholds, seeds: np.ndarray):
     """The (P, S) origin values of the depth-d triangles under the all-0
     and under the all-1 boundary, from one sweep of both."""
-    top = np.full((2, seeds.size, d + 1), ZERO, dtype=np.int8)
-    top[1] = ONE
-    origins, _ = _sweep(d, top, thresholds, seeds, False)
+    top = np.stack([_boundary_layer(b, d, _diag_coords(d), None, None, seeds)
+                    for b in (AllZero(), AllOne())], axis=1)
+    origins, _ = _sweep(d, top, thresholds, seeds)
     return origins[:, 0], origins[:, 1]
 
 
@@ -423,40 +439,37 @@ class SlabIndex:
         return vals
 
 
-def _slab_boundary(index: SlabIndex, boundary: Boundary, k_top: int,
-                   m: int, seeds: np.ndarray):
-    """Boundary values on layers k_top .. k_top+m-1, each (S, n_class)."""
-    return {layer: _boundary_layer(
-                boundary, layer, index.layer_site_coords(layer),
-                lambda: index.checkerboard_values(layer),
-                lambda: boundary.values[layer], seeds)
-            for layer in range(k_top, k_top + m)}
-
-
 def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
                seeds, record_layers=None):
     """Solve a slab of one depth under any boundary for a batch of seeds;
     with a constant boundary, the per-depth reference of ``sliced_sweep``.
 
     Returns {layer: (S, n_class) int8}; always contains layers 0..m-1, plus
-    any layers listed in record_layers.
+    any layers listed in record_layers.  A layer is held site-major as the
+    pair bytes of its sites, which one ``np.take`` gathers whole.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     p, m = check_p(p), index.family.m
-    three = isinstance(boundary, AllQuestion)
-    layers = _slab_boundary(index, boundary, depth, m, seeds)
+    layers = {layer: np.ascontiguousarray(_pair_bytes(*_boundary_layer(
+                  boundary, layer, index.layer_site_coords(layer),
+                  lambda: index.checkerboard_values(layer),
+                  lambda: boundary.values[layer], seeds)).T)
+              for layer in range(depth, depth + m)}
     keep = set(range(m)) | set(record_layers or ())
-    out = {k: v for k, v in layers.items() if k in keep}
+    # per class: the target rows of its moves, a layer delta at a time
+    moves = [[(d, pos[:, dl == d].T.ravel()) for d in sorted(set(dl.tolist()))]
+             for dl, pos in zip(index.nbr_layer_delta, index.nbr_pos)]
     for k in range(depth - 1, -1, -1):
-        c = k % index.q
         u = hash_uniforms(seeds, index.layer_site_coords(k), 0)
-        nbrs = [np.take(layers[k + int(dl)], pos, axis=1)
-                for dl, pos in zip(index.nbr_layer_delta[c], index.nbr_pos[c].T)]
-        layers[k] = recurse(u < p, nbrs, three)
-        if k in keep:
-            out[k] = layers[k]
-        layers.pop(k + m, None)
-    return out
+        zero = np.less(u.T, p, out=np.empty(u.shape[::-1], dtype=bool))
+        targets = []
+        for d, rows in moves[k % index.q]:  # each move's pairs, split off their pair bytes
+            gathered = np.take(layers[k + d], rows, axis=0).reshape((-1,) + zero.shape)
+            targets += zip((gathered >> 1).view(bool), (gathered & 1).view(bool))
+        layers[k] = _pair_bytes(*play(zero, np.empty_like(zero), targets))
+        if k + m not in keep:
+            layers.pop(k + m, None)
+    return {k: _SYMBOLS[v].T.copy() for k, v in layers.items()}
 
 
 # -- draw-scan: every depth and boundary in one bit-sliced sweep ---------------
@@ -470,11 +483,8 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     all-0 and all-1 boundaries, from one sweep of the deepest slab: (zero,
     one), (S, n_class) uint64 each, whose bit 3i + b holds depth
     ``depths[i]`` under boundary b (?, 0, 1) as a bit pair, ? = (0, 0),
-    0 = (1, 0), 1 = (0, 1).  One rule serves both recursions (a two-valued
-    pair has zero = ~one), and on layer k each bit whose depth is <= k
-    takes its boundary value:
-
-        zero = closed | OR(one[target]),   one = ~closed & AND(zero[target])
+    0 = (1, 0), 1 = (0, 1), under the rule of ``play``; on layer k each
+    bit whose depth is <= k takes its boundary value.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     if not 0 < len(depths) <= DEPTHS_PER_SWEEP or min(depths) < 0:
@@ -503,13 +513,10 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
                                out=words[:n * s].reshape(s, n), tmp=tmp[:n * s].reshape(s, n))
                 np.copyto(z, below(h, threshold, out=closed[:n * s].reshape(s, n)).T)
                 np.negative(z, out=z)  # a closed site's words are all ones
-                np.invert(z, out=o)
-                for j, dl in enumerate(index.nbr_layer_delta[c]):
-                    # mode="clip": the default "raise" would buffer the output
-                    gz, go = np.take(layer(k + int(dl)), index.nbr_pos[c][:, j], axis=1,
-                                     mode="clip", out=gathered[:2 * n * s].reshape(2, n, s))
-                    z |= go
-                    o &= gz
+                # mode="clip": the default "raise" would buffer the output
+                play(z, o, (np.take(layer(k + int(dl)), index.nbr_pos[c][:, j], axis=1,
+                                    mode="clip", out=gathered[:2 * n * s].reshape(2, n, s))
+                            for j, dl in enumerate(index.nbr_layer_delta[c])))
             fz, fo, f = fixed[k]
             if f:
                 np.bitwise_or(z & ~f, fz, out=z)

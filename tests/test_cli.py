@@ -96,6 +96,23 @@ def test_solver_outputs_are_byte_identical(tmp_path):
     assert written == SOLVER_OUTPUT_SHA256
 
 
+# SHA-256 of a win-curve over 21 p values, recorded from the int8 triangle
+# sweeps: at two boundaries per p the early-stop rounds fill 42 lanes, more
+# than one uint8 word holds
+WIN_CURVE_SHA256 = {
+    "win.csv": "7f2f26bd9d9326123e5b111caebd28a1410c658101dae2d5334b23ad82645ec6",
+    "win.csv.exact.csv": "4e8afad753b7982fbf4e7127ceedc3ce221c754892106e6c2e8f77af70ee5e8e",
+}
+
+
+def test_a_multi_word_win_curve_is_byte_identical(tmp_path):
+    grid = ",".join(str(round(0.05 * i, 2)) for i in range(21))
+    assert run(["win-curve", "--depth", "60", "--seeds", "40", "--p-grid", grid,
+                "--out", str(tmp_path / "win.csv")]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == WIN_CURVE_SHA256
+
+
 # SHA-256 of the outputs of a draw-scan with 29 profile depths, more than
 # one bit-sliced sweep takes, recorded from the per-depth slab sweeps
 CHUNKED_DRAW_SCAN_SHA256 = {

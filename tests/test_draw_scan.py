@@ -225,23 +225,25 @@ BOUNDARIES = [AllZero(), AllOne(), AllQuestion(), Checkerboard(), Sampled(0.3)]
 @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: type(b).__name__)
 def test_triangle_sweep_over_a_p_sequence_equals_the_scalar_sweeps(boundary):
     seeds = np.arange(4, 11)
-    grid = [0.0, 0.15, 0.3, 0.15, 1.0]
     n = 17
-    origin, rows = solver.triangle_sweep(n, boundary, grid, seeds, keep_all=True)
-    assert origin.shape == (len(grid), seeds.size)
-    assert sorted(rows) == list(range(n + 1))
-    for i, p in enumerate(grid):
-        ref_origin, ref_rows = solver.triangle_sweep(n, boundary, [p], seeds, keep_all=True)
-        assert np.array_equal(origin[i], ref_origin[0])
-        for k in range(n + 1):
-            (vals, closed), (ref_vals, ref_closed) = rows[k], ref_rows[k]
-            assert vals.shape == (len(grid), seeds.size, k + 1)
-            assert np.array_equal(vals[i], ref_vals[0])
-            assert (closed is None) == (k == n)
-            if k < n:
-                assert closed.shape == vals.shape and np.array_equal(closed[i], ref_closed[0])
-    alone, none = solver.triangle_sweep(n, boundary, np.array(grid), seeds)
-    assert none is None and np.array_equal(alone, origin)
+    # 5 p fill one uint8 word of lanes; 11 p, unsorted and repeated, spill into two
+    for grid in ([0.0, 0.15, 0.3, 0.15, 1.0],
+                 [0.7, 0.15, 0.0, 0.45, 1.0, 0.3, 0.15, 0.9, 0.05, 0.3, 0.6]):
+        origin, rows = solver.triangle_sweep(n, boundary, grid, seeds, keep_all=True)
+        assert origin.shape == (len(grid), seeds.size)
+        assert sorted(rows) == list(range(n + 1))
+        for i, p in enumerate(grid):
+            ref_origin, ref_rows = solver.triangle_sweep(n, boundary, [p], seeds, keep_all=True)
+            assert np.array_equal(origin[i], ref_origin[0])
+            for k in range(n + 1):
+                (vals, closed), (ref_vals, ref_closed) = rows[k], ref_rows[k]
+                assert vals.shape == (len(grid), seeds.size, k + 1)
+                assert np.array_equal(vals[i], ref_vals[0])
+                assert (closed is None) == (k == n)
+                if k < n:
+                    assert closed.shape == vals.shape and np.array_equal(closed[i], ref_closed[0])
+        alone, none = solver.triangle_sweep(n, boundary, np.array(grid), seeds)
+        assert none is None and np.array_equal(alone, origin)
 
 
 def test_triangle_sweep_takes_p_only_as_a_1d_sequence():

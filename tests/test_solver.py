@@ -1,9 +1,12 @@
 """Backward induction: recursion fixtures, couplings, profiles, rendering."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from percgame import lattice as lat
 from percgame import sitefield, solver
@@ -56,6 +59,13 @@ def test_explicit_boundary_binary_only():
         solver.solve_triangle(3, Explicit(np.array([0, 1, QUES, 0])), 0.2, 0)
     with pytest.raises(BoundaryShapeError):
         solver.solve_triangle(3, Explicit(np.zeros(3)), 0.2, 0)
+    # values are checked before any cast: none of these may read as 0 or 1
+    for bad in (0.5, 0.9, 256, -255):
+        with pytest.raises(BoundaryShapeError, match="0/1"):
+            solver.triangle_sweep(5, Explicit([bad, 1, 0, 1, 0, 1]), [0.2], [0])
+    for q in (1.5, -2, float("nan")):
+        with pytest.raises(BoundaryShapeError, match=r"q in \[0, 1\]"):
+            solver.triangle_sweep(5, Sampled(q), [0.2], [0])
 
 
 def test_envelope_domination_triangle():
@@ -126,8 +136,8 @@ def test_slab_explicit_boundary_shape_guard():
 def test_checkerboard_slab_even_family_degenerates_to_zero():
     # even-sum membership makes the coordinate-sum parity vanish
     index = solver.SlabIndex(EVEN3, (6, 6))
-    layers = solver._slab_boundary(index, Checkerboard(), 10, 2, np.array([0]))
-    assert all((v == 0).all() for v in layers.values())
+    layers = solver.slab_sweep(index, 10, Checkerboard(), 0.0, [0], record_layers=[10, 11])
+    assert all((layers[k] == 0).all() for k in (10, 11))
 
 
 def test_draw_profile_fixtures():
@@ -224,20 +234,84 @@ def test_counts_precedence():
     assert c["closed"] + c["win"] + c["loss"] + c["draw"] == n_sites
 
 
-def test_recurse_matches_the_rule_site_by_site():
-    vals = np.array([ZERO, ONE, QUES], dtype=np.int8)
-    a, b, c = (x.ravel() for x in np.meshgrid(vals, vals, vals, indexing="ij"))
-    for closed in (np.zeros(a.size, dtype=bool), np.ones(a.size, dtype=bool)):
-        three = solver.recurse(closed, (a, b, c), True)
-        two = solver.recurse(closed, (a, b, c), False)
-        for i, outs in enumerate(zip(a, b, c)):
-            if closed[i] or ONE in outs:
-                expect = ZERO
-            else:
-                expect = ONE if set(outs) == {ZERO} else QUES
-            assert three[i] == expect
-            assert two[i] == (ONE if not closed[i] and set(outs) == {ZERO} else ZERO)
-        assert three.dtype == two.dtype == np.int8
+# (zero, one) pairs of the symbols
+PAIR = {ZERO: (True, False), ONE: (False, True), QUES: (False, False)}
+
+
+def _rule(closed, outs):
+    """The game rule on one site, symbol by symbol."""
+    if closed or ONE in outs:
+        return ZERO
+    return ONE if set(outs) == {ZERO} else QUES
+
+
+def _pack(flags, dtype):
+    """Words of ``dtype`` whose bit i holds flags[i], from (lanes, sites)
+    bools; for dtype bool, the one lane itself."""
+    if dtype is bool:
+        return flags[0].copy()
+    shifts = np.arange(len(flags), dtype=dtype)[:, None]
+    return np.bitwise_or.reduce(flags.astype(dtype) << shifts, axis=0)
+
+
+def _unpack(words, n_lanes):
+    """(lanes, sites) bools of the bits of ``words``."""
+    shifts = np.arange(n_lanes, dtype=np.uint64)[:, None]
+    return (words.astype(np.uint64) >> shifts & np.uint64(1)).astype(bool)
+
+
+def _play_site_by_site(rule, dtype, n_lanes):
+    """Run ``rule`` on each closed bit and each of the 27 target triples,
+    lane i holding the triples rolled by i, and check every lane of every
+    site against the game rule."""
+    triples = np.array(list(itertools.product((ZERO, ONE, QUES), repeat=3)))
+    lanes = np.stack([np.roll(triples, i, axis=0) for i in range(n_lanes)])
+    for closed in (False, True):
+        targets = [tuple(_pack(lanes[..., j] == code, dtype) for code in (ZERO, ONE))
+                   for j in range(3)]
+        # a closed site has every lane bit set
+        zero = _pack(np.full(lanes.shape[:2], closed), dtype)
+        one = np.empty_like(zero)
+        rule(zero, one, iter(targets))
+        got = np.stack([_unpack(zero, n_lanes), _unpack(one, n_lanes)], axis=-1)
+        for i in range(n_lanes):
+            for s, outs in enumerate(lanes[i]):
+                assert tuple(got[i, s]) == PAIR[_rule(closed, tuple(outs))]
+
+
+@pytest.mark.parametrize("dtype,n_lanes", [(bool, 1), (np.uint8, 8), (np.uint64, 64)])
+def test_play_matches_the_rule_site_by_site(dtype, n_lanes):
+    _play_site_by_site(solver.play, dtype, n_lanes)
+
+
+def test_a_rule_that_drops_the_closed_bit_fails_site_by_site():
+    # negative control: an open start for every site breaks the closed cases
+    def open_start(zero, one, targets):
+        zero[...] = 0
+        return solver.play(zero, one, targets)
+
+    for dtype, n_lanes in ((bool, 1), (np.uint8, 8)):
+        with pytest.raises(AssertionError):
+            _play_site_by_site(open_start, dtype, n_lanes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_moves=st.integers(1, 4), sites=st.integers(1, 20),
+       dtype=st.sampled_from([bool, np.uint8, np.uint64]))
+def test_play_keeps_two_valued_pairs_two_valued(data, n_moves, sites, dtype):
+    def words():
+        if dtype == bool:
+            return np.array(data.draw(st.lists(st.booleans(), min_size=sites, max_size=sites)))
+        top = int(np.iinfo(dtype).max)
+        return np.array(data.draw(st.lists(st.integers(0, top), min_size=sites,
+                                           max_size=sites)), dtype=dtype)
+
+    closed = words()
+    targets = [(z, ~z) for z in (words() for _ in range(n_moves))]
+    zero, one = closed.copy(), np.empty_like(closed)
+    solver.play(zero, one, targets)
+    assert np.array_equal(one, ~zero)
+    assert np.array_equal(zero & closed, closed)  # closed lanes are 0
 
 
 def test_triangle_sampled_extremes_equal_constant_boundaries():

@@ -11,7 +11,8 @@ from percgame.solver import AllOne, AllZero
 
 EDGE_P = [0.0, 1.0, 1e-9, 1 - 1e-9]
 N = st.integers(0, 60)
-GRID = st.lists(st.one_of(st.sampled_from(EDGE_P), st.floats(0.0, 1.0)), min_size=1, max_size=4)
+# up to 9 p: at two boundaries per p, 18 lanes spill over two uint8 words
+GRID = st.lists(st.one_of(st.sampled_from(EDGE_P), st.floats(0.0, 1.0)), min_size=1, max_size=9)
 SEEDS = st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=12, unique=True)
 
 
