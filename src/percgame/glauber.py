@@ -42,8 +42,8 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import (below, check_p, closed_threshold, finish_tag, hash_below,
-                        hash_prefix, hash_uniforms)
+from .sitefield import (below, check_p, check_probability, closed_threshold, finish_tag,
+                        hash_below, hash_prefix, hash_uniforms)
 from .solver import SlabIndex
 from .symbols import ONE, ZERO
 from .workers import parallel_seed_map
@@ -152,7 +152,7 @@ def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
     if base.shape != (torus.n_vertices,) or not np.isin(base, (ZERO, ONE)).all():
         raise ValueError(f"init must be 'even', 'odd', 'empty' or a 0/1 array of shape "
                          f"({torus.n_vertices},)")
-    chunk_fn = functools.partial(_chain_chunk, torus, closed_threshold(p),
+    chunk_fn = functools.partial(_chain_chunk, torus, closed_threshold(check_probability(p)),
                                  variant == "extended", sweeps, record_every, base)
     runs = parallel_seed_map(chunk_fn, seeds, sweeps * torus.n_vertices * seeds.size)
     return runs[0][0], np.concatenate([occ for _, occ in runs])
@@ -169,11 +169,14 @@ def _chain_chunk(torus: SlabIndex, threshold: int, extended: bool, sweeps: int,
     (V, ceil(S / 64)) uint64 words: seed s is bit s % 64 of word s // 64,
     and the padding lanes stay 0.  A class update packs the open bits into
     the same lanes; an occupation is the count of set lanes / class size.
+    With one word per vertex the update runs on the (V,) view of the
+    words, whose gathers are faster than those of (V, 1) rows.
     """
     members = torus.class_members
     n_lanes = -(-seeds.size // 64) * 64
     lanes = _pack_lanes(np.arange(n_lanes)[None] < seeds.size)
     values = lanes * (base[:, None] == ONE)
+    rows = values[:, 0] if values.shape[1] == 1 else values  # (V,) or (V, W), a view
     prefixes = [np.ascontiguousarray(hash_prefix(seeds, torus.coords[sel]).T)
                 for sel in members]
     nbr_cols = [np.ascontiguousarray(torus.neighbors[sel].T) for sel in members]
@@ -194,8 +197,8 @@ def _chain_chunk(torus: SlabIndex, threshold: int, extended: bool, sweeps: int,
         for i in range(torus.q):
             h = finish_tag(prefixes[i], (t, i), out=hashed[i], tmp=scratch[i])
             below(h, threshold, out=closed[i][:, :seeds.size])
-            _update_class(values, members[i], nbr_cols[i], _pack_lanes(closed[i]) ^ lanes,
-                          extended)
+            open_ = (_pack_lanes(closed[i]) ^ lanes).reshape((-1,) + rows.shape[1:])
+            _update_class(rows, members[i], nbr_cols[i], open_, extended)
         if (t + 1) % record_every == 0 or t == sweeps - 1:
             record(t + 1)
     return np.array(record_sweeps), np.stack(occs, axis=1)
@@ -373,8 +376,7 @@ def coupling_mismatches(family: GraphFamily, depth: int, sizes, p: float, seeds,
     map and the torus.
     """
     variant = _coupling_variant(family, variant)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    check_probability(p)
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     torus = _coupling_torus(family, tuple(sizes))
     table = _oracle_table(family, torus.sizes)

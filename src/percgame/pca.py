@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sitefield import below, closed_threshold, finish_tag, hash_below, hash_prefix
+from .sitefield import CHAIN_BLOCK, below, closed_threshold, finish_tags, hash_below, hash_prefix
 from .symbols import ONE, QUES, ZERO, as_cells
 
 KINDS = ("A", "B", "F", "G", "D", "R0", "R1", "stavskaya", "flip")
@@ -136,8 +136,10 @@ def trajectory_stats(kind: str, initial, p: float, steps: int, seeds=None) -> np
     """Per-step symbol densities of each ring, shape (..., steps + 1, 3): row
     t is (density0, densityQ, density1) after t steps, as by :func:`step`
     (same shapes and seeds) with time tags 0, 1, ...  The prefix is hashed
-    once; each step finishes its tag into reused buffers and counts all
-    rings in one bincount, each ring's symbols offset into its own bins."""
+    once, and the tags of a block of up to ``CHAIN_BLOCK`` // (prefix
+    size) steps are finished in one call into reused buffers; each step
+    counts all rings in one bincount, each ring's symbols offset into its
+    own bins."""
     cells, seeds = _rings(kind, initial, seeds)
     rings, n = cells.shape[:-1], cells.shape[-1]
     cells = cells.reshape(-1, n)
@@ -145,8 +147,9 @@ def trajectory_stats(kind: str, initial, p: float, steps: int, seeds=None) -> np
     if seeds is not None:
         prefix = hash_prefix(seeds, np.arange(n))  # (n,) shared, else (rings, n)
         threshold = closed_threshold(p)
-        words, tmp = np.empty((2,) + prefix.shape, dtype=np.uint64)
-        hit = np.empty(prefix.shape, dtype=bool)
+        block = max(1, CHAIN_BLOCK // prefix.size)  # steps per hash call
+        words, tmp = np.empty((2, min(block, steps)) + prefix.shape, dtype=np.uint64)
+        hit = np.empty(words.shape, dtype=bool)
     bins = 3 * len(cells)
     offsets = np.arange(0, bins, 3)[:, None]
     codes = np.empty(cells.shape, dtype=np.intp)
@@ -155,8 +158,11 @@ def trajectory_stats(kind: str, initial, p: float, steps: int, seeds=None) -> np
     for t in range(steps):
         cells, rand = _det_and_rand(kind, cells, cells[:, shift])
         if rand is not None:
-            below(finish_tag(prefix, t, out=words, tmp=tmp), threshold, out=hit)
-            np.copyto(cells, np.int8(rand), where=hit)
+            if t % block == 0:
+                tags = np.arange(t, min(t + block, steps))
+                below(finish_tags(prefix, tags, out=words[:tags.size], tmp=tmp[:tags.size]),
+                      threshold, out=hit[:tags.size])
+            np.copyto(cells, np.int8(rand), where=hit[t % block])
         counts[t + 1] = np.bincount(np.add(cells, offsets, out=codes).ravel(), minlength=bins)
     counts = counts.reshape(steps + 1, -1, 3)[..., [ZERO, QUES, ONE]].swapaxes(0, 1)
     return counts.reshape(rings + counts.shape[1:]) / n

@@ -31,7 +31,9 @@ the *tag finisher* mixes the tag elements into it:
     u = (finish(prefix(seed, c), tag) >> 11) * 2.0**-53   # uniform in [0, 1)
 
 A consumer that draws many tags at fixed sites (a Glauber chain drawing
-tag (t, i) at every sweep t) computes each site's prefix once.
+tag (t, i) at every sweep t) computes each site's prefix once;
+``finish_tags`` finishes a block of one-element tags (the ring PCA's time
+steps) in one call.
 
 The first step of ``mix64``, ``z ^= z >> 30``, is linear over GF(2), so
 the step of ``a ^ b`` is the xor of the steps of a and b.  The array paths
@@ -82,7 +84,9 @@ COORD_OFFSET = 1 << 20
 COORD_LIMIT = 1 << 20  # packed coordinates must satisfy |c| < COORD_LIMIT
 
 # words of chain state per block of seed rows: 128 KB of state and as much
-# scratch, which stay in a 2 MB L2 cache through a block's rounds
+# scratch, which stay in a 2 MB L2 cache through a block's rounds.  Callers
+# that hash many short arrays batch them to about this many words per call:
+# the triangle sweep a run of diagonals, the ring PCA a block of time tags
 CHAIN_BLOCK = 1 << 14
 
 _INV_2_53 = 2.0 ** -53
@@ -239,11 +243,37 @@ def finish_tag(prefix: np.ndarray, tag, out: np.ndarray = None,
     return out
 
 
+def finish_tags(prefix: np.ndarray, tags, out: np.ndarray = None,
+                tmp: np.ndarray = None) -> np.ndarray:
+    """Hash words of (seed, site, t) for each int tag t of the 1-d array
+    ``tags``, shape (T,) + prefix.shape, from :func:`hash_prefix`: row i
+    holds ``finish_tag(prefix, tags[i])``, bit for bit.
+
+    ``out`` and ``tmp`` are uint64 of the result's shape, as for
+    :func:`finish_tag`; a tag of 0 is xored as a 0 word, which changes
+    nothing."""
+    tags = np.asarray(tags, dtype=np.uint64)
+    shape = tags.shape + prefix.shape
+    out = np.empty(shape, dtype=np.uint64) if out is None else out
+    tmp = np.empty(shape, dtype=np.uint64) if tmp is None else tmp
+    np.bitwise_xor(prefix, (tags ^ tags >> _U30).reshape(tags.shape + (1,) * prefix.ndim),
+                   out=out)
+    return _mix_rest(out, out, tmp)
+
+
 def check_p(p: float) -> float:
     """p itself; a NaN p, which no site could be decided by, raises
     ``ValueError``."""
     if math.isnan(p):
         raise ValueError("p must be a number, got nan")
+    return p
+
+
+def check_probability(p: float) -> float:
+    """p itself, if 0 <= p <= 1; any other p, NaN included, raises
+    ``ValueError`` naming it."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
     return p
 
 

@@ -22,7 +22,11 @@ A site's closed bit depends on neither the depth of a sweep nor its
 boundary, so each is hashed once per run: ``draw_scan`` reads every depth
 and boundary of a draw-scan off one ``sliced_sweep`` (the bits of two
 uint64 words per site), and ``triangle_sweep`` applies the threshold of
-every p of its sequence to the same hash words.
+every p of its sequence to the same hash words.  Nor does it depend on
+the sweep's state, so the triangle sweep hashes ahead: one ``hash_words``
+call takes the run of diagonals k, k - 1, ... that fits in about
+``CHAIN_BLOCK`` words (one diagonal if it alone is larger), and each
+diagonal reads its columns of the batch.
 
 ``win_origins`` gives the origins of the depth-n all-0 triangle sweep
 without sweeping the whole triangle where it need not: the two-valued rule
@@ -41,8 +45,8 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import (below, check_p, closed_threshold, hash_below, hash_uniforms,
-                        hash_words)
+from .sitefield import (CHAIN_BLOCK, below, check_probability, closed_threshold,
+                        hash_below, hash_uniforms, hash_words)
 from .symbols import ONE, QUES, ZERO
 from .workers import parallel_seed_map
 
@@ -153,17 +157,23 @@ def _boundary_layer(boundary: Boundary, layer: int, coords: np.ndarray, parity,
 # -- triangle solver ---------------------------------------------------------
 
 
-def _diag_coords(k: int) -> np.ndarray:
-    j = np.arange(k + 1, dtype=np.int64)
-    return np.stack([k - j, j], axis=1)  # (x1, x2) with x1 + x2 = k
+def _diag_coords(k: int, low: int = None) -> np.ndarray:
+    """The (x1, x2) sites of diagonal k, x1 + x2 = k, by x2; or those of the
+    diagonals k, k - 1, ..., low, one after the other."""
+    low = k if low is None else low
+    sizes = np.arange(k + 1, low, -1)
+    starts = np.cumsum(sizes) - sizes
+    j = np.arange(sizes.sum(), dtype=np.int64) - np.repeat(starts, sizes)
+    return np.stack([np.repeat(np.arange(k, low - 1, -1), sizes) - j, j], axis=1)
 
 
 def _thresholds(p) -> list[int]:
-    """The closed thresholds of a non-empty 1-d sequence of probabilities."""
+    """The closed thresholds of a non-empty 1-d sequence of probabilities,
+    each in [0, 1]."""
     ps = np.asarray(p, dtype=np.float64)
     if ps.ndim != 1 or ps.size == 0:
         raise ValueError(f"p must be a non-empty 1-d sequence, got shape {ps.shape}")
-    return [closed_threshold(float(q)) for q in ps]
+    return [closed_threshold(check_probability(float(q))) for q in ps]
 
 
 def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, keep_all: bool = False):
@@ -172,7 +182,9 @@ def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, keep_all: boo
     site's uint8 (zero, one) words (more words past 8 lanes) holds p_i under
     boundary b.  In rows of n + 1 words, a diagonal's targets are the words
     above at the same flat index and the next, so the rule runs on flat
-    arrays.  Returns the (P, B, S) origins and ``triangle_sweep``'s rows."""
+    arrays.  The diagonals are hashed in batches (see the module docstring);
+    the buffers hold S·max(n, CHAIN_BLOCK // S) words each.  Returns the
+    (P, B, S) origins and ``triangle_sweep``'s rows."""
     n_b, lanes = top.shape[1], len(thresholds) * top.shape[1]
     # diagonal k in slot k mod 2, or in slot k if every diagonal is kept
     slots = np.empty((n + 1 if keep_all else 2, 2, -(-lanes // 8), seeds.size, n + 1),
@@ -187,27 +199,41 @@ def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, keep_all: boo
             top[:, lane % n_b].view(np.uint8) * np.uint8(1 << lane % 8)
             for lane in range(8 * word, min(8 * word + 8, lanes)))
     kept = {}
-    # the hash words of diagonal k < n and their scratch, viewed as (S, k+1)
-    words, tmp = np.empty((2, seeds.size * n), dtype=np.uint64)
-    for k in range(n - 1, -1, -1):
-        shape, size = (seeds.size, k + 1), seeds.size * (k + 1)
-        h = hash_words(seeds, _diag_coords(k), 0, out=words[:size].reshape(shape),
-                       tmp=tmp[:size].reshape(shape))
-        # each p's closed bits fill its lanes: the first p of a word writes
-        # it whole, the others pass through the hash scratch, free by now
-        for i, threshold in enumerate(thresholds):
-            word, bit = divmod(i * n_b, 8)
-            lane_words = slots[k % len(slots), 0, word, :, :k + 1]
-            if bit:
-                c = below(h, threshold, out=tmp.view(bool)[:size].reshape(shape)).view(np.uint8)
-                lane_words |= np.multiply(c, (1 << n_b) - 1 << bit, out=c)
-            else:
-                below(h, threshold, out=lane_words.view(bool))
-                if n_b > 1:
-                    lane_words *= np.uint8((1 << n_b) - 1)
-        if keep_all:
-            kept[k] = np.stack([below(h, threshold) for threshold in thresholds])
-        play(*rules[k % len(slots)])
+    # batches of diagonals high, high - 1, ..., low of at most CHAIN_BLOCK // S
+    # sites, or of one diagonal if it is larger; the hash words of a batch
+    # and their scratch are (S, sites), and a diagonal's words are its columns
+    budget = CHAIN_BLOCK // seeds.size
+    words, tmp = np.empty((2, seeds.size * max(n, budget)), dtype=np.uint64)
+    high = n - 1
+    while high >= 0:
+        low, size = high, high + 1
+        while low > 0 and size + low <= budget:
+            size, low = size + low, low - 1
+        batch = (seeds.size, size)
+        h_batch = hash_words(seeds, _diag_coords(high, low), 0,
+                             out=words[:seeds.size * size].reshape(batch),
+                             tmp=tmp[:seeds.size * size].reshape(batch))
+        start = 0
+        for k in range(high, low - 1, -1):
+            h, start = h_batch[:, start:start + k + 1], start + k + 1
+            # each p's closed bits fill its lanes: the first p of a word
+            # writes it whole, the others pass through the hash scratch,
+            # free by now
+            for i, threshold in enumerate(thresholds):
+                word, bit = divmod(i * n_b, 8)
+                lane_words = slots[k % len(slots), 0, word, :, :k + 1]
+                if bit:
+                    c = below(h, threshold,
+                              out=tmp.view(bool)[:h.size].reshape(h.shape)).view(np.uint8)
+                    lane_words |= np.multiply(c, (1 << n_b) - 1 << bit, out=c)
+                else:
+                    below(h, threshold, out=lane_words.view(bool))
+                    if n_b > 1:
+                        lane_words *= np.uint8((1 << n_b) - 1)
+            if keep_all:
+                kept[k] = np.stack([below(h, threshold) for threshold in thresholds])
+            play(*rules[k % len(slots)])
+        high = low - 1
     # the symbols of every diagonal kept, or else of the origins: (slots, P·B, S, n+1)
     bits = np.unpackbits(slots if keep_all else slots[:1, ..., :1], axis=2, count=lanes,
                          bitorder="little")
@@ -245,9 +271,9 @@ def stop_depths(n: int) -> list[int]:
     of the depth-n one (n >= 17).
 
     The rounds at n/4 and n/2 come last so that a seed the doubling
-    rounds leave is almost always decided by n/2.  A round's cost is
-    mostly its d diagonals, whatever its seed count, so one seed left for
-    the depth-n sweep costs about as much as every round before it."""
+    rounds leave is almost always decided by n/2: a seed left for the
+    depth-n sweep pays for its n diagonals, whose overhead per diagonal
+    hardly depends on the seed count."""
     if 4 * 8 * 9 > n * (n + 1):
         return []
     depths, d = {8}, 16
@@ -332,9 +358,7 @@ class TriangleOutcome:
 def solve_triangle(n: int, boundary: Boundary, p: float, seed: int) -> TriangleOutcome:
     """Game outcomes on the z2 triangle of side n under the given boundary,
     each site closed with probability p (its tag-0 uniform below p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    _, rows = triangle_sweep(n, boundary, [p], [seed], keep_all=True)
+    _, rows = triangle_sweep(n, boundary, [check_probability(p)], [seed], keep_all=True)
     values = np.full((n + 1, n + 1), -1, dtype=np.int8)
     closed = np.zeros((n + 1, n + 1), dtype=bool)
     for k, (vals, bits) in rows.items():
@@ -449,7 +473,7 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
     pair bytes of its sites, which one ``np.take`` gathers whole.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    p, m = check_p(p), index.family.m
+    p, m = check_probability(p), index.family.m
     layers = {layer: np.ascontiguousarray(_pair_bytes(*_boundary_layer(
                   boundary, layer, index.layer_site_coords(layer),
                   lambda: index.checkerboard_values(layer),
@@ -489,7 +513,8 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
     if not 0 < len(depths) <= DEPTHS_PER_SWEEP or min(depths) < 0:
         raise ValueError(f"a sliced sweep takes 1 to {DEPTHS_PER_SWEEP} depths >= 0, got {depths}")
-    m, q, top, threshold = index.family.m, index.q, max(depths), closed_threshold(p)
+    m, q, top = index.family.m, index.q, max(depths)
+    threshold = closed_threshold(check_probability(p))
     # per layer k: the boundary zero and one bits of the depths <= k, and all their bits
     fixed = [[np.uint64(sum(w << 3 * i for i, K in enumerate(depths) if K <= k))
               for w in (2, 4, 7)] for k in range(top + m)]

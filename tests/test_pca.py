@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from percgame import pca
 from percgame.pca import InvalidSymbolError
-from percgame.sitefield import hash_uniform_scalar
+from percgame.sitefield import CHAIN_BLOCK, hash_uniform_scalar
 from percgame.symbols import (LINEAR_RANK, ONE, QUES, ZERO, as_cells, format_word,
                               parse_word)
 
@@ -213,6 +213,26 @@ def test_trajectory_fixtures():
     # p=0: F = D fixes the all-? ring
     stats = pca.trajectory_stats("F", [QUES] * n, 0.0, 10, 0)
     assert (stats[:, 1] == 1.0).all()
+
+
+@pytest.mark.parametrize("kind,rings,n,seeds", [
+    ("F", (), 512, 0),  # 32 steps per hash call
+    ("G", (3,), 2000, [4, 5, 6]),  # 2 steps per call, one seed per ring
+    ("A", (2,), 100, 9),  # a coupled step: one seed for both rings
+])
+def test_trajectory_blocks_equal_per_step_updates(kind, rings, n, seeds):
+    # the steps' tags are finished a block at a time; the densities equal
+    # those of one pca.step per time tag, across the block boundaries
+    prefix_size = n * np.prod(rings, dtype=int) if np.ndim(seeds) else n
+    steps = 2 * (CHAIN_BLOCK // prefix_size) + 3
+    rng = np.random.default_rng(1)
+    cells = rng.choice([ZERO, ONE] if kind in pca.BINARY_KINDS else [ZERO, QUES, ONE],
+                       size=rings + (n,)).astype(np.int8)
+    stats = pca.trajectory_stats(kind, cells, 0.3, steps, seeds)
+    for t in range(steps + 1):
+        for sym, col in ((ZERO, 0), (QUES, 1), (ONE, 2)):
+            assert np.array_equal(stats[..., t, col], (cells == sym).mean(axis=-1))
+        cells = pca.step(kind, cells, 0.3, seeds, time_tag=t)
 
 
 def test_trajectory_relaxation_calibrated():

@@ -9,7 +9,7 @@ from scipy import stats
 from percgame import glauber, pca, solver
 from percgame import lattice as lat
 from percgame.sitefield import (CHAIN_BLOCK, COORD_LIMIT, COORD_OFFSET, _mix64_inplace,
-                                _mix_rest, closed_threshold, finish_tag, hash_below,
+                                _mix_rest, closed_threshold, finish_tag, finish_tags, hash_below,
                                 hash_prefix, hash_uniform_scalar, hash_uniforms, hash_words,
                                 mix64)
 
@@ -159,7 +159,9 @@ NAN_P_ENTRY_POINTS = {
     "hash_below": lambda p: hash_below(0, _sites(2), 0, p),
     "triangle_sweep": lambda p: solver.triangle_sweep(4, solver.AllZero(), [0.2, p], [0]),
     "win_origins": lambda p: solver.win_origins(20, [0.2, p], [0]),
+    "solve_triangle": lambda p: solver.solve_triangle(4, solver.AllZero(), p, 0),
     "slab_sweep": lambda p: solver.slab_sweep(_TORUS, 3, solver.AllQuestion(), p, [0]),
+    "sliced_sweep": lambda p: solver.sliced_sweep(_TORUS, p, [0, 1], [2, 3]),
     "draw_scan": lambda p: solver.draw_scan(_TORUS, p, [0], [2]),
     "run_chains": lambda p: glauber.run_chains(_TORUS, p, "standard", 1, [0]),
     "class_update": lambda p: glauber.class_update(
@@ -170,13 +172,27 @@ NAN_P_ENTRY_POINTS = {
 }
 
 
+# the sweeps take p as a probability: one outside [0, 1] is refused
+SWEEPS = ("triangle_sweep", "win_origins", "solve_triangle", "slab_sweep", "sliced_sweep",
+          "draw_scan", "run_chains")
+
+
 @pytest.mark.parametrize("name", NAN_P_ENTRY_POINTS)
 def test_a_nan_p_is_refused(name):
     call = NAN_P_ENTRY_POINTS[name]
-    for p in (0.0, 1.0, -0.5, 1.5):  # the documented meanings, outside [0, 1] too
+    # 0 and 1 everywhere; outside [0, 1] the documented meanings, where
+    # no sweep takes p
+    for p in (0.0, 1.0) if name in SWEEPS else (0.0, 1.0, -0.5, 1.5):
         call(p)
     with pytest.raises(ValueError, match="nan"):
         call(float("nan"))
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+@pytest.mark.parametrize("p", [1.5, -2.0, float("nan")])
+def test_a_sweep_refuses_p_outside_the_unit_interval(name, p):
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got " + str(p)):
+        NAN_P_ENTRY_POINTS[name](p)
 
 
 def test_p_outside_the_unit_interval_keeps_its_meaning():
@@ -187,10 +203,6 @@ def test_p_outside_the_unit_interval_keeps_its_meaning():
     for out, edge in ((-0.5, 0.0), (1.5, 1.0)):
         assert np.array_equal(glauber.class_update(_TORUS, config, 1, out, "standard", u),
                               glauber.class_update(_TORUS, config, 1, edge, "standard", u))
-        slabs = [solver.slab_sweep(_TORUS, 5, solver.AllQuestion(), q, [0, 1]) for q in (out, edge)]
-        assert all(np.array_equal(slabs[0][k], slabs[1][k]) for k in slabs[1])
-        origins = solver.triangle_sweep(6, solver.AllZero(), [out, edge], [0, 1])[0]
-        assert np.array_equal(origins[0], origins[1])
 
 
 # -- the prefix / finisher split ----------------------------------------------
@@ -245,6 +257,19 @@ def test_a_finisher_without_the_first_step_is_caught(tag):
     coords = np.array([[3, -4, 5, 2 ** 20 - 1]])
     assert _finisher_agrees(finish_tag, [7, 2 ** 63 - 1], coords, tag)
     assert not _finisher_agrees(_finish_without_first_step, [7, 2 ** 63 - 1], coords, tag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 63 - 1), min_size=1, max_size=3),
+       tags=st.lists(_TAG_ELEMENT, min_size=1, max_size=5))
+def test_finish_tags_equals_finish_tag_per_tag(seeds, tags):
+    # a block of one-element tags, row by row as finish_tag finishes them
+    # (0 and elements above 2**30, where the first xorshift matters, included)
+    prefix = hash_prefix(np.array(seeds, dtype=np.uint64), np.array([[1, -2], [2 ** 20 - 1, 0]]))
+    block = finish_tags(prefix, tags)
+    assert block.shape == (len(tags),) + prefix.shape
+    for row, tag in zip(block, tags):
+        assert np.array_equal(row, finish_tag(prefix, tag))
 
 
 # -- blocks of seed rows in the chain core ------------------------------------

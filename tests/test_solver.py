@@ -340,18 +340,46 @@ def test_solve_triangle_closed_bits_are_the_site_field_bits(tmp_path):
 
 
 def test_solve_triangle_hashes_each_diagonal_once(monkeypatch):
-    # the sweep hashes diagonals 0..n-1 and keeps their closed bits; only
-    # the boundary diagonal n is hashed again, for its closed bits
-    calls = []
+    # the sweep hashes diagonals 0..n-1, in batches, and keeps their closed
+    # bits; only the boundary diagonal n is hashed again, for its closed bits
+    n, calls = 50, []
     real_chain = sitefield._chain
 
     def counting_chain(seeds, coords, tag=(), out=None, tmp=None):
-        calls.append(tag)
+        calls.append((tag, np.asarray(coords)))
         return real_chain(seeds, coords, tag, out, tmp)
 
     monkeypatch.setattr(sitefield, "_chain", counting_chain)
-    solver.solve_triangle(50, AllQuestion(), 0.3, 7)
-    assert calls == [0] * 51
+    solver.solve_triangle(n, AllQuestion(), 0.3, 7)
+    assert [tag for tag, _ in calls] == [0] * len(calls)
+    assert len(calls) <= 2 < n  # one seed: one batch, then the boundary
+    hashed = np.concatenate([coords for _, coords in calls])
+    sites, counts = np.unique(hashed, axis=0, return_counts=True)
+    x1, x2 = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    triangle = np.stack([x1, x2], axis=-1)[x1 + x2 <= n]
+    assert np.array_equal(sites, np.unique(triangle, axis=0)) and (counts == 1).all()
+
+
+@pytest.mark.parametrize("seeds", [[5], [3, 11, 2 ** 40]])
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_small_hash_batches_give_the_same_sweep(monkeypatch, block, seeds):
+    # batches of 1, 7 and 64 words split the diagonals everywhere, some
+    # diagonals larger than a batch; the bits do not depend on the split
+    n = 23
+    # 9 lanes in the sweep, 5 p x 2 boundaries = 10 in the win_origins rounds
+    grid = [0.0, 0.1, 0.3, 0.45, 0.5, 0.6, 0.8, 0.95, 1.0]
+    default = [solver.triangle_sweep(n, AllQuestion(), grid, seeds, keep_all=True),
+               solver.win_origins(n, grid[:5], seeds)]
+    monkeypatch.setattr(solver, "CHAIN_BLOCK", block)
+    (origins, rows), win = (solver.triangle_sweep(n, AllQuestion(), grid, seeds, keep_all=True),
+                            solver.win_origins(n, grid[:5], seeds))
+    assert origins.tobytes() == default[0][0].tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(win, default[1]))
+    for k in range(n + 1):
+        assert rows[k][0].tobytes() == default[0][1][k][0].tobytes()
+        if k < n:
+            assert np.array_equal(rows[k][1], [hash_below(seeds, solver._diag_coords(k), 0, p)
+                                               for p in grid])
 
 
 def test_solve_triangle_equals_a_sweep_over_a_p_sequence():
