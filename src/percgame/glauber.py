@@ -42,8 +42,8 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import (below, check_p, check_probability, closed_threshold, finish_tag,
-                        hash_below, hash_prefix, hash_uniforms)
+from .sitefield import (below, check_p, check_probability, check_seeds, closed_threshold,
+                        finish_tag, hash_below, hash_prefix, hash_uniforms)
 from .solver import SlabIndex
 from .symbols import ONE, ZERO
 from .workers import parallel_seed_map
@@ -141,8 +141,8 @@ def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
     the occupations do not depend on the chunking.
     """
     _check_variant(variant)
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    for name, n in (("sweeps", sweeps), ("record_every", record_every), ("len(seeds)", seeds.size)):
+    seeds = check_seeds(seeds)
+    for name, n in (("sweeps", sweeps), ("record_every", record_every)):
         if n < 1:
             raise ValueError(f"run_chains needs {name} >= 1, got {n}")
     if isinstance(init, str) and init in ("even", "odd", "empty"):
@@ -377,7 +377,7 @@ def coupling_mismatches(family: GraphFamily, depth: int, sizes, p: float, seeds,
     """
     variant = _coupling_variant(family, variant)
     check_probability(p)
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    seeds = check_seeds(seeds)
     torus = _coupling_torus(family, tuple(sizes))
     table = _oracle_table(family, torus.sizes)
     if len(table.verts) != torus.q or not all(

@@ -33,7 +33,9 @@ the *tag finisher* mixes the tag elements into it:
 A consumer that draws many tags at fixed sites (a Glauber chain drawing
 tag (t, i) at every sweep t) computes each site's prefix once;
 ``finish_tags`` finishes a block of one-element tags (the ring PCA's time
-steps) in one call.
+steps) in one call.  ``LayerSites`` packs the transverse coordinates of
+a slab layer's sites once, for every layer k (their last coordinate), and
+moves the field of k by one xor per layer.
 
 The first step of ``mix64``, ``z ^= z >> 30``, is linear over GF(2), so
 the step of ``a ^ b`` is the xor of the steps of a and b.  The array paths
@@ -83,11 +85,12 @@ _MASK = (1 << 64) - 1
 COORD_OFFSET = 1 << 20
 COORD_LIMIT = 1 << 20  # packed coordinates must satisfy |c| < COORD_LIMIT
 
-# words of chain state per block of seed rows: 128 KB of state and as much
+# words of chain state per block of seed rows: 256 KB of state and as much
 # scratch, which stay in a 2 MB L2 cache through a block's rounds.  Callers
 # that hash many short arrays batch them to about this many words per call:
-# the triangle sweep a run of diagonals, the ring PCA a block of time tags
-CHAIN_BLOCK = 1 << 14
+# the triangle sweep a run of diagonals, the ring PCA a block of time tags,
+# the sliced slab sweep a block of seeds of a layer
+CHAIN_BLOCK = 1 << 15
 
 _INV_2_53 = 2.0 ** -53
 
@@ -162,46 +165,109 @@ def _buffer(buf, shape, scalar_seed: bool, name: str) -> np.ndarray:
     return buf.reshape(shape)
 
 
-def _chain(seeds, coords, tag=(), out=None, tmp=None) -> np.ndarray:
-    """The chain core: hash words of every (seed, site, tag), mixed in place
-    on one state buffer (``out`` if given) with one scratch buffer (``tmp``
-    if given).  The empty tag gives the prefix, before its first step.
-    Shapes as for :func:`hash_prefix`.
+def _seed_states(seeds: np.ndarray, ndim: int, step: bool) -> np.ndarray:
+    """``mix64`` of each seed, shape (S,) + (1,) * ndim, with the linear
+    first step of the next ``mix64`` applied if ``step``."""
+    h = seeds.reshape((-1,) + (1,) * ndim).copy()
+    h_tmp = np.empty_like(h)
+    _mix64_inplace(h, h_tmp)
+    return _xorshift30(h, h_tmp) if step else h
+
+
+def _mix_words(h, columns, tag, state, tmp) -> np.ndarray:
+    """The chain core: from the seed states ``h``, (S, 1, ...), through the
+    coordinate word ``columns``, each shaped as the sites, and the tag, into
+    ``state``, (S, ...), with the scratch ``tmp``.  Given any columns, ``h``
+    and the first column carry the linear first step already.
 
     The state is mixed a block of seed rows at a time, ``CHAIN_BLOCK``
     words per block (one row if a row is larger), so that a block's state
     and scratch stay in the L2 cache through every round and the tag
     finish; the bits do not depend on the blocking."""
+    finish = bool(_tag_elements(tag))
+    rows = max(1, CHAIN_BLOCK // max(1, math.prod(state.shape[1:])))
+    for lo in range(0, state.shape[0], rows):
+        s, t = state[lo:lo + rows], tmp[lo:lo + rows]
+        if columns:
+            np.bitwise_xor(h[lo:lo + rows], columns[0], out=s)
+            _mix_rest(s, s, t)
+        else:
+            s[...] = h[lo:lo + rows]
+        for column in columns[1:]:
+            s ^= column
+            _mix64_inplace(s, t)
+        if finish:
+            finish_tag(_xorshift30(s, t), tag, out=s, tmp=t)
+    return state
+
+
+def _chain(seeds, coords, tag=(), out=None, tmp=None) -> np.ndarray:
+    """Hash words of every (seed, site, tag), mixed in place on one state
+    buffer (``out`` if given) with one scratch buffer (``tmp`` if given).
+    The empty tag gives the prefix, before its first step.  Shapes as for
+    :func:`hash_prefix`."""
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim <= 1:
         coords = coords.reshape(-1, 1)
     seeds_arr = np.asarray(seeds, dtype=np.uint64)
     words = _pack_words(coords)  # (..., nw)
-    h = seeds_arr.reshape((-1,) + (1,) * (words.ndim - 1)).copy()  # (S, 1, ...)
-    h_tmp = np.empty_like(h)
-    _mix64_inplace(h, h_tmp)
-    shape = h.shape[:1] + words.shape[:-1]
+    shape = (seeds_arr.size,) + words.shape[:-1]
     state = _buffer(out, shape, seeds_arr.ndim == 0, "out")
     tmp = _buffer(tmp, shape, seeds_arr.ndim == 0, "tmp")
-    finish = bool(_tag_elements(tag))
-    if words.shape[-1]:
-        # the linear first step, applied once per seed and once per site
-        _xorshift30(h, h_tmp)
-        _xorshift30(words[..., 0], tmp[0])
-    rows = max(1, CHAIN_BLOCK // max(1, math.prod(shape[1:])))
-    for lo in range(0, shape[0], rows):
-        s, t = state[lo:lo + rows], tmp[lo:lo + rows]
-        if words.shape[-1] == 0:
-            s[...] = h[lo:lo + rows]
-        else:
-            np.bitwise_xor(h[lo:lo + rows], words[..., 0], out=s)
-            _mix_rest(s, s, t)
-        for w in range(1, words.shape[-1]):
-            s ^= words[None, ..., w]
-            _mix64_inplace(s, t)
-        if finish:
-            finish_tag(_xorshift30(s, t), tag, out=s, tmp=t)
+    columns = [words[..., w] for w in range(words.shape[-1])]
+    if columns:  # the linear first step, applied once per site
+        _xorshift30(columns[0], tmp[0])
+    _mix_words(_seed_states(seeds_arr, words.ndim - 1, bool(columns)), columns, tag, state, tmp)
     return state[0] if seeds_arr.ndim == 0 else state
+
+
+class LayerSites:
+    """n sites t + (k,) on each layer k of ``layers``, a range, for their
+    hash words: ``hash_words(seeds, k, ...)`` is :func:`hash_words` of
+    (seeds, t + (k,), tag), bit for bit.
+
+    The transverse coordinates t, shape (n, d - 1), are packed once and the
+    layers are range-checked once, here.  The words of the sites on layer k
+    differ from those on layer 0 in the field of k alone, by the xor
+
+        delta(k) = ((k + 2**20) ^ 2**20) << 21 * ((d - 1) % 3)
+
+    so a layer gets its words from one xor: of the delta into the last word
+    column, or, when the field lies in word 0, of its first step into the
+    (S,) seed states."""
+
+    def __init__(self, coords, layers: range):
+        coords = np.asarray(coords, dtype=np.int64)
+        if layers and max(abs(layers[0]), abs(layers[-1])) >= COORD_LIMIT:
+            raise ValueError(f"coordinates must satisfy |c| < {COORD_LIMIT}, "
+                             f"got layers {layers.start} to {layers[-1]}")
+        self._layers = layers
+        words = _pack_words(np.concatenate([coords, np.zeros((len(coords), 1), np.int64)], axis=1))
+        self._columns = [np.ascontiguousarray(words[:, w]) for w in range(words.shape[1])]
+        _xorshift30(self._columns[0], np.empty_like(self._columns[0]))
+        self._shift = 21 * (coords.shape[1] % 3)
+        self._last = np.empty_like(self._columns[-1])  # the last column on layer k
+
+    def hash_words(self, seeds, k: int, tag=0, out=None, tmp=None) -> np.ndarray:
+        """The hash words of the sites on layer k: shape (n,) for a scalar
+        seed, (S, n) for a seed vector; ``out`` and ``tmp`` as for
+        :func:`hash_words`."""
+        if k not in self._layers:
+            raise ValueError(f"layer {k} is not in {self._layers}")
+        seeds_arr = np.asarray(seeds, dtype=np.uint64)
+        shape = (seeds_arr.size, self._last.size)
+        state = _buffer(out, shape, seeds_arr.ndim == 0, "out")
+        tmp = _buffer(tmp, shape, seeds_arr.ndim == 0, "tmp")
+        h = _seed_states(seeds_arr, 1, True)
+        delta = ((k + COORD_OFFSET) ^ COORD_OFFSET) << self._shift
+        columns = self._columns
+        if len(columns) == 1:
+            h ^= np.uint64(delta ^ delta >> 30)
+        else:
+            columns = columns[:-1] + [np.bitwise_xor(columns[-1], np.uint64(delta),
+                                                     out=self._last)]
+        _mix_words(h, columns, tag, state, tmp)
+        return state[0] if seeds_arr.ndim == 0 else state
 
 
 def hash_prefix(seeds, coords) -> np.ndarray:
@@ -275,6 +341,15 @@ def check_probability(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     return p
+
+
+def check_seeds(seeds) -> np.ndarray:
+    """The seeds, a scalar or a 1-d sequence, as a 1-d int64 array; an
+    empty one, which no sweep can take, raises ``ValueError``."""
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    if seeds.size == 0:
+        raise ValueError("seeds must hold at least one seed, got none")
+    return seeds
 
 
 def closed_threshold(p: float) -> int:

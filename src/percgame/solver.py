@@ -26,7 +26,10 @@ every p of its sequence to the same hash words.  Nor does it depend on
 the sweep's state, so the triangle sweep hashes ahead: one ``hash_words``
 call takes the run of diagonals k, k - 1, ... that fits in about
 ``CHAIN_BLOCK`` words (one diagonal if it alone is larger), and each
-diagonal reads its columns of the batch.
+diagonal reads its columns of the batch.  The sliced sweep holds the same
+budget per layer array: it runs its seeds in blocks of at most
+``CHAIN_BLOCK`` // n_class, and hashes each layer from its class's sites,
+packed once (``LayerSites``).
 
 ``win_origins`` gives the origins of the depth-n all-0 triangle sweep
 without sweeping the whole triangle where it need not: the two-valued rule
@@ -38,6 +41,8 @@ seeds undecided at every depth of ``stop_depths(n)`` take the full sweep.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -45,8 +50,8 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import (CHAIN_BLOCK, below, check_probability, closed_threshold,
-                        hash_below, hash_uniforms, hash_words)
+from .sitefield import (CHAIN_BLOCK, LayerSites, below, check_probability, check_seeds,
+                        closed_threshold, hash_below, hash_uniforms, hash_words)
 from .symbols import ONE, QUES, ZERO
 from .workers import parallel_seed_map
 
@@ -252,7 +257,7 @@ def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False)
     its (P, S, k+1) closed bits (None on the boundary diagonal k = n, which
     the sweep does not hash).  Otherwise rows is None.
     """
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    seeds = check_seeds(seeds)
     thresholds = _thresholds(p)
     top = _boundary_layer(boundary, n, _diag_coords(n),
                           lambda: np.full(n + 1, n % 2), lambda: boundary.values,
@@ -311,7 +316,7 @@ def win_origins(n: int, p, seeds):
     sweep, and a run hashes at most S·(n(n+1)/2 + d(d+1)/2) words, d the
     first of ``stop_depths(n)``: 1.25 times the full sweep at most.
     """
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    seeds = check_seeds(seeds)
     thresholds = _thresholds(p)
     values = np.zeros((len(thresholds), seeds.size), dtype=np.int8)
     depths = np.full(values.shape, n, dtype=np.int64)
@@ -472,7 +477,7 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
     any layers listed in record_layers.  A layer is held site-major as the
     pair bytes of its sites, which one ``np.take`` gathers whole.
     """
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    seeds = check_seeds(seeds)
     p, m = check_probability(p), index.family.m
     layers = {layer: np.ascontiguousarray(_pair_bytes(*_boundary_layer(
                   boundary, layer, index.layer_site_coords(layer),
@@ -499,7 +504,6 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
 # -- draw-scan: every depth and boundary in one bit-sliced sweep ---------------
 
 DEPTHS_PER_SWEEP = 64 // 3  # 3 boundaries x 21 depths in the bits of a word
-SEED_BLOCK = 32  # seeds swept at once; bounds the layer, gather and hash buffers
 
 
 def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
@@ -508,23 +512,39 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     one), (S, n_class) uint64 each, whose bit 3i + b holds depth
     ``depths[i]`` under boundary b (?, 0, 1) as a bit pair, ? = (0, 0),
     0 = (1, 0), 1 = (0, 1), under the rule of ``play``; on layer k each
-    bit whose depth is <= k takes its boundary value.
+    bit whose depth is <= k takes its boundary value.  The lanes of no
+    depth hold the all-? slab of the deepest depth, so every bit is a
+    function of the arguments.
+
+    The seeds run in balanced blocks (sizes differ by at most one) of at
+    most ``CHAIN_BLOCK`` // n seeds, n the size of the largest class, so
+    that a block's layer arrays hold at most ``CHAIN_BLOCK`` words each;
+    the bits do not depend on the blocking.
     """
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    seeds = check_seeds(seeds)
     if not 0 < len(depths) <= DEPTHS_PER_SWEEP or min(depths) < 0:
         raise ValueError(f"a sliced sweep takes 1 to {DEPTHS_PER_SWEEP} depths >= 0, got {depths}")
     m, q, top = index.family.m, index.q, max(depths)
     threshold = closed_threshold(check_probability(p))
-    # per layer k: the boundary zero and one bits of the depths <= k, and all their bits
-    fixed = [[np.uint64(sum(w << 3 * i for i, K in enumerate(depths) if K <= k))
-              for w in (2, 4, 7)] for k in range(top + m)]
-    size = max(map(index.class_size, range(q))) * min(SEED_BLOCK, seeds.size)
+    # the sites of the hashed layers 0 .. top - 1, by class
+    sites = [LayerSites(index.verts_by_class[c], range(c, top, q)) for c in range(q)]
+    # per layer k: the boundary zero and one bits of the depths <= k, and the
+    # bits of the other lanes
+    lanes = [0] * (top + m)
+    for i, K in enumerate(depths):
+        lanes[K] |= 1 << 3 * i
+    cumulative = list(itertools.accumulate(lanes, operator.or_))
+    masks = {b: (np.uint64(2 * b), np.uint64(4 * b), ~np.uint64(7 * b)) for b in set(cumulative)}
+    fixed = [masks[b] for b in cumulative]
+    n_class = max(map(index.class_size, range(q)))
+    blocks = np.array_split(seeds, -(-seeds.size // max(1, CHAIN_BLOCK // n_class)))
+    size = n_class * blocks[0].size  # the first block is the largest
     ring = np.empty((m + 1, 2 * size), dtype=np.uint64)  # layer k in row k mod (m + 1)
     gathered, words, tmp = (np.empty(n, dtype=np.uint64) for n in (2 * size, size, size))
     closed = np.empty(size, dtype=bool)
     zero, one = np.empty((2, seeds.size, index.class_size(0)), dtype=np.uint64)
-    for lo in range(0, seeds.size, SEED_BLOCK):
-        block = seeds[lo:lo + SEED_BLOCK]
+    lo = 0
+    for block in blocks:
         s = block.size
 
         def layer(k):  # (2, n_class, s): the zero and the one words, site-major
@@ -532,21 +552,27 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
 
         for k in range(top + m - 1, -1, -1):
             z, o = layer(k)
+            fz, fo, free = fixed[k]
+            if k >= top:  # a boundary layer, every lane fixed or ?
+                z.fill(fz)
+                o.fill(fo)
+                continue
             c, n = k % q, z.shape[0]
-            if k < top:
-                h = hash_words(block, index.layer_site_coords(k), 0,
-                               out=words[:n * s].reshape(s, n), tmp=tmp[:n * s].reshape(s, n))
-                np.copyto(z, below(h, threshold, out=closed[:n * s].reshape(s, n)).T)
-                np.negative(z, out=z)  # a closed site's words are all ones
-                # mode="clip": the default "raise" would buffer the output
-                play(z, o, (np.take(layer(k + int(dl)), index.nbr_pos[c][:, j], axis=1,
-                                    mode="clip", out=gathered[:2 * n * s].reshape(2, n, s))
-                            for j, dl in enumerate(index.nbr_layer_delta[c])))
-            fz, fo, f = fixed[k]
-            if f:
-                np.bitwise_or(z & ~f, fz, out=z)
-                np.bitwise_or(o & ~f, fo, out=o)
+            h = sites[c].hash_words(block, k, 0, out=words[:n * s].reshape(s, n),
+                                    tmp=tmp[:n * s].reshape(s, n))
+            np.copyto(z, below(h, threshold, out=closed[:n * s].reshape(s, n)).T)
+            np.negative(z, out=z)  # a closed site's words are all ones
+            # mode="clip": the default "raise" would buffer the output
+            play(z, o, (np.take(layer(k + int(dl)), index.nbr_pos[c][:, j], axis=1,
+                                mode="clip", out=gathered[:2 * n * s].reshape(2, n, s))
+                        for j, dl in enumerate(index.nbr_layer_delta[c])))
+            if fz | fo:
+                z &= free
+                z |= fz
+                o &= free
+                o |= fo
         zero[lo:lo + s], one[lo:lo + s] = z.T, o.T
+        lo += s
     return zero, one
 
 
@@ -575,7 +601,8 @@ def draw_scan(index: SlabIndex, p: float, seeds, depths):
     the all-? boundary, and a ``SensitivityResult`` (do the all-0 and all-1
     boundaries disagree at the origin), from one sliced sweep per 21 depths.
     """
-    rows, results, n_seeds = [], [], int(np.size(seeds))
+    seeds = check_seeds(seeds)
+    rows, results, n_seeds = [], [], seeds.size
     for lo in range(0, len(depths), DEPTHS_PER_SWEEP):
         chunk = depths[lo:lo + DEPTHS_PER_SWEEP]
         zero, one = sliced_sweep(index, p, seeds, chunk)

@@ -129,6 +129,33 @@ def test_a_chunked_draw_scan_is_byte_identical(tmp_path):
     assert written == CHUNKED_DRAW_SCAN_SHA256
 
 
+# SHA-256 of two 70-seed draw-scans, recorded while the sliced sweep ran in
+# blocks of 32 seeds (32 + 32 + 6): the bytes do not depend on the blocking
+MULTI_BLOCK_DRAW_SCAN_SHA256 = {
+    "even3": {
+        "scan_even3_p0.05_profile.csv":
+            "6a79131148cb9f8813b9c805acebdac983833f49bf82b37b5a457c2b8c6927b0",
+        "scan_even3_p0.2_profile.csv":
+            "7df567e2c832f29801d971ff67f8e3145109fc43c22f027b1baa7dad9222d1eb",
+        "scan_sensitivity.csv": "1887fc95f69b444828e47a55b38e79927bfea8b61aadb460d3a61ad1fb1d02be",
+    },
+    "z2": {
+        "scan_z2_p0.1_profile.csv":
+            "1d6c4d6258e6acb2ed01b157316a3e2940bac1941ab284b148465f1b7c711fa0",
+        "scan_sensitivity.csv": "b70ad94520335a6205733dd75417a9ed7ee385903d0dc1359fbd9b09e18f581f",
+    },
+}
+
+
+@pytest.mark.parametrize("name,args", [
+    ("even3", ["--family", "even(3)", "--size", "8", "--depth", "30", "--p-grid", "0.05,0.2"]),
+    ("z2", ["--family", "z2", "--size", "64", "--depth", "100"])])
+def test_a_multi_block_draw_scan_is_byte_identical(tmp_path, name, args):
+    assert run(["draw-scan", *args, "--seeds", "70", "--out", str(tmp_path / "scan")]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == MULTI_BLOCK_DRAW_SCAN_SHA256[name]
+
+
 # SHA-256 of the pca-run (one ternary and one binary kind) and glauber CSVs
 # below, recorded before pca.step took its seeds directly
 PCA_GLAUBER_OUTPUT_SHA256 = {

@@ -2,12 +2,14 @@
 sweep against a seed-major reference, and triangle sweeps over a sequence of
 p."""
 
+import time
+
 import numpy as np
 import pytest
 
 from percgame import lattice as lat
 from percgame import solver
-from percgame.sitefield import hash_uniforms, hash_words
+from percgame.sitefield import LayerSites, hash_uniforms, hash_words
 from percgame.solver import AllOne, AllQuestion, AllZero, Checkerboard, Sampled
 from percgame.symbols import ONE, QUES, ZERO
 
@@ -117,8 +119,9 @@ def test_draw_scan_equals_the_per_depth_reference(family, sizes):
 
 
 def test_each_layer_is_hashed_once_per_sweep_and_seed_block(monkeypatch):
-    uniforms, words = [], []
+    uniforms, words, layers = [], [], []
     real_uniforms, real_words = solver.hash_uniforms, solver.hash_words
+    real_layer_words = LayerSites.hash_words
 
     def counting_uniforms(seeds, coords, tag=0):
         uniforms.append(int(coords[0, -1]))  # the layer coordinate
@@ -128,16 +131,53 @@ def test_each_layer_is_hashed_once_per_sweep_and_seed_block(monkeypatch):
         words.append(int(coords[0, -1]))
         return real_words(seeds, coords, tag, out=out, tmp=tmp)
 
+    def counting_layer_words(self, seeds, k, tag=0, out=None, tmp=None):
+        layers.append((np.size(seeds), k))
+        return real_layer_words(self, seeds, k, tag, out=out, tmp=tmp)
+
     monkeypatch.setattr(solver, "hash_uniforms", counting_uniforms)
     monkeypatch.setattr(solver, "hash_words", counting_words)
+    monkeypatch.setattr(LayerSites, "hash_words", counting_layer_words)
     index = solver.SlabIndex(lat.even_sublattice(3), (8, 8))
     solver.slab_sweep(index, 12, AllQuestion(), 0.1, np.arange(4))
-    assert sorted(uniforms) == list(range(12)) and not words
-    # 70 seeds make three blocks; layers at and below the deepest depth only
-    seeds = np.arange(70)
-    assert -(-seeds.size // solver.SEED_BLOCK) == 3
-    solver.sliced_sweep(index, 0.1, seeds, [12, 2, 7])
-    assert sorted(words) == sorted(list(range(12)) * 3)
+    assert sorted(uniforms) == list(range(12)) and not words and not layers
+    # a budget of 24 seeds of a 32-site class: 70 seeds make three blocks;
+    # layers below the deepest depth only, each once per block
+    monkeypatch.setattr(solver, "CHAIN_BLOCK", 24 * index.class_size(0) + 5)
+    solver.sliced_sweep(index, 0.1, np.arange(70), [12, 2, 7])
+    sizes = [s for s, k in layers if k == 0]  # layer 0 ends each block
+    assert len(sizes) == 3 and sum(sizes) == 70 and max(sizes) - min(sizes) <= 1
+    assert layers == [(s, k) for s in sizes for k in range(11, -1, -1)] and not words
+
+
+def test_every_bit_of_a_sliced_sweep_is_a_function_of_its_arguments(monkeypatch):
+    # the lanes of no depth (bit 63, and bits 9 to 62 of 3 depths) hold the
+    # all-? lane of the deepest depth, in every call and in every blocking
+    index = solver.SlabIndex(lat.even_sublattice(3), (32, 32))
+    runs = {}
+    for depths in (solver.profile_depths(2, 60), [60, 2, 31]):
+        runs[len(depths)] = [solver.sliced_sweep(index, 0.05, range(100), depths)
+                             for _ in range(2)]
+        deep = np.uint64(3 * int(np.argmax(depths)))
+        for words in runs[len(depths)][0]:
+            lane = (words >> deep) & np.uint64(1)
+            for bit in range(3 * len(depths), 64):
+                assert np.array_equal((words >> np.uint64(bit)) & np.uint64(1), lane), bit
+    # 40 seeds of a 512-site class: 100 seeds make three blocks
+    monkeypatch.setattr(solver, "CHAIN_BLOCK", 40 * index.class_size(0))
+    for depths in (solver.profile_depths(2, 60), [60, 2, 31]):
+        runs[len(depths)].append(solver.sliced_sweep(index, 0.05, range(100), depths))
+    for (zero, one), *others in runs.values():
+        assert all(np.array_equal(zero, z) and np.array_equal(one, o) for z, o in others)
+
+
+def test_a_sliced_sweep_past_the_coordinate_limit_is_refused_at_once():
+    # the hashed layers reach 2**20; refused before any per-layer work
+    index = solver.SlabIndex(lat.even_sublattice(3), (8, 8))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="coordinates must satisfy"):
+        solver.sliced_sweep(index, 0.1, [0], [2 ** 20 + 1])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sliced_sweep_refuses_a_bad_depth_list():

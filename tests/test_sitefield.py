@@ -8,10 +8,10 @@ from scipy import stats
 
 from percgame import glauber, pca, solver
 from percgame import lattice as lat
-from percgame.sitefield import (CHAIN_BLOCK, COORD_LIMIT, COORD_OFFSET, _mix64_inplace,
-                                _mix_rest, closed_threshold, finish_tag, finish_tags, hash_below,
-                                hash_prefix, hash_uniform_scalar, hash_uniforms, hash_words,
-                                mix64)
+from percgame.sitefield import (CHAIN_BLOCK, COORD_LIMIT, COORD_OFFSET, LayerSites,
+                                _mix64_inplace, _mix_rest, closed_threshold, finish_tag,
+                                finish_tags, hash_below, hash_prefix, hash_uniform_scalar,
+                                hash_uniforms, hash_words, mix64)
 
 # frozen reference outputs pin the bit-level definition across platforms
 GOLDEN = [
@@ -195,6 +195,29 @@ def test_a_sweep_refuses_p_outside_the_unit_interval(name, p):
         NAN_P_ENTRY_POINTS[name](p)
 
 
+# the sweeps that take a seed list, and the coupling check: each refuses an
+# empty one with the same error
+SEED_LISTS = {
+    "triangle_sweep": lambda seeds: solver.triangle_sweep(4, solver.AllZero(), [0.2], seeds),
+    "win_origins": lambda seeds: solver.win_origins(20, [0.2], seeds),
+    "slab_sweep": lambda seeds: solver.slab_sweep(_TORUS, 3, solver.AllQuestion(), 0.2, seeds),
+    "sliced_sweep": lambda seeds: solver.sliced_sweep(_TORUS, 0.2, seeds, [2, 3]),
+    "draw_scan": lambda seeds: solver.draw_scan(_TORUS, 0.2, seeds, [2]),
+    "run_chains": lambda seeds: glauber.run_chains(_TORUS, 0.2, "standard", 1, seeds),
+    "coupling_mismatches": lambda seeds: glauber.coupling_mismatches(
+        lat.even_sublattice(3), 3, (4, 4), 0.2, seeds),
+}
+
+
+@pytest.mark.parametrize("name", SEED_LISTS)
+def test_a_sweep_refuses_an_empty_seed_list(name):
+    assert set(SWEEPS) - {"solve_triangle"} <= set(SEED_LISTS)  # solve_triangle takes one seed
+    SEED_LISTS[name]([3])
+    for empty in ([], np.array([], dtype=np.int64), range(0)):
+        with pytest.raises(ValueError, match="seeds must hold at least one seed, got none"):
+            SEED_LISTS[name](empty)
+
+
 def test_p_outside_the_unit_interval_keeps_its_meaning():
     assert closed_threshold(-0.5) == closed_threshold(0.0) == 0
     assert closed_threshold(1.5) == closed_threshold(1.0) == 1 << 64
@@ -270,6 +293,42 @@ def test_finish_tags_equals_finish_tag_per_tag(seeds, tags):
     assert block.shape == (len(tags),) + prefix.shape
     for row, tag in zip(block, tags):
         assert np.array_equal(row, finish_tag(prefix, tag))
+
+
+# -- sites packed once, hashed layer by layer ----------------------------------
+
+
+@pytest.mark.parametrize("d", range(1, 8))  # the layer field in word 0, 1 and 2
+@pytest.mark.parametrize("seeds", [12345, np.array([7, 2 ** 63 - 1, 0])],
+                         ids=["scalar", "vector"])
+def test_layer_sites_hash_as_their_coordinates_do(d, seeds):
+    rng = np.random.default_rng(d)
+    coords = rng.integers(-COORD_LIMIT + 1, COORD_LIMIT, size=(5, d - 1))
+    layers = range(-COORD_LIMIT + 1, COORD_LIMIT)
+    sites = LayerSites(coords, layers)
+    shape = np.shape(seeds) + (5,)
+    out, tmp = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+    for k in (0, 1, -1, 2 ** 19 + 3, -(2 ** 20 - 1), 2 ** 20 - 1):
+        full = np.concatenate([coords, np.full((5, 1), k)], axis=1)
+        for tag in (0, 1, (3, 2 ** 40 + 1)):
+            want = hash_words(seeds, full, tag)
+            assert np.array_equal(sites.hash_words(seeds, k, tag), want), (k, tag)
+            got = sites.hash_words(seeds, k, tag, out=out, tmp=tmp)
+            assert np.shares_memory(got, out) and np.array_equal(got, want)
+
+
+def test_layer_sites_check_their_layers_once():
+    coords = np.zeros((3, 2), dtype=np.int64)
+    for layers in (range(COORD_LIMIT + 1), range(-COORD_LIMIT, 4), range(5, COORD_LIMIT + 6, 2 ** 19)):
+        with pytest.raises(ValueError, match="coordinates must satisfy"):
+            LayerSites(coords, layers)
+    sites = LayerSites(coords, range(1, 9, 2))
+    sites.hash_words(0, 7)
+    for k in (0, 2, 9, COORD_LIMIT):
+        with pytest.raises(ValueError, match=f"layer {k} is not in"):
+            sites.hash_words(0, k)
+    with pytest.raises(ValueError, match="coordinates must satisfy"):
+        LayerSites(np.full((3, 2), COORD_LIMIT), range(4))
 
 
 # -- blocks of seed rows in the chain core ------------------------------------
