@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import exact, glauber, lattice, pca, solver, workers
-from .sitefield import COORD_LIMIT
+from .sitefield import COORD_LIMIT, SEED_MAX
 from .symbols import QUES
 
 HEADERS = {
@@ -69,14 +69,22 @@ def _at_least(value: int, flag: str, low: int = 0) -> int:
 
 
 def _size_list(sizes: list, flag: str) -> None:
+    """A non-empty list of sizes whose coordinates 0 .. size - 1 the site
+    hash takes, checked before any torus or ring is built."""
     if not sizes:
         raise UsageError("the size list is empty")
+    if max(sizes) > COORD_LIMIT:
+        raise UsageError(f"{flag} {max(sizes)}: the site hash takes coordinates below "
+                         f"{COORD_LIMIT}, so a size is at most {COORD_LIMIT}")
 
 
 def _seed_list(seeds: list, flag: Optional[str]) -> None:
     if not seeds:
         raise UsageError("the seed list is empty")
     _at_least(min(seeds), "every seed (--seed0)")
+    if max(seeds) > SEED_MAX:
+        raise UsageError(f"every seed (--seed0, --seeds) must be <= {SEED_MAX}, "
+                         f"got {max(seeds)}")
 
 
 def _weight_ring(n: int, flag: str) -> None:

@@ -22,14 +22,14 @@ exactly what the game recursion consumes.
 The coupling (the paper's dimension reduction): the two-valued game
 recursion on a slab equals, layer by layer and path by path, the class
 updates of the coupled chain on the doubling torus.  ``coupling_mismatches``
-checks this exactly for a batch of seeds.  Its game side is an oracle that
-derives its own move table from the lattice, site by site (``_oracle_table``,
-built once per (family, sizes)).  It never reads the index's out-table
-(``SlabIndex.nbr_pos``, ``nbr_layer_delta``), its undirected adjacency or
-its coordinate map, which the Glauber side runs on; it checks only that
-both list the class vertices in the same order.  A seed enters only through
-the hash: one array call per layer for the tag-0 uniforms, which both sides
-read, and for the boundary values (tag 1), for all seeds at once.
+checks this exactly for a batch of seeds.  This module holds no game rule
+and no move table: the game side is ``solver.slab_layers``, the slab
+reference, which derives its own move table from the lattice, site by
+site, and never reads the index's out-table (``SlabIndex.nbr_pos``,
+``nbr_layer_delta``) or its undirected adjacency, which the Glauber side
+runs on.  A seed enters only through the hash: one array call per layer
+for the tag-0 uniforms, which both sides read, and for the boundary
+values (tag 1), for all seeds at once.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ import numpy as np
 from . import lattice
 from .lattice import GraphFamily
 from .sitefield import (below, check_p, check_probability, check_seeds, closed_threshold,
-                        finish_tag, hash_below, hash_prefix, hash_uniforms)
-from .solver import SlabIndex
+                        finish_tag, hash_prefix)
+from .solver import Sampled, SlabIndex, slab_layers
 from .symbols import ONE, ZERO
 from .workers import parallel_seed_map
 
@@ -264,102 +264,22 @@ def _coupling_torus(family: GraphFamily, sizes: tuple) -> SlabIndex:
     return build_doubling_torus(family, sizes)
 
 
-@dataclass(frozen=True)
-class _OracleTable:
-    """The game side's own view of the slab, per vertex class c: the class
-    vertices' torus coordinates, sorted, and their out-moves grouped by
-    layer delta, as (delta, targets) with ``targets[i, j]`` the position,
-    within the class of layer c + delta, of vertex i's j-th move of that
-    delta."""
-
-    verts: tuple[np.ndarray, ...]
-    moves: tuple[tuple[tuple[int, np.ndarray], ...], ...]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@functools.lru_cache(maxsize=64)
-def _oracle_table(family: GraphFamily, sizes: tuple[int, ...]) -> _OracleTable:
-    """The coupling oracle's move table, derived site by site from the
-    lattice alone.
-
-    Each vertex of class c is lifted to its slab site on layer c, the
-    family's move set is applied to that site, and every target is wrapped
-    onto the torus and looked up in a coordinate -> position map built here
-    from ``lattice.torus_vertices``.  phi shifts layers by m and keeps
-    transverse coordinates, so the table of layer c holds on every layer
-    k = c (mod m).  The seed never enters: the table is built once per
-    (family, sizes).
-    """
-    q = family.torus_classes
-    by_class: list[list[tuple[int, ...]]] = [[] for _ in range(q)]
-    for t in lattice.torus_vertices(family, sizes):
-        by_class[lattice.torus_class(family, t)].append(t)
-    where = {t: (c, i) for c, verts in enumerate(by_class) for i, t in enumerate(verts)}
-    moves = []
-    for c, verts in enumerate(by_class):
-        deltas, targets = [], []
-        for t in verts:
-            row_delta, row_target = [], []
-            for y in lattice.out_neighbors(family, lattice.lift_site(family, t, c)):
-                delta = lattice.layer_of(family, y) - c
-                cls, i = where[lattice.wrap_tcoord(lattice.transverse_coord(family, y), sizes)]
-                if cls != (c + delta) % q:
-                    raise AssertionError(
-                        f"{family.name}: a move from {t} leaves its layer's class")
-                row_delta.append(delta)
-                row_target.append(i)
-            deltas.append(row_delta)
-            targets.append(row_target)
-        delta, target = np.array(deltas), np.array(targets, dtype=np.int64)
-        # sorted moves of translated sites keep their order, so every vertex
-        # of a class has the same layer delta in each move column
-        if (delta != delta[0]).any():
-            raise AssertionError(f"{family.name}: class {c} layer deltas differ by vertex")
-        moves.append(tuple((dl, _frozen(np.ascontiguousarray(target[:, delta[0] == dl])))
-                           for dl in sorted(set(delta[0].tolist()))))
-    verts = tuple(_frozen(np.array(v, dtype=np.int64)) for v in by_class)
-    return _OracleTable(verts, tuple(moves))
-
-
-def _coupled_mismatches(table: _OracleTable, torus: SlabIndex, depth: int,
-                        p: float, seeds: np.ndarray, variant: str) -> np.ndarray:
-    """Both sides of the coupling, top-down over layers depth-1..0, on
-    (seeds, class vertices) arrays; the mismatch count of each seed.
-
-    Layer k's tag-0 uniforms are hashed once, on the oracle's coordinates,
-    and both sides read them.  Game side: the two-valued recursion on the
-    oracle's table.  Boundary layers depth..depth+m-1 are 1 where the tag-1
-    uniform is below 1/2; on a layer below, a closed site (uniform below p)
-    is 0, and an open site is 1 iff every move target is 0.  Glauber side:
-    the class update of class k mod m with the same uniforms, from the
-    boundary layers placed on their classes.  Only the m + 1 layers that
-    moves reach are kept.
-    """
-    m = len(table.verts)
-
-    def site_coords(k):
-        verts = table.verts[k % m]
-        return np.concatenate([verts, np.full((len(verts), 1), k, dtype=np.int64)], axis=1)
-
-    gamma = {k: hash_below(seeds, site_coords(k), 1, 0.5) for k in range(depth, depth + m)}
+def _coupled_mismatches(torus: SlabIndex, depth: int, p: float, seeds: np.ndarray,
+                        variant: str) -> np.ndarray:
+    """Both sides of the coupling on (seeds, class vertices) arrays; the
+    mismatch count of each seed.  Game side: ``slab_layers`` under the
+    ``Sampled(0.5)`` boundary.  Glauber side: its boundary layers placed on
+    their classes, then on each layer k below, the class update of class
+    k mod m on the uniforms that the game side decided layer k on."""
     sigma = np.zeros((seeds.size, torus.n_vertices), dtype=np.int8)
-    for k, value in gamma.items():
-        sigma[:, torus.class_members[k % m]] = value
     mismatches = np.zeros(seeds.size, dtype=np.int64)
-    for k in range(depth - 1, -1, -1):
-        c = k % m
-        u = hash_uniforms(seeds, site_coords(k), 0)
-        value = u >= p
-        for delta, targets in table.moves[c]:
-            value &= ~gamma[k + delta][:, targets].any(axis=-1)
-        gamma[k] = value
-        del gamma[k + m]
-        sigma = class_update(torus, sigma, c, p, variant, u)
-        mismatches += (sigma[:, torus.class_members[c]] != value).sum(axis=1)
+    for k, u, values in slab_layers(torus, depth, Sampled(0.5), p, seeds):
+        c = k % torus.q
+        if u is None:
+            sigma[:, torus.class_members[c]] = values
+        else:
+            sigma = class_update(torus, sigma, c, p, variant, u)
+            mismatches += (sigma[:, torus.class_members[c]] != values).sum(axis=1)
     return mismatches
 
 
@@ -368,24 +288,20 @@ def coupling_mismatches(family: GraphFamily, depth: int, sizes, p: float, seeds,
     """Mismatch count, per seed, of the exact pathwise identity
     sigma_k(v) = gamma(f_k^{-1}(v)) at every layer k from depth-1 down to 0.
 
-    gamma is the two-valued game recursion on the slab, run on a move table
-    that the oracle derives from the lattice itself (site coordinates, the
-    move set applied directly); sigma is the class-update chain on the
-    doubling torus, driven by the identical closed/open bits.  Any mismatch
-    indicates an indexing inconsistency between the move set, the quotient
-    map and the torus.
+    gamma is the two-valued game recursion on the slab, ``solver.slab_layers``
+    under a sampled boundary, run on a move table derived from the lattice
+    itself (site coordinates, the move set applied directly); sigma is the
+    class-update chain on the doubling torus, driven by the identical
+    closed/open bits.  Any mismatch indicates an indexing inconsistency
+    between the move set, the quotient map and the torus.
     """
     variant = _coupling_variant(family, variant)
     check_probability(p)
     seeds = check_seeds(seeds)
     torus = _coupling_torus(family, tuple(sizes))
-    table = _oracle_table(family, torus.sizes)
-    if len(table.verts) != torus.q or not all(
-            np.array_equal(a, b) for a, b in zip(table.verts, torus.verts_by_class)):
-        raise AssertionError("the oracle and the torus order the class vertices differently")
     # seeds in chunks, so that memory stays O(chunk x vertices) for any batch
     chunks = np.split(seeds, range(_SEED_CHUNK, seeds.size, _SEED_CHUNK))
-    return np.concatenate([_coupled_mismatches(table, torus, depth, p, chunk, variant)
+    return np.concatenate([_coupled_mismatches(torus, depth, p, chunk, variant)
                            for chunk in chunks])
 
 

@@ -84,6 +84,7 @@ _MASK = (1 << 64) - 1
 
 COORD_OFFSET = 1 << 20
 COORD_LIMIT = 1 << 20  # packed coordinates must satisfy |c| < COORD_LIMIT
+SEED_MAX = (1 << 63) - 1  # seeds are int64
 
 # words of chain state per block of seed rows: 256 KB of state and as much
 # scratch, which stay in a 2 MB L2 cache through a block's rounds.  Callers
@@ -345,8 +346,12 @@ def check_probability(p: float) -> float:
 
 def check_seeds(seeds) -> np.ndarray:
     """The seeds, a scalar or a 1-d sequence, as a 1-d int64 array; an
-    empty one, which no sweep can take, raises ``ValueError``."""
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    empty one, which no sweep can take, or a seed outside int64 raises
+    ``ValueError``."""
+    try:
+        seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
+    except OverflowError:
+        raise ValueError(f"seeds must be int64, from -2**63 to 2**63 - 1 = {SEED_MAX}") from None
     if seeds.size == 0:
         raise ValueError("seeds must hold at least one seed, got none")
     return seeds

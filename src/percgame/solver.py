@@ -6,7 +6,8 @@ Two region shapes:
   on the diagonal x1 + x2 = n (``triangle_sweep``, ``solve_triangle``);
 * the slab of layers S_0 .. S_{depth+m-1} of any supported family, with the
   transverse directions wrapped into the torus of a ``SlabIndex`` and the
-  boundary condition on the top m layers (``slab_sweep``).
+  boundary condition on the top m layers (``slab_layers``, ``slab_sweep``;
+  ``sliced_sweep`` for many depths at once).
 
 Every sweep applies one game rule, ``play``, to (zero, one) bit pairs
 (closed -> 0; else 1 if all out-values are 0, 0 if some is 1, ? otherwise);
@@ -120,12 +121,14 @@ def play(zero, one, targets):
     return zero, one
 
 
-# the symbol of each pair byte 2 zero + one; (1, 1) is no pair, read as -1
-_SYMBOLS = np.array([QUES, ONE, ZERO, -1], dtype=np.int8)
-
-
 def _pair_bytes(zero, one) -> np.ndarray:  # of bools or 0/1 bytes
     return 2 * zero.view(np.uint8) + one.view(np.uint8)
+
+
+def _symbols(pair_bytes: np.ndarray) -> np.ndarray:
+    """The int8 symbols of pair bytes 2 zero + one: ? = 2 - 0, 1 = 2 - 1 and
+    0 = 2 - 2 in the codes of ``symbols``; (1, 1) is no pair, read as -1."""
+    return np.subtract(np.int8(QUES), pair_bytes.view(np.int8))
 
 
 _CONSTANT = {AllQuestion: QUES, AllZero: ZERO, AllOne: ONE}
@@ -242,7 +245,7 @@ def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, keep_all: boo
     # the symbols of every diagonal kept, or else of the origins: (slots, P·B, S, n+1)
     bits = np.unpackbits(slots if keep_all else slots[:1, ..., :1], axis=2, count=lanes,
                          bitorder="little")
-    vals = _SYMBOLS[_pair_bytes(bits[:, 0], bits[:, 1])]
+    vals = _symbols(_pair_bytes(bits[:, 0], bits[:, 1]))
     rows = {k: (vals[k, ..., :k + 1], kept.get(k)) for k in range(n + 1)} if keep_all else None
     return vals[0, ..., 0].reshape(-1, n_b, seeds.size), rows
 
@@ -453,52 +456,119 @@ class SlabIndex:
     def class_size(self, c: int) -> int:
         return self.verts_by_class[c % self.q].shape[0]
 
-    def layer_site_coords(self, k: int) -> np.ndarray:
+
+@dataclass(frozen=True)
+class _MoveTable:
+    """The slab reference's own view of a torus, per vertex class c: the
+    class vertices' torus coordinates, sorted, and their out-moves grouped
+    by layer delta, as (delta, targets) with ``targets[i, j]`` the position,
+    within the class of layer c + delta, of vertex i's j-th move of that
+    delta."""
+
+    verts: tuple[np.ndarray, ...]
+    moves: tuple[tuple[tuple[int, np.ndarray], ...], ...]
+
+    def site_coords(self, k: int) -> np.ndarray:
         """Hashing coordinates (t..., k) of the layer-k sites."""
-        verts = self.verts_by_class[k % self.q]
-        return np.concatenate(
-            [verts, np.full((verts.shape[0], 1), k, dtype=np.int64)], axis=1)
-
-    def checkerboard_values(self, k: int) -> np.ndarray:
-        fam = self.family
-        vals = np.empty(self.class_size(k % self.q), dtype=np.int8)
-        for i, t in enumerate(self.verts_by_class[k % self.q]):
-            site = lattice.lift_site(fam, tuple(int(c) for c in t), k)
-            vals[i] = sum(site) % 2
-        return vals
+        verts = self.verts[k % len(self.verts)]
+        return np.concatenate([verts, np.full((len(verts), 1), k, dtype=np.int64)], axis=1)
 
 
-def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float,
-               seeds, record_layers=None):
-    """Solve a slab of one depth under any boundary for a batch of seeds;
-    with a constant boundary, the per-depth reference of ``sliced_sweep``.
+@functools.lru_cache(maxsize=64)
+def _move_table(family: GraphFamily, sizes: tuple[int, ...]) -> _MoveTable:
+    """The move table of ``slab_layers``, derived site by site from the
+    lattice alone.
 
-    Returns {layer: (S, n_class) int8}; always contains layers 0..m-1, plus
-    any layers listed in record_layers.  A layer is held site-major as the
-    pair bytes of its sites, which one ``np.take`` gathers whole.
+    Each vertex of class c is lifted to its slab site on layer c, the
+    family's move set is applied to that site, and every target is wrapped
+    onto the torus and looked up in a coordinate -> position map built here
+    from ``lattice.torus_vertices``.  A shift of q layers (phi, or the
+    diagonal translation of zd) keeps transverse coordinates and moves, so
+    the table of layer c holds on every layer k = c (mod q).  The seed
+    never enters: the table is built once per (family, sizes).
+    """
+    q = family.torus_classes
+    by_class: list[list[tuple[int, ...]]] = [[] for _ in range(q)]
+    for t in lattice.torus_vertices(family, sizes):
+        by_class[lattice.torus_class(family, t)].append(t)
+    where = {t: (c, i) for c, verts in enumerate(by_class) for i, t in enumerate(verts)}
+    moves = []
+    for c, verts in enumerate(by_class):
+        deltas, targets = [], []
+        for t in verts:
+            row_delta, row_target = [], []
+            for y in lattice.out_neighbors(family, lattice.lift_site(family, t, c)):
+                delta = lattice.layer_of(family, y) - c
+                cls, i = where[lattice.wrap_tcoord(lattice.transverse_coord(family, y), sizes)]
+                if cls != (c + delta) % q:
+                    raise AssertionError(
+                        f"{family.name}: a move from {t} leaves its layer's class")
+                row_delta.append(delta)
+                row_target.append(i)
+            deltas.append(row_delta)
+            targets.append(row_target)
+        delta, target = np.array(deltas), np.array(targets, dtype=np.int64)
+        # sorted moves of translated sites keep their order, so every vertex
+        # of a class has the same layer delta in each move column
+        if (delta != delta[0]).any():
+            raise AssertionError(f"{family.name}: class {c} layer deltas differ by vertex")
+        moves.append(tuple((dl, np.ascontiguousarray(target[:, delta[0] == dl]))
+                           for dl in sorted(set(delta[0].tolist()))))
+    verts = tuple(np.array(v, dtype=np.int64) for v in by_class)
+    for a in (*verts, *(targets for by_delta in moves for _, targets in by_delta)):
+        a.flags.writeable = False  # the cache shares them
+    return _MoveTable(verts, tuple(moves))
+
+
+def slab_layers(index: SlabIndex, depth: int, boundary: Boundary, p: float, seeds):
+    """The layers of the slab of one depth under any boundary, top down:
+    (k, u, values) for k = depth + m - 1, ..., 0, with ``u`` the (S, n)
+    tag-0 uniforms that layer k was decided on (None on the boundary layers
+    k >= depth; a site is closed where u < p) and ``values`` its (S, n)
+    int8 symbols.
+
+    The slab reference: its sites and moves come from ``_move_table``, never
+    from the index's out-table; of the index it checks only the order of
+    the class vertices.  A layer is held site-major as the pair bytes of
+    its sites, which one ``np.take`` gathers whole, and only the m + 1
+    layers that moves reach are held.
     """
     seeds = check_seeds(seeds)
     p, m = check_probability(p), index.family.m
-    layers = {layer: np.ascontiguousarray(_pair_bytes(*_boundary_layer(
-                  boundary, layer, index.layer_site_coords(layer),
-                  lambda: index.checkerboard_values(layer),
-                  lambda: boundary.values[layer], seeds)).T)
-              for layer in range(depth, depth + m)}
-    keep = set(range(m)) | set(record_layers or ())
+    table = _move_table(index.family, index.sizes)
+    if len(table.verts) != index.q or not all(
+            np.array_equal(a, b) for a, b in zip(table.verts, index.verts_by_class)):
+        raise AssertionError("the move table and the index order the class vertices differently")
     # per class: the target rows of its moves, a layer delta at a time
-    moves = [[(d, pos[:, dl == d].T.ravel()) for d in sorted(set(dl.tolist()))]
-             for dl, pos in zip(index.nbr_layer_delta, index.nbr_pos)]
-    for k in range(depth - 1, -1, -1):
-        u = hash_uniforms(seeds, index.layer_site_coords(k), 0)
-        zero = np.less(u.T, p, out=np.empty(u.shape[::-1], dtype=bool))
-        targets = []
-        for d, rows in moves[k % index.q]:  # each move's pairs, split off their pair bytes
-            gathered = np.take(layers[k + d], rows, axis=0).reshape((-1,) + zero.shape)
-            targets += zip((gathered >> 1).view(bool), (gathered & 1).view(bool))
-        layers[k] = _pair_bytes(*play(zero, np.empty_like(zero), targets))
-        if k + m not in keep:
-            layers.pop(k + m, None)
-    return {k: _SYMBOLS[v].T.copy() for k, v in layers.items()}
+    moves = [[(d, targets.T.ravel()) for d, targets in by_delta] for by_delta in table.moves]
+    layers = {}
+    for k in range(depth + m - 1, -1, -1):
+        coords, u = table.site_coords(k), None
+        if k >= depth:
+            pair = _boundary_layer(
+                boundary, k, coords,
+                lambda: np.array([sum(lattice.lift_site(index.family, t, k)) % 2
+                                  for t in coords[:, :-1]], dtype=np.int8),
+                lambda: boundary.values[k], seeds)
+            layers[k] = np.ascontiguousarray(_pair_bytes(*pair).T)
+        else:
+            u = hash_uniforms(seeds, coords, 0)
+            zero = np.less(u.T, p, out=np.empty(u.shape[::-1], dtype=bool))
+            targets = []
+            for d, rows in moves[k % len(moves)]:  # each move's pairs, split off their pair bytes
+                gathered = np.take(layers[k + d], rows, axis=0).reshape((-1,) + zero.shape)
+                targets += zip((gathered >> 1).view(bool), (gathered & 1).view(bool))
+            layers[k] = _pair_bytes(*play(zero, np.empty_like(zero), targets))
+            del layers[k + m]
+        yield k, u, _symbols(layers[k]).T
+
+
+def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float, seeds):
+    """Solve a slab of one depth under any boundary for a batch of seeds:
+    layers 0..m-1 of ``slab_layers``, {layer: (S, n_class) int8}.  With a
+    constant boundary, the per-depth reference of ``sliced_sweep``."""
+    return {k: values.copy() for k, _, values in slab_layers(index, depth, boundary, p, seeds)
+            if k < index.family.m}
 
 
 # -- draw-scan: every depth and boundary in one bit-sliced sweep ---------------

@@ -564,6 +564,46 @@ def test_counts_below_their_minimum_exit_2(tmp_path, capsys):
                 "--out", out]) == 0
 
 
+def test_seeds_past_int64_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = str(out_dir / "w.csv")
+    text = "every seed (--seed0, --seeds) must be <= 9223372036854775807, got 9223372036854775808"
+    _assert_usage_error(capsys, ["win-curve", "--seed0", str(2 ** 63 - 1), "--seeds", "2",
+                                 "--depth", "10", "--out", out], text, out_dir)
+    _assert_usage_error(capsys, ["win-curve", "--seed0", str(2 ** 63), "--depth", "10",
+                                 "--out", out], text, out_dir)
+    cfg = tmp_path / "seeds.json"
+    cfg.write_text(cli.RunConfig(subcommand="win-curve", depth=10, seeds=[0, 2 ** 63]).to_json())
+    _assert_usage_error(capsys, ["win-curve", "--config", str(cfg), "--out", out], text, out_dir)
+    # the largest int64 seed runs
+    assert run(["win-curve", "--seed0", str(2 ** 63 - 1), "--depth", "10", "--out", out]) == 0
+
+
+def test_sizes_past_the_coordinate_limit_exit_2(tmp_path, capsys, monkeypatch):
+    def no_torus(*args):
+        raise AssertionError("a torus was built")
+
+    monkeypatch.setattr(lattice, "torus_vertices", no_torus)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = str(out_dir / "o")
+    limit = 1 << 20
+    for argv, size in ((["draw-scan", "--family", "z2", "--depth", "4"], limit + 2),
+                       (["glauber", "--family", "z2"], limit + 2),
+                       (["couple-verify", "--family", "z2", "--depth", "4"], limit + 2),
+                       (["pca-run", "--steps", "1"], limit + 1),
+                       (["draw-scan", "--family", "even(3)", "--depth", "4"], f"8,{limit + 2}")):
+        _assert_usage_error(capsys, argv + ["--size", str(size), "--out", out],
+                            f"a size is at most {limit}", out_dir)
+    cfg = tmp_path / "sizes.json"
+    cfg.write_text(cli.RunConfig(subcommand="pca-run", sizes=[limit + 1], steps=1).to_json())
+    _assert_usage_error(capsys, ["pca-run", "--config", str(cfg), "--out", out],
+                        f"--size {limit + 1}: the site hash takes coordinates below {limit}",
+                        out_dir)
+    cli._size_list([limit], "--size")  # coordinates 0 .. limit - 1 all hash
+
+
 def test_glauber_refuses_more_than_one_seed(tmp_path, capsys):
     out_dir = tmp_path / "out"
     out_dir.mkdir()

@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from percgame import glauber
+from percgame import glauber, solver
 from percgame import lattice as lat
 
 EVEN3 = lat.even_sublattice(3)
@@ -98,8 +98,8 @@ def test_batch_keeps_the_input_checks():
         glauber.coupling_mismatches(EVEN3, 6, (7, 8), 0.5, [0])
 
 
-@pytest.mark.parametrize("fn", [glauber._oracle_table, glauber._coupled_mismatches],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("fn", [solver._MoveTable, solver._move_table, solver.slab_layers,
+                                glauber._coupled_mismatches], ids=lambda f: f.__name__)
 def test_oracle_never_reads_the_index_adjacency(fn):
     source = inspect.getsource(inspect.unwrap(fn))
     tree = ast.parse(source)

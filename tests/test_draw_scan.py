@@ -64,6 +64,44 @@ def test_sliced_sweep_equals_the_per_depth_sweeps(family, sizes, p):
             assert np.array_equal(decode(zero, one, 3 * i + b), ref), (K, boundary)
 
 
+# zd(d >= 3): no layer automorphism, d torus classes, and m = 2 boundary layers
+ZD_TORI = [(lat.zd(3), (3, 3)), (lat.zd(3), (6, 6)), (lat.zd(4), (4, 4, 4))]
+
+
+@pytest.mark.parametrize("family,sizes", ZD_TORI, ids=lambda x: getattr(x, "name", None))
+@pytest.mark.parametrize("p", [1e-9, 0.2, 1 - 1e-9])
+def test_sliced_sweep_equals_the_slab_reference_on_zd(family, sizes, p):
+    index = solver.SlabIndex(family, sizes)
+    assert (index.q, family.m) == (family.d, 2)
+    seeds = np.arange(5)
+    depths = [0, 1, 2, 3, 4, 7, 12]
+    zero, one = solver.sliced_sweep(index, p, seeds, depths)
+    for i, K in enumerate(depths):
+        for b, boundary in enumerate(SLICED):
+            ref = solver.slab_sweep(index, K, boundary, p, seeds)[0]
+            assert np.array_equal(decode(zero, one, 3 * i + b), ref), (K, boundary)
+
+
+def test_a_wrong_index_entry_makes_the_sweeps_differ():
+    # the reference reads its own move table, so one wrong out-table entry
+    # shows up in the sliced sweep alone
+    index = solver.SlabIndex(lat.even_sublattice(3), (8, 8))
+    pos = index.nbr_pos[0]
+    pos[0, 0] = (pos[0, 0] + 1) % pos.shape[0]
+    seeds, depths, p = np.arange(64), [4, 12, 13], 0.4
+    zero, one = solver.sliced_sweep(index, p, seeds, depths)
+    differ = [not np.array_equal(decode(zero, one, 3 * i + b),
+                                 solver.slab_sweep(index, K, boundary, p, seeds)[0])
+              for i, K in enumerate(depths) for b, boundary in enumerate(SLICED)]
+    assert any(differ)
+
+
+def _site_coords(index, k):
+    """The hashing coordinates (t..., k) of the layer-k sites, by the index."""
+    verts = index.verts_by_class[k % index.q]
+    return np.column_stack([verts, np.full(len(verts), k)])
+
+
 def _reference_slab_sweep(index, depth, boundary, p, seeds):
     """Seed-major sweep with its own gather and rule, hashing every layer."""
     layers = {}
@@ -80,7 +118,7 @@ def _reference_slab_sweep(index, depth, boundary, p, seeds):
         c = k % index.q
         nbrs = np.stack([layers[k + int(dl)][:, index.nbr_pos[c][:, j]]
                          for j, dl in enumerate(index.nbr_layer_delta[c])])
-        closed = hash_uniforms(seeds, index.layer_site_coords(k), 0) < p
+        closed = hash_uniforms(seeds, _site_coords(index, k), 0) < p
         win = (nbrs == ZERO).all(axis=0)
         lost = (nbrs == ONE).any(axis=0)
         vals = np.where(win, ONE, np.where(lost | (not three), ZERO, QUES))
@@ -94,10 +132,16 @@ def test_slab_sweep_equals_a_seed_major_reference(family, sizes):
     seeds = np.arange(6)
     for boundary in (AllZero(), AllOne(), AllQuestion()):
         ref = _reference_slab_sweep(index, 9, boundary, 0.2, seeds)
-        got = solver.slab_sweep(index, 9, boundary, 0.2, seeds, record_layers=[4, 7])
-        assert sorted(got) == sorted(set(range(index.family.m)) | {4, 7})
+        got = solver.slab_sweep(index, 9, boundary, 0.2, seeds)
+        assert sorted(got) == list(range(index.family.m))
         for k, vals in got.items():
             assert vals.flags.c_contiguous and np.array_equal(vals, ref[k]), (boundary, k)
+        layers = list(solver.slab_layers(index, 9, boundary, 0.2, seeds))
+        assert [k for k, _, _ in layers] == list(range(8 + index.family.m, -1, -1))
+        for k, u, vals in layers:  # every layer, and the uniforms it was decided on
+            assert np.array_equal(vals, ref[k]), (boundary, k)
+            assert u is None if k >= 9 else np.array_equal(
+                u, hash_uniforms(seeds, _site_coords(index, k), 0))
 
 
 @pytest.mark.parametrize("family,sizes", TORI[:3], ids=lambda x: getattr(x, "name", None))

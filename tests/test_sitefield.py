@@ -218,11 +218,19 @@ def test_a_sweep_refuses_an_empty_seed_list(name):
             SEED_LISTS[name](empty)
 
 
+@pytest.mark.parametrize("name", SEED_LISTS)
+def test_a_sweep_refuses_a_seed_past_int64(name):
+    SEED_LISTS[name]([2 ** 63 - 1])  # the largest int64 seed is a seed
+    for seeds in ([2 ** 63 - 1, 2 ** 63], range(-2 ** 63 - 1, -2 ** 63 + 1)):
+        with pytest.raises(ValueError, match=r"from -2\*\*63 to 2\*\*63 - 1"):
+            SEED_LISTS[name](seeds)
+
+
 def test_p_outside_the_unit_interval_keeps_its_meaning():
     assert closed_threshold(-0.5) == closed_threshold(0.0) == 0
     assert closed_threshold(1.5) == closed_threshold(1.0) == 1 << 64
     config = glauber.checkerboard_config(_TORUS, 0)
-    u = hash_uniforms(0, _TORUS.layer_site_coords(1), 0)
+    u = hash_uniforms(0, solver._move_table(_TORUS.family, _TORUS.sizes).site_coords(1), 0)
     for out, edge in ((-0.5, 0.0), (1.5, 1.0)):
         assert np.array_equal(glauber.class_update(_TORUS, config, 1, out, "standard", u),
                               glauber.class_update(_TORUS, config, 1, edge, "standard", u))
