@@ -121,11 +121,6 @@ def class_update(torus: SlabIndex, values: np.ndarray, class_i: int,
     return out
 
 
-def _pack_lanes(bits: np.ndarray) -> np.ndarray:
-    """Bool (n, 64 W) -> (n, W) uint64 words; lane s is bit s % 8 of byte s // 8."""
-    return np.packbits(bits.reshape(-1), bitorder="little").view(np.uint64).reshape(len(bits), -1)
-
-
 def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
                seeds, init="even", record_every: int = 1):
     """Alternating class updates over a batch of seeds.
@@ -137,8 +132,10 @@ def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
 
     The seeds run in contiguous chunks through ``parallel_seed_map``, one
     chunk per forked worker once the call hashes enough words (PERC_THREADS
-    caps the workers); each seed's chain depends on its own hash alone, so
-    the occupations do not depend on the chunking.
+    caps the workers), and each chunk in balanced blocks (sizes differ by
+    at most one) of at most 64 seeds, one ``_chain_chunk`` call each; the
+    occupations are concatenated in seed order.  Each seed's chain depends
+    on its own hash alone, so they do not depend on the chunking.
     """
     _check_variant(variant)
     seeds = check_seeds(seeds)
@@ -152,55 +149,53 @@ def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
     if base.shape != (torus.n_vertices,) or not np.isin(base, (ZERO, ONE)).all():
         raise ValueError(f"init must be 'even', 'odd', 'empty' or a 0/1 array of shape "
                          f"({torus.n_vertices},)")
-    chunk_fn = functools.partial(_chain_chunk, torus, closed_threshold(check_probability(p)),
+    block_fn = functools.partial(_chain_chunk, torus, closed_threshold(check_probability(p)),
                                  variant == "extended", sweeps, record_every, base)
-    runs = parallel_seed_map(chunk_fn, seeds, sweeps * torus.n_vertices * seeds.size)
+
+    def chunk_fn(chunk):  # one worker's seeds, in lane blocks
+        return [block_fn(block) for block in np.array_split(chunk, -(-chunk.size // 64))]
+
+    chunks = parallel_seed_map(chunk_fn, seeds, sweeps * torus.n_vertices * seeds.size)
+    runs = [run for chunk in chunks for run in chunk]
     return runs[0][0], np.concatenate([occ for _, occ in runs])
 
 
 def _chain_chunk(torus: SlabIndex, threshold: int, extended: bool, sweeps: int,
                  record_every: int, base: np.ndarray, seeds: np.ndarray):
-    """``run_chains`` on one chunk of seeds, from the 0/1 configuration
-    ``base``.
+    """``run_chains`` on one block of at most 64 seeds, from the 0/1
+    configuration ``base``.
 
     Each class's hash prefix (seed and coordinate words) is computed once;
     a sweep finishes only the (t, i) tag and decides ``uniform >= p`` on
     the hash words (see ``sitefield``).  The configuration is bit-sliced,
-    (V, ceil(S / 64)) uint64 words: seed s is bit s % 64 of word s // 64,
-    and the padding lanes stay 0.  A class update packs the open bits into
-    the same lanes; an occupation is the count of set lanes / class size.
-    With one word per vertex the update runs on the (V,) view of the
-    words, whose gathers are faster than those of (V, 1) rows.
+    one uint64 word per vertex, (V,): seed s is bit s, and the lanes from
+    S to 63 stay 0.  A class update packs the open bits into the same
+    lanes (lane s is bit s % 8 of byte s // 8 of the packed bytes); an
+    occupation is the count of set lanes / class size.
     """
     members = torus.class_members
-    n_lanes = -(-seeds.size // 64) * 64
-    lanes = _pack_lanes(np.arange(n_lanes)[None] < seeds.size)
-    values = lanes * (base[:, None] == ONE)
-    rows = values[:, 0] if values.shape[1] == 1 else values  # (V,) or (V, W), a view
+    lanes = np.uint64((1 << seeds.size) - 1)
+    values = np.where(base == ONE, lanes, np.uint64(0))
     prefixes = [np.ascontiguousarray(hash_prefix(seeds, torus.coords[sel]).T)
                 for sel in members]
     nbr_cols = [np.ascontiguousarray(torus.neighbors[sel].T) for sel in members]
     hashed = [np.empty_like(pre) for pre in prefixes]
     scratch = [np.empty_like(pre) for pre in prefixes]
-    # closed bits, seed-padded to whole words; the padding stays False
-    closed = [np.zeros((len(sel), n_lanes), dtype=bool) for sel in members]
+    # closed bits, one 64-lane word per vertex; the lanes from S on stay False
+    closed = [np.zeros((len(sel), 64), dtype=bool) for sel in members]
     record_sweeps, occs = [], []
-
-    def record(t):
-        record_sweeps.append(t)
-        occs.append(np.stack(
-            [np.unpackbits(values[mem].view(np.uint8), axis=-1, count=seeds.size,
-                           bitorder="little").sum(axis=0) / len(mem)
-             for mem in members], axis=1))
-
     for t in range(sweeps):
         for i in range(torus.q):
             h = finish_tag(prefixes[i], (t, i), out=hashed[i], tmp=scratch[i])
             below(h, threshold, out=closed[i][:, :seeds.size])
-            open_ = (_pack_lanes(closed[i]) ^ lanes).reshape((-1,) + rows.shape[1:])
-            _update_class(rows, members[i], nbr_cols[i], open_, extended)
+            open_ = np.packbits(closed[i].reshape(-1), bitorder="little").view(np.uint64) ^ lanes
+            _update_class(values, members[i], nbr_cols[i], open_, extended)
         if (t + 1) % record_every == 0 or t == sweeps - 1:
-            record(t + 1)
+            record_sweeps.append(t + 1)
+            occs.append(np.stack(
+                [np.unpackbits(values[mem, None].view(np.uint8), axis=-1, count=seeds.size,
+                               bitorder="little").sum(axis=0) / len(mem)
+                 for mem in members], axis=1))
     return np.array(record_sweeps), np.stack(occs, axis=1)
 
 

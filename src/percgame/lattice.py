@@ -87,11 +87,11 @@ def _residue_class(family, t) -> Optional[int]:
     return residues.index(s) if s in residues else None
 
 
+# z2 is zd at d = 2; both kinds take the unit steps +e_i
+_UNIT_STEPS = _Spec(False, lambda f, x: True, lambda f, res: _subsets(f.d, [1]), _residue_class)
 _SPECS = {
-    "z2": _Spec(False, lambda f, x: True,
-                lambda f, res: _subsets(f.d, [1]), _residue_class),
-    "zd": _Spec(False, lambda f, x: True,
-                lambda f, res: _subsets(f.d, [1]), _residue_class),
+    "z2": _UNIT_STEPS,
+    "zd": _UNIT_STEPS,
     "even": _Spec(True, lambda f, x: sum(x) % 2 == 0,
                   lambda f, res: [u + (1,) for u in _signed_units(f.d - 1)],
                   lambda f, t: sum(t) % 2),

@@ -590,6 +590,10 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     most ``CHAIN_BLOCK`` // n seeds, n the size of the largest class, so
     that a block's layer arrays hold at most ``CHAIN_BLOCK`` words each;
     the bits do not depend on the blocking.
+
+    Its ring of layers has ``family.m`` + 1 rows (layer k in row k mod
+    (m + 1)); the vertex classes, layer k on class k mod q, come from
+    ``SlabIndex.q``.  The two differ only on zd(d >= 3): m = 2, q = d.
     """
     seeds = check_seeds(seeds)
     if not 0 < len(depths) <= DEPTHS_PER_SWEEP or min(depths) < 0:

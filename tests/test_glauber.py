@@ -1,6 +1,7 @@
 """Doubling tori, class updates, chains, and the game coupling."""
 
 import hashlib
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -227,8 +228,8 @@ def test_run_chains_matches_reference_loop_across_word_edges(fam, variant, init,
     _assert_chains_match_reference(fam, (8, 8), variant, init, p, np.arange(n_seeds) + 3)
 
 
-# SHA-256 of the occupations of 130 seeds (three 64-lane words), recorded
-# before the configuration was bit-sliced
+# SHA-256 of the occupations of 130 seeds (three lane blocks of 44, 43 and
+# 43 seeds), recorded before the configuration was bit-sliced
 CHAINS_OCCUPATION_SHA256 = {
     "standard": "b7db2d3a0f3010cb5701d6acd1052487255d8a0b8179e72692d018638d08b0d1",
     "extended": "cb837eb991b3dd302d2bc30991977868a48f592d5c7a19cd51f46323883598be",
@@ -246,7 +247,7 @@ def test_run_chains_occupations_are_byte_identical(fam, variant):
 
 
 # 130 seeds on the 16x16 torus (256 vertices) for 200 sweeps hash 6.7 M
-# words: two forked chunks of 65 seeds, each cutting the second 64-lane word
+# words: two forked chunks of 65 seeds, each run in lane blocks of 33 and 32
 FORKED_CHAINS = dict(sizes=(16, 16), sweeps=200, seeds=np.arange(1000, 1130))
 
 
@@ -265,6 +266,43 @@ def test_run_chains_bytes_do_not_depend_on_the_worker_count(fam, variant, monkey
             ts, occ = glauber.run_chains(t, 0.3, variant, sweeps, seeds, init, 30)
             runs.append(ts.tobytes() + np.ascontiguousarray(occ).tobytes())
         assert occ.shape == (130, 7, 2) and runs[0] == runs[1]
+
+
+def test_run_chains_runs_lane_blocks_of_at_most_64_seeds(monkeypatch):
+    t = glauber.build_doubling_torus(EVEN3, (8, 8))
+    sizes, chain_chunk = [], glauber._chain_chunk
+
+    def recording(*args):
+        sizes.append(args[-1].size)
+        return chain_chunk(*args)
+
+    monkeypatch.setattr(glauber, "_chain_chunk", recording)
+    monkeypatch.setenv("PERC_THREADS", "1")
+    _, occ = glauber.run_chains(t, 0.3, "standard", 3, np.arange(130))
+    assert sizes == [44, 43, 43] and occ.shape == (130, 3, 2)
+
+
+# The even(3) 4x4 torus (16 vertices) is small enough for the exact hard-core
+# law.  Per seed, each class occupation is averaged over the sweeps after the
+# burn-in; the seed mean is compared with the class mean of the exact
+# marginals in units of its standard error across seeds.  The bound is fixed
+# in advance: family-wise alpha = 0.01, two-sided, Bonferroni over the two
+# classes at each of the two activities.
+GIBBS_CHAINS = dict(sizes=(4, 4), seeds=np.arange(200), sweeps=2000, burn_in=200)
+GIBBS_Z_BOUND = NormalDist().inv_cdf(1 - 0.01 / (2 * 4))
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+def test_run_chains_occupations_match_the_exact_gibbs_law(lam):
+    t = glauber.build_doubling_torus(EVEN3, GIBBS_CHAINS["sizes"])
+    _, occ = glauber.run_chains(t, 1 / (1 + lam), "standard", GIBBS_CHAINS["sweeps"],
+                                GIBBS_CHAINS["seeds"])
+    per_seed = occ[:, GIBBS_CHAINS["burn_in"]:].mean(axis=1)  # (S, m)
+    marginals = exact.gibbs_exact(t.neighbor_lists(), lam).marginals
+    expected = np.array([marginals[mem].mean() for mem in t.class_members])
+    stderr = per_seed.std(axis=0, ddof=1) / np.sqrt(per_seed.shape[0])
+    z = (per_seed.mean(axis=0) - expected) / stderr
+    assert np.all(np.abs(z) <= GIBBS_Z_BOUND), z
 
 
 @pytest.mark.parametrize("value,text", [("0", "must be >= 1"), ("abc", "must be an integer")])
