@@ -8,6 +8,10 @@ every p > 0.  On the oriented even sublattice of Z^3 at small p it
 plateaus: the depth-K boundary keeps deciding the origin no matter how far
 away it is, which is exactly the hard-core phase memory of the doubling
 graph Z^2 at activity 1/p - 1.
+
+The standard oriented zd(3) has no layer automorphism, so the paper's
+reduction to a doubling graph does not apply there; the slab solver needs
+none.  Its rows, at two torus sizes next to even(3)'s, are numbers only.
 """
 
 import numpy as np
@@ -32,6 +36,12 @@ DEPTHS = (20, 40, 60)
 _, results = solver.draw_scan(TORUS, 0.05, SEEDS, DEPTHS)
 for K, r in zip(DEPTHS, results):
     print(f"  depth {K:>3}: sensitivity {r.fraction:.3f} +- {r.stderr:.3f}")
+
+for L in (15, 30):
+    print(f"zd(3), torus {L}^2, p = 0.05 (no layer automorphism)")
+    _, results = solver.draw_scan(solver.SlabIndex(pg.zd(3), (L, L)), 0.05, SEEDS, DEPTHS)
+    for K, r in zip(DEPTHS, results):
+        print(f"  depth {K:>3}: sensitivity {r.fraction:.3f} +- {r.stderr:.3f}")
 
 print("even(3), torus 32^2, p = 0.45 (dense closing: game ends quickly)")
 DEPTHS = (20, 60)

@@ -11,6 +11,11 @@ the seeds that win-curve cannot decide early (``solver.win_origins``) and
 at most one worker per ``workers.FORK_MIN_WORDS`` hashed words, so small
 runs stay in process.
 
+``glauber`` and ``couple-verify`` run on the doubling torus, so they need a
+family with a layer automorphism phi and refuse zd(d), d >= 3, with exit 2
+(``lattice.check_phi``); ``draw-scan`` runs on the slab and takes every
+family.
+
 CSV schemas (versioned, v1):
 
     win-curve    p,empirical,stderr,theory,seeds
@@ -217,13 +222,6 @@ def _sizes(cfg: RunConfig, fam: lattice.GraphFamily) -> tuple[int, ...]:
         raise UsageError(f"--size: {e}") from None
 
 
-def _layer_automorphism(fam: lattice.GraphFamily) -> None:
-    """Boundary sensitivity and the game/Glauber coupling need (A2) or (A2')."""
-    if not fam.has_phi:
-        raise UsageError(f"--family: {fam.name} does not satisfy the "
-                         "layer-automorphism assumption")
-
-
 def _depth(depth: int, top: int) -> None:
     """--depth, checked against the largest site coordinate it makes the
     solver hash, ``top`` (n on a triangle, depth + m - 1 on a slab)."""
@@ -287,8 +285,6 @@ def cmd_draw_scan(cfg: RunConfig) -> int:
     grid = cfg.p_grid or [cfg.p]
     # every family is checked before the first one writes its outputs
     torus_sizes = [_sizes(cfg, fam) for fam in families]
-    for fam in families:
-        _layer_automorphism(fam)
     _depth(cfg.depth, cfg.depth + max(fam.m for fam in families) - 1)
     seeds = np.asarray(cfg.seeds, dtype=np.int64)
     sens_rows = []
@@ -319,10 +315,7 @@ def cmd_glauber(cfg: RunConfig) -> int:
     _at_least(cfg.steps, "--steps", 1)
     if len(cfg.seeds) > 1:
         raise UsageError(f"--seeds: glauber runs one chain, got {len(cfg.seeds)} seeds")
-    try:
-        torus = glauber.build_doubling_torus(fam, sizes)
-    except lattice.UnsupportedFamilyError as e:
-        raise UsageError(f"--family: {e}") from None
+    torus = glauber.build_doubling_torus(fam, sizes)
     rows = glauber.sweep_chain(torus, p, cfg.variant, cfg.steps, int(cfg.seeds[0]),
                                init=cfg.init, record_every=max(1, cfg.steps // 200))
     write_csv(cfg.out, HEADERS["glauber"], rows)
@@ -334,7 +327,6 @@ def cmd_couple_verify(cfg: RunConfig) -> int:
     fam = _family(cfg.family)
     sizes = _sizes(cfg, fam)
     _depth(cfg.depth, cfg.depth + fam.m - 1)
-    _layer_automorphism(fam)
     counts = glauber.coupling_mismatches(fam, cfg.depth, sizes, cfg.p, cfg.seeds)
     for seed, n in zip(cfg.seeds, counts):
         print(f"seed {seed}: {'ok' if n == 0 else f'MISMATCH ({n} sites)'}")
@@ -517,7 +509,7 @@ def main(argv=None) -> int:
         prog = f"percgame {args.subcommand}"
         cfg = resolve_config(args)
         code = COMMANDS[args.subcommand](cfg)
-    except (UsageError, workers.WorkerCountError) as e:
+    except (UsageError, workers.WorkerCountError, lattice.UnsupportedFamilyError) as e:
         print(f"{prog}: error: {e}", file=sys.stderr)
         return 2
     if args.save_config:

@@ -68,8 +68,7 @@ def build_doubling_torus(family: GraphFamily, sizes) -> SlabIndex:
     parity-constrained lattices, multiples of the residue period for
     subset/binomial kinds).
     """
-    if not family.has_phi:
-        raise lattice.UnsupportedFamilyError("zd(d>=3) has no doubling graph")
+    lattice.check_phi(family)
     try:
         sizes = lattice.validate_torus_sizes(family, sizes)
     except ValueError as e:
@@ -82,12 +81,6 @@ def checkerboard_config(torus: SlabIndex, occupied_class: int) -> np.ndarray:
     vals = np.zeros(torus.n_vertices, dtype=np.int8)
     vals[torus.class_members[occupied_class % torus.q]] = ONE
     return vals
-
-
-def independence_violations(torus: SlabIndex, values: np.ndarray) -> int:
-    """Number of (directed) occupied-occupied adjacencies."""
-    occ = values[..., torus.neighbors].max(axis=-1)
-    return int(((values == ONE) & (occ == ONE)).sum())
 
 
 def _update_class(values: np.ndarray, sel: np.ndarray, nbr_cols: np.ndarray,
@@ -240,6 +233,7 @@ class CouplingReport:
 def _coupling_variant(family: GraphFamily, variant: Optional[str]) -> str:
     """The class-update variant the coupling runs: extended for (A2'),
     standard for (A2), unless asked for; refused where its assumption fails."""
+    lattice.check_phi(family)
     if variant is None:
         variant = "extended" if family.has_A2_prime else "standard"
     _check_variant(variant)

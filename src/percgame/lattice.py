@@ -281,12 +281,19 @@ def in_neighbors(family: GraphFamily, x) -> list[tuple[int, ...]]:
     return sorted(y for y in ys if is_member(family, y) and x in out_neighbors(family, y))
 
 
+def check_phi(family: GraphFamily) -> None:
+    """Refuse a family without a layer automorphism phi (zd(d), d >= 3):
+    phi itself, the doubling torus and the game/Glauber coupling need it,
+    the slab solver does not."""
+    if not family.has_phi:
+        raise UnsupportedFamilyError(f"{family.name} has no layer automorphism")
+
+
 def _translate(family: GraphFamily, x, sign: int) -> tuple[int, ...]:
     """x + sign * phi, with phi the translation by 2 e_d (x_d layers) or by
     (1,...,1) (coordinate-sum layers)."""
     x = check_site(family, x)
-    if not family.has_phi:
-        raise UnsupportedFamilyError(f"{family.name} has no layer automorphism")
+    check_phi(family)
     if _SPECS[family.kind].last_layer:
         return x[:-1] + (x[-1] + 2 * sign,)
     return tuple(c + sign for c in x)

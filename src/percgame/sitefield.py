@@ -202,11 +202,14 @@ def _mix_words(h, columns, tag, state, tmp) -> np.ndarray:
     return state
 
 
-def _chain(seeds, coords, tag=(), out=None, tmp=None) -> np.ndarray:
-    """Hash words of every (seed, site, tag), mixed in place on one state
-    buffer (``out`` if given) with one scratch buffer (``tmp`` if given).
-    The empty tag gives the prefix, before its first step.  Shapes as for
-    :func:`hash_prefix`."""
+def hash_words(seeds, coords, tag=0, out=None, tmp=None) -> np.ndarray:
+    """The 64-bit hash words of every (seed, site, tag), shapes as for
+    :func:`hash_uniforms`, mixed in place on one state buffer with one
+    scratch buffer.  ``out``, a C-contiguous uint64 array of that shape,
+    receives them and is returned; ``tmp``, of the same shape, is the
+    scratch buffer.  The empty tag ``()`` gives the prefix, before its
+    first step.  A caller that decides ``u < p`` for several p hashes once
+    and applies :func:`below` with each threshold."""
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim <= 1:
         coords = coords.reshape(-1, 1)
@@ -280,7 +283,7 @@ def hash_prefix(seeds, coords) -> np.ndarray:
     array of shape (..., d) (or (...,) for 1-d sites).  Returns shape (...)
     for a scalar seed, or (S, ...) for a seed vector.
     """
-    state = _chain(seeds, coords)
+    state = hash_words(seeds, coords, ())
     return _xorshift30(state, np.empty_like(state))
 
 
@@ -378,19 +381,10 @@ def below(h: np.ndarray, threshold: int, out: np.ndarray = None) -> np.ndarray:
     return np.less(h, np.uint64(threshold), out=out)
 
 
-def hash_words(seeds, coords, tag=0, out=None, tmp=None) -> np.ndarray:
-    """The 64-bit hash words of every (seed, site, tag), shapes as for
-    :func:`hash_uniforms`.  ``out``, a C-contiguous uint64 array of that
-    shape, receives them and is returned; ``tmp``, of the same shape, is
-    the scratch buffer.  A caller that decides ``u < p`` for several p
-    hashes once and applies :func:`below` with each threshold."""
-    return _chain(seeds, coords, tag, out, tmp)
-
-
 def hash_below(seeds, coords, tag, p: float) -> np.ndarray:
     """``hash_uniforms(seeds, coords, tag) < p``, decided on the hash words
     (threshold lemma); same shapes as :func:`hash_uniforms`."""
-    return below(_chain(seeds, coords, tag), closed_threshold(p))
+    return below(hash_words(seeds, coords, tag), closed_threshold(p))
 
 
 def hash_uniforms(seeds, coords, tag=0) -> np.ndarray:
@@ -400,7 +394,7 @@ def hash_uniforms(seeds, coords, tag=0) -> np.ndarray:
     array of shape (..., d) (or (...,) for 1-d sites).  Returns float64 of
     shape (...) for a scalar seed, or (S, ...) for a seed vector.
     """
-    h = _chain(seeds, coords, tag)
+    h = hash_words(seeds, coords, tag)
     h >>= _U11
     # converted in place: h < 2**53, so the conversion and the scaling by
     # 2**-53 are exact

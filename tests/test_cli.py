@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 
-from percgame import cli, glauber, lattice, workers
+from percgame import cli, glauber, lattice, solver, workers
 
 
 def run(args):
@@ -639,16 +639,33 @@ def test_pca_run_refuses_more_than_one_seed(tmp_path, capsys):
 
 
 def test_families_without_the_needed_structure_exit_2(tmp_path, capsys):
+    # glauber and couple-verify run on the doubling torus, which needs phi
     out = str(tmp_path / "out")
-    _assert_usage_error(capsys, ["glauber", "--family", "zd(3)", "--size", "3",
-                                 "--out", out], "zd(d>=3) has no doubling graph", tmp_path)
-    for sub in ("couple-verify", "draw-scan"):
+    for sub in ("glauber", "couple-verify"):
         _assert_usage_error(capsys, [sub, "--family", "zd(3)", "--size", "3", "--depth", "3",
-                                     "--out", out],
-                            "zd(3) does not satisfy the layer-automorphism", tmp_path)
-    # checked before the first family of a list writes its outputs
-    _assert_usage_error(capsys, ["draw-scan", "--family", "z2,zd(3)", "--size", "6",
-                                 "--depth", "3", "--out", out], "zd(3)", tmp_path)
+                                     "--out", out], "zd(3) has no layer automorphism", tmp_path)
+    # every family of a list is checked before the first one writes its outputs
+    _assert_usage_error(capsys, ["draw-scan", "--family", "z2,subset(3)", "--size", "8",
+                                 "--depth", "3", "--out", out], "subset(3)", tmp_path)
+
+
+def _csv_rows(rows):
+    return [[str(cli._fmt(v)) for v in row] for row in rows]
+
+
+def test_draw_scan_runs_zd_without_a_layer_automorphism(tmp_path):
+    # the slab needs no phi: the rows of a zd(3) draw-scan are draw_scan's
+    out = str(tmp_path / "scan")
+    assert run(["draw-scan", "--family", "z2,zd(3)", "--size", "6", "--depth", "7",
+                "--p", "0.1", "--seeds", "5", "--out", out]) == 0
+    seeds, sens = np.arange(5), []
+    for fam, tag in ((lattice.z2(), "z2"), (lattice.zd(3), "zd3")):
+        depths = solver.profile_depths(fam.m, 7)
+        prof, results = solver.draw_scan(solver.SlabIndex(fam, (6,) * (fam.d - 1)), 0.1,
+                                         seeds, depths)
+        assert read_csv(f"{out}_{tag}_p0.1_profile.csv")[1:] == _csv_rows(prof)
+        sens += [[fam.name, 0.1, K, r.fraction, r.stderr, 5] for K, r in zip(depths, results)]
+    assert read_csv(out + "_sensitivity.csv")[1:] == _csv_rows(sens)
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

@@ -357,3 +357,19 @@ def test_hash_words_into_buffers_equals_the_fresh_words():
             hash_words(seeds, coords, 0, tmp=bad)
         with pytest.raises(ValueError):
             hash_words(seeds, coords, 0, out=bad)
+
+
+def test_subset3_sensitivity_dips_at_every_third_depth():
+    # subset(3) has three hard-hexagon phases, one per class. At p = 0.05 on
+    # 12^2 the origin sensitivity reads 0 at depths 50 and 53, K = 2 (mod 3),
+    # while the all-? draw fraction stays flat: the dip is in the
+    # boundaries, not in the draws
+    index = solver.SlabIndex(lat.subset_increment(3), (12, 12))
+    seeds = np.arange(64)
+    rows, results = solver.draw_scan(index, 0.05, seeds, range(48, 54))
+    assert [int(r.disagree.sum()) for r in results] == [59, 59, 0, 59, 59, 0]
+    assert len({round(q, 3) for _, q, _, _ in rows}) == 1 and round(rows[0][1], 2) == 0.95
+    # at K = 50 both constant boundaries give the origin 0 in every seed
+    for boundary in (AllZero(), AllOne()):
+        layer0 = solver.slab_sweep(index, 50, boundary, 0.05, seeds)[0]
+        assert (layer0[:, index.origin_pos] == ZERO).all()

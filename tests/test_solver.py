@@ -167,8 +167,10 @@ def test_boundary_sensitivity_fixtures():
     seeds = np.arange(16)
     res = solver.boundary_sensitivity(SlabIndex(Z2, (16,)), 1.0, seeds, 12)
     assert res.fraction == 0.0  # closed origin forces 0 under both boundaries
-    with pytest.raises(ValueError):
-        solver.boundary_sensitivity(SlabIndex(lat.zd(3), (9, 9)), 0.2, seeds, 6)
+    # zd(3) has no layer automorphism, and the slab needs none
+    index = SlabIndex(lat.zd(3), (9, 9))
+    res = solver.boundary_sensitivity(index, 0.2, seeds, 6)
+    assert np.array_equal(res.disagree, solver.draw_scan(index, 0.2, seeds, [6])[1][0].disagree)
 
 
 def test_sampled_boundary_reproducible():
@@ -341,13 +343,15 @@ def test_solve_triangle_hashes_each_diagonal_once(monkeypatch):
     # the sweep hashes diagonals 0..n-1, in batches, and keeps their closed
     # bits; only the boundary diagonal n is hashed again, for its closed bits
     n, calls = 50, []
-    real_chain = sitefield._chain
+    real_words = sitefield.hash_words
 
-    def counting_chain(seeds, coords, tag=(), out=None, tmp=None):
+    def counting_words(seeds, coords, tag=0, out=None, tmp=None):
         calls.append((tag, np.asarray(coords)))
-        return real_chain(seeds, coords, tag, out, tmp)
+        return real_words(seeds, coords, tag, out, tmp)
 
-    monkeypatch.setattr(sitefield, "_chain", counting_chain)
+    # the solver's own binding, and the one the other sitefield hashes call
+    monkeypatch.setattr(solver, "hash_words", counting_words)
+    monkeypatch.setattr(sitefield, "hash_words", counting_words)
     solver.solve_triangle(n, AllQuestion(), 0.3, 7)
     assert [tag for tag, _ in calls] == [0] * len(calls)
     assert len(calls) <= 2 < n  # one seed: one batch, then the boundary
