@@ -33,10 +33,11 @@ for p in np.arange(0.1, 0.95, 0.1):
 print(f"  max entrywise deviation {worst:.2e}")
 
 print("\nkernel factorizations on rings n = 4..6:")
+ps = (0.25, 0.5, 0.75)  # each check takes every p in one call
 for n in (4, 5, 6):
-    dF = max(pca.composition_check("F", n, p) for p in (0.25, 0.5, 0.75))
-    dG = max(pca.composition_check("G", n, p) for p in (0.25, 0.5, 0.75))
-    st = all(pca.stavskaya_identity_check(p, n) for p in (0.25, 0.5, 0.75))
+    dF = pca.composition_check("F", n, ps).max()
+    dG = pca.composition_check("G", n, ps).max()
+    st = pca.stavskaya_identity_check(ps, n).all()
     print(f"  n={n}: |F - R0oD| = {dF:.1e}, |G - R1oD| = {dG:.1e}, "
           f"B = flip o stavskaya: {st}")
 

@@ -379,12 +379,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         return worst <= 1e-10, f"max deviation {worst:.3e}"
 
     def compositions():
-        worst = 0.0
-        for n in (4, 5, 6):
-            for p in (0.25, 0.5, 0.75):
-                worst = max(worst, pca.composition_check("F", n, p))
-                worst = max(worst, pca.composition_check("G", n, p))
-                if not pca.stavskaya_identity_check(p, n):
+        worst, ps = 0.0, (0.25, 0.5, 0.75)
+        for n in (4, 5, 6):  # one kernel per (kind, n) serves every p
+            worst = max(worst, pca.composition_check("F", n, ps).max(),
+                        pca.composition_check("G", n, ps).max())
+            for p, ok in zip(ps, pca.stavskaya_identity_check(ps, n)):
+                if not ok:
                     return False, f"B != flip∘stavskaya at n={n}, p={p}"
         return worst <= 1e-12, f"max kernel deviation {worst:.3e}"
 

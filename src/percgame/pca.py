@@ -32,19 +32,29 @@ Randomness: cell i at time tag t consumes ``uniform(seed, (i,), tag=t)``,
 one variate per cell per step; D and flip consume none.  :func:`step` and
 :func:`trajectory_stats` take one ring (n,) or a stack of rings (..., n),
 with one seed shared by all rings (a coupled step) or one seed per ring.
+
+Exact kernels (:func:`ring_kernel` and the checks built on it) enumerate
+rings of 3 to ``MAX_EXACT_RING`` cells.  They take one p or a 1-d sequence
+of P values of p: a kernel's support does not depend on p, so a sequence
+gives one set of (input, output) codes with a leading p axis on the
+probabilities, and every composition and comparison then serves all P
+values at once and returns one result per p.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sitefield import CHAIN_BLOCK, below, closed_threshold, finish_tags, hash_below, hash_prefix
+from .sitefield import (CHAIN_BLOCK, below, check_probability, closed_threshold, finish_tags,
+                        hash_below, hash_prefix)
 from .symbols import ONE, QUES, ZERO, as_cells
 
 KINDS = ("A", "B", "F", "G", "D", "R0", "R1", "stavskaya", "flip")
 
 BINARY_KINDS = frozenset({"A", "B", "stavskaya"})
 DETERMINISTIC_KINDS = frozenset({"D", "flip"})
+
+MAX_EXACT_RING = 8  # longest ring whose kernels are enumerated (3^8 inputs)
 
 # deterministic CA D: (0,0) -> 1, any 1 present -> 0, else ?
 D_TABLE = np.full((3, 3), QUES, dtype=np.int8)
@@ -62,6 +72,13 @@ class InvalidSymbolError(ValueError):
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown PCA kind {kind!r}; expected one of {KINDS}")
+
+
+def _check_ring_length(n: int, longest: float = np.inf) -> None:
+    if n < 3:
+        raise ValueError("ring length must be >= 3")
+    if n > longest:
+        raise ValueError(f"exact kernel enumeration limited to n <= {longest}")
 
 
 def _det_and_rand(kind: str, left: np.ndarray, right: np.ndarray):
@@ -103,8 +120,7 @@ def _rings(kind: str, config, seeds):
     shape () (shared) or (...) (one per ring); None only for D and flip."""
     _check_kind(kind)
     cells = as_cells(config)
-    if cells.ndim == 0 or cells.shape[-1] < 3:
-        raise ValueError("ring length must be >= 3")
+    _check_ring_length(cells.shape[-1] if cells.ndim else 0)
     _validate_input(kind, cells)
     if seeds is None:
         if kind not in DETERMINISTIC_KINDS:
@@ -184,44 +200,63 @@ def all_inputs(kind: str, n: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def ring_kernel(kind: str, n: int, p: float):
-    """Exact one-step kernel on rings of length n.  A row with a random
-    cells has 2^a columns; column
-    s switches the k-th random cell to the randomized value iff bit k of
-    s is set, with probability the product over k, in cell order, of p or
-    1-p."""
+def ring_kernel(kind: str, n: int, p):
+    """Exact one-step kernel on rings of length n, 3 <= n <= MAX_EXACT_RING.
+    A row with a random cells has 2^a columns; column s switches the k-th
+    random cell to the randomized value iff bit k of s is set, with
+    probability the product over k, in cell order, of p or 1-p.
+
+    ``p`` is one probability or a 1-d sequence of P of them; a sequence
+    gives the same input and output codes and probabilities of shape
+    (P, nnz), row i equal bit for bit to the kernel at ``p[i]``.  A p
+    outside [0, 1], NaN included, raises ``ValueError``."""
     _check_kind(kind)
+    _check_ring_length(n, MAX_EXACT_RING)
+    ps = np.asarray(p, dtype=float)
+    if ps.ndim > 1:
+        raise ValueError(f"p must be one probability or a 1-d sequence, got shape {ps.shape}")
+    for q in ps.flat:
+        check_probability(float(q))
     powers = 3 ** np.arange(n, dtype=np.int64)
     inputs = all_inputs(kind, n)[:, ::-1]  # cell n-1 slowest: codes increase
     det, rand = _det_and_rand(kind, inputs, np.roll(inputs, -1, axis=1))
     in_codes, det_codes = inputs @ powers, det @ powers
     if rand is None:
-        return in_codes, det_codes, np.ones(len(in_codes))
+        return in_codes, det_codes, np.ones(ps.shape + in_codes.shape)
     active = det != rand
     deltas = (np.int64(rand) - det.astype(np.int64)) * powers
     width = 1 << active.sum(axis=1)
     first = np.cumsum(width) - width
-    cols, probs = np.empty(width.sum(), dtype=np.int64), np.empty(width.sum())
+    cols = np.empty(width.sum(), dtype=np.int64)
+    probs = np.empty(ps.shape + cols.shape)
+    ps = ps[..., None, None]
     for a in range(n + 1):
         sel = np.flatnonzero(width == 1 << a)
         bits = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
         pos = first[sel, None] + np.arange(1 << a)
         cols[pos] = det_codes[sel, None] + deltas[sel][active[sel]].reshape(sel.size, a) @ bits.T
-        probs[pos] = np.where(bits == 1, p, 1.0 - p).prod(axis=1)
+        probs[..., pos] = np.where(bits == 1, ps, 1.0 - ps).prod(axis=-1)[..., None, :]
     return np.repeat(in_codes, width), cols, probs
 
 
 def _merge(key, probs):
-    """Sums of the probabilities of equal keys, in increasing key order."""
+    """Sums of the probabilities (..., m) of equal keys (m,), in increasing
+    key order; one sort serves every leading index of ``probs``."""
     order = np.argsort(key, kind="stable")
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
-    return key[starts], np.add.reduceat(probs[order], starts)
+    return key[starts], np.add.reduceat(probs[..., order], starts, axis=-1)
+
+
+def _per_p(values):
+    """A result for one p as a Python scalar; a result per p as its array."""
+    return values.item() if np.ndim(values) == 0 else values
 
 
 def compose_ring_kernels(first, second):
     """Kernel of 'apply first, then second' (the matrix product): a join
-    on the middle code, then one merge of the (row, column) keys."""
+    on the middle code, then one merge of the (row, column) keys.  Both
+    kernels are at one p, or both at the same sequence of P values."""
     rows, mids, pmid = first
     lo = np.searchsorted(second[0], mids, "left")
     counts = np.searchsorted(second[0], mids, "right") - lo
@@ -230,45 +265,48 @@ def compose_ring_kernels(first, second):
     idx = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
     span = int(second[1].max()) + 1
     key, probs = _merge(np.repeat(rows, counts) * span + second[1][idx],
-                        second[2][idx] * np.repeat(pmid, counts))
+                        second[2][..., idx] * np.repeat(pmid, counts, axis=-1))
     return (*np.divmod(key, span), probs)
 
 
-def max_kernel_difference(a, b) -> float:
-    """Max entrywise difference between two kernels, by one merge."""
+def max_kernel_difference(a, b):
+    """Max entrywise difference between two kernels, by one merge: a float,
+    or one per p for kernels at a sequence of p."""
     if not np.array_equal(a[0][np.diff(a[0], prepend=-1) != 0],
                           b[0][np.diff(b[0], prepend=-1) != 0]):
         raise ValueError("kernels have different input sets")
     span = int(max(a[1].max(), b[1].max())) + 1
     _, diff = _merge(np.concatenate([a[0], b[0]]) * span + np.concatenate([a[1], b[1]]),
-                     np.concatenate([a[2], -b[2]]))
-    return float(np.abs(diff).max())
+                     np.concatenate([a[2], -b[2]], axis=-1))
+    return _per_p(np.abs(diff).max(axis=-1))
 
 
-def _factorization_deviation(kernel, first, second) -> float:
+def _factorization_deviation(kernel, first, second):
     """``max_kernel_difference(kernel, compose_ring_kernels(first,
-    second))``, taken 64 input rows at a time so that memory stays bounded."""
+    second))``, taken 64 input rows at a time so that memory stays bounded;
+    each block's join and merge serve every p at once."""
     ends = np.r_[first[0][np.diff(first[0], prepend=-1) != 0][64::64], np.inf]
     ck, cf = (np.r_[0, np.searchsorted(k[0], ends)] for k in (kernel, first))
-    return max(max_kernel_difference([x[ck[i]:ck[i + 1]] for x in kernel],
-                                     compose_ring_kernels([x[cf[i]:cf[i + 1]] for x in first],
-                                                          second))
-               for i in range(ends.size))
+    return _per_p(np.max([
+        max_kernel_difference([x[..., ck[i]:ck[i + 1]] for x in kernel],
+                              compose_ring_kernels([x[..., cf[i]:cf[i + 1]] for x in first],
+                                                   second))
+        for i in range(ends.size)], axis=0))
 
 
-def composition_check(kind: str, n: int, p: float) -> float:
+def composition_check(kind: str, n: int, p):
     """Exact kernel distance between F (resp. G) and its randomizer-after-D
-    factorization; returns the max entrywise difference."""
+    factorization; returns the max entrywise difference, a float for one p
+    and an array of one per p for a sequence."""
     if kind not in ("F", "G"):
         raise ValueError("composition_check applies to kinds F and G")
     return _factorization_deviation(ring_kernel(kind, n, p), ring_kernel("D", n, p),
                                     ring_kernel({"F": "R0", "G": "R1"}[kind], n, p))
 
 
-def stavskaya_identity_check(p: float, n: int, tol: float = 1e-12) -> bool:
-    """True iff the exact ring kernel of flip after stavskaya equals B's."""
-    if n > 8:
-        raise ValueError("exact kernel enumeration limited to n <= 8")
+def stavskaya_identity_check(p, n: int, tol: float = 1e-12):
+    """True iff the exact ring kernel of flip after stavskaya equals B's:
+    a bool for one p, a bool array of one per p for a sequence."""
     # flip rows are ternary-indexed; the join reads only binary middle codes
     return _factorization_deviation(ring_kernel("B", n, p), ring_kernel("stavskaya", n, p),
                                     ring_kernel("flip", n, p)) <= tol
@@ -301,6 +339,7 @@ def pattern_101_reachable(kind: str, n: int) -> int:
     Output cells are independent given the input, so the pattern occurs in
     the support iff three consecutive cells can individually produce 1, ?, 1.
     """
+    _check_ring_length(n, MAX_EXACT_RING)
     inputs = all_inputs(kind, n)
     det, rand = _det_and_rand(kind, inputs, np.roll(inputs, -1, axis=1))
     can_one = (det == ONE) | (rand == ONE)  # rand is None: no random branch

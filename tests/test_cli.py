@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 
-from percgame import cli, glauber, lattice, solver, workers
+from percgame import cli, glauber, lattice, pca, solver, workers
 
 
 def run(args):
@@ -209,6 +209,22 @@ def test_verify_passes(tmp_path):
 
 def test_verify_fault_injection():
     assert run(["verify", "--seeds", "1", "--fault-inject"]) == 1
+
+
+def test_verify_names_the_first_failing_ring_and_p(monkeypatch, capsys):
+    kernel = pca.ring_kernel
+
+    def moved(kind, n, p):  # flip's all-0 row moved at n >= 5, p >= 0.5
+        rows, cols, probs = kernel(kind, n, p)
+        if kind == "flip" and n >= 5:
+            probs = probs.copy()
+            probs[1:, 0] += 1e-9
+        return rows, cols, probs
+
+    monkeypatch.setattr(pca, "ring_kernel", moved)
+    assert run(["verify", "--seeds", "1"]) == 1
+    assert ("[FAIL] composition identities: B != flip∘stavskaya at n=5, p=0.5\n"
+            in capsys.readouterr().out)
 
 
 def test_verify_rejects_small_weight_ring(capsys):

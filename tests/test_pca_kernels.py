@@ -1,7 +1,10 @@
 """Exact ring kernels against a dense reference built here, negative controls
-for the kernel checks, and trajectory_stats against a loop of steps."""
+for the kernel checks, kernels at a sequence of p against the kernel at each
+p, the domain of the exact kernels, trajectory_stats against a loop of steps,
+and its sampled ?-density against the exact law."""
 
 import itertools
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -139,6 +142,111 @@ def test_kernels_with_different_inputs_are_rejected():
         pca.max_kernel_difference(pca.ring_kernel("B", 4, 0.3), pca.ring_kernel("F", 4, 0.3))
     with pytest.raises(ValueError):  # B's rows are binary, F's middle codes are not
         pca.compose_ring_kernels(pca.ring_kernel("F", 4, 0.3), pca.ring_kernel("B", 4, 0.3))
+
+
+BATCH_PS = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
+
+
+@pytest.mark.parametrize("kind", pca.KINDS)
+def test_each_row_of_a_batched_kernel_is_the_scalar_kernel(kind):
+    for n in range(3, 7):
+        rows, cols, probs = pca.ring_kernel(kind, n, BATCH_PS)
+        assert probs.shape == (len(BATCH_PS), rows.size)
+        for p, row in zip(BATCH_PS, probs):
+            scalar = pca.ring_kernel(kind, n, p)
+            assert np.array_equal(rows, scalar[0]) and np.array_equal(cols, scalar[1])
+            assert row.tobytes() == scalar[2].tobytes(), (n, p)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_batched_checks_equal_the_scalar_checks_p_by_p(n):
+    batched = [pca.composition_check("F", n, BATCH_PS), pca.composition_check("G", n, BATCH_PS),
+               pca.stavskaya_identity_check(BATCH_PS, n)]
+    scalar = [[pca.composition_check("F", n, p) for p in BATCH_PS],
+              [pca.composition_check("G", n, p) for p in BATCH_PS],
+              [pca.stavskaya_identity_check(p, n) for p in BATCH_PS]]
+    for got, want, kind in zip(batched, scalar, (float, float, bool)):
+        assert got.shape == (len(BATCH_PS),) and got.tolist() == want
+        assert all(type(x) is kind for x in want)
+    # a wrong factorization deviates by a different amount at each p
+    wrong = [[pca.ring_kernel(k, n, p) for k in ("F", "D", "R1")] for p in (BATCH_PS, *BATCH_PS)]
+    deviations = pca._factorization_deviation(*wrong[0])
+    assert len(set(deviations.tolist())) == len(BATCH_PS)
+    assert deviations.tolist() == [pca._factorization_deviation(*w) for w in wrong[1:]]
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan"), [0.5, 1.5], [float("nan")]])
+def test_exact_kernels_refuse_a_p_outside_0_1(p):
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        pca.ring_kernel("F", 4, p)
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        pca.composition_check("F", 4, p)
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        pca.stavskaya_identity_check(p, 4)
+
+
+def test_exact_kernels_refuse_a_p_grid_of_two_dimensions():
+    with pytest.raises(ValueError, match="1-d sequence"):
+        pca.ring_kernel("F", 4, [[0.2, 0.3]])
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_exact_kernels_refuse_a_ring_shorter_than_3(n):
+    with pytest.raises(ValueError, match="ring length must be >= 3"):
+        pca.ring_kernel("F", n, 0.3)
+    with pytest.raises(ValueError, match="ring length must be >= 3"):
+        pca.composition_check("G", n, 0.3)
+    with pytest.raises(ValueError, match="ring length must be >= 3"):
+        pca.pattern_101_reachable("F", n)
+
+
+def test_exact_kernels_refuse_a_ring_longer_than_8():
+    with pytest.raises(ValueError, match="exact kernel enumeration limited to n <= 8"):
+        pca.ring_kernel("D", 9, 0.3)
+    with pytest.raises(ValueError, match="exact kernel enumeration limited to n <= 8"):
+        pca.stavskaya_identity_check(0.3, 9)
+    with pytest.raises(ValueError, match="exact kernel enumeration limited to n <= 8"):
+        pca.pattern_101_reachable("F", 9)
+
+
+def ques_density_law(kind, n, p, steps):
+    """Exact mean and variance of a ring's ?-density after t = 0..steps
+    steps from all-?: the law v_t over base-3 codes follows
+    v_{t+1} = bincount(cols, probs * v_t[rows]) on ring_kernel's arrays."""
+    rows, cols, probs = pca.ring_kernel(kind, n, p)
+    digits = (np.arange(3 ** n)[:, None] // 3 ** np.arange(n)) % 3
+    density = (digits == QUES).mean(axis=1)
+    v = np.zeros(3 ** n)
+    v[QUES * (3 ** n - 1) // 2] = 1.0  # the all-? ring
+    laws = [v]
+    for _ in range(steps):
+        v = np.bincount(cols, weights=probs * v[rows], minlength=3 ** n)
+        laws.append(v)
+    laws = np.array(laws)
+    mean = laws @ density
+    return mean, laws @ density ** 2 - mean ** 2
+
+
+# Fixed in advance: 2 kinds x 2 (n, p) cases x 8 steps = 32 two-sided
+# comparisons, Bonferroni at family-wise alpha = 0.01.
+LAW_STEPS, LAW_SEEDS = 8, np.arange(20_000)
+LAW_Z_BOUND = NormalDist().inv_cdf(1 - 0.01 / (2 * 32))
+
+
+def test_sampled_question_density_follows_the_exact_law():
+    assert round(LAW_Z_BOUND, 2) == 3.60
+    worst, worst_moved = [], []
+    for kind in ("F", "G"):
+        for n, p in ((5, 0.3), (7, 0.1)):
+            initial = np.full((LAW_SEEDS.size, n), QUES, dtype=np.int8)
+            stats = pca.trajectory_stats(kind, initial, p, LAW_STEPS, LAW_SEEDS)
+            sampled = stats[:, 1:, 1].mean(axis=0)  # ?-density at t = 1..8
+            for q, out in ((p, worst), (p + 0.02, worst_moved)):  # p + 0.02: negative control
+                mean, var = ques_density_law(kind, n, q, LAW_STEPS)
+                z = (sampled - mean[1:]) / np.sqrt(var[1:] / LAW_SEEDS.size)
+                out.append(np.abs(z).max())
+    assert max(worst) <= LAW_Z_BOUND, worst
+    assert min(worst_moved) > LAW_Z_BOUND, worst_moved
 
 
 def _densities(cells):
