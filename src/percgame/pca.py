@@ -107,8 +107,10 @@ def _validate_input(kind: str, cells: np.ndarray):
 
 
 def local_rule(kind: str, left: int, right: int, u: float, p: float) -> int:
-    """One-cell update: the probability-p branch is taken iff u < p."""
+    """One-cell update: the probability-p branch is taken iff u < p; a p
+    outside [0, 1], NaN included, raises ``ValueError``."""
     _check_kind(kind)
+    check_probability(p)
     lr = as_cells([left, right])
     _validate_input(kind, lr)
     det, rand = _det_and_rand(kind, lr[:1], lr[1:2])
@@ -313,8 +315,10 @@ def stavskaya_identity_check(p, n: int, tol: float = 1e-12):
 
 
 def local_kernel(kind: str, p: float) -> np.ndarray:
-    """Exact one-cell conditional K[l, r, s]; NaN rows for invalid inputs."""
+    """Exact one-cell conditional K[l, r, s]; NaN rows for invalid inputs.
+    A p outside [0, 1], NaN included, raises ``ValueError``."""
     _check_kind(kind)
+    check_probability(p)
     K = np.full((3, 3, 3), np.nan)
     l, r = np.meshgrid(*[np.array(input_alphabet(kind), dtype=np.int8)] * 2, indexing="ij")
     det, rand = _det_and_rand(kind, l, r)

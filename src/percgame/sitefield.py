@@ -35,7 +35,8 @@ tag (t, i) at every sweep t) computes each site's prefix once;
 ``finish_tags`` finishes a block of one-element tags (the ring PCA's time
 steps) in one call.  ``LayerSites`` packs the transverse coordinates of
 a slab layer's sites once, for every layer k (their last coordinate), and
-moves the field of k by one xor per layer.
+moves the field of k by one xor per layer; it hashes site-major, (n, S),
+from seed states that its caller mixes once for all layers.
 
 The first step of ``mix64``, ``z ^= z >> 30``, is linear over GF(2), so
 the step of ``a ^ b`` is the xor of the steps of a and b.  The array paths
@@ -175,27 +176,35 @@ def _seed_states(seeds: np.ndarray, ndim: int, step: bool) -> np.ndarray:
     return _xorshift30(h, h_tmp) if step else h
 
 
-def _mix_words(h, columns, tag, state, tmp) -> np.ndarray:
-    """The chain core: from the seed states ``h``, (S, 1, ...), through the
-    coordinate word ``columns``, each shaped as the sites, and the tag, into
-    ``state``, (S, ...), with the scratch ``tmp``.  Given any columns, ``h``
-    and the first column carry the linear first step already.
+def _rows(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo .. hi - 1 of x, or x itself when its first axis broadcasts."""
+    return x if x.shape[0] == 1 else x[lo:hi]
 
-    The state is mixed a block of seed rows at a time, ``CHAIN_BLOCK``
-    words per block (one row if a row is larger), so that a block's state
-    and scratch stay in the L2 cache through every round and the tag
-    finish; the bits do not depend on the blocking."""
+
+def _mix_words(h, columns, tag, state, tmp) -> np.ndarray:
+    """The chain core: from the seed states ``h`` through the coordinate
+    word ``columns`` and the tag into ``state``, with the scratch ``tmp``.
+    ``h`` and the columns broadcast to the state's shape, and each has its
+    number of axes: seed-major, (S, 1, ...) seed states and (1, ...)
+    columns; site-major, (1, S) and (n, 1).  Given any columns, ``h`` and
+    the first column carry the linear first step already.
+
+    The state is mixed a block of rows at a time, ``CHAIN_BLOCK`` words per
+    block (one row if a row is larger), so that a block's state and scratch
+    stay in the L2 cache through every round and the tag finish; the bits
+    do not depend on the blocking."""
     finish = bool(_tag_elements(tag))
     rows = max(1, CHAIN_BLOCK // max(1, math.prod(state.shape[1:])))
     for lo in range(0, state.shape[0], rows):
-        s, t = state[lo:lo + rows], tmp[lo:lo + rows]
+        hi = lo + rows
+        s, t = state[lo:hi], tmp[lo:hi]
         if columns:
-            np.bitwise_xor(h[lo:lo + rows], columns[0], out=s)
+            np.bitwise_xor(_rows(h, lo, hi), _rows(columns[0], lo, hi), out=s)
             _mix_rest(s, s, t)
         else:
-            s[...] = h[lo:lo + rows]
+            s[...] = _rows(h, lo, hi)
         for column in columns[1:]:
-            s ^= column
+            s ^= _rows(column, lo, hi)
             _mix64_inplace(s, t)
         if finish:
             finish_tag(_xorshift30(s, t), tag, out=s, tmp=t)
@@ -218,27 +227,29 @@ def hash_words(seeds, coords, tag=0, out=None, tmp=None) -> np.ndarray:
     shape = (seeds_arr.size,) + words.shape[:-1]
     state = _buffer(out, shape, seeds_arr.ndim == 0, "out")
     tmp = _buffer(tmp, shape, seeds_arr.ndim == 0, "tmp")
-    columns = [words[..., w] for w in range(words.shape[-1])]
+    columns = [words[None, ..., w] for w in range(words.shape[-1])]
     if columns:  # the linear first step, applied once per site
-        _xorshift30(columns[0], tmp[0])
+        _xorshift30(columns[0], tmp[:1])
     _mix_words(_seed_states(seeds_arr, words.ndim - 1, bool(columns)), columns, tag, state, tmp)
     return state[0] if seeds_arr.ndim == 0 else state
 
 
 class LayerSites:
     """n sites t + (k,) on each layer k of ``layers``, a range, for their
-    hash words: ``hash_words(seeds, k, ...)`` is :func:`hash_words` of
-    (seeds, t + (k,), tag), bit for bit.
+    hash words, site-major: ``hash_words(seed_states(seeds), k, ...)`` is
+    the transpose of :func:`hash_words` of (seeds, t + (k,), tag), bit for
+    bit, shape (n, S).
 
     The transverse coordinates t, shape (n, d - 1), are packed once and the
-    layers are range-checked once, here.  The words of the sites on layer k
-    differ from those on layer 0 in the field of k alone, by the xor
+    layers are range-checked once, here; a caller that hashes many layers
+    of the same seeds computes their states once, with ``seed_states``.
+    The words of the sites on layer k differ from those on layer 0 in the
+    field of k alone, by the xor
 
         delta(k) = ((k + 2**20) ^ 2**20) << 21 * ((d - 1) % 3)
 
-    so a layer gets its words from one xor: of the delta into the last word
-    column, or, when the field lies in word 0, of its first step into the
-    (S,) seed states."""
+    so a layer gets its words from one xor of the delta into the last word
+    column (of its first step, when that column is word 0)."""
 
     def __init__(self, coords, layers: range):
         coords = np.asarray(coords, dtype=np.int64)
@@ -247,31 +258,33 @@ class LayerSites:
                              f"got layers {layers.start} to {layers[-1]}")
         self._layers = layers
         words = _pack_words(np.concatenate([coords, np.zeros((len(coords), 1), np.int64)], axis=1))
-        self._columns = [np.ascontiguousarray(words[:, w]) for w in range(words.shape[1])]
+        self._columns = [words[:, w:w + 1].copy() for w in range(words.shape[1])]  # (n, 1)
         _xorshift30(self._columns[0], np.empty_like(self._columns[0]))
         self._shift = 21 * (coords.shape[1] % 3)
         self._last = np.empty_like(self._columns[-1])  # the last column on layer k
 
-    def hash_words(self, seeds, k: int, tag=0, out=None, tmp=None) -> np.ndarray:
-        """The hash words of the sites on layer k: shape (n,) for a scalar
-        seed, (S, n) for a seed vector; ``out`` and ``tmp`` as for
+    @staticmethod
+    def seed_states(seeds) -> np.ndarray:
+        """The chain states of a scalar or 1-d ``seeds``, shape (1, S), that
+        ``hash_words`` starts from: ``mix64`` of each seed, with the first
+        step of the next ``mix64`` applied."""
+        return _seed_states(np.asarray(seeds, dtype=np.uint64), 0, True).reshape(1, -1)
+
+    def hash_words(self, states: np.ndarray, k: int, tag=0, out=None, tmp=None) -> np.ndarray:
+        """The hash words of the sites on layer k for the seed states
+        ``states`` of ``seed_states``, shape (n, S); ``out`` and ``tmp``, if
+        given, are C-contiguous uint64 arrays of that shape, as for
         :func:`hash_words`."""
         if k not in self._layers:
             raise ValueError(f"layer {k} is not in {self._layers}")
-        seeds_arr = np.asarray(seeds, dtype=np.uint64)
-        shape = (seeds_arr.size, self._last.size)
-        state = _buffer(out, shape, seeds_arr.ndim == 0, "out")
-        tmp = _buffer(tmp, shape, seeds_arr.ndim == 0, "tmp")
-        h = _seed_states(seeds_arr, 1, True)
+        shape = (self._last.shape[0], states.shape[1])
+        state = _buffer(out, shape, False, "out")
+        tmp = _buffer(tmp, shape, False, "tmp")
         delta = ((k + COORD_OFFSET) ^ COORD_OFFSET) << self._shift
-        columns = self._columns
-        if len(columns) == 1:
-            h ^= np.uint64(delta ^ delta >> 30)
-        else:
-            columns = columns[:-1] + [np.bitwise_xor(columns[-1], np.uint64(delta),
-                                                     out=self._last)]
-        _mix_words(h, columns, tag, state, tmp)
-        return state[0] if seeds_arr.ndim == 0 else state
+        if len(self._columns) == 1:
+            delta ^= delta >> 30
+        last = np.bitwise_xor(self._columns[-1], np.uint64(delta), out=self._last)
+        return _mix_words(states, self._columns[:-1] + [last], tag, state, tmp)
 
 
 def hash_prefix(seeds, coords) -> np.ndarray:

@@ -29,8 +29,15 @@ call takes the run of diagonals k, k - 1, ... that fits in about
 ``CHAIN_BLOCK`` words (one diagonal if it alone is larger), and each
 diagonal reads its columns of the batch.  The sliced sweep holds the same
 budget per layer array: it runs its seeds in blocks of at most
-``CHAIN_BLOCK`` // n_class, and hashes each layer from its class's sites,
-packed once (``LayerSites``).
+``CHAIN_BLOCK`` // n_class, and hashes each layer site-major, (n_class, S),
+the layout of its words, from its class's sites, packed once, and the
+block's seed states, mixed once (``LayerSites``).
+
+Two sweeps run their seeds in contiguous chunks through
+``workers.parallel_seed_map``, one chunk per forked worker once the call
+has enough work: the depth-n triangle sweep of ``win_origins`` and
+``sliced_sweep``.  Each seed's bits come from its own hash, so no output
+depends on the chunking.
 
 ``win_origins`` gives the origins of the depth-n all-0 triangle sweep
 without sweeping the whole triangle where it need not: the two-valued rule
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import mmap
 import operator
 from dataclasses import dataclass
 from typing import Union
@@ -54,7 +62,7 @@ from .lattice import GraphFamily
 from .sitefield import (CHAIN_BLOCK, LayerSites, below, check_probability, check_seeds,
                         closed_threshold, hash_below, hash_uniforms, hash_words)
 from .symbols import ONE, QUES, ZERO
-from .workers import parallel_seed_map
+from .workers import SLICED_CALL_WORDS, SLICED_FORK_MIN_WORDS, parallel_seed_map
 
 # -- boundary specifications --------------------------------------------------
 
@@ -576,6 +584,52 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float, seeds
 DEPTHS_PER_SWEEP = 64 // 3  # 3 boundaries x 21 depths in the bits of a word
 
 
+def _sliced_chunk(index: SlabIndex, sites, fixed, threshold: int, top: int, seeds: np.ndarray,
+                  zero: np.ndarray, one: np.ndarray) -> None:
+    """The (zero, one) words of ``sliced_sweep`` for ``seeds``, into the
+    rows ``zero`` and ``one``, in balanced blocks, from the class sites, the
+    per-layer boundary masks ``fixed`` and the closed threshold; the
+    sweep's hashed layers are 0 .. top - 1."""
+    m, q = index.family.m, index.q
+    n_class = max(map(index.class_size, range(q)))
+    blocks = np.array_split(seeds, -(-seeds.size // max(1, CHAIN_BLOCK // n_class)))
+    size = n_class * blocks[0].size  # the first block is the largest
+    ring = np.empty((m + 1, 2 * size), dtype=np.uint64)  # layer k in row k mod (m + 1)
+    gathered, words, tmp = (np.empty(n, dtype=np.uint64) for n in (2 * size, size, size))
+    closed = np.empty(size, dtype=bool)
+    lo = 0
+    for block in blocks:
+        s, states = block.size, LayerSites.seed_states(block)
+
+        def layer(k):  # (2, n_class, s): the zero and the one words, site-major
+            return ring[k % (m + 1), :2 * index.class_size(k) * s].reshape(2, -1, s)
+
+        for k in range(top + m - 1, -1, -1):
+            z, o = layer(k)
+            fz, fo, free = fixed[k]
+            if k >= top:  # a boundary layer, every lane fixed or ?
+                z.fill(fz)
+                o.fill(fo)
+                continue
+            c, n = k % q, z.shape[0]
+            h = sites[c].hash_words(states, k, 0, out=words[:n * s].reshape(n, s),
+                                    tmp=tmp[:n * s].reshape(n, s))
+            # a closed site's words are all ones: -1 as an int8, cast
+            np.negative(below(h, threshold, out=closed[:n * s].reshape(n, s)).view(np.int8),
+                        out=z, casting="unsafe")
+            # mode="clip": the default "raise" would buffer the output
+            play(z, o, (np.take(layer(k + int(dl)), index.nbr_pos[c][:, j], axis=1,
+                                mode="clip", out=gathered[:2 * n * s].reshape(2, n, s))
+                        for j, dl in enumerate(index.nbr_layer_delta[c])))
+            if fz | fo:
+                z &= free
+                z |= fz
+                o &= free
+                o |= fo
+        zero[lo:lo + s], one[lo:lo + s] = z.T, o.T
+        lo += s
+
+
 def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     """Layer-0 values of the slabs of up to 21 depths under the all-?,
     all-0 and all-1 boundaries, from one sweep of the deepest slab: (zero,
@@ -586,10 +640,19 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     depth hold the all-? slab of the deepest depth, so every bit is a
     function of the arguments.
 
-    The seeds run in balanced blocks (sizes differ by at most one) of at
-    most ``CHAIN_BLOCK`` // n seeds, n the size of the largest class, so
-    that a block's layer arrays hold at most ``CHAIN_BLOCK`` words each;
-    the bits do not depend on the blocking.
+    The seeds run in contiguous chunks through ``parallel_seed_map``, one
+    chunk per forked worker (PERC_THREADS caps the workers), and each chunk
+    writes its own rows of the words, in memory that the workers share, so
+    no words are pickled or concatenated.  The sweep's work, against
+    ``workers.SLICED_FORK_MIN_WORDS`` per worker, is its hashed words less
+    ``workers.SLICED_CALL_WORDS`` per hashed layer, the fixed cost of the
+    layer call that every worker makes.  Each chunk runs in balanced blocks
+    (sizes differ by at most one) of at most ``CHAIN_BLOCK`` // n seeds, n
+    the size of the largest class, so that a block's layer arrays hold at
+    most ``CHAIN_BLOCK`` words each.  A block's seed states are mixed once,
+    and each layer is hashed site-major into its words, a closed site's
+    words all ones.  The bits depend on neither the chunking nor the
+    blocking.
 
     Its ring of layers has ``family.m`` + 1 rows (layer k in row k mod
     (m + 1)); the vertex classes, layer k on class k mod q, come from
@@ -610,43 +673,17 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     cumulative = list(itertools.accumulate(lanes, operator.or_))
     masks = {b: (np.uint64(2 * b), np.uint64(4 * b), ~np.uint64(7 * b)) for b in set(cumulative)}
     fixed = [masks[b] for b in cumulative]
-    n_class = max(map(index.class_size, range(q)))
-    blocks = np.array_split(seeds, -(-seeds.size // max(1, CHAIN_BLOCK // n_class)))
-    size = n_class * blocks[0].size  # the first block is the largest
-    ring = np.empty((m + 1, 2 * size), dtype=np.uint64)  # layer k in row k mod (m + 1)
-    gathered, words, tmp = (np.empty(n, dtype=np.uint64) for n in (2 * size, size, size))
-    closed = np.empty(size, dtype=bool)
-    zero, one = np.empty((2, seeds.size, index.class_size(0)), dtype=np.uint64)
-    lo = 0
-    for block in blocks:
-        s = block.size
+    work = seeds.size * sum(index.class_size(k % q) for k in range(top)) - SLICED_CALL_WORDS * top
+    # the words live in memory that forked workers share: each chunk writes
+    # its own rows, so no words cross a pipe
+    words = np.frombuffer(mmap.mmap(-1, 16 * seeds.size * index.class_size(0)), np.uint64)
+    zero, one = words.reshape(2, seeds.size, -1)
 
-        def layer(k):  # (2, n_class, s): the zero and the one words, site-major
-            return ring[k % (m + 1), :2 * index.class_size(k) * s].reshape(2, -1, s)
+    def chunk_fn(rows):  # a contiguous run of seed indices
+        lo, hi = rows[0], rows[-1] + 1
+        _sliced_chunk(index, sites, fixed, threshold, top, seeds[lo:hi], zero[lo:hi], one[lo:hi])
 
-        for k in range(top + m - 1, -1, -1):
-            z, o = layer(k)
-            fz, fo, free = fixed[k]
-            if k >= top:  # a boundary layer, every lane fixed or ?
-                z.fill(fz)
-                o.fill(fo)
-                continue
-            c, n = k % q, z.shape[0]
-            h = sites[c].hash_words(block, k, 0, out=words[:n * s].reshape(s, n),
-                                    tmp=tmp[:n * s].reshape(s, n))
-            np.copyto(z, below(h, threshold, out=closed[:n * s].reshape(s, n)).T)
-            np.negative(z, out=z)  # a closed site's words are all ones
-            # mode="clip": the default "raise" would buffer the output
-            play(z, o, (np.take(layer(k + int(dl)), index.nbr_pos[c][:, j], axis=1,
-                                mode="clip", out=gathered[:2 * n * s].reshape(2, n, s))
-                        for j, dl in enumerate(index.nbr_layer_delta[c])))
-            if fz | fo:
-                z &= free
-                z |= fz
-                o &= free
-                o |= fo
-        zero[lo:lo + s], one[lo:lo + s] = z.T, o.T
-        lo += s
+    parallel_seed_map(chunk_fn, np.arange(seeds.size), work, SLICED_FORK_MIN_WORDS)
     return zero, one
 
 
@@ -673,7 +710,8 @@ def draw_scan(index: SlabIndex, p: float, seeds, depths):
     """Per depth, a draw-density profile row (depth, q_fraction, stderr,
     n_seeds), q_fraction being the seed mean of the layer-0 ?-fraction under
     the all-? boundary, and a ``SensitivityResult`` (do the all-0 and all-1
-    boundaries disagree at the origin), from one sliced sweep per 21 depths.
+    boundaries disagree at the origin), from one sliced sweep per 21 depths,
+    each forked over the seeds once it has enough work (``sliced_sweep``).
 
     On subset(3), whose doubling torus (the triangular lattice) has three
     classes, the sensitivity dips at every depth K = 2 (mod 3), where both

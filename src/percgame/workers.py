@@ -21,6 +21,31 @@ import numpy as np
 # 79 ms).  So two workers need about 6 M words.
 FORK_MIN_WORDS = 3 << 20
 
+# The sliced slab sweep (solver.sliced_sweep) has its own bound.  Its work
+# is its hashed words less SLICED_CALL_WORDS per hashed layer: each worker
+# still makes at least one call per layer, and the fixed cost of a call
+# (60-80 us, about 4 K words) does not split.  On the z2 ring of 64, 32
+# sites a class, the calls are most of the time.  Measured on the same
+# host, serial against two workers (fastest and median of 11 alternating
+# calls, ms; work in M words, * where the bound forks two workers):
+#   even(3) 32x32, depth 60, 25 seeds (0.52):   12.6/16.4 against 12.5/16.3
+#                            50 seeds (1.29):   22.5/25.2 against 22.2/22.5
+#                           100 seeds (2.83*):  44.7/48.2 against 35.1/39.3
+#   even(3) 32x32, 100 seeds, depth 400 (18.8*):  283/314 against 157/188
+#   even(3) 64x64, 64 seeds, depth 200 (25.4*):   445/512 against 255/272
+#   even(3) 16x16, 100 seeds, depth 250 (2.18): 50.8/51.1 against 50.7/51.1
+#                             depth 310 (2.70*): 62.4/64.0 against 53.7/68.1
+#                             (of 21 calls, twice: 59.1/74.3 against
+#                             49.4/62.3, 69.2/78.6 against 56.0/69.1)
+#   subset(3) 24x24, 64 seeds, depth 250 (2.05): 56.9/64.6 against 57.1/63.4
+#                              depth 330 (2.70*): 95.8/104 against 74.8/83.4
+#   z2 ring of 64, 100 seeds, depth 1600 (-1.4): 98.8/120 against 98.7/122
+#   z2 ring of 64, 200 seeds, depth 1200 (2.77*): 109/140 against 97.1/119
+# Up to 2.2 M words of work two workers gain nothing; above 2.6 M they
+# gained at every config measured.
+SLICED_FORK_MIN_WORDS = 5 << 18
+SLICED_CALL_WORDS = 1 << 12
+
 
 class WorkerCountError(ValueError):
     """PERC_THREADS is not an integer >= 1."""
@@ -55,17 +80,17 @@ def _run_chunk(i: int):
     return fn(chunks[i])
 
 
-def parallel_seed_map(fn, seeds: np.ndarray, words: int):
+def parallel_seed_map(fn, seeds: np.ndarray, words: int, min_words: int = FORK_MIN_WORDS):
     """Apply fn to contiguous chunks of the seed list, in forked worker
     processes, preserving order.  ``words`` is the number of words the
-    whole call hashes; at most one worker is forked per FORK_MIN_WORDS of
+    whole call hashes; at most one worker is forked per ``min_words`` of
     them, per CPU of this process's affinity mask and per seed, and below
     two workers fn runs here on the whole list.  The workers inherit fn and
     the chunks through the fork (the pool's initializer arguments are not
     pickled under fork), so fn may be a closure; only chunk indices and
     fn's results cross the pipes."""
     workers = max(1, min(worker_count(), len(os.sched_getaffinity(0)), seeds.size,
-                         words // FORK_MIN_WORDS))
+                         words // min_words))
     if workers == 1:
         return [fn(seeds)]
     chunks = np.array_split(seeds, workers)

@@ -350,19 +350,25 @@ def test_depth_at_the_coordinate_limit_exits_2(tmp_path, capsys):
     cli._depth(limit - 1, limit - 1)  # the largest depth a triangle accepts
 
 
+# every subcommand that forks reads PERC_THREADS, also below its fork bound
+_FORKING_RUNS = (["win-curve", "--depth", "4", "--seeds", "3"],
+                 ["draw-scan", "--family", "even(3)", "--size", "8", "--depth", "4",
+                  "--seeds", "3"])
+
+
 def test_non_integer_perc_threads_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PERC_THREADS", "abc")
-    _assert_usage_error(capsys, ["win-curve", "--depth", "4", "--seeds", "3",
-                                 "--out", str(tmp_path / "w.csv")],
-                        "PERC_THREADS must be an integer", tmp_path)
+    for argv in _FORKING_RUNS:
+        _assert_usage_error(capsys, argv + ["--out", str(tmp_path / "w.csv")],
+                            "PERC_THREADS must be an integer", tmp_path)
 
 
 def test_perc_threads_below_one_exits_2(tmp_path, capsys, monkeypatch):
     for value in ("0", "-3"):
         monkeypatch.setenv("PERC_THREADS", value)
-        _assert_usage_error(capsys, ["win-curve", "--depth", "4", "--seeds", "3",
-                                     "--out", str(tmp_path / "w.csv")],
-                            "PERC_THREADS must be >= 1", tmp_path)
+        for argv in _FORKING_RUNS:
+            _assert_usage_error(capsys, argv + ["--out", str(tmp_path / "w.csv")],
+                                "PERC_THREADS must be >= 1", tmp_path)
 
 
 class _InProcessPool:
@@ -526,6 +532,133 @@ def test_an_error_in_a_chains_chunk_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(glauber, "hash_prefix", failing)
     with _Deadline(120), pytest.raises(ValueError, match="bad chunk from seed 25"):
         glauber.run_chains(torus, 0.3, "standard", 500, seeds)
+    assert multiprocessing.active_children() == []
+
+
+def _sliced_work(family, size, seeds, depth):
+    """The work one sliced sweep of ``depth`` counts against its fork bound."""
+    fam = lattice.family_from_name(family)
+    index = solver.SlabIndex(fam, (size,) * (fam.d - 1))
+    return (seeds * sum(index.class_size(k % index.q) for k in range(depth))
+            - workers.SLICED_CALL_WORDS * depth)
+
+
+def _real_pools(monkeypatch):
+    """The size of each real fork pool started from now on, on two CPUs."""
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    sizes, get_context = [], multiprocessing.get_context
+
+    def recording_context(method):
+        ctx = get_context(method)
+
+        def pool(processes, *args, **kwargs):
+            sizes.append(processes)
+            return ctx.Pool(processes, *args, **kwargs)
+
+        return types.SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording_context)
+    return sizes
+
+
+# the 21 profile depths of each config take one sweep.  A class of the
+# even(3) 32x32 torus has 512 sites, of the 128x128 one 8192, of the z2
+# ring of 64 32: there 100 seeds hash 5.1 M words at depth 1600, less than
+# the fixed cost of its layer calls, so it has no work to split
+@pytest.mark.parametrize("threads,cpus,family,size,seeds,depth,forked", [
+    ("100000", 4, "even(3)", 32, 100, 60, 2), ("100000", 64, "even(3)", 32, 100, 400, 14),
+    ("2", 64, "even(3)", 32, 100, 400, 2), ("5", 1, "even(3)", 32, 100, 400, None),
+    ("100000", 64, "even(3)", 128, 3, 200, 3), ("100000", 64, "even(3)", 32, 50, 60, None),
+    ("100000", 64, "z2", 64, 100, 1600, None)])
+def test_forked_draw_scan_is_bounded_by_threads_cpus_seeds_and_work(
+        tmp_path, monkeypatch, pool_sizes, threads, cpus, family, size, seeds, depth, forked):
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setenv("PERC_THREADS", threads)
+    work = _sliced_work(family, size, seeds, depth)
+    assert (forked or 1) == max(1, min(int(threads), cpus, seeds,
+                                       work // workers.SLICED_FORK_MIN_WORDS))
+    args = ["draw-scan", "--family", family, "--size", str(size), "--p", "0.05",
+            "--depth", str(depth), "--seeds", str(seeds), "--out"]
+    assert run(args + [str(tmp_path / "pool")]) == 0
+    assert pool_sizes == ([forked] if forked else [])
+    monkeypatch.setenv("PERC_THREADS", "1")
+    assert run(args + [str(tmp_path / "serial")]) == 0
+    files = sorted(os.listdir(tmp_path))
+    assert len(files) == 4 and all((tmp_path / a).read_bytes() == (tmp_path / b).read_bytes()
+                                   for a, b in zip(files[:2], files[2:]))
+
+
+# 101 seeds, two chunks of 51 and 50; each config is above the fork bound
+@pytest.mark.parametrize("family,size,depth", [
+    ("even(3)", 32, 60), ("z2", 512, 140), ("subset(3)", 48, 40), ("zd(3)", 48, 40),
+    ("even_ext(3)", 32, 60)])
+def test_forked_draw_scan_writes_the_serial_bytes(tmp_path, monkeypatch, family, size, depth):
+    assert _sliced_work(family, size, 101, depth) >= 2 * workers.SLICED_FORK_MIN_WORDS
+    sizes = _real_pools(monkeypatch)
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PERC_THREADS", threads)
+        d = tmp_path / threads
+        d.mkdir()
+        with _Deadline(120):
+            assert run(["draw-scan", "--family", family, "--size", str(size), "--p-grid",
+                        "0.05,0.3", "--depth", str(depth), "--seeds", "101",
+                        "--out", str(d / "scan")]) == 0
+        outputs.append(_outputs(d))
+    assert sizes == [2, 2]  # one pool per p, at PERC_THREADS=2 only
+    assert multiprocessing.active_children() == []
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_forked_sliced_sweep_returns_the_serial_words(monkeypatch, pool_sizes, cpus):
+    # the words of every seed, in seed order: the CSVs' seed means alone
+    # would not show chunks concatenated out of order
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    index = solver.SlabIndex(lattice.even_sublattice(3), (32, 32))
+    seeds, depths = np.arange(-150, 151, 3), [2, 17, 90]
+    assert _sliced_work("even(3)", 32, seeds.size, 90) >= 3 * workers.SLICED_FORK_MIN_WORDS
+    words = []
+    for threads in ("1", "100000"):
+        monkeypatch.setenv("PERC_THREADS", threads)
+        words.append(solver.sliced_sweep(index, 0.2, seeds, depths))
+    assert pool_sizes == [cpus]
+    assert all(np.array_equal(a, b) for a, b in zip(*words))
+
+
+def test_more_forked_workers_than_cpus_write_their_own_rows(monkeypatch):
+    # four real workers on the two CPUs of the host, each writing its rows of
+    # the shared words: a row lost or written twice changes the words
+    sizes = _real_pools(monkeypatch)
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(4)))
+    index = solver.SlabIndex(lattice.even_sublattice(3), (32, 32))
+    seeds, depths = np.arange(1000, 1101), [5, 60, 120]
+    assert _sliced_work("even(3)", 32, seeds.size, 120) >= 4 * workers.SLICED_FORK_MIN_WORDS
+    words = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("PERC_THREADS", threads)
+        with _Deadline(120):
+            words.append(solver.sliced_sweep(index, 0.1, seeds, depths))
+    assert sizes == [4]
+    assert multiprocessing.active_children() == []
+    assert all(np.array_equal(a, b) for a, b in zip(*words))
+
+
+def test_an_error_in_a_sliced_sweep_chunk_reaches_the_caller(monkeypatch):
+    sizes = _real_pools(monkeypatch)
+    monkeypatch.setenv("PERC_THREADS", "2")
+    index = solver.SlabIndex(lattice.even_sublattice(3), (32, 32))
+    seed_states = solver.LayerSites.seed_states
+
+    def failing(seeds):
+        if 70 in seeds:
+            raise ValueError(f"bad block from seed {seeds[0]}")
+        return seed_states(seeds)
+
+    monkeypatch.setattr(solver.LayerSites, "seed_states", staticmethod(failing))
+    with _Deadline(120), pytest.raises(ValueError, match="bad block from seed 50"):
+        solver.sliced_sweep(index, 0.05, np.arange(100), [60])
+    assert sizes == [2]
     assert multiprocessing.active_children() == []
 
 

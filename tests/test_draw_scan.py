@@ -163,6 +163,8 @@ def test_draw_scan_equals_the_per_depth_reference(family, sizes):
 
 
 def test_each_layer_is_hashed_once_per_sweep_and_seed_block(monkeypatch):
+    # in process: a forked worker's hashes are counted in the worker
+    monkeypatch.setenv("PERC_THREADS", "1")
     uniforms, words, layers = [], [], []
     real_uniforms, real_words = solver.hash_uniforms, solver.hash_words
     real_layer_words = LayerSites.hash_words
@@ -175,13 +177,16 @@ def test_each_layer_is_hashed_once_per_sweep_and_seed_block(monkeypatch):
         words.append(int(coords[0, -1]))
         return real_words(seeds, coords, tag, out=out, tmp=tmp)
 
-    def counting_layer_words(self, seeds, k, tag=0, out=None, tmp=None):
-        layers.append((np.size(seeds), k))
-        return real_layer_words(self, seeds, k, tag, out=out, tmp=tmp)
+    def counting_layer_words(self, states, k, tag=0, out=None, tmp=None):
+        layers.append((states.shape[1], k))
+        return real_layer_words(self, states, k, tag, out=out, tmp=tmp)
 
     monkeypatch.setattr(solver, "hash_uniforms", counting_uniforms)
     monkeypatch.setattr(solver, "hash_words", counting_words)
     monkeypatch.setattr(LayerSites, "hash_words", counting_layer_words)
+    blocks, real_states = [], LayerSites.seed_states
+    monkeypatch.setattr(LayerSites, "seed_states", staticmethod(
+        lambda seeds: blocks.append(np.size(seeds)) or real_states(seeds)))
     index = solver.SlabIndex(lat.even_sublattice(3), (8, 8))
     solver.slab_sweep(index, 12, AllQuestion(), 0.1, np.arange(4))
     assert sorted(uniforms) == list(range(12)) and not words and not layers
@@ -192,6 +197,7 @@ def test_each_layer_is_hashed_once_per_sweep_and_seed_block(monkeypatch):
     sizes = [s for s, k in layers if k == 0]  # layer 0 ends each block
     assert len(sizes) == 3 and sum(sizes) == 70 and max(sizes) - min(sizes) <= 1
     assert layers == [(s, k) for s in sizes for k in range(11, -1, -1)] and not words
+    assert blocks == sizes  # each block's seed states, once for all its layers
 
 
 def test_every_bit_of_a_sliced_sweep_is_a_function_of_its_arguments(monkeypatch):

@@ -9,7 +9,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from percgame import pca
+from percgame import exact, pca
 from percgame.pca import InvalidSymbolError
 from percgame.symbols import ONE, QUES, ZERO
 
@@ -183,6 +183,21 @@ def test_exact_kernels_refuse_a_p_outside_0_1(p):
         pca.composition_check("F", 4, p)
     with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
         pca.stavskaya_identity_check(p, 4)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_local_kernel_refuses_a_p_outside_0_1(p):
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        pca.local_kernel("F", p)
+    # the exact cylinder checks build on it
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        exact.markov_pushforward_deviation("A", p, exact.matrix_P(0.5), 3)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_local_rule_refuses_a_p_outside_0_1(p):
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        pca.local_rule("F", 2, 2, 0.3, p)
 
 
 def test_exact_kernels_refuse_a_p_grid_of_two_dimensions():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from percgame import glauber, pca, solver
+from percgame import glauber, pca, sitefield, solver
 from percgame import lattice as lat
 from percgame.sitefield import (CHAIN_BLOCK, COORD_LIMIT, COORD_OFFSET, LayerSites,
                                 _mix64_inplace, _mix_rest, closed_threshold, finish_tag,
@@ -314,15 +314,29 @@ def test_layer_sites_hash_as_their_coordinates_do(d, seeds):
     coords = rng.integers(-COORD_LIMIT + 1, COORD_LIMIT, size=(5, d - 1))
     layers = range(-COORD_LIMIT + 1, COORD_LIMIT)
     sites = LayerSites(coords, layers)
-    shape = np.shape(seeds) + (5,)
+    states = LayerSites.seed_states(seeds)  # once for every layer
+    shape = (5, np.size(seeds))  # site-major
     out, tmp = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
     for k in (0, 1, -1, 2 ** 19 + 3, -(2 ** 20 - 1), 2 ** 20 - 1):
         full = np.concatenate([coords, np.full((5, 1), k)], axis=1)
         for tag in (0, 1, (3, 2 ** 40 + 1)):
-            want = hash_words(seeds, full, tag)
-            assert np.array_equal(sites.hash_words(seeds, k, tag), want), (k, tag)
-            got = sites.hash_words(seeds, k, tag, out=out, tmp=tmp)
+            want = hash_words(np.atleast_1d(seeds), full, tag).T
+            assert np.array_equal(sites.hash_words(states, k, tag), want), (k, tag)
+            got = sites.hash_words(states, k, tag, out=out, tmp=tmp)
             assert np.shares_memory(got, out) and np.array_equal(got, want)
+    with pytest.raises(ValueError, match="out must be C-contiguous"):
+        sites.hash_words(states, 0, out=np.empty(shape[::-1], np.uint64))
+
+
+def test_layer_sites_hash_site_rows_in_blocks(monkeypatch):
+    # more sites than a block of CHAIN_BLOCK words holds: the chain core
+    # mixes the (n, S) state a block of site rows at a time
+    monkeypatch.setattr(sitefield, "CHAIN_BLOCK", 12)
+    coords = np.arange(-20, 20).reshape(20, 2)
+    seeds = np.array([3, -1, 2 ** 40])
+    got = LayerSites(coords, range(9)).hash_words(LayerSites.seed_states(seeds), 7, (1, 2))
+    full = np.concatenate([coords, np.full((20, 1), 7)], axis=1)
+    assert np.array_equal(got, hash_words(seeds, full, (1, 2)).T)
 
 
 def test_layer_sites_check_their_layers_once():
@@ -330,11 +344,11 @@ def test_layer_sites_check_their_layers_once():
     for layers in (range(COORD_LIMIT + 1), range(-COORD_LIMIT, 4), range(5, COORD_LIMIT + 6, 2 ** 19)):
         with pytest.raises(ValueError, match="coordinates must satisfy"):
             LayerSites(coords, layers)
-    sites = LayerSites(coords, range(1, 9, 2))
-    sites.hash_words(0, 7)
+    sites, states = LayerSites(coords, range(1, 9, 2)), LayerSites.seed_states(0)
+    sites.hash_words(states, 7)
     for k in (0, 2, 9, COORD_LIMIT):
         with pytest.raises(ValueError, match=f"layer {k} is not in"):
-            sites.hash_words(0, k)
+            sites.hash_words(states, k)
     with pytest.raises(ValueError, match="coordinates must satisfy"):
         LayerSites(np.full((3, 2), COORD_LIMIT), range(4))
 
