@@ -309,42 +309,52 @@ def _orbit_counts(cells: Sequence[int], words) -> dict:
     return {w: fwd[w] + rev[w] for w in fwd}
 
 
-def ring_orbit(cells: Sequence[int]) -> list[tuple[int, ...]]:
-    """Distinct rotations and reflections of a ring word."""
-    c = tuple(cells)
-    n = len(c)
-    orbit = set()
-    for r in range(n):
-        rot = c[r:] + c[:r]
-        orbit.add(rot)
-        orbit.add(rot[::-1])
-    return sorted(orbit)
+# the windows of the weight system: mu's on the ring words, Dmu's on their images
+_MU_WINDOWS = ("?", "?0", "0?", "??", "?01", "??1", "0?1", "1?1")
+_DMU_WINDOWS = ("?", "?0", "?01")
 
 
-_W_Q = parse_word("?")
-_W_Q0 = parse_word("?0")
-_W_0Q = parse_word("0?")
-_W_QQ = parse_word("??")
-_W_Q01 = parse_word("?01")
-_W_QQ1 = parse_word("??1")
-_W_0Q1 = parse_word("0?1")
-_W_1Q1 = parse_word("1?1")
+def _cyclic_counts(rings: np.ndarray, windows) -> dict:
+    """Occurrences of each window, a ``0?1`` string, in each ring of a
+    stack (..., n), one start per cell: {window: counts of shape (...)}."""
+    shifted = [np.roll(rings, -j, axis=-1) for j in range(max(map(len, windows)))]
+    counts = {}
+    for window in windows:
+        hit = np.ones(rings.shape, dtype=bool)
+        for j, c in enumerate(parse_word(window)):
+            hit &= shifted[j] == c
+        counts[window] = np.count_nonzero(hit, axis=-1)
+    return counts
 
 
-def _orbit_cylinders(cells: tuple[int, ...]) -> dict:
-    """Cylinder probabilities of the orbit-uniform measure of a ring word of
-    n cells and of its image under the deterministic CA, as exact integer
-    counts over their common denominator 2n.  D commutes with rotations but
-    not with the reflection, so the image measure averages the images of
-    the word and of its reversal."""
-    images = []
-    for c in (cells, cells[::-1]):
-        arr = np.array(c, dtype=np.int8)
-        images.append(tuple(pca.D_TABLE[arr, np.roll(arr, -1)].tolist()))
-    mu = _orbit_counts(cells, (_W_Q, _W_Q0, _W_0Q, _W_QQ, _W_Q01, _W_QQ1, _W_0Q1, _W_1Q1))
-    counts = [count_cyclic(img, (_W_Q, _W_Q0, _W_Q01)) for img in images]
-    dmu = {w: sum(c[w] for c in counts) for w in counts[0]}
-    return {"mu": mu, "dmu": dmu}
+def _orbit_cylinders(words: np.ndarray) -> dict:
+    """Cylinder probabilities of the orbit-uniform measure of each ring word
+    of a stack (m, n) and of its image under the deterministic CA, as exact
+    integer counts over their common denominator 2n: {"mu": {window: (m,)},
+    "dmu": {window: (m,)}}.  Cyclic counts are rotation-invariant, so the
+    uniform average over the 2n rotations and reflections is that over the
+    word and its reversal.  D commutes with rotations but not with the
+    reflection, so the image measure averages the images of the word and of
+    its reversal; one call of D steps both for every word."""
+    both = np.stack([words, words[:, ::-1]])
+    images = pca.step("D", both, 0.0)  # D ignores p
+    return {"mu": {w: c.sum(axis=0) for w, c in _cyclic_counts(both, _MU_WINDOWS).items()},
+            "dmu": {w: c.sum(axis=0) for w, c in _cyclic_counts(images, _DMU_WINDOWS).items()}}
+
+
+def _orbit_words(n: int) -> np.ndarray:
+    """One word per orbit of the rings of n cells under rotation and
+    reflection, (orbits, n) int8: the least base-3 code (cell 0 most
+    significant) of the 2n images, in increasing order, which is the order
+    in which ``itertools.product`` first meets each orbit."""
+    codes = np.arange(3 ** n)
+    digits = codes[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+    top, canon = 3 ** (n - 1), codes.copy()
+    for c in (codes, digits @ 3 ** np.arange(n)):  # the word and its reversal
+        for _ in range(n):
+            np.minimum(canon, c, out=canon)
+            c = c % top * 3 + c // top  # rotated left by one cell
+    return digits[canon == codes].astype(np.int8)
 
 
 @dataclass
@@ -391,32 +401,28 @@ def weight_identities_check(n: int) -> WeightSystemReport:
     """
     if n not in WEIGHT_RINGS:
         raise ValueError("ring too small" if n < 5 else "ring too large (n <= 10)")
-    seen = set()
-    id_viol = []
+    words = _orbit_words(n)
+    cylinders = _orbit_cylinders(words)
+    mu, dmu = cylinders["mu"], cylinders["dmu"]
+    identities = ((dmu["?"] == mu["??"] + mu["0?"] + mu["?0"])
+                  & (dmu["?0"] == mu["??1"] + mu["0?1"] + mu["?01"])
+                  & (dmu["?01"] == 0))
+    before = mu["?01"] + mu["?0"] + mu["?"]
+    after = dmu["?01"] + dmu["?0"] + dmu["?"]
+    rises, off_law = after > before, after - before != -mu["1?1"]
+    not_strict = (mu["1?1"] > 0) != (after < before)
+
+    def names(where):
+        return [format_word(words[i]) for i in np.flatnonzero(where)]
+
     ineq_viol = []
-    strict_viol = []
-    for cells in itertools.product((ZERO, ONE, QUES), repeat=n):
-        canon = min(ring_orbit(cells))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        res = _orbit_cylinders(canon)
-        mu, dmu = res["mu"], res["dmu"]
-        ok = (dmu[_W_Q] == mu[_W_QQ] + mu[_W_0Q] + mu[_W_Q0]
-              and dmu[_W_Q0] == mu[_W_QQ1] + mu[_W_0Q1] + mu[_W_Q01]
-              and dmu[_W_Q01] == 0)
-        if not ok:
-            id_viol.append(format_word(canon))
-        before = mu[_W_Q01] + mu[_W_Q0] + mu[_W_Q]
-        after = dmu[_W_Q01] + dmu[_W_Q0] + dmu[_W_Q]
-        if after > before:
-            ineq_viol.append(format_word(canon))
-        if after - before != -mu[_W_1Q1]:
-            ineq_viol.append(format_word(canon) + " (delta != -mu(1?1))")
-        has_101 = mu[_W_1Q1] > 0
-        if has_101 != (after < before):
-            strict_viol.append(format_word(canon))
-    return WeightSystemReport(n, 3 ** n, len(seen), id_viol, ineq_viol, strict_viol)
+    for i in np.flatnonzero(rises | off_law):  # in orbit order, a rise before its law
+        if rises[i]:
+            ineq_viol.append(format_word(words[i]))
+        if off_law[i]:
+            ineq_viol.append(format_word(words[i]) + " (delta != -mu(1?1))")
+    return WeightSystemReport(n, 3 ** n, len(words), names(~identities), ineq_viol,
+                              names(not_strict))
 
 
 # -- exact hard-core computations -------------------------------------------

@@ -14,13 +14,23 @@ Kinds
     stavskaya   0 w.p. p, otherwise the neighborhood max (binary alphabet)
     flip        deterministic site-wise swap 0 <-> 1, fixing ?
 
-Every kind reduces to a deterministic local table plus at most one random
-branch: the output is the kind's "randomized" value if u < p and the
-deterministic value otherwise, where u is the cell's uniform variate.  This
-reproduces each update table verbatim (the probability-p row is the
-randomized value) and makes F = R0 after D and G = R1 after D hold pathwise
-under shared randomness; the exact-kernel identities are still checked at
-the ring level by independent kernel composition.
+One plane rule runs every kind.  A ring is held as its (zero, one) bool
+planes (? = (0, 0), 0 = (1, 0), 1 = (0, 1); see ``symbols``), and cell i's
+hit bit says that its uniform variate u is below p, the branch taken with
+probability p:
+
+    D           ``solver.play`` with moves to cells i and i+1, no closed bit
+    A, F        ``play`` with the hit bits as the closed bits
+    B, G        D, then the hit bits set to 1
+    R0, R1      cell i, then the hit bits set to 0 (resp. 1)
+    stavskaya   1 iff cell i or i+1 is 1, then the hit bits set to 0
+    flip        cell i with its zero and one planes swapped
+
+So F is the z2 game's layer rule with "u < p" as the closed bit, and
+F = R0 after D and G = R1 after D hold pathwise under shared randomness;
+the exact-kernel identities are still checked at the ring level by
+independent kernel composition.  Symbols appear only at the edges:
+configurations come in through ``as_cells`` and go out as int8 codes.
 
 All kinds use the neighborhood (i, i+1 mod n): cell i of the output reads
 cells i and i+1 of the input.  A, B and stavskaya are stated elsewhere with
@@ -47,7 +57,8 @@ import numpy as np
 
 from .sitefield import (CHAIN_BLOCK, below, check_probability, closed_threshold, finish_tags,
                         hash_below, hash_prefix)
-from .symbols import ONE, QUES, ZERO, as_cells
+from .solver import play
+from .symbols import ONE, QUES, ZERO, as_cells, pair_bytes, pair_symbols, planes
 
 KINDS = ("A", "B", "F", "G", "D", "R0", "R1", "stavskaya", "flip")
 
@@ -55,14 +66,6 @@ BINARY_KINDS = frozenset({"A", "B", "stavskaya"})
 DETERMINISTIC_KINDS = frozenset({"D", "flip"})
 
 MAX_EXACT_RING = 8  # longest ring whose kernels are enumerated (3^8 inputs)
-
-# deterministic CA D: (0,0) -> 1, any 1 present -> 0, else ?
-D_TABLE = np.full((3, 3), QUES, dtype=np.int8)
-D_TABLE[ZERO, ZERO] = ONE
-D_TABLE[ONE, :] = ZERO
-D_TABLE[:, ONE] = ZERO
-
-_FLIP = np.array([ONE, ZERO, QUES], dtype=np.int8)  # 0<->1, ? fixed
 
 
 class InvalidSymbolError(ValueError):
@@ -81,24 +84,65 @@ def _check_ring_length(n: int, longest: float = np.inf) -> None:
         raise ValueError(f"exact kernel enumeration limited to n <= {longest}")
 
 
-def _det_and_rand(kind: str, left: np.ndarray, right: np.ndarray):
-    """Deterministic output value and the randomized value (None if no
-    randomness) for every cell."""
+def _views(planes: np.ndarray):
+    """Views of planes (2, n + 1, ...) whose last cell repeats the first: the
+    planes, and the (zero, one) planes of cells i and of cells i + 1."""
+    return planes, tuple(planes[:, :-1]), tuple(planes[:, 1:])
+
+
+def _plane_step(kind: str, cells, hit, out) -> None:
+    """One step of the wrapped planes ``cells`` into ``out``, both as by
+    :func:`_views`.  ``hit`` (n, ...), or any shape that broadcasts to it,
+    holds the cells whose uniform is below p; D and flip ignore it."""
+    _, left, right = cells
+    planes, (zero, one), _ = out
     if kind in ("A", "F"):
-        return D_TABLE[left, right], ZERO
-    if kind in ("B", "G"):
-        return D_TABLE[left, right], ONE
-    if kind == "D":
-        return D_TABLE[left, right], None
-    if kind == "stavskaya":
-        return np.maximum(left, right), ZERO  # binary alphabet: the integer max
-    if kind == "flip":
-        return _FLIP[left], None
-    if kind == "R0":
-        return left.copy(), ZERO
-    if kind == "R1":
-        return left.copy(), ONE
-    raise AssertionError(kind)
+        zero[...] = hit  # the hit bits are the closed bits
+    elif kind in ("B", "G", "D"):
+        zero.fill(False)
+    if kind in ("A", "B", "D", "F", "G"):
+        play(zero, one, (left, right))
+    elif kind == "stavskaya":  # binary alphabet: the max is 1 iff a 1 is present
+        np.logical_or(left[1], right[1], out=one)
+        np.logical_not(one, out=zero)
+    else:  # R0 and R1 copy cell i, flip swaps its planes
+        zero[...], one[...] = left[::-1] if kind == "flip" else left
+    if kind in ("B", "G", "R1"):  # the hit bits set to 1
+        one |= hit
+        zero &= ~hit
+    elif kind in ("R0", "stavskaya"):  # the hit bits set to 0
+        zero |= hit
+        one &= ~hit
+    planes[:, -1] = planes[:, 0]
+
+
+def _wrapped_planes(cells: np.ndarray) -> np.ndarray:
+    """The planes of rings (..., n) site-major, (2, n + 1, ...), with each
+    ring's first cell repeated: every cell's plane is one contiguous block."""
+    wrapped = np.empty((2, cells.shape[-1] + 1) + cells.shape[:-1], dtype=bool)
+    wrapped[:, :-1] = planes(np.moveaxis(cells, -1, 0))
+    wrapped[:, -1] = wrapped[:, 0]
+    return wrapped
+
+
+def _apply(kind: str, cells: np.ndarray, hit) -> np.ndarray:
+    """The symbols of one step of the rings ``cells`` (..., n) under the hit
+    bits ``hit``, of any shape that broadcasts to theirs (None for D and
+    flip)."""
+    wrapped = _wrapped_planes(cells)
+    out = np.empty_like(wrapped)
+    if hit is not None:
+        hit = np.moveaxis(np.broadcast_to(hit, cells.shape), -1, 0)
+    _plane_step(kind, _views(wrapped), hit, _views(out))
+    return np.ascontiguousarray(np.moveaxis(pair_symbols(pair_bytes(*out[:, :-1])), 0, -1))
+
+
+def _outcomes(kind: str, cells: np.ndarray):
+    """Each cell's output when no cell is hit and when every cell is: the
+    deterministic and the randomized value, equal for D and flip.  Both
+    come from one step of two copies of the rings."""
+    hits = np.array([False, True]).reshape((2,) + (1,) * cells.ndim)
+    return tuple(_apply(kind, np.broadcast_to(cells, (2,) + cells.shape), hits))
 
 
 def _validate_input(kind: str, cells: np.ndarray):
@@ -113,14 +157,14 @@ def local_rule(kind: str, left: int, right: int, u: float, p: float) -> int:
     check_probability(p)
     lr = as_cells([left, right])
     _validate_input(kind, lr)
-    det, rand = _det_and_rand(kind, lr[:1], lr[1:2])
-    return rand if rand is not None and u < p else int(det[0])
+    return int(_apply(kind, lr, np.array([u < p, False]))[0])  # cell 0 reads (left, right)
 
 
-def _rings(kind: str, config, seeds):
+def _rings(kind: str, config, p: float, seeds):
     """The checked cells, shape (..., n), and the seeds as an int array of
     shape () (shared) or (...) (one per ring); None only for D and flip."""
     _check_kind(kind)
+    check_probability(p)
     cells = as_cells(config)
     _check_ring_length(cells.shape[-1] if cells.ndim else 0)
     _validate_input(kind, cells)
@@ -137,53 +181,66 @@ def _rings(kind: str, config, seeds):
 def step(kind: str, config, p: float, seeds=None, time_tag: int = 0) -> np.ndarray:
     """One synchronous update of one ring (n,) or a stack of rings (..., n).
 
-    Cell i of a ring takes the kind's randomized value iff its (seed, i,
-    time_tag) uniform is below p, decided on the hash words (threshold
-    lemma).  ``seeds`` is None (D and flip only), one int shared by every
-    ring (a coupled step: all rings read the same uniforms), or one seed
-    per ring, shape ``config.shape[:-1]``."""
-    cells, seeds = _rings(kind, config, seeds)
-    det, rand = _det_and_rand(kind, cells, np.roll(cells, -1, axis=-1))
-    if rand is None:
-        return det
-    hit = hash_below(seeds, np.arange(cells.shape[-1]), time_tag, p)
-    return np.where(hit.reshape(seeds.shape + (-1,)), np.int8(rand), det)
+    Cell i of a ring is hit iff its (seed, i, time_tag) uniform is below p,
+    decided on the hash words (threshold lemma).  ``seeds`` is None (D and
+    flip only), one int shared by every ring (a coupled step: all rings
+    read the same uniforms), or one seed per ring, shape
+    ``config.shape[:-1]``.  A p outside [0, 1], NaN included, raises
+    ``ValueError``."""
+    cells, seeds = _rings(kind, config, p, seeds)
+    hit = None
+    if seeds is not None:
+        hit = hash_below(seeds, np.arange(cells.shape[-1]), time_tag, p)
+        hit = hit.reshape(seeds.shape + (-1,))
+    return _apply(kind, cells, hit)
+
+
+def _plane_counts(history: np.ndarray) -> np.ndarray:
+    """Symbol counts (0, ?, 1) of wrapped planes (T, 2, n + 1, rings): (T,
+    rings, 3)."""
+    counts = np.count_nonzero(history[:, :, :-1], axis=2)  # (T, 2, rings)
+    zero, one = counts[:, 0], counts[:, 1]
+    return np.stack([zero, history.shape[2] - 1 - zero - one, one], axis=-1)
 
 
 def trajectory_stats(kind: str, initial, p: float, steps: int, seeds=None) -> np.ndarray:
     """Per-step symbol densities of each ring, shape (..., steps + 1, 3): row
     t is (density0, densityQ, density1) after t steps, as by :func:`step`
-    (same shapes and seeds) with time tags 0, 1, ...  The prefix is hashed
-    once, and the tags of a block of up to ``CHAIN_BLOCK`` // (prefix
-    size) steps are finished in one call into reused buffers; each step
-    counts all rings in one bincount, each ring's symbols offset into its
-    own bins."""
-    cells, seeds = _rings(kind, initial, seeds)
+    (same shapes, seeds and p domain) with time tags 0, 1, ...
+
+    The prefix is hashed once.  Steps then run a block of up to
+    ``CHAIN_BLOCK`` // (cells) at a time: their tags are finished in one
+    call into reused buffers, each step writes its planes into the next
+    slot of a block of planes, and the block's symbols are counted at
+    once."""
+    cells, seeds = _rings(kind, initial, p, seeds)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     rings, n = cells.shape[:-1], cells.shape[-1]
     cells = cells.reshape(-1, n)
-    shift = np.r_[1:n, 0]  # cell i reads cells i and shift[i]
+    block = max(1, min(steps, CHAIN_BLOCK // cells.size))
+    history = np.empty((block + 1, 2, n + 1, len(cells)), dtype=bool)
+    history[0] = _wrapped_planes(cells)
+    slots = [_views(planes) for planes in history]
+    hit = [None] * block
     if seeds is not None:
-        prefix = hash_prefix(seeds, np.arange(n))  # (n,) shared, else (rings, n)
+        # site-major, as the planes: (n, 1) for a shared seed, else (n, rings)
+        prefix = np.ascontiguousarray(hash_prefix(seeds, np.arange(n)).T).reshape(n, -1)
         threshold = closed_threshold(p)
-        block = max(1, CHAIN_BLOCK // prefix.size)  # steps per hash call
-        words, tmp = np.empty((2, min(block, steps)) + prefix.shape, dtype=np.uint64)
+        words, tmp = np.empty((2, block) + prefix.shape, dtype=np.uint64)
         hit = np.empty(words.shape, dtype=bool)
-    bins = 3 * len(cells)
-    offsets = np.arange(0, bins, 3)[:, None]
-    codes = np.empty(cells.shape, dtype=np.intp)
-    counts = np.empty((steps + 1, bins), dtype=np.int64)
-    counts[0] = np.bincount(np.add(cells, offsets, out=codes).ravel(), minlength=bins)
-    for t in range(steps):
-        cells, rand = _det_and_rand(kind, cells, cells[:, shift])
-        if rand is not None:
-            if t % block == 0:
-                tags = np.arange(t, min(t + block, steps))
-                below(finish_tags(prefix, tags, out=words[:tags.size], tmp=tmp[:tags.size]),
-                      threshold, out=hit[:tags.size])
-            np.copyto(cells, np.int8(rand), where=hit[t % block])
-        counts[t + 1] = np.bincount(np.add(cells, offsets, out=codes).ravel(), minlength=bins)
-    counts = counts.reshape(steps + 1, -1, 3)[..., [ZERO, QUES, ONE]].swapaxes(0, 1)
-    return counts.reshape(rings + counts.shape[1:]) / n
+    counts = np.empty((steps + 1, len(cells), 3), dtype=np.int64)
+    counts[0] = _plane_counts(history[:1])
+    for t in range(0, steps, block):
+        b = min(block, steps - t)
+        if seeds is not None:
+            below(finish_tags(prefix, np.arange(t, t + b), out=words[:b], tmp=tmp[:b]),
+                  threshold, out=hit[:b])
+        for j in range(b):
+            _plane_step(kind, slots[j], hit[j], slots[j + 1])
+        counts[t + 1:t + b + 1] = _plane_counts(history[1:b + 1])
+        history[0] = history[b]
+    return counts.swapaxes(0, 1).reshape(rings + (steps + 1, 3)) / n
 
 
 # -- exact ring kernels -----------------------------------------------------
@@ -221,12 +278,12 @@ def ring_kernel(kind: str, n: int, p):
         check_probability(float(q))
     powers = 3 ** np.arange(n, dtype=np.int64)
     inputs = all_inputs(kind, n)[:, ::-1]  # cell n-1 slowest: codes increase
-    det, rand = _det_and_rand(kind, inputs, np.roll(inputs, -1, axis=1))
+    det, rand = _outcomes(kind, inputs)
     in_codes, det_codes = inputs @ powers, det @ powers
-    if rand is None:
+    if kind in DETERMINISTIC_KINDS:
         return in_codes, det_codes, np.ones(ps.shape + in_codes.shape)
     active = det != rand
-    deltas = (np.int64(rand) - det.astype(np.int64)) * powers
+    deltas = (rand.astype(np.int64) - det) * powers
     width = 1 << active.sum(axis=1)
     first = np.cumsum(width) - width
     cols = np.empty(width.sum(), dtype=np.int64)
@@ -321,8 +378,7 @@ def local_kernel(kind: str, p: float) -> np.ndarray:
     check_probability(p)
     K = np.full((3, 3, 3), np.nan)
     l, r = np.meshgrid(*[np.array(input_alphabet(kind), dtype=np.int8)] * 2, indexing="ij")
-    det, rand = _det_and_rand(kind, l, r)
-    rand = det if rand is None else np.full_like(det, rand)
+    det, rand = (x[..., 0] for x in _outcomes(kind, np.stack([l, r], axis=-1)))
     K[l, r] = 0.0
     K[l, r, rand] = p
     K[l, r, det] = np.where(det == rand, 1.0, 1.0 - p)
@@ -344,9 +400,8 @@ def pattern_101_reachable(kind: str, n: int) -> int:
     the support iff three consecutive cells can individually produce 1, ?, 1.
     """
     _check_ring_length(n, MAX_EXACT_RING)
-    inputs = all_inputs(kind, n)
-    det, rand = _det_and_rand(kind, inputs, np.roll(inputs, -1, axis=1))
-    can_one = (det == ONE) | (rand == ONE)  # rand is None: no random branch
+    det, rand = _outcomes(kind, all_inputs(kind, n))
+    can_one = (det == ONE) | (rand == ONE)
     can_ques = (det == QUES) | (rand == QUES)
     hit = can_one & np.roll(can_ques, -1, axis=1) & np.roll(can_one, -2, axis=1)
     return int(hit.any(axis=1).sum())
@@ -354,4 +409,4 @@ def pattern_101_reachable(kind: str, n: int) -> int:
 
 def trajectory_csv_rows(stats: np.ndarray):
     """Rows for the 'step,density0,densityQ,density1' schema."""
-    return ((t, *row) for t, row in enumerate(stats))
+    return ((t, *row) for t, row in enumerate(stats.tolist()))

@@ -61,7 +61,7 @@ from . import lattice
 from .lattice import GraphFamily
 from .sitefield import (CHAIN_BLOCK, LayerSites, below, check_probability, check_seeds,
                         closed_threshold, hash_below, hash_uniforms, hash_words)
-from .symbols import ONE, QUES, ZERO
+from .symbols import ONE, QUES, ZERO, pair_bytes, pair_symbols, planes
 from .workers import SLICED_CALL_WORDS, SLICED_FORK_MIN_WORDS, parallel_seed_map
 
 # -- boundary specifications --------------------------------------------------
@@ -129,16 +129,6 @@ def play(zero, one, targets):
     return zero, one
 
 
-def _pair_bytes(zero, one) -> np.ndarray:  # of bools or 0/1 bytes
-    return 2 * zero.view(np.uint8) + one.view(np.uint8)
-
-
-def _symbols(pair_bytes: np.ndarray) -> np.ndarray:
-    """The int8 symbols of pair bytes 2 zero + one: ? = 2 - 0, 1 = 2 - 1 and
-    0 = 2 - 2 in the codes of ``symbols``; (1, 1) is no pair, read as -1."""
-    return np.subtract(np.int8(QUES), pair_bytes.view(np.int8))
-
-
 _CONSTANT = {AllQuestion: QUES, AllZero: ZERO, AllOne: ONE}
 
 
@@ -166,8 +156,7 @@ def _boundary_layer(boundary: Boundary, layer: int, coords: np.ndarray, parity,
             raise BoundaryShapeError("boundary values must be 0/1")
     else:
         raise BoundaryShapeError(f"unsupported boundary {boundary!r}")
-    vals = np.broadcast_to(vals, shape)
-    return np.stack([vals == ZERO, vals == ONE])
+    return planes(np.broadcast_to(vals, shape))
 
 
 # -- triangle solver ---------------------------------------------------------
@@ -253,7 +242,7 @@ def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, keep_all: boo
     # the symbols of every diagonal kept, or else of the origins: (slots, P·B, S, n+1)
     bits = np.unpackbits(slots if keep_all else slots[:1, ..., :1], axis=2, count=lanes,
                          bitorder="little")
-    vals = _symbols(_pair_bytes(bits[:, 0], bits[:, 1]))
+    vals = pair_symbols(pair_bytes(bits[:, 0], bits[:, 1]))
     rows = {k: (vals[k, ..., :k + 1], kept.get(k)) for k in range(n + 1)} if keep_all else None
     return vals[0, ..., 0].reshape(-1, n_b, seeds.size), rows
 
@@ -558,7 +547,7 @@ def slab_layers(index: SlabIndex, depth: int, boundary: Boundary, p: float, seed
                 lambda: np.array([sum(lattice.lift_site(index.family, t, k)) % 2
                                   for t in coords[:, :-1]], dtype=np.int8),
                 lambda: boundary.values[k], seeds)
-            layers[k] = np.ascontiguousarray(_pair_bytes(*pair).T)
+            layers[k] = np.ascontiguousarray(pair_bytes(*pair).T)
         else:
             u = hash_uniforms(seeds, coords, 0)
             zero = np.less(u.T, p, out=np.empty(u.shape[::-1], dtype=bool))
@@ -566,9 +555,9 @@ def slab_layers(index: SlabIndex, depth: int, boundary: Boundary, p: float, seed
             for d, rows in moves[k % len(moves)]:  # each move's pairs, split off their pair bytes
                 gathered = np.take(layers[k + d], rows, axis=0).reshape((-1,) + zero.shape)
                 targets += zip((gathered >> 1).view(bool), (gathered & 1).view(bool))
-            layers[k] = _pair_bytes(*play(zero, np.empty_like(zero), targets))
+            layers[k] = pair_bytes(*play(zero, np.empty_like(zero), targets))
             del layers[k + m]
-        yield k, u, _symbols(layers[k]).T
+        yield k, u, pair_symbols(layers[k]).T
 
 
 def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float, seeds):

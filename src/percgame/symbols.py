@@ -13,6 +13,10 @@ occupation variables, where 1 = occupied).  Two partial orders matter:
   ranks are given by ``LINEAR_RANK``;
 * the "information" order in which ? is the unique maximal element
   (0 and 1 are incomparable).
+
+The game rule and the ring PCAs compute on (zero, one) bool planes instead,
+? = (0, 0), 0 = (1, 0) and 1 = (0, 1); ``planes`` and ``pair_symbols``
+convert at the edges.
 """
 
 from __future__ import annotations
@@ -58,3 +62,18 @@ def as_cells(word) -> np.ndarray:
         raise ValueError("cell values must be 0, 1 or 2 (=?)")
     return cells
 
+
+
+def planes(cells: np.ndarray) -> np.ndarray:
+    """The (zero, one) planes of symbols, shape (2,) + cells.shape, bool."""
+    return np.stack([cells == ZERO, cells == ONE])
+
+
+def pair_bytes(zero, one) -> np.ndarray:  # of bools or 0/1 bytes
+    return 2 * zero.view(np.uint8) + one.view(np.uint8)
+
+
+def pair_symbols(pair_bytes: np.ndarray) -> np.ndarray:
+    """The int8 symbols of pair bytes 2 zero + one: ? = 2 - 0, 1 = 2 - 1 and
+    0 = 2 - 2 in the codes above; (1, 1) is no pair, read as -1."""
+    return np.subtract(np.int8(QUES), pair_bytes.view(np.int8))

@@ -227,6 +227,21 @@ def test_verify_names_the_first_failing_ring_and_p(monkeypatch, capsys):
             in capsys.readouterr().out)
 
 
+# SHA-256 of verify's stdout (UTF-8) and its exit code, recorded before the
+# ring PCAs ran on the game rule's (zero, one) planes
+VERIFY_STDOUT_SHA256 = {
+    "battery": ("7d4aeef46a71b1dac37a14c4f09a07b6d96084e31e3bfa78dcf29e477c40a80b", 0),
+    "fault-inject": ("7f105dfe056ceff733227fc4218418c0fb90effde87e6d2bf0e69ed7d5c7f4d2", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_output_is_byte_identical(capsys, name):
+    rc = run(["verify", "--seeds", "5"] + (["--fault-inject"] if name == "fault-inject" else []))
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (digest, rc) == VERIFY_STDOUT_SHA256[name]
+
+
 def test_verify_rejects_small_weight_ring(capsys):
     assert run(["verify", "--weights-n", "4"]) == 2
     assert "ring too small" in capsys.readouterr().err

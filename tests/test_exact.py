@@ -1,13 +1,15 @@
 """Exact analysis: matrices, win probabilities, cylinders, weights, Gibbs."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percgame import exact, glauber
+from percgame import exact, glauber, pca
 from percgame.exact import CylinderTable
-from percgame.symbols import ONE, QUES, ZERO, parse_word
+from percgame.symbols import ONE, QUES, ZERO, format_word, parse_word
 
 SQRT5 = np.sqrt(5.0)
 
@@ -216,13 +218,90 @@ def test_weight_check_fixtures():
 @pytest.mark.parametrize("n", [5, 6])
 def test_weight_strict_decrease_with_101(n):
     # a word containing 1?1 strictly loses weight; the decrease is mu(1?1)
-    cells = parse_word("1?1" + "0" * (n - 3))
-    res = exact._orbit_cylinders(min(exact.ring_orbit(cells)))
+    words = np.array([parse_word("1?1" + "0" * (n - 3))], dtype=np.int8)
+    res = exact._orbit_cylinders(words)
     mu, dmu = res["mu"], res["dmu"]
-    before = mu[parse_word("?01")] + mu[parse_word("?0")] + mu[parse_word("?")]
-    after = dmu[parse_word("?01")] + dmu[parse_word("?0")] + dmu[parse_word("?")]
-    assert after < before
-    assert before - after == mu[parse_word("1?1")] > 0
+    before = mu["?01"] + mu["?0"] + mu["?"]
+    after = dmu["?01"] + dmu["?0"] + dmu["?"]
+    assert after[0] < before[0]
+    assert before[0] - after[0] == mu["1?1"][0] > 0
+
+
+# -- the weight check against one orbit at a time ---------------------------
+
+
+def ring_orbit(cells):
+    """Distinct rotations and reflections of a ring word."""
+    c, orbit = tuple(cells), set()
+    for r in range(len(c)):
+        orbit.add(c[r:] + c[:r])
+        orbit.add((c[r:] + c[:r])[::-1])
+    return sorted(orbit)
+
+
+def orbit_cylinders(cells):
+    """One orbit's mu and Dmu window counts over 2n, from cyclic counts of
+    the word, its reversal and their images under one pca.step of D each."""
+    words = [parse_word(w) for w in ("?", "?0", "0?", "??", "?01", "??1", "0?1", "1?1")]
+    images = [tuple(pca.step("D", np.array(c, dtype=np.int8), 0.0).tolist())
+              for c in (cells, cells[::-1])]
+    mu = exact._orbit_counts(cells, words)
+    counts = [exact.count_cyclic(img, words[:2] + words[4:5]) for img in images]
+    dmu = {w: sum(c[w] for c in counts) for w in counts[0]}
+    return {format_word(w): v for w, v in mu.items()}, {format_word(w): v for w, v in dmu.items()}
+
+
+def per_orbit_weight_check(n):
+    """The weight check one orbit at a time, each orbit when first met in
+    itertools.product order, as the vectorized check must reproduce."""
+    seen, id_viol, ineq_viol, strict_viol = set(), [], [], []
+    for cells in itertools.product((ZERO, ONE, QUES), repeat=n):
+        canon = min(ring_orbit(cells))
+        if canon in seen:
+            continue
+        seen.add(canon)
+        mu, dmu = orbit_cylinders(canon)
+        if not (dmu["?"] == mu["??"] + mu["0?"] + mu["?0"]
+                and dmu["?0"] == mu["??1"] + mu["0?1"] + mu["?01"]
+                and dmu["?01"] == 0):
+            id_viol.append(format_word(canon))
+        before = mu["?01"] + mu["?0"] + mu["?"]
+        after = dmu["?01"] + dmu["?0"] + dmu["?"]
+        if after > before:
+            ineq_viol.append(format_word(canon))
+        if after - before != -mu["1?1"]:
+            ineq_viol.append(format_word(canon) + " (delta != -mu(1?1))")
+        if (mu["1?1"] > 0) != (after < before):
+            strict_viol.append(format_word(canon))
+    return exact.WeightSystemReport(n, 3 ** n, len(seen), id_viol, ineq_viol, strict_viol)
+
+
+def _d_with_q0_to_0(step):
+    """pca.step with D's window (?, 0) sent to 0 instead of ?."""
+    def wrong(kind, config, p, seeds=None, time_tag=0):
+        out = step(kind, config, p, seeds, time_tag)
+        if kind == "D":
+            cells = np.asarray(config)
+            out[(cells == QUES) & (np.roll(cells, -1, axis=-1) == ZERO)] = ZERO
+        return out
+    return wrong
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_the_weight_check_equals_a_per_orbit_loop(n):
+    report = exact.weight_identities_check(n)
+    assert report == per_orbit_weight_check(n)
+    assert report.passed and report.orbits_checked == {5: 39, 6: 92, 7: 198}[n]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_the_weight_check_fails_as_the_per_orbit_loop_under_a_wrong_d(monkeypatch, n):
+    monkeypatch.setattr(pca, "step", _d_with_q0_to_0(pca.step))
+    report = exact.weight_identities_check(n)
+    assert report == per_orbit_weight_check(n)
+    # every list fails on several orbits, so their order is compared too
+    assert min(map(len, (report.identity_violations, report.inequality_violations,
+                         report.strictness_violations))) > 1
 
 
 def test_weight_check_ring_size_guard():

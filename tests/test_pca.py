@@ -1,5 +1,7 @@
 """Ring PCAs: local rules, couplings, exact kernel identities."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,78 @@ def test_local_rule_tables():
     # stavskaya: 0 w.p. p else neighborhood max
     assert pca.local_rule("stavskaya", 0, 1, 0.9, 0.3) == ONE
     assert pca.local_rule("stavskaya", 0, 1, 0.1, 0.3) == ZERO
+
+
+# Every kind's update, transcribed from the pca module docstring: the input
+# window "lr" -> its output when u >= p, then when u < p (the probability-p
+# branch).  Binary kinds list the four 0/1 windows only.
+RULE_TABLE = {
+    "A": {"00": "10", "01": "00", "10": "00", "11": "00"},
+    "B": {"00": "11", "01": "01", "10": "01", "11": "01"},
+    "F": {"00": "10", "01": "00", "10": "00", "11": "00", "1?": "00", "?1": "00",
+          "0?": "?0", "?0": "?0", "??": "?0"},
+    "G": {"00": "11", "01": "01", "10": "01", "11": "01", "1?": "01", "?1": "01",
+          "0?": "?1", "?0": "?1", "??": "?1"},
+    "D": {"00": "11", "01": "00", "10": "00", "11": "00", "1?": "00", "?1": "00",
+          "0?": "??", "?0": "??", "??": "??"},
+    "R0": {"00": "00", "01": "00", "0?": "00", "10": "10", "11": "10", "1?": "10",
+           "?0": "?0", "?1": "?0", "??": "?0"},
+    "R1": {"00": "01", "01": "01", "0?": "01", "10": "11", "11": "11", "1?": "11",
+           "?0": "?1", "?1": "?1", "??": "?1"},
+    "stavskaya": {"00": "00", "01": "10", "10": "10", "11": "10"},
+    "flip": {"00": "11", "01": "11", "0?": "11", "10": "00", "11": "00", "1?": "00",
+             "?0": "??", "?1": "??", "??": "??"},
+}
+# a ring that holds each window once, cyclically (a de Bruijn word)
+EVERY_WINDOW = {2: "0011", 3: "0010?11??"}
+
+
+def _table_value(kind, left, right, hit):
+    return parse_word(RULE_TABLE[kind][format_word([left, right])][hit])[0]
+
+
+@pytest.mark.parametrize("kind", pca.KINDS)
+def test_local_rule_follows_the_rule_table(kind):
+    alpha = pca.input_alphabet(kind)
+    assert sorted(RULE_TABLE[kind]) == sorted(format_word(w) for w in
+                                              itertools.product(alpha, repeat=2))
+    for (left, right), p in itertools.product(itertools.product(alpha, repeat=2),
+                                              (0.0, 0.3, 1.0)):
+        for u in (0.0, 0.29, 0.3, 0.31, 0.999):
+            assert pca.local_rule(kind, left, right, u, p) == \
+                _table_value(kind, left, right, int(u < p)), (left, right, u, p)
+
+
+@pytest.mark.parametrize("kind", pca.KINDS)
+def test_step_follows_the_rule_table(kind):
+    ring = as_cells(EVERY_WINDOW[len(pca.input_alphabet(kind))])
+    n = ring.size
+    assert {format_word(ring[[i, (i + 1) % n]]) for i in range(n)} == set(RULE_TABLE[kind])
+    seen = set()
+    for p, seed, tag in itertools.product((0.0, 0.5, 1.0), range(8), (0, 3)):
+        seeds = None if kind in pca.DETERMINISTIC_KINDS else seed
+        out = pca.step(kind, ring, p, seeds, time_tag=tag)
+        for i in range(n):
+            hit = int(hash_uniform_scalar(seed, (i,), tag) < p)
+            assert out[i] == _table_value(kind, ring[i], ring[(i + 1) % n], hit), (p, seed, i)
+            seen.add((i, hit))
+    assert len(seen) == 2 * n  # each window was stepped both hit and not
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_step_and_trajectory_refuse_a_p_outside_0_1(p):
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        pca.step("F", "?????", p, 0)
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        pca.step("D", "?????", p)
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        pca.trajectory_stats("F", "?????", p, 3, 0)
+
+
+def test_trajectory_refuses_negative_steps():
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        pca.trajectory_stats("F", "?????", 0.5, -1, 0)
+    assert pca.trajectory_stats("F", "?????", 0.5, 0, 0).tolist() == [[0.0, 1.0, 0.0]]
 
 
 def test_binary_kinds_reject_question():

@@ -1,7 +1,8 @@
 """Exact ring kernels against a dense reference built here, negative controls
 for the kernel checks, kernels at a sequence of p against the kernel at each
 p, the domain of the exact kernels, trajectory_stats against a loop of steps,
-and its sampled ?-density against the exact law."""
+and its sampled ?-density, and that of the z2 slab's layers, against the
+exact law."""
 
 import itertools
 from statistics import NormalDist
@@ -9,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from percgame import exact, pca
+from percgame import exact, lattice, pca, solver
 from percgame.pca import InvalidSymbolError
 from percgame.symbols import ONE, QUES, ZERO
 
@@ -262,6 +263,31 @@ def test_sampled_question_density_follows_the_exact_law():
                 out.append(np.abs(z).max())
     assert max(worst) <= LAW_Z_BOUND, worst
     assert min(worst_moved) > LAW_Z_BOUND, worst_moved
+
+
+# Fixed in advance: 2 (n, p) cases x 8 layers = 16 two-sided comparisons,
+# Bonferroni at family-wise alpha = 0.01.
+SLAB_Z_BOUND = NormalDist().inv_cdf(1 - 0.01 / (2 * 16))
+
+
+def test_z2_slab_layers_follow_the_exact_law_of_f():
+    # the z2 slab on the torus (2n,) has rings of n cells as its layers and
+    # F as its layer update: t layers below the all-? boundary, the layer's
+    # ?-density follows F's law after t steps from all-?
+    assert round(SLAB_Z_BOUND, 2) == 3.42
+    worst, worst_moved = [], []
+    for n, p in ((5, 0.3), (7, 0.1)):
+        index = solver.SlabIndex(lattice.z2(), (2 * n,))
+        layers = {k: values for k, _, values in
+                  solver.slab_layers(index, LAW_STEPS, solver.AllQuestion(), p, LAW_SEEDS)}
+        sampled = np.array([(layers[LAW_STEPS - t] == QUES).mean(axis=1).mean()
+                            for t in range(1, LAW_STEPS + 1)])
+        for q, out in ((p, worst), (p + 0.02, worst_moved)):  # p + 0.02: negative control
+            mean, var = ques_density_law("F", n, q, LAW_STEPS)
+            z = (sampled - mean[1:]) / np.sqrt(var[1:] / LAW_SEEDS.size)
+            out.append(np.abs(z).max())
+    assert max(worst) <= SLAB_Z_BOUND, worst
+    assert min(worst_moved) > SLAB_Z_BOUND, worst_moved
 
 
 def _densities(cells):

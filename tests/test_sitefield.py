@@ -175,14 +175,16 @@ NAN_P_ENTRY_POINTS = {
 # the sweeps take p as a probability: one outside [0, 1] is refused
 SWEEPS = ("triangle_sweep", "win_origins", "solve_triangle", "slab_sweep", "sliced_sweep",
           "draw_scan", "run_chains")
+# so do the PCA sampler and its trajectories (see tests/test_pca.py)
+PCA_SAMPLERS = ("pca.step", "trajectory_stats")
 
 
 @pytest.mark.parametrize("name", NAN_P_ENTRY_POINTS)
 def test_a_nan_p_is_refused(name):
     call = NAN_P_ENTRY_POINTS[name]
     # 0 and 1 everywhere; outside [0, 1] the documented meanings, where
-    # no sweep takes p
-    for p in (0.0, 1.0) if name in SWEEPS else (0.0, 1.0, -0.5, 1.5):
+    # neither a sweep nor a PCA sampler takes p
+    for p in (0.0, 1.0) if name in SWEEPS + PCA_SAMPLERS else (0.0, 1.0, -0.5, 1.5):
         call(p)
     with pytest.raises(ValueError, match="nan"):
         call(float("nan"))
