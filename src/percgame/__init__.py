@@ -6,7 +6,7 @@ one-dimensional PCAs over {0,?,1}, closed-form stationary laws, and the
 hard-core Glauber correspondence on doubling graphs.
 """
 
-from .exact import (CylinderTable, MarkovMeasure, conditional_win_probability,
+from .exact import (MarkovMeasure, conditional_win_probability,
                     gibbs_exact, kernel_stationarity_check, matrix_P, matrix_Q,
                     pushforward_cylinder, symmetric_weight,
                     weight_identities_check, win_probability)

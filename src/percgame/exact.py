@@ -6,7 +6,8 @@ Contents:
   PCA, and its square-root construction from the hard-core transfer matrix
   on Z (activity lambda = 1/p - 1);
 * first-player win probability and its open-origin conditional version;
-* exact cylinder pushforwards of measures through one PCA step;
+* exact cylinder pushforwards of Markov measures on {0, 1} or {0, ?, 1}
+  through one PCA step;
 * the ?-weight system on words over {0,?,1} and the exhaustive ring check
   of its decrease under the deterministic CA;
 * exact hard-core Gibbs distributions on small graphs and stationarity of
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
 from typing import Iterable, Sequence
 
@@ -34,8 +34,9 @@ ATOL = 1e-12
 
 @dataclass(frozen=True)
 class MarkovMeasure:
-    """Stationary 2-state Markov chain on Z: transition matrix + stationary
-    row vector."""
+    """Stationary Markov chain on Z with 2 states, {0, 1}, or 3, {0, 1, ?}:
+    transition matrix T (k, k) + stationary row vector pi (k,), indexed by
+    the symbol codes."""
 
     T: np.ndarray
     pi: np.ndarray
@@ -45,19 +46,22 @@ class MarkovMeasure:
         pi = np.asarray(self.pi, dtype=np.float64)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "pi", pi)
-        if T.shape != (2, 2) or pi.shape != (2,):
-            raise ValueError("MarkovMeasure is 2-state")
-        if np.any(T < -ATOL) or np.any(T > 1 + ATOL) or np.any(pi < -ATOL):
+        if pi.shape not in ((2,), (3,)) or T.shape != pi.shape * 2:
+            raise ValueError(f"MarkovMeasure needs T (k, k) and pi (k,) for k = 2 or 3, "
+                             f"got {T.shape} and {pi.shape}")
+        # NaN compares False, so it fails here too
+        if not all(((x >= -ATOL) & (x <= 1 + ATOL)).all() for x in (T, pi)):
             raise ValueError("entries must be probabilities")
-        if np.abs(T.sum(axis=1) - 1).max() > ATOL:
-            raise ValueError("rows must sum to 1")
+        if np.abs(T.sum(axis=1) - 1).max() > ATOL or abs(pi.sum() - 1) > ATOL:
+            raise ValueError("rows and pi must sum to 1")
         if np.abs(pi @ T - pi).max() > ATOL:
             raise ValueError("pi must be stationary for T")
 
     def cylinder(self, word) -> float:
-        """Probability that consecutive cells spell the given binary word."""
+        """Probability that consecutive cells spell the word; 0 for a word
+        holding a symbol that is not a state of the chain."""
         w = as_cells(word)
-        if (w == QUES).any():
+        if (w >= self.pi.size).any():
             return 0.0
         prob = float(self.pi[w[0]])
         for a, b in zip(w[:-1], w[1:]):
@@ -90,6 +94,13 @@ def matrix_P(p: float) -> MarkovMeasure:
     return MarkovMeasure(T, stationary_vector(T))
 
 
+def _check_activity(lam: float) -> float:
+    """lam itself, if 0 < lam < inf; else ``ValueError`` (NaN too)."""
+    if not 0.0 < lam < float("inf"):
+        raise ValueError(f"activity needs 0 < lam < inf, got {lam}")
+    return lam
+
+
 def matrix_Q(lam: float) -> MarkovMeasure:
     """Transition matrix of the hard-core Gibbs chain on Z at activity lam.
 
@@ -98,8 +109,7 @@ def matrix_Q(lam: float) -> MarkovMeasure:
     rho = (1 + sqrt(1 + 4 lam)) / 2.  Squaring it reproduces matrix_P at
     p = 1/(1 + lam), which is the independent cross-check used in tests.
     """
-    if lam <= 0:
-        raise ValueError("activity must be positive")
+    _check_activity(lam)
     rho = (1.0 + sqrt(1.0 + 4.0 * lam)) / 2.0
     T = np.array([
         [1.0 / rho, lam / (rho * rho)],
@@ -115,9 +125,7 @@ def p_from_activity(lam: float, variant: str = "standard") -> float:
     for the standard variant (finite lam > 0), 1 - lam for the extended one
     (0 < lam < 1)."""
     if variant == "standard":
-        if not 0.0 < lam < float("inf"):
-            raise ValueError(f"standard variant needs 0 < lam < inf, got {lam}")
-        return 1.0 / (1.0 + lam)
+        return 1.0 / (1.0 + _check_activity(lam))
     if variant == "extended":
         if not 0.0 < lam < 1.0:
             raise ValueError(f"extended variant needs 0 < lam < 1, got {lam}")
@@ -145,82 +153,29 @@ def win_curve_rows(p_grid: Iterable[float]):
         yield p, win_probability(p), conditional_win_probability(p)
 
 
-# -- cylinder tables --------------------------------------------------------
+# -- cylinder pushforwards -------------------------------------------------
 
 
-class CylinderTable:
-    """Finite-word marginals of a shift-invariant measure on {0,?,1}^Z."""
-
-    def __init__(self, probs: dict, max_len: int):
-        self.max_len = max_len
-        self.probs = {tuple(int(c) for c in w): v for w, v in probs.items()}
-
-    def prob(self, word):
-        w = tuple(as_cells(word).tolist())
-        if len(w) > self.max_len:
-            raise ValueError(f"word longer than max_len={self.max_len}")
-        return self.probs[w]
-
-    @classmethod
-    def from_markov3(cls, T: np.ndarray, pi: np.ndarray, max_len: int) -> "CylinderTable":
-        """Shift-invariant table of a stationary 3-state Markov chain
-        (test utility for pushforward identities on random measures)."""
-        T = np.asarray(T, dtype=np.float64)
-        pi = np.asarray(pi, dtype=np.float64)
-        probs = {}
-        for L in range(1, max_len + 1):
-            for w in itertools.product((ZERO, ONE, QUES), repeat=L):
-                v = pi[w[0]]
-                for a, b in zip(w[:-1], w[1:]):
-                    v *= T[a, b]
-                probs[w] = float(v)
-        return cls(probs, max_len)
-
-    @classmethod
-    def from_ring_word(cls, config, max_len: int, exact: bool = False) -> "CylinderTable":
-        """Orbit-uniform measure of a ring word: uniform over all rotations
-        and reflections, with cylinder probabilities given by exact cyclic
-        pattern counting (see ``_orbit_counts``).  With exact=True
-        probabilities are Fractions."""
-        cells = tuple(as_cells(config).tolist())
-        denom = 2 * len(cells)
-        words = [w for L in range(1, max_len + 1)
-                 for w in itertools.product((ZERO, ONE, QUES), repeat=L)]
-        probs = {w: Fraction(num, denom) if exact else num / denom
-                 for w, num in _orbit_counts(cells, words).items()}
-        return cls(probs, max_len)
-
-    def consistency_error(self) -> float:
-        worst = 0.0
-        for w, v in self.probs.items():
-            if len(w) < self.max_len:
-                ext = sum(self.probs[w + (s,)] for s in (ZERO, ONE, QUES)
-                          if w + (s,) in self.probs)
-                worst = max(worst, abs(float(v - ext)))
-        for L in range(1, self.max_len + 1):
-            total = sum(v for w, v in self.probs.items() if len(w) == L)
-            worst = max(worst, abs(float(total - 1)))
-        return worst
+def _kernel(kind: str, p: float, measure: MarkovMeasure) -> np.ndarray:
+    """``pca.local_kernel(kind, p)``; a binary kind reads no ?, so it refuses
+    a measure that gives ? mass, which it would drop."""
+    if kind in pca.BINARY_KINDS and (q := measure.cylinder("?")) > 0:
+        raise pca.InvalidSymbolError(f"PCA {kind} is defined on binary configurations only; "
+                                     f"the measure gives ? probability {q}")
+    return pca.local_kernel(kind, p)
 
 
-def pushforward_cylinder(kind: str, p: float, measure, word) -> float:
+def pushforward_cylinder(kind: str, p: float, measure: MarkovMeasure, word) -> float:
     """Probability of the output word after one PCA step from `measure`.
 
     Sums measure(u) * prod_i K(u_i, u_{i+1} -> w_i) over all input words u
     of length |w| + 1 (radius-1 rule).
     """
     w = as_cells(word)
-    K = pca.local_kernel(kind, p)
-    alpha = pca.input_alphabet(kind)
-    if isinstance(measure, CylinderTable) and len(w) + 1 > measure.max_len:
-        raise ValueError("word too long for the measure's max_len")
+    K = _kernel(kind, p, measure)
     total = 0.0
-    for u in itertools.product(alpha, repeat=len(w) + 1):
-        mu = measure.cylinder(u) if isinstance(measure, MarkovMeasure) else measure.prob(u)
-        mu = float(mu)
-        if mu == 0.0:
-            continue
-        f = mu
+    for u in itertools.product(pca.input_alphabet(kind), repeat=len(w) + 1):
+        f = measure.cylinder(u)
         for i in range(len(w)):
             f *= K[u[i], u[i + 1], w[i]]
         total += f
@@ -229,36 +184,30 @@ def pushforward_cylinder(kind: str, p: float, measure, word) -> float:
 
 def markov_pushforward_deviation(kind: str, p: float, mm: MarkovMeasure,
                                  max_len: int) -> float:
-    """Max |(pushforward of mm)(w) - mm(w)| over binary words |w| <= max_len.
+    """Max |(pushforward of mm)(w) - mm(w)| over the words |w| <= max_len
+    in the states of mm that the kind reads.
 
     Uses the transfer-product form: with A_s = T * K[:, :, s] (entrywise),
     the pushforward of the word w is  pi^T A_{w_0} ... A_{w_{L-1}} 1.
     """
-    K = pca.local_kernel(kind, p)
-    A = [mm.T * K[:2, :2, s] for s in (ZERO, ONE)]
-    ones = np.ones(2)
+    K = _kernel(kind, p, mm)
+    # a binary kind's measure gives ? no mass: its ? state is dropped
+    k = min(mm.pi.size, len(pca.input_alphabet(kind)))
+    A = [mm.T[:k, :k] * K[:k, :k, s] for s in range(k)]
     worst = 0.0
     # depth-first over words, carrying the prefix-contracted vector
-    stack = [(mm.pi.copy(), ())]
+    stack = [(mm.pi[:k], ())]
     while stack:
         vec, word = stack.pop()
-        for s in (ZERO, ONE):
+        for s in range(k):
             nvec = vec @ A[s]
             nword = word + (s,)
-            push = float(nvec @ ones)
+            push = float(nvec.sum())
             ref = mm.cylinder(nword)
             worst = max(worst, abs(push - ref))
             if len(nword) < max_len:
                 stack.append((nvec, nword))
     return worst
-
-
-def pushforward_table(kind: str, p: float, measure, max_len: int) -> CylinderTable:
-    probs = {}
-    for L in range(1, max_len + 1):
-        for w in itertools.product((ZERO, ONE, QUES), repeat=L):
-            probs[w] = pushforward_cylinder(kind, p, measure, w)
-    return CylinderTable(probs, max_len)
 
 
 # -- the ?-weight system ----------------------------------------------------
@@ -287,26 +236,6 @@ def symmetric_weight(word, i: int) -> int:
     if i - 1 >= 0 and w[i - 1] == ZERO:
         left = 3 if (i - 2 >= 0 and w[i - 2] == ONE) else 2
     return left + right_weight(w, i)
-
-
-def count_cyclic(config: Sequence[int], words) -> dict:
-    """Occurrences of each word (as a tuple) in the cyclic configuration,
-    one per start; the windows are read once per word length, not per word."""
-    counts = dict.fromkeys(map(tuple, words), 0)
-    ext = tuple(config) * 2
-    for L, i in itertools.product({len(w) for w in counts}, range(len(config))):
-        if (w := ext[i:i + L]) in counts:
-            counts[w] += 1
-    return counts
-
-
-def _orbit_counts(cells: Sequence[int], words) -> dict:
-    """2n times the probability of each word under the orbit-uniform measure
-    of a ring word of n cells.  Cyclic counts are rotation-invariant, so the
-    uniform average over the 2n rotations and reflections is that over the
-    word and its reversal."""
-    fwd, rev = count_cyclic(cells, words), count_cyclic(cells[::-1], words)
-    return {w: fwd[w] + rev[w] for w in fwd}
 
 
 # the windows of the weight system: mu's on the ring words, Dmu's on their images
@@ -445,20 +374,20 @@ def _neighbor_masks(neighbors: Sequence[Sequence[int]]) -> list[int]:
 
 
 def gibbs_exact(neighbors: Sequence[Sequence[int]], lam: float) -> GibbsDistribution:
-    """Enumerate independent sets; weight lambda^|I|, normalized."""
+    """Enumerate independent sets; weight lambda^|I|, normalized.  An
+    activity outside (0, inf), NaN included, raises ``ValueError``."""
+    _check_activity(lam)
     n = len(neighbors)
     if n > 20:
         raise ValueError("graph too large for exact enumeration (n <= 20)")
     masks = np.arange(1 << n, dtype=np.int64)
     nbr_masks = _neighbor_masks(neighbors)
     independent = np.ones(1 << n, dtype=bool)
-    for v in range(n):
-        occupied_v = (masks >> v) & 1 == 1
-        conflict = (masks & nbr_masks[v]) != 0
-        independent &= ~(occupied_v & conflict)
     sizes = np.zeros(1 << n, dtype=np.int64)
     for v in range(n):
-        sizes += ((masks >> v) & 1).astype(np.int64)
+        occupied_v = (masks >> v) & 1 == 1
+        independent &= ~(occupied_v & ((masks & nbr_masks[v]) != 0))
+        sizes += occupied_v
     weights = np.where(independent, np.power(float(lam), sizes), 0.0)
     Z = weights.sum()
     probs = weights / Z

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import GraphFamily
-from .sitefield import (below, check_p, check_probability, check_seeds, closed_threshold,
+from .sitefield import (below, check_probability, check_seeds, closed_threshold,
                         finish_tag, hash_prefix)
 from .solver import Sampled, SlabIndex, slab_layers
 from .symbols import ONE, ZERO
@@ -104,11 +104,11 @@ def class_update(torus: SlabIndex, values: np.ndarray, class_i: int,
                  p: float, variant: str, uniforms: np.ndarray) -> np.ndarray:
     """One class update of a 0/1 configuration; `uniforms` has one entry per
     class-i vertex (trailing axis), broadcast against leading axes of
-    `values`."""
+    `values`.  A p outside [0, 1], NaN included, raises ``ValueError``."""
     _check_variant(variant)
     sel = torus.class_members[class_i % torus.q]
     out = np.array(values, dtype=np.int8, copy=True)
-    open_ = np.broadcast_to(uniforms >= check_p(p), out.shape[:-1] + sel.shape)
+    open_ = np.broadcast_to(uniforms >= check_probability(p), out.shape[:-1] + sel.shape)
     _update_class(np.moveaxis(out, -1, 0), sel, torus.neighbors[sel].T,
                   np.moveaxis(open_, -1, 0), variant == "extended")
     return out
@@ -142,7 +142,7 @@ def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
     if base.shape != (torus.n_vertices,) or not np.isin(base, (ZERO, ONE)).all():
         raise ValueError(f"init must be 'even', 'odd', 'empty' or a 0/1 array of shape "
                          f"({torus.n_vertices},)")
-    block_fn = functools.partial(_chain_chunk, torus, closed_threshold(check_probability(p)),
+    block_fn = functools.partial(_chain_chunk, torus, closed_threshold(p),
                                  variant == "extended", sweeps, record_every, base)
 
     def chunk_fn(chunk):  # one worker's seeds, in lane blocks

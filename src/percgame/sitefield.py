@@ -54,11 +54,11 @@ Threshold lemma.  A decision ``u < p`` is made on the 64-bit word h alone:
 since h >> 11 is an integer k < 2**53 and k * 2**-53 is exact, p * 2**53
 is exact (a power-of-two scaling), k < x <=> k < ceil(x) for integer k,
 and floor(h / 2**11) < K <=> h < K * 2**11.  For p < 1, ceil(p * 2**53) <=
-2**53 - 1, so the threshold fits in 64 bits.  For p >= 1 every u is below
+2**53 - 1, so the threshold fits in 64 bits.  For p = 1 every u is below
 p (the threshold 2**64 does not fit a word, so this case is decided
-without it); for p <= 0 none is.  ``hash_below`` is therefore the same
-decision as ``hash_uniforms(...) < p``, bit for bit, without the float
-conversion.
+without it); for p = 0 none is.  Any other p outside [0, 1], NaN
+included, is refused.  ``hash_below`` is therefore the same decision as
+``hash_uniforms(...) < p``, bit for bit, without the float conversion.
 
 A tag is a non-negative int or a tuple of them; an int tag behaves as a
 1-tuple.  Tag registry used in this package:
@@ -344,14 +344,6 @@ def finish_tags(prefix: np.ndarray, tags, out: np.ndarray = None,
     return _mix_rest(out, out, tmp)
 
 
-def check_p(p: float) -> float:
-    """p itself; a NaN p, which no site could be decided by, raises
-    ``ValueError``."""
-    if math.isnan(p):
-        raise ValueError("p must be a number, got nan")
-    return p
-
-
 def check_probability(p: float) -> float:
     """p itself, if 0 <= p <= 1; any other p, NaN included, raises
     ``ValueError`` naming it."""
@@ -375,11 +367,9 @@ def check_seeds(seeds) -> np.ndarray:
 
 def closed_threshold(p: float) -> int:
     """Integer T with  h < T  <=>  (h >> 11) * 2**-53 < p  for every 64-bit
-    h (the threshold lemma); T = 2**64 when p >= 1 and 0 when p <= 0.  A
-    NaN p raises ``ValueError``."""
-    if check_p(p) <= 0.0:
-        return 0
-    if p >= 1.0:
+    h (the threshold lemma); T = 2**64 when p = 1 and 0 when p = 0.  Any p
+    outside [0, 1], NaN included, raises ``ValueError``."""
+    if check_probability(p) == 1.0:
         return 1 << 64
     return math.ceil(p * 2.0 ** 53) << 11
 

@@ -178,7 +178,7 @@ def _thresholds(p) -> list[int]:
     ps = np.asarray(p, dtype=np.float64)
     if ps.ndim != 1 or ps.size == 0:
         raise ValueError(f"p must be a non-empty 1-d sequence, got shape {ps.shape}")
-    return [closed_threshold(check_probability(float(q))) for q in ps]
+    return [closed_threshold(float(q)) for q in ps]
 
 
 def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, keep_all: bool = False):
@@ -363,7 +363,7 @@ class TriangleOutcome:
 def solve_triangle(n: int, boundary: Boundary, p: float, seed: int) -> TriangleOutcome:
     """Game outcomes on the z2 triangle of side n under the given boundary,
     each site closed with probability p (its tag-0 uniform below p)."""
-    _, rows = triangle_sweep(n, boundary, [check_probability(p)], [seed], keep_all=True)
+    _, rows = triangle_sweep(n, boundary, [p], [seed], keep_all=True)
     values = np.full((n + 1, n + 1), -1, dtype=np.int8)
     closed = np.zeros((n + 1, n + 1), dtype=bool)
     for k, (vals, bits) in rows.items():
@@ -651,7 +651,7 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     if not 0 < len(depths) <= DEPTHS_PER_SWEEP or min(depths) < 0:
         raise ValueError(f"a sliced sweep takes 1 to {DEPTHS_PER_SWEEP} depths >= 0, got {depths}")
     m, q, top = index.family.m, index.q, max(depths)
-    threshold = closed_threshold(check_probability(p))
+    threshold = closed_threshold(p)
     # the sites of the hashed layers 0 .. top - 1, by class
     sites = [LayerSites(index.verts_by_class[c], range(c, top, q)) for c in range(q)]
     # per layer k: the boundary zero and one bits of the depths <= k, and the

@@ -6,7 +6,10 @@ recorded in README.md (section "Calibrated thresholds") and are not tuned
 by the tests themselves.
 """
 
+import hashlib
+import runpy
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +249,16 @@ def test_12_symmetry_breaking_demo():
     report(12, frac_persist >= 0.95 and collapse_ok and dt < 600,
            f"lam=5: opposite-sign |diff|>0.2 through 1e4 sweeps in {frac_persist:.0%} "
            f"of seeds; lam=0.5: tail-averaged |diff| < 0.05 [{dt:.0f}s]")
+
+
+# SHA-256 of the stdout (UTF-8) of demos/exact_identities.py, recorded
+# before the cylinder tables were folded into MarkovMeasure
+EXACT_DEMO_STDOUT_SHA256 = "05b99d996f5f419460f8ffa65d504fddf6c6e03f6297f9c7f8dc9230510836eb"
+
+
+def test_13_exact_demo_output(capsys):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "exact_identities.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    report(13, digest == EXACT_DEMO_STDOUT_SHA256,
+           f"demos/exact_identities.py stdout SHA-256 {digest[:12]}... pinned")

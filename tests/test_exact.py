@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from percgame import exact, glauber, pca
-from percgame.exact import CylinderTable
 from percgame.symbols import ONE, QUES, ZERO, format_word, parse_word
 
 SQRT5 = np.sqrt(5.0)
@@ -104,6 +103,14 @@ def test_p_from_activity_domains():
         exact.p_from_activity(0.5, "bogus")
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.5, float("inf"), float("-inf"), float("nan")])
+def test_an_activity_outside_the_positive_reals_is_refused(lam):
+    # these gave NaN laws: matrix_Q a NaN row, gibbs_exact inf and NaN weights
+    for call in (exact.matrix_Q, lambda lam: exact.gibbs_exact([[1], [0]], lam)):
+        with pytest.raises(ValueError, match=rf"0 < lam < inf, got {lam}"):
+            call(lam)
+
+
 def test_win_probability_values():
     assert exact.win_probability(1.0) == 1.0
     assert abs(exact.win_probability(1 / 3) - 2 / 3) < 1e-15
@@ -139,9 +146,9 @@ def test_pushforward_stationarity_sample():
 
 def test_pushforward_deterministic_delta():
     # D applied to the all-0 configuration yields all-1: prob(w="1") = 1
-    table = CylinderTable.from_ring_word([ZERO] * 6, 3)
-    assert exact.pushforward_cylinder("D", 0.0, table, parse_word("1")) == 1.0
-    assert exact.pushforward_cylinder("D", 0.0, table, parse_word("0")) == 0.0
+    all_zero = exact.MarkovMeasure(np.eye(2), [1, 0])
+    assert exact.pushforward_cylinder("D", 0.0, all_zero, parse_word("1")) == 1.0
+    assert exact.pushforward_cylinder("D", 0.0, all_zero, parse_word("0")) == 0.0
 
 
 def _random_markov3(seed):
@@ -152,7 +159,57 @@ def _random_markov3(seed):
     pi = np.ones(3) / 3
     for _ in range(200):
         pi = pi @ T
-    return CylinderTable.from_markov3(T, pi, 5)
+    return exact.MarkovMeasure(T, pi)
+
+
+def test_a_three_state_cylinder_is_the_chain_product():
+    nu = _random_markov3(0)
+    assert nu.cylinder("0?1") == nu.pi[ZERO] * nu.T[ZERO, QUES] * nu.T[QUES, ONE] > 0
+    # a 2-state chain has no ? state
+    assert exact.matrix_P(0.5).cylinder("0?1") == 0.0
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("T, pi, match", [
+    (np.full((2, 2), _NAN), np.full(2, _NAN), "probabilities"),
+    (np.eye(2), [1.0, _NAN], "probabilities"),
+    (np.eye(2), [float("inf"), 0.0], "probabilities"),
+    (np.array([[1.0, 0.0], [float("-inf"), 1.0]]), [1.0, 0.0], "probabilities"),
+    (np.eye(4), [1.0, 0, 0, 0], r"k = 2 or 3"),
+    (np.eye(1), [1.0], r"k = 2 or 3"),
+    (np.eye(3), [1.0, 0.0], r"k = 2 or 3"),
+    (np.eye(2), 1.0, r"k = 2 or 3"),
+    (np.eye(2), [0.0, 0.0], "sum to 1"),
+])
+def test_a_markov_measure_refuses_a_malformed_chain(T, pi, match):
+    with pytest.raises(ValueError, match=match):
+        exact.MarkovMeasure(T, pi)
+
+
+def test_a_binary_kind_refuses_a_measure_with_question_mass():
+    # A reads no ?: the 0.532 of nu's mass on windows with a ? would drop out
+    nu = _random_markov3(0)
+    for word in ("0", "1"):
+        with pytest.raises(pca.InvalidSymbolError, match="gives \\? probability"):
+            exact.pushforward_cylinder("A", 0.3, nu, word)
+    with pytest.raises(pca.InvalidSymbolError):
+        exact.markov_pushforward_deviation("A", 0.3, nu, 2)
+    # a 3-state chain that gives ? no mass is a binary measure
+    T = np.zeros((3, 3))
+    T[:2, :2], T[2] = exact.matrix_P(0.3).T, 1 / 3
+    binary = exact.MarkovMeasure(T, np.append(exact.matrix_P(0.3).pi, 0.0))
+    assert exact.markov_pushforward_deviation("A", 0.3, binary, 6) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["F", "G", "R0"])
+def test_the_transfer_product_equals_the_brute_force_sum_on_three_states(kind):
+    nu = _random_markov3(3)
+    words = [w for L in (1, 2, 3) for w in itertools.product((ZERO, ONE, QUES), repeat=L)]
+    worst = max(abs(exact.pushforward_cylinder(kind, 0.4, nu, w) - nu.cylinder(w)) for w in words)
+    assert worst > 1e-3  # nu is not stationary for the kind
+    assert abs(exact.markov_pushforward_deviation(kind, 0.4, nu, 3) - worst) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -161,10 +218,10 @@ def test_randomizer_cylinder_identities(seed, p):
     # one-step identities of the site-wise randomizers on shift-invariant nu
     nu = _random_markov3(seed)
     q = 1 - p
-    qq = nu.prob("?")
-    q0 = nu.prob("?0")
-    q01 = nu.prob("?01")
-    qs1 = sum(nu.prob((QUES, a, ONE)) for a in (ZERO, ONE, QUES))
+    qq = nu.cylinder("?")
+    q0 = nu.cylinder("?0")
+    q01 = nu.cylinder("?01")
+    qs1 = sum(nu.cylinder((QUES, a, ONE)) for a in (ZERO, ONE, QUES))
     assert abs(exact.pushforward_cylinder("R0", p, nu, "?") - q * qq) < 1e-12
     assert abs(exact.pushforward_cylinder("R0", p, nu, "?0")
                - (p * q * qq + q * q * q0)) < 1e-12
@@ -177,15 +234,15 @@ def test_randomizer_cylinder_identities(seed, p):
 
 
 def test_pushforward_table_consistency():
+    # the pushforward is a shift-invariant measure: each word's probability
+    # is the sum over its one-symbol extensions, and each length sums to 1
     nu = _random_markov3(5)
-    out = exact.pushforward_table("F", 0.3, nu, 3)
-    assert out.consistency_error() < 1e-12
-
-
-def test_cylinder_table_guards():
-    nu = _random_markov3(6)
-    with pytest.raises(ValueError):
-        exact.pushforward_cylinder("F", 0.3, nu, "0" * 6)  # needs len+1 <= max_len
+    words = {L: list(itertools.product((ZERO, ONE, QUES), repeat=L)) for L in (1, 2, 3)}
+    probs = {w: exact.pushforward_cylinder("F", 0.3, nu, w) for ws in words.values() for w in ws}
+    for w in words[1] + words[2]:
+        assert abs(probs[w] - sum(probs[w + (s,)] for s in (ZERO, ONE, QUES))) < 1e-12
+    for ws in words.values():
+        assert abs(sum(probs[w] for w in ws) - 1) < 1e-12
 
 
 # -- weight system -----------------------------------------------------------
@@ -203,12 +260,10 @@ def test_symmetric_weight_examples():
 
 
 def test_weight_check_fixtures():
-    # all-0 ring: no ? before or after (D maps it to all-1)
-    tab0 = CylinderTable.from_ring_word([ZERO] * 6, 3, exact=True)
-    assert tab0.prob("?") == 0
-    # all-? ring: D fixes it, weight 1 per site on both sides
-    tabq = CylinderTable.from_ring_word([QUES] * 6, 3, exact=True)
-    assert tabq.prob("?") == 1
+    # counts over 2n = 12: the all-0 ring has no ? before or after (D maps
+    # it to all-1); D fixes the all-? ring, weight 1 per site on both sides
+    res = exact._orbit_cylinders(np.array([[ZERO] * 6, [QUES] * 6], dtype=np.int8))
+    assert res["mu"]["?"].tolist() == res["dmu"]["?"].tolist() == [0, 12]
 
     rep = exact.weight_identities_check(5)
     assert rep.passed, rep.summary()
@@ -239,14 +294,26 @@ def ring_orbit(cells):
     return sorted(orbit)
 
 
+def count_cyclic(config, words) -> dict:
+    """Occurrences of each word (a tuple) in the cyclic configuration, one
+    per start."""
+    counts = dict.fromkeys(map(tuple, words), 0)
+    ext = tuple(config) * 2
+    for L, i in itertools.product({len(w) for w in counts}, range(len(config))):
+        if (w := ext[i:i + L]) in counts:
+            counts[w] += 1
+    return counts
+
+
 def orbit_cylinders(cells):
     """One orbit's mu and Dmu window counts over 2n, from cyclic counts of
     the word, its reversal and their images under one pca.step of D each."""
     words = [parse_word(w) for w in ("?", "?0", "0?", "??", "?01", "??1", "0?1", "1?1")]
     images = [tuple(pca.step("D", np.array(c, dtype=np.int8), 0.0).tolist())
               for c in (cells, cells[::-1])]
-    mu = exact._orbit_counts(cells, words)
-    counts = [exact.count_cyclic(img, words[:2] + words[4:5]) for img in images]
+    counts = [count_cyclic(c, words) for c in (cells, cells[::-1])]
+    mu = {w: sum(c[w] for c in counts) for w in counts[0]}
+    counts = [count_cyclic(img, words[:2] + words[4:5]) for img in images]
     dmu = {w: sum(c[w] for c in counts) for w in counts[0]}
     return {format_word(w): v for w, v in mu.items()}, {format_word(w): v for w, v in dmu.items()}
 

@@ -172,25 +172,24 @@ NAN_P_ENTRY_POINTS = {
 }
 
 
-# the sweeps take p as a probability: one outside [0, 1] is refused
 SWEEPS = ("triangle_sweep", "win_origins", "solve_triangle", "slab_sweep", "sliced_sweep",
           "draw_scan", "run_chains")
-# so do the PCA sampler and its trajectories (see tests/test_pca.py)
-PCA_SAMPLERS = ("pca.step", "trajectory_stats")
+# the sweeps, the class update and the threshold take p as a probability:
+# one outside [0, 1] is refused (so do the PCA sampler and its trajectories,
+# see tests/test_pca.py)
+PROBABILITY_TAKERS = SWEEPS + ("class_update", "closed_threshold", "hash_below")
 
 
 @pytest.mark.parametrize("name", NAN_P_ENTRY_POINTS)
 def test_a_nan_p_is_refused(name):
     call = NAN_P_ENTRY_POINTS[name]
-    # 0 and 1 everywhere; outside [0, 1] the documented meanings, where
-    # neither a sweep nor a PCA sampler takes p
-    for p in (0.0, 1.0) if name in SWEEPS + PCA_SAMPLERS else (0.0, 1.0, -0.5, 1.5):
+    for p in (0.0, 1.0):
         call(p)
     with pytest.raises(ValueError, match="nan"):
         call(float("nan"))
 
 
-@pytest.mark.parametrize("name", SWEEPS)
+@pytest.mark.parametrize("name", PROBABILITY_TAKERS)
 @pytest.mark.parametrize("p", [1.5, -2.0, float("nan")])
 def test_a_sweep_refuses_p_outside_the_unit_interval(name, p):
     with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got " + str(p)):
@@ -226,16 +225,6 @@ def test_a_sweep_refuses_a_seed_past_int64(name):
     for seeds in ([2 ** 63 - 1, 2 ** 63], range(-2 ** 63 - 1, -2 ** 63 + 1)):
         with pytest.raises(ValueError, match=r"from -2\*\*63 to 2\*\*63 - 1"):
             SEED_LISTS[name](seeds)
-
-
-def test_p_outside_the_unit_interval_keeps_its_meaning():
-    assert closed_threshold(-0.5) == closed_threshold(0.0) == 0
-    assert closed_threshold(1.5) == closed_threshold(1.0) == 1 << 64
-    config = glauber.checkerboard_config(_TORUS, 0)
-    u = hash_uniforms(0, solver._move_table(_TORUS.family, _TORUS.sizes).site_coords(1), 0)
-    for out, edge in ((-0.5, 0.0), (1.5, 1.0)):
-        assert np.array_equal(glauber.class_update(_TORUS, config, 1, out, "standard", u),
-                              glauber.class_update(_TORUS, config, 1, edge, "standard", u))
 
 
 # -- the prefix / finisher split ----------------------------------------------
