@@ -58,9 +58,12 @@ class MarkovMeasure:
             raise ValueError("pi must be stationary for T")
 
     def cylinder(self, word) -> float:
-        """Probability that consecutive cells spell the word; 0 for a word
-        holding a symbol that is not a state of the chain."""
+        """Probability that consecutive cells spell the word; 1 for the
+        empty word, 0 for a word holding a symbol that is not a state of
+        the chain."""
         w = as_cells(word)
+        if w.size == 0:
+            return 1.0
         if (w >= self.pi.size).any():
             return 0.0
         prob = float(self.pi[w[0]])
@@ -70,8 +73,13 @@ class MarkovMeasure:
 
 
 def stationary_vector(T: np.ndarray) -> np.ndarray:
-    """Stationary row vector of a 2x2 chain from the balance equation."""
+    """Stationary row vector of a 2x2 chain from the balance equation.  A
+    chain that never leaves either state, T[0, 1] + T[1, 0] = 0, has no
+    unique one and raises ``ValueError``."""
     p01, p10 = T[0, 1], T[1, 0]
+    if p01 + p10 == 0:
+        raise ValueError("a 2x2 chain with T[0, 1] + T[1, 0] = 0 has no unique "
+                         "stationary vector")
     pi0 = p10 / (p10 + p01)
     return np.array([pi0, 1.0 - pi0])
 

@@ -43,7 +43,7 @@ import numpy as np
 from . import lattice
 from .lattice import GraphFamily
 from .sitefield import (below, check_probability, check_seeds, closed_threshold,
-                        finish_tag, hash_prefix)
+                        finish_class_tags, hash_prefix)
 from .solver import Sampled, SlabIndex, slab_layers
 from .symbols import ONE, ZERO
 from .workers import parallel_seed_map
@@ -158,31 +158,33 @@ def _chain_chunk(torus: SlabIndex, threshold: int, extended: bool, sweeps: int,
     """``run_chains`` on one block of at most 64 seeds, from the 0/1
     configuration ``base``.
 
-    Each class's hash prefix (seed and coordinate words) is computed once;
-    a sweep finishes only the (t, i) tag and decides ``uniform >= p`` on
-    the hash words (see ``sitefield``).  The configuration is bit-sliced,
-    one uint64 word per vertex, (V,): seed s is bit s, and the lanes from
-    S to 63 stay 0.  A class update packs the open bits into the same
-    lanes (lane s is bit s % 8 of byte s // 8 of the packed bytes); an
-    occupation is the count of set lanes / class size.
+    The hash prefix (seed and coordinate words) of every vertex is computed
+    once, in one class-major (V, S) table, as ``SlabIndex`` lists the
+    vertices class by class.  A sweep finishes the (t, i) tags of all rows
+    in row blocks (``sitefield.finish_class_tags``), decides ``uniform >=
+    p`` on each block's hash words while it is in the cache, and packs the
+    open bits of the whole sweep once; each class update reads its own
+    rows of them.  The configuration is bit-sliced, one uint64 word per
+    vertex, (V,): seed s is bit s, and the lanes from S to 63 stay 0.  The
+    open bits are packed into the same lanes (lane s is bit s % 8 of byte
+    s // 8 of the packed bytes); an occupation is the count of set lanes /
+    class size.
     """
-    members = torus.class_members
+    members, starts = torus.class_members, torus.class_starts
     lanes = np.uint64((1 << seeds.size) - 1)
     values = np.where(base == ONE, lanes, np.uint64(0))
-    prefixes = [np.ascontiguousarray(hash_prefix(seeds, torus.coords[sel]).T)
-                for sel in members]
+    prefix = np.ascontiguousarray(hash_prefix(seeds, torus.coords).T)
+    hashed, scratch = np.empty_like(prefix), np.empty_like(prefix)
     nbr_cols = [np.ascontiguousarray(torus.neighbors[sel].T) for sel in members]
-    hashed = [np.empty_like(pre) for pre in prefixes]
-    scratch = [np.empty_like(pre) for pre in prefixes]
     # closed bits, one 64-lane word per vertex; the lanes from S on stay False
-    closed = [np.zeros((len(sel), 64), dtype=bool) for sel in members]
+    closed = np.zeros((torus.n_vertices, 64), dtype=bool)
     record_sweeps, occs = [], []
     for t in range(sweeps):
-        for i in range(torus.q):
-            h = finish_tag(prefixes[i], (t, i), out=hashed[i], tmp=scratch[i])
-            below(h, threshold, out=closed[i][:, :seeds.size])
-            open_ = np.packbits(closed[i].reshape(-1), bitorder="little").view(np.uint64) ^ lanes
-            _update_class(values, members[i], nbr_cols[i], open_, extended)
+        for lo, hi, h in finish_class_tags(prefix, t, starts, out=hashed, tmp=scratch):
+            below(h, threshold, out=closed[lo:hi, :seeds.size])
+        open_ = np.packbits(closed.reshape(-1), bitorder="little").view(np.uint64) ^ lanes
+        for sel, cols, a, b in zip(members, nbr_cols, starts, starts[1:]):
+            _update_class(values, sel, cols, open_[a:b], extended)
         if (t + 1) % record_every == 0 or t == sweeps - 1:
             record_sweeps.append(t + 1)
             occs.append(np.stack(

@@ -30,10 +30,12 @@ the *tag finisher* mixes the tag elements into it:
     finish(h, tag):                for each tag element t:      h = mix64(h ^ t)
     u = (finish(prefix(seed, c), tag) >> 11) * 2.0**-53   # uniform in [0, 1)
 
-A consumer that draws many tags at fixed sites (a Glauber chain drawing
-tag (t, i) at every sweep t) computes each site's prefix once;
-``finish_tags`` finishes a block of one-element tags (the ring PCA's time
-steps) in one call.  ``LayerSites`` packs the transverse coordinates of
+A consumer that draws many tags at fixed sites computes each site's
+prefix once.  ``finish_tags`` finishes a block of one-element tags (the
+ring PCA's time steps) in one call; ``finish_class_tags`` finishes a
+Glauber sweep t, the tag (t, i) of every vertex of every class i, on one
+class-major table of the torus's prefixes, in row blocks that may cut
+through classes.  ``LayerSites`` packs the transverse coordinates of
 a slab layer's sites once, for every layer k (their last coordinate), and
 moves the field of k by one xor per layer; it hashes site-major, (n, S),
 from seed states that its caller mixes once for all layers.
@@ -93,6 +95,17 @@ SEED_MAX = (1 << 63) - 1  # seeds are int64
 # the triangle sweep a run of diagonals, the ring PCA a block of time tags,
 # the sliced slab sweep a block of seeds of a layer
 CHAIN_BLOCK = 1 << 15
+
+# words per row block of finish_class_tags, which finishes a Glauber sweep's
+# (t, i) tags: twice CHAIN_BLOCK, as a block reads its prefix rows once and
+# then mixes only its words and scratch, 1 MB, and its closed bits are
+# decided before the next block.  The 50-seed sweep of the even(3) 32x32
+# torus (51,200 words) is then one block.  Measured on a 2-vCPU host with a
+# 2 MB L2 per core: cut into two blocks of CHAIN_BLOCK or less, that sweep's
+# finish took 226 against 208 us (fastest of 15); at 4 * CHAIN_BLOCK the
+# 25- to 64-seed chains on the 64x64 torus (102,400 to 262,144 words a
+# sweep) ran 12-24% slower than at 2 * CHAIN_BLOCK, out of the L2
+SWEEP_BLOCK = 2 * CHAIN_BLOCK
 
 _INV_2_53 = 2.0 ** -53
 
@@ -342,6 +355,37 @@ def finish_tags(prefix: np.ndarray, tags, out: np.ndarray = None,
     np.bitwise_xor(prefix, (tags ^ tags >> _U30).reshape(tags.shape + (1,) * prefix.ndim),
                    out=out)
     return _mix_rest(out, out, tmp)
+
+
+def finish_class_tags(prefix: np.ndarray, t: int, starts, out: np.ndarray = None,
+                      tmp: np.ndarray = None):
+    """Hash words of (seed, site, (t, i)) for every row of the class-major
+    table ``prefix`` of :func:`hash_prefix`, sites first, whose class i
+    holds rows ``starts[i]`` to ``starts[i + 1] - 1``: row r of class i is
+    ``finish_tag(prefix[r], (t, i))``, bit for bit.
+
+    A generator: it finishes the rows in as few balanced blocks (sizes
+    differ by at most one row) of at most ``SWEEP_BLOCK`` words as there
+    can be (one row if a row is larger), and yields (lo, hi, words) once
+    rows lo .. hi - 1 are in ``out[lo:hi]``, so that the caller reads each
+    block while it is in the cache.  Within a block the class element i is
+    xored into each class's slice of rows; a block may cut through
+    classes.  ``out`` and ``tmp`` are uint64 of the prefix's shape, as for
+    :func:`finish_tag`."""
+    out = np.empty_like(prefix) if out is None else out
+    tmp = np.empty_like(prefix) if tmp is None else tmp
+    n = prefix.shape[0]
+    blocks = -(-n // max(1, SWEEP_BLOCK // max(1, prefix[0].size)))
+    for k in range(blocks):
+        lo, hi = k * n // blocks, (k + 1) * n // blocks
+        words, scratch = out[lo:hi], tmp[lo:hi]
+        finish_tag(prefix[lo:hi], t, out=words, tmp=scratch)
+        for i in range(1, len(starts) - 1):  # class 0's element is 0: no xor
+            a, b = max(starts[i], lo), min(starts[i + 1], hi)
+            if a < b:
+                words[a - lo:b - lo] ^= np.uint64(i)
+        _mix64_inplace(words, scratch)
+        yield lo, hi, words
 
 
 def check_probability(p: float) -> float:

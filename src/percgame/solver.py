@@ -386,7 +386,8 @@ class SlabIndex:
 
     Vertices are listed class by class, sorted within a class: vertex i has
     torus coordinates ``coords[i]`` and class ``classes[i]``; class c holds
-    the vertices ``class_members[c]``, whose coordinates are
+    the vertices ``class_members[c]``, ``class_starts[c]`` to
+    ``class_starts[c + 1] - 1``, whose coordinates are
     ``verts_by_class[c]``.  Layer k of a slab occupies class k mod q, and
     ``origin_pos`` is the position of the origin within class 0.
 
@@ -406,8 +407,9 @@ class SlabIndex:
         counts = [len(v) for v in by_class]
         self.coords = np.array([t for v in by_class for t in v], dtype=np.int64)
         self.classes = np.repeat(np.arange(self.q), counts)
-        self._start = np.concatenate([[0], np.cumsum(counts)])
-        self.class_members = [np.arange(a, b) for a, b in zip(self._start, self._start[1:])]
+        self.class_starts = np.concatenate([[0], np.cumsum(counts)])
+        self.class_members = [np.arange(a, b)
+                              for a, b in zip(self.class_starts, self.class_starts[1:])]
         self.verts_by_class = [self.coords[sel] for sel in self.class_members]
         # position within its class of every vertex, by torus coordinates
         slot = np.full(self.sizes, -1, dtype=np.int64)
@@ -433,7 +435,7 @@ class SlabIndex:
         rows = []
         for c, (pos, dl) in enumerate(zip(self.nbr_pos, self.nbr_layer_delta)):
             edge = dl % self.q != 0
-            rows.append(pos[:, edge] + self._start[(c + dl[edge]) % self.q])
+            rows.append(pos[:, edge] + self.class_starts[(c + dl[edge]) % self.q])
         return np.concatenate(rows)
 
     @property

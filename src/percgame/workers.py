@@ -14,11 +14,14 @@ import numpy as np
 
 # Hashed words per forked worker, at the least.  A pool of two workers
 # starts in 13-16 ms on an idle 2-vCPU host (12-24 ms on a busy one).
-# Measured there, serial against two workers (medians of 7): chains on the
-# even(3) 32x32 torus, 50 seeds, break even near 5 M words (4.1 M: 42 ms
-# against 79 ms; 5.1 M: 54 against 51 ms; 10.2 M: 104 against 83 ms), and
-# z2 triangles near 5 M sites (2.0 M: 41 against 54 ms; 6.0 M: 91 against
-# 79 ms).  So two workers need about 6 M words.
+# Measured there, serial against two workers: z2 triangles break even near
+# 5 M sites (medians of 7; 2.0 M: 41 against 54 ms; 6.0 M: 91 against 79
+# ms), and chains on the even(3) 32x32 torus, 50 seeds, with a sweep's tags
+# finished in row blocks, near 4 M words (fastest/median of 7, two series;
+# 3.9 M: 22-24/23-25 against 20-22/23-31 ms; 4.9 M: 26-27/28 against
+# 22/24-26 ms; 7.8 M: 44-46/48-51 against 30-31/37-46 ms; 9.8 M: 55/56-61
+# against 37-44/47-53 ms).  So two workers need about 6 M words, past both
+# break-evens; the chains' fell from near 5 M words with per-class hashing.
 FORK_MIN_WORDS = 3 << 20
 
 # The sliced slab sweep (solver.sliced_sweep) has its own bound.  Its work

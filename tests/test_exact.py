@@ -1,6 +1,7 @@
 """Exact analysis: matrices, win probabilities, cylinders, weights, Gibbs."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,25 @@ def test_a_three_state_cylinder_is_the_chain_product():
     assert nu.cylinder("0?1") == nu.pi[ZERO] * nu.T[ZERO, QUES] * nu.T[QUES, ONE] > 0
     # a 2-state chain has no ? state
     assert exact.matrix_P(0.5).cylinder("0?1") == 0.0
+
+
+@pytest.mark.parametrize("kind,nu", [
+    ("A", exact.matrix_P(0.5)), ("F", exact.matrix_P(0.5)),
+    ("F", _random_markov3(0)), ("R0", _random_markov3(1))],
+    ids=["A-2-state", "F-2-state", "F-3-state", "R0-3-state"])
+def test_the_empty_cylinder_has_probability_one(kind, nu):
+    assert nu.cylinder("") == 1.0
+    assert exact.pushforward_cylinder(kind, 0.3, nu, "") == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stationary_vector_refuses_a_chain_that_never_moves():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no unique stationary vector"):
+            exact.stationary_vector(np.eye(2))
+        # one absorbing state still has a unique stationary vector
+        pi = exact.stationary_vector(np.array([[1.0, 0.0], [0.3, 0.7]]))
+    assert np.array_equal(pi, [1.0, 0.0])
 
 
 _NAN = float("nan")

@@ -6,7 +6,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from percgame import exact, glauber, workers
+from percgame import exact, glauber, sitefield, workers
 from percgame import lattice as lat
 from percgame.sitefield import hash_uniforms
 
@@ -230,6 +230,18 @@ def _assert_chains_match_reference(fam, sizes, variant, init, p, seeds):
 @pytest.mark.parametrize("n_seeds", [1, 63, 64, 65, 130])
 def test_run_chains_matches_reference_loop_across_word_edges(fam, variant, init, p, n_seeds):
     _assert_chains_match_reference(fam, (8, 8), variant, init, p, np.arange(n_seeds) + 3)
+
+
+# a sweep's tags finished in row blocks of at most 7 and 11 rows of 3 seeds,
+# which cut through the classes (64 and 16 vertices a torus, 36 subset(3)'s)
+@pytest.mark.parametrize("fam,sizes,variant", [
+    (EVEN3, (8, 8), "standard"), (Z2, (16,), "standard"),
+    (SUB3, (6, 6), "standard"), (EXT3, (8, 8), "extended")])
+@pytest.mark.parametrize("block", [21, 33])
+def test_run_chains_matches_reference_loop_across_row_blocks(fam, sizes, variant, block,
+                                                             monkeypatch):
+    monkeypatch.setattr(sitefield, "SWEEP_BLOCK", block)
+    _assert_chains_match_reference(fam, sizes, variant, "even", 0.3, np.arange(3, 6))
 
 
 # SHA-256 of the occupations of 130 seeds (three lane blocks of 44, 43 and

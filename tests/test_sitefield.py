@@ -294,6 +294,37 @@ def test_finish_tags_equals_finish_tag_per_tag(seeds, tags):
         assert np.array_equal(row, finish_tag(prefix, tag))
 
 
+# a torus of each class count and the extended variant: z2 and even(3) have
+# two classes, subset(3) three
+SWEEP_TORI = [(lat.z2(), (10,)), (lat.even_sublattice(3), (6, 6)),
+              (lat.subset_increment(3), (6, 6)), (lat.even_sublattice_extended(3), (4, 4))]
+
+
+@pytest.mark.parametrize("fam,sizes", SWEEP_TORI, ids=lambda v: str(v))
+@pytest.mark.parametrize("block", [None, 1, 7, 15, 31])  # words per block; None: SWEEP_BLOCK
+def test_finish_class_tags_equals_finish_tag_per_class(fam, sizes, block, monkeypatch):
+    # blocks of one row, or of at most 2, 5 and 10 rows of 3 seeds, cut
+    # through the classes; each class i is finished with the tag (t, i)
+    if block is not None:
+        monkeypatch.setattr(sitefield, "SWEEP_BLOCK", block)
+    torus = glauber.build_doubling_torus(fam, sizes)
+    seeds = np.array([3, 0, 2 ** 63 - 1], dtype=np.uint64)
+    prefix = np.ascontiguousarray(hash_prefix(seeds, torus.coords).T)
+    rows = max(1, sitefield.SWEEP_BLOCK // seeds.size)
+    for t in (0, 1, 2 ** 31 + 5):
+        out = np.zeros_like(prefix)
+        spans = [(lo, hi) for lo, hi, words in
+                 sitefield.finish_class_tags(prefix, t, torus.class_starts, out=out)]
+        # as few blocks as hold the rows, in order, balanced
+        lengths = [hi - lo for lo, hi in spans]
+        assert len(spans) == -(-len(prefix) // rows) and max(lengths) - min(lengths) <= 1
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        assert spans[-1][1] == len(prefix) and max(lengths) <= rows
+        for i, sel in enumerate(torus.class_members):
+            want = finish_tag(hash_prefix(seeds, torus.coords[sel]), (t, i))
+            assert np.array_equal(out[sel], want.T)
+
+
 # -- sites packed once, hashed layer by layer ----------------------------------
 
 
