@@ -63,10 +63,15 @@ class UsageError(ValueError):
 
 
 def _probability(value, flag: str) -> None:
-    """--p, or each value of --p-grid, lies in [0, 1]."""
-    for p in value if isinstance(value, list) else [value]:
+    """--p, or each value of --p-grid, lies in [0, 1], and no value of
+    --p-grid repeats: a repeat would run its p twice and write its rows
+    twice."""
+    grid = value if isinstance(value, list) else [value]
+    for i, p in enumerate(grid):
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"{flag} must be in [0, 1], got {p}")
+        if p in grid[:i]:
+            raise UsageError(f"{flag} repeats {p}")
 
 
 def _at_least(value: int, flag: str, low: int = 0) -> int:

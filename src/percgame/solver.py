@@ -22,16 +22,28 @@ coordinate tuple t + (k,); triangle sites use their plane coordinates
 A site's closed bit depends on neither the depth of a sweep nor its
 boundary, so each is hashed once per run: ``draw_scan`` reads every depth
 and boundary of a draw-scan off one ``sliced_sweep`` (the bits of two
-uint64 words per site), and ``triangle_sweep`` applies the threshold of
-every p of its sequence to the same hash words.  Nor does it depend on
-the sweep's state, so the triangle sweep hashes ahead: one ``hash_words``
-call takes the run of diagonals k, k - 1, ... that fits in about
-``CHAIN_BLOCK`` words (one diagonal if it alone is larger), and each
+uint64 words per site and seed), and ``triangle_sweep`` applies the
+threshold of every p of its sequence to the same hash words.  Nor does it
+depend on the sweep's state, so the triangle sweep hashes ahead: one
+``hash_words`` call takes the run of diagonals k, k - 1, ... that fits in
+about ``CHAIN_BLOCK`` words (one diagonal if it alone is larger), and each
 diagonal reads its columns of the batch.  The sliced sweep holds the same
-budget per layer array: it runs its seeds in blocks of at most
+budget per hash array: it runs its seeds in blocks of at most
 ``CHAIN_BLOCK`` // n_class, and hashes each layer site-major, (n_class, S),
-the layout of its words, from its class's sites, packed once, and the
-block's seed states, mixed once (``LayerSites``).
+from its class's sites, packed once, and the block's seed states, mixed
+once (``LayerSites``).
+
+The sliced sweep gives each seed three lanes per depth, one per boundary
+(?, 0 and 1), on subset(d) and even_ext(d), whose moves may advance two
+layers.  On every other family, a graded one (every move advances one
+layer: z2, zd(d), even(d), bcc(d), binomial(d, r)), it sweeps the all-?
+boundary alone, one lane per depth, and derives the all-0 and all-1
+values on layer 0 from the all-? value and the parity of the depth.
+That is exact: the value of a layer-0 site is a monotone function of the
+boundary values at an even depth and an antimonotone one at an odd depth,
+on which the three-valued rule decides exactly the sites that the
+boundary does not (see ``sliced_sweep``).  Up to 8 seeds share a word, so
+the rule runs on a third of the words at 21 depths.
 
 Two sweeps run their seeds in contiguous chunks through
 ``workers.parallel_seed_map``, one chunk per forked worker once the call
@@ -439,6 +451,13 @@ class SlabIndex:
         return np.concatenate(rows)
 
     @property
+    def graded(self) -> bool:
+        """Whether every move advances exactly one layer, as on z2, zd(d),
+        even(d), bcc(d) and binomial(d, r); subset(d) and even_ext(d) have
+        moves that advance more."""
+        return all((dl == 1).all() for dl in self.nbr_layer_delta)
+
+    @property
     def n_vertices(self) -> int:
         return self.coords.shape[0]
 
@@ -574,30 +593,154 @@ def slab_sweep(index: SlabIndex, depth: int, boundary: Boundary, p: float, seeds
 
 DEPTHS_PER_SWEEP = 64 // 3  # 3 boundaries x 21 depths in the bits of a word
 
+class _Lanes:
+    """Where a sliced sweep of ``depths`` keeps each seed, depth and
+    boundary in the bits of its words.
 
-def _sliced_chunk(index: SlabIndex, sites, fixed, threshold: int, top: int, seeds: np.ndarray,
-                  zero: np.ndarray, one: np.ndarray) -> None:
+    A seed has B lanes per depth, lane B·i + b holding depth i under
+    boundary b: B = 3, the boundaries ?, 0 and 1, on a family with moves
+    that skip a layer; B = 1, the all-? boundary alone, on a graded family.
+    ``slots`` = min(8, 64 // (B·len(depths))) seeds share a word, seed
+    slot j in the bits of residue j mod ``slots``, lane l in bit
+    l·slots + j; a block's seed w·slots + j has slot j of word w.  Every
+    bit of a word belongs to a slot, and a closed seed sets all of its
+    slot's bits.  The bits past the last lane are never fixed, so they
+    hold the all-? slab of the deepest depth: at 21 depths on a family
+    that is not graded (one slot) the words are those of one seed a word.
+
+    A word takes its closed bits from one byte per slot (``pack``), so it
+    has at most 8 slots.  ``unpack`` lays each seed of layer 0 out in the
+    3i + b lanes of ``sliced_sweep``."""
+
+    # (x * _GATHER) >> 56 moves bit 0 of byte j of x to bit j
+    _GATHER = np.uint64(0x0102040810204080)
+
+    def __init__(self, graded: bool, depths, layers: int):
+        self.per_depth = 1 if graded else 3
+        self.n_lanes = self.per_depth * len(depths)
+        self.slots = min(8, 64 // self.n_lanes)
+        self.slot_bytes = np.uint64((1 << 8 * self.slots) - 1)
+        self.slot_zero = np.uint64(sum(1 << b for b in range(0, 64, self.slots)))
+
+        def masks(ques):
+            """The boundary zero and one bits of the depths whose ? lanes
+            have the bits ``ques``, and the bits of every other lane."""
+            if self.per_depth == 1:
+                return np.uint64(0), np.uint64(0), ~np.uint64(ques)
+            to_zero, to_one = ques << self.slots, ques << 2 * self.slots  # lanes 3i + 1, 3i + 2
+            return np.uint64(to_zero), np.uint64(to_one), ~np.uint64(ques | to_zero | to_one)
+
+        # per layer k < layers: the masks of the depths <= k, whose lanes
+        # take their boundary values on layer k
+        ques_at = [0] * layers  # the bits of the ? lanes of the depths K = k
+        for i, K in enumerate(depths):
+            ques_at[K] |= (1 << self.slots) - 1 << self.per_depth * i * self.slots
+        cumulative = list(itertools.accumulate(ques_at, operator.or_))
+        by_ques = {b: masks(b) for b in set(cumulative)}
+        self.fixed = [by_ques[b] for b in cumulative]
+        # in the 3i + b lanes: the ? lanes of every depth and of the odd
+        # depths, the lanes of no depth, and the ? lane of the deepest depth
+        self.ques = np.uint64(sum(1 << 3 * i for i in range(len(depths))))
+        self.odd = np.uint64(sum(1 << 3 * i for i, K in enumerate(depths) if K % 2))
+        self.unused = np.uint64((1 << 64) - (1 << 3 * len(depths)))
+        self.deep = np.uint64(3 * max(range(len(depths)), key=depths.__getitem__))
+
+    def flag_words(self, flags: np.ndarray, size: int) -> np.ndarray:
+        """``pack``'s view of the closed flags of ``size`` words, in a uint8
+        buffer that holds site i's flag of seed c in byte i·slots·W + c (0
+        past the block's last seed), and 8 more bytes: per word, the eight
+        bytes from its first slot's, little-endian (the flags themselves, as
+        int8, at one slot)."""
+        if self.slots == 1:
+            return flags[:size].view(np.int8)
+        return np.ndarray((size,), dtype="<u8", buffer=flags, strides=(self.slots,))
+
+    def pack(self, flag_words: np.ndarray, z: np.ndarray) -> None:
+        """The zero words ``z`` of a layer from its ``flag_words``: the bits
+        of each closed seed's slot set."""
+        z = z.reshape(-1)
+        if self.slots == 1:  # a closed seed's word, all ones
+            np.negative(flag_words, out=z, casting="unsafe")
+            return
+        np.bitwise_and(flag_words, self.slot_bytes, out=z)  # the word's own slots
+        z *= self._GATHER
+        z >>= np.uint64(56)
+        z *= self.slot_zero
+
+    def unpack(self, z: np.ndarray, o: np.ndarray, zero: np.ndarray, one: np.ndarray,
+               tmp: np.ndarray, tmp2: np.ndarray) -> None:
+        """The rows ``zero`` and ``one``, (s, n), of a block's layer-0 words
+        ``z`` and ``o``, (n, W); ``tmp`` and ``tmp2`` are scratch of the
+        rows' shape."""
+        stride = 3 // self.per_depth  # of the lanes in a row
+        for j in range(min(self.slots, zero.shape[0])):
+            # lane l moves from bit l·slots + j to bit l·stride: all lanes by
+            # one shift where the two strides are equal
+            moves = {}
+            for l in range(self.n_lanes):
+                shift = l * (self.slots - stride) + j
+                moves[shift] = moves.get(shift, 0) | 1 << l * stride
+            for words, rows in ((z, zero[j::self.slots]), (o, one[j::self.slots])):
+                words, part = words[:, :rows.shape[0]].T, tmp[j::self.slots]
+                rows.fill(0)
+                for shift, bits in moves.items():
+                    np.right_shift(words, np.uint64(shift), out=part)
+                    part &= np.uint64(bits)
+                    rows |= part
+        if self.per_depth == 1:
+            # a definite all-? lane 3i is also the all-0 and all-1 lanes
+            # 3i + 1 and 3i + 2; where it is ?, the all-0 lane is 1 at an
+            # odd depth and 0 at an even one, the all-1 lane the other way
+            even = np.bitwise_and(np.invert(np.bitwise_or(zero, one, out=tmp), out=tmp),
+                                  self.ques, out=tmp)
+            odd = np.bitwise_and(even, self.odd, out=tmp2)
+            even ^= odd
+            zero *= np.uint64(7)
+            one *= np.uint64(7)
+            for to_zero, to_one in ((even, odd), (odd, even)):  # lanes 3i + 1, then 3i + 2
+                even <<= np.uint64(1)
+                odd <<= np.uint64(1)
+                zero |= to_zero
+                one |= to_one
+        # every lane of no depth holds the ? lane of the deepest depth
+        for rows in (zero, one):
+            np.right_shift(rows, self.deep, out=tmp)
+            tmp &= np.uint64(1)
+            rows |= np.multiply(tmp, self.unused, out=tmp)
+
+
+def _sliced_chunk(index: SlabIndex, sites, lanes: _Lanes, threshold: int, top: int,
+                  seeds: np.ndarray, zero: np.ndarray, one: np.ndarray) -> None:
     """The (zero, one) words of ``sliced_sweep`` for ``seeds``, into the
     rows ``zero`` and ``one``, in balanced blocks, from the class sites, the
-    per-layer boundary masks ``fixed`` and the closed threshold; the
-    sweep's hashed layers are 0 .. top - 1."""
+    lane layout and the closed threshold; the sweep's hashed layers are
+    0 .. top - 1."""
     m, q = index.family.m, index.q
     n_class = max(map(index.class_size, range(q)))
     blocks = np.array_split(seeds, -(-seeds.size // max(1, CHAIN_BLOCK // n_class)))
-    size = n_class * blocks[0].size  # the first block is the largest
-    ring = np.empty((m + 1, 2 * size), dtype=np.uint64)  # layer k in row k mod (m + 1)
-    gathered, words, tmp = (np.empty(n, dtype=np.uint64) for n in (2 * size, size, size))
-    closed = np.empty(size, dtype=bool)
+    # the first block is the largest: its hash arrays hold (n_class, s)
+    # words, its layer arrays (n_class, W) words, W = ceil(s / slots)
+    size, packed = n_class * blocks[0].size, n_class * -(-blocks[0].size // lanes.slots)
+    ring = np.empty((m + 1, 2 * packed), dtype=np.uint64)  # layer k in row k mod (m + 1)
+    gathered = np.empty(2 * packed, dtype=np.uint64)
+    words, tmp = np.empty((2, size), dtype=np.uint64)
+    flags = np.empty(lanes.slots * packed + 8, dtype=np.uint8)  # see _Lanes.flag_words
     lo = 0
     for block in blocks:
         s, states = block.size, LayerSites.seed_states(block)
+        w = -(-s // lanes.slots)
+        flags.fill(0)
+        # per class: below's out, and pack's view of the same flags
+        closed = [flags[:n * lanes.slots * w].view(bool).reshape(n, -1)[:, :s]
+                  for n in map(index.class_size, range(q))]
+        flag_words = [lanes.flag_words(flags, n * w) for n in map(index.class_size, range(q))]
 
-        def layer(k):  # (2, n_class, s): the zero and the one words, site-major
-            return ring[k % (m + 1), :2 * index.class_size(k) * s].reshape(2, -1, s)
+        def layer(k):  # (2, n_class, W): the zero and the one words, site-major
+            return ring[k % (m + 1), :2 * index.class_size(k) * w].reshape(2, -1, w)
 
         for k in range(top + m - 1, -1, -1):
             z, o = layer(k)
-            fz, fo, free = fixed[k]
+            fz, fo, free = lanes.fixed[k]
             if k >= top:  # a boundary layer, every lane fixed or ?
                 z.fill(fz)
                 o.fill(fo)
@@ -605,19 +748,21 @@ def _sliced_chunk(index: SlabIndex, sites, fixed, threshold: int, top: int, seed
             c, n = k % q, z.shape[0]
             h = sites[c].hash_words(states, k, 0, out=words[:n * s].reshape(n, s),
                                     tmp=tmp[:n * s].reshape(n, s))
-            # a closed site's words are all ones: -1 as an int8, cast
-            np.negative(below(h, threshold, out=closed[:n * s].reshape(n, s)).view(np.int8),
-                        out=z, casting="unsafe")
+            below(h, threshold, out=closed[c])
+            lanes.pack(flag_words[c], z)
             # mode="clip": the default "raise" would buffer the output
             play(z, o, (np.take(layer(k + int(dl)), index.nbr_pos[c][:, j], axis=1,
-                                mode="clip", out=gathered[:2 * n * s].reshape(2, n, s))
+                                mode="clip", out=gathered[:2 * n * w].reshape(2, n, w))
                         for j, dl in enumerate(index.nbr_layer_delta[c])))
-            if fz | fo:
+            if ~free:  # the lanes of the depths <= k take their boundary values
                 z &= free
-                z |= fz
                 o &= free
-                o |= fo
-        zero[lo:lo + s], one[lo:lo + s] = z.T, o.T
+                if fz | fo:
+                    z |= fz
+                    o |= fo
+        n = z.shape[0]
+        lanes.unpack(z, o, zero[lo:lo + s], one[lo:lo + s],
+                     words[:n * s].reshape(s, n), tmp[:n * s].reshape(s, n))
         lo += s
 
 
@@ -628,8 +773,27 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     ``depths[i]`` under boundary b (?, 0, 1) as a bit pair, ? = (0, 0),
     0 = (1, 0), 1 = (0, 1), under the rule of ``play``; on layer k each
     bit whose depth is <= k takes its boundary value.  The lanes of no
-    depth hold the all-? slab of the deepest depth, so every bit is a
+    depth hold the all-? lane of the deepest depth, so every bit is a
     function of the arguments.
+
+    On a graded family (``SlabIndex.graded``: every move advances one
+    layer) only the all-? boundary is swept, one lane per depth, and on
+    layer 0 the all-0 and all-1 lanes of depth K are derived from the
+    all-? lane: both copy a definite value, and where it is ?, the all-0
+    lane is 1 and the all-1 lane 0 for odd K, the other way round for
+    even K.  That is exact.  Every path from a layer-0 site to the
+    boundary layer K has length K, and an open site's rule is the NOR of
+    its targets, so the site's two-valued value is a monotone function f
+    of the boundary values for even K and an antimonotone one for odd K.
+    The rule is De Morgan-closed, so on the all-? boundary it evaluates a
+    monotone circuit at all-?, and that is exact: the site is ? iff
+    f(all-0) != f(all-1), and a definite value is f of every boundary.  At
+    K = 1 an open site with all-0 targets is 1, whence the parity.  On
+    subset(d) and even_ext(d), whose moves may skip a layer, the three
+    boundaries are swept, three lanes per depth.  A seed's lanes are its
+    slot, and min(8, 64 // lanes) seeds share a word (3 at 21 depths on a
+    graded family, 1 on the others), so the gathers, the rule and the
+    boundary masks run on ceil(S / slots) words per site (``_Lanes``).
 
     The seeds run in contiguous chunks through ``parallel_seed_map``, one
     chunk per forked worker (PERC_THREADS caps the workers), and each chunk
@@ -639,11 +803,11 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     ``workers.SLICED_CALL_WORDS`` per hashed layer, the fixed cost of the
     layer call that every worker makes.  Each chunk runs in balanced blocks
     (sizes differ by at most one) of at most ``CHAIN_BLOCK`` // n seeds, n
-    the size of the largest class, so that a block's layer arrays hold at
+    the size of the largest class, so that a block's hash arrays hold at
     most ``CHAIN_BLOCK`` words each.  A block's seed states are mixed once,
-    and each layer is hashed site-major into its words, a closed site's
-    words all ones.  The bits depend on neither the chunking nor the
-    blocking.
+    and each layer is hashed site-major, and its closed flags set every bit
+    of their seeds' slots.  The bits depend on neither the chunking nor
+    the blocking.
 
     Its ring of layers has ``family.m`` + 1 rows (layer k in row k mod
     (m + 1)); the vertex classes, layer k on class k mod q, come from
@@ -656,14 +820,7 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     threshold = closed_threshold(p)
     # the sites of the hashed layers 0 .. top - 1, by class
     sites = [LayerSites(index.verts_by_class[c], range(c, top, q)) for c in range(q)]
-    # per layer k: the boundary zero and one bits of the depths <= k, and the
-    # bits of the other lanes
-    lanes = [0] * (top + m)
-    for i, K in enumerate(depths):
-        lanes[K] |= 1 << 3 * i
-    cumulative = list(itertools.accumulate(lanes, operator.or_))
-    masks = {b: (np.uint64(2 * b), np.uint64(4 * b), ~np.uint64(7 * b)) for b in set(cumulative)}
-    fixed = [masks[b] for b in cumulative]
+    lanes = _Lanes(index.graded, depths, top + m)
     work = seeds.size * sum(index.class_size(k % q) for k in range(top)) - SLICED_CALL_WORDS * top
     # the words live in memory that forked workers share: each chunk writes
     # its own rows, so no words cross a pipe
@@ -672,7 +829,7 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
 
     def chunk_fn(rows):  # a contiguous run of seed indices
         lo, hi = rows[0], rows[-1] + 1
-        _sliced_chunk(index, sites, fixed, threshold, top, seeds[lo:hi], zero[lo:hi], one[lo:hi])
+        _sliced_chunk(index, sites, lanes, threshold, top, seeds[lo:hi], zero[lo:hi], one[lo:hi])
 
     parallel_seed_map(chunk_fn, np.arange(seeds.size), work, SLICED_FORK_MIN_WORDS)
     return zero, one

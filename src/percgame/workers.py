@@ -29,23 +29,29 @@ FORK_MIN_WORDS = 3 << 20
 # still makes at least one call per layer, and the fixed cost of a call
 # (60-80 us, about 4 K words) does not split.  On the z2 ring of 64, 32
 # sites a class, the calls are most of the time.  Measured on the same
-# host, serial against two workers (fastest and median of 11 alternating
-# calls, ms; work in M words, * where the bound forks two workers):
-#   even(3) 32x32, depth 60, 25 seeds (0.52):   12.6/16.4 against 12.5/16.3
-#                            50 seeds (1.29):   22.5/25.2 against 22.2/22.5
-#                           100 seeds (2.83*):  44.7/48.2 against 35.1/39.3
-#   even(3) 32x32, 100 seeds, depth 400 (18.8*):  283/314 against 157/188
-#   even(3) 64x64, 64 seeds, depth 200 (25.4*):   445/512 against 255/272
-#   even(3) 16x16, 100 seeds, depth 250 (2.18): 50.8/51.1 against 50.7/51.1
-#                             depth 310 (2.70*): 62.4/64.0 against 53.7/68.1
-#                             (of 21 calls, twice: 59.1/74.3 against
-#                             49.4/62.3, 69.2/78.6 against 56.0/69.1)
-#   subset(3) 24x24, 64 seeds, depth 250 (2.05): 56.9/64.6 against 57.1/63.4
-#                              depth 330 (2.70*): 95.8/104 against 74.8/83.4
-#   z2 ring of 64, 100 seeds, depth 1600 (-1.4): 98.8/120 against 98.7/122
-#   z2 ring of 64, 200 seeds, depth 1200 (2.77*): 109/140 against 97.1/119
-# Up to 2.2 M words of work two workers gain nothing; above 2.6 M they
-# gained at every config measured.
+# host, with one lane per depth and three seeds a word on the graded
+# families (all below but subset(3)), serial against two workers (fastest
+# and median of 11 alternating draw_scan calls, ms; work in M words, *
+# where the bound forks two workers; the last of four series, and the
+# fastest over all four where the two sides are close):
+#   even(3) 32x32, depth 60, 25 seeds (0.52):   11.4/13.0 against 19.7/21.4
+#                            50 seeds (1.29):   17.8/19.6 against 22.7/27.8
+#                           100 seeds (2.83*):  33.4/47.2 against 33.5/38.0
+#                             (fastest 33.4-36.1 against 27.4-35.5; the
+#                             lower median with two workers in all four)
+#   even(3) 32x32, 100 seeds, depth 400 (18.8*):  274/295 against 154/165
+#   even(3) 16x16, 100 seeds, depth 250 (2.18): 71.1/99.4 against 90.7/98.8
+#                             depth 310 (2.70*): 88.9/125 against 105/117
+#                             (fastest 82.0-88.9 against 84.5-105)
+#   subset(3) 24x24, 64 seeds, depth 250 (2.05): 95.8/134 against 106/119
+#                              depth 330 (2.70*):  163/178 against 144/146
+#   z2 ring of 64, 100 seeds, depth 1600 (-1.4): 91.1/95.7 against 92.8/99.3
+#   z2 ring of 64, 200 seeds, depth 1200 (2.76*): 104/128 against 113/129
+#                             (fastest 100-129 against 89-113)
+# The cheaper graded sweep moved the break-even up, from 2.2-2.6 M to
+# about 2.7-2.9 M words of work: even(3) 16x16 at depth 310 no longer gains, and
+# the slab workload's 2.83 M still gains at the median.  It has not moved
+# past 2.83 M, so the bound stays.
 SLICED_FORK_MIN_WORDS = 5 << 18
 SLICED_CALL_WORDS = 1 << 12
 

@@ -344,6 +344,16 @@ def test_p_outside_unit_interval_exits_2(tmp_path, capsys):
                             "--p-grid must be in [0, 1]", tmp_path)
 
 
+def test_a_repeated_p_grid_value_exits_2(tmp_path, capsys):
+    # a repeat would sweep its p twice: two profile writes and doubled rows
+    out = str(tmp_path / "out")
+    for sub, grid in (("win-curve", "0.1,0.1"), ("draw-scan", "0.1,0.3,0.1"),
+                      ("draw-scan", "0,0.0")):
+        _assert_usage_error(capsys, [sub, "--family", "z2", "--p-grid", grid, "--depth", "4",
+                                     "--size", "8", "--out", out],
+                            f"--p-grid repeats {float(grid.split(',')[-1])}", tmp_path)
+
+
 def test_negative_depth_exits_2(tmp_path, capsys):
     out = str(tmp_path / "out")
     for sub in ("solve2d", "win-curve", "draw-scan", "couple-verify"):

@@ -64,6 +64,29 @@ def test_sliced_sweep_equals_the_per_depth_sweeps(family, sizes, p):
             assert np.array_equal(decode(zero, one, 3 * i + b), ref), (K, boundary)
 
 
+# A seed takes one lane per depth on a graded family and three on the
+# others, and min(8, 64 // lanes) seeds share a word: 8 slots up to 8
+# lanes, 7 at 9, 3 at 21 (graded); 8, 3 and 1 at 2, 7 and 21 depths of
+# subset(3).  11 seeds in blocks of 4 leave slots empty in the last words.
+SLOT_TORI = [(lat.even_sublattice(4), (4, 4, 4), n) for n in (1, 8, 9, 21)] + [
+    (lat.bcc_lattice(3), (8, 8), 5), (lat.binomial_family(3, 1), (6, 6), 21)] + [
+    (lat.subset_increment(3), (9, 9), n) for n in (2, 7, 21)]
+
+
+@pytest.mark.parametrize("family,sizes,n_depths", SLOT_TORI,
+                         ids=lambda x: getattr(x, "name", None))
+def test_every_slot_count_gives_the_per_depth_sweeps(family, sizes, n_depths, monkeypatch):
+    index = solver.SlabIndex(family, sizes)
+    monkeypatch.setattr(solver, "CHAIN_BLOCK", 4 * index.class_size(0))
+    seeds = np.arange(20, 31)
+    depths = [(5 * i + 3) % 23 for i in range(n_depths)]  # odd and even, out of order
+    zero, one = solver.sliced_sweep(index, 0.15, seeds, depths)
+    for i, K in enumerate(depths):
+        for b, boundary in enumerate(SLICED):
+            ref = solver.slab_sweep(index, K, boundary, 0.15, seeds)[0]
+            assert np.array_equal(decode(zero, one, 3 * i + b), ref), (K, boundary)
+
+
 # zd(d >= 3): no layer automorphism, d torus classes, and m = 2 boundary layers
 ZD_TORI = [(lat.zd(3), (3, 3)), (lat.zd(3), (6, 6)), (lat.zd(4), (4, 4, 4))]
 
@@ -287,26 +310,31 @@ def test_more_than_21_depths_run_in_chunks(monkeypatch):
 
 # The all-? value of a layer-0 site is ? exactly where its all-0 and all-1
 # values differ, on a graded family (every move advances the layer by
-# exactly 1).  Moves that skip a layer break it: subset(3) and even_ext(3).
+# exactly 1); on every family a site where they differ is ?.  Moves that
+# skip a layer break the identity: subset(3) and even_ext(3).  The three
+# boundaries come from the per-depth reference, slab_sweep, as
+# sliced_sweep derives its all-0 and all-1 lanes from the identity on a
+# graded family.
 IDENTITY_TORI = [(lat.even_sublattice(3), (8, 8)), (lat.z2(), (16,)), (lat.bcc_lattice(3), (8, 8)),
                  (lat.binomial_family(4, 2), (4, 4, 4)), (lat.zd(3), (6, 6)),
-                 (lat.subset_increment(3), (9, 9)), (lat.even_sublattice_extended(3), (8, 8))]
+                 (lat.subset_increment(3), (9, 9)), (lat.even_sublattice_extended(3), (8, 8)),
+                 (lat.even_sublattice(4), (4, 4, 4)), (lat.binomial_family(3, 1), (6, 6))]
 
 
 @pytest.mark.parametrize("family,sizes", IDENTITY_TORI, ids=lambda x: getattr(x, "name", None))
 def test_a_draw_is_where_the_two_valued_values_differ_exactly_on_graded_families(family, sizes):
     index = solver.SlabIndex(family, sizes)
-    graded = all((dl == 1).all() for dl in index.nbr_layer_delta)
-    assert graded == (family.name not in ("subset(3)", "even_ext(3)"))
-    depths = list(range(family.m, 22))
+    assert index.graded == (family.name not in ("subset(3)", "even_ext(3)"))
+    seeds = np.arange(40)
     holds = True
     for p in (0.05, 0.2, 0.4):
-        zero, one = solver.sliced_sweep(index, p, np.arange(40), depths)
-        for i in range(len(depths)):
-            draw = decode(zero, one, 3 * i) == QUES
-            differ = decode(zero, one, 3 * i + 1) != decode(zero, one, 3 * i + 2)
+        for K in range(family.m, 22):
+            ques, zero, one = (solver.slab_sweep(index, K, boundary, p, seeds)[0]
+                               for boundary in SLICED)
+            draw, differ = ques == QUES, zero != one
+            assert not (differ & ~draw).any(), (p, K)
             holds &= bool(np.array_equal(draw, differ))
-    assert holds == graded
+    assert holds == index.graded
 
 
 BOUNDARIES = [AllZero(), AllOne(), AllQuestion(), Checkerboard(), Sampled(0.3)]
