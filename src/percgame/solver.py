@@ -645,23 +645,21 @@ class _Lanes:
         self.unused = np.uint64((1 << 64) - (1 << 3 * len(depths)))
         self.deep = np.uint64(3 * max(range(len(depths)), key=depths.__getitem__))
 
-    def flag_words(self, flags: np.ndarray, size: int) -> np.ndarray:
-        """``pack``'s view of the closed flags of ``size`` words, in a uint8
-        buffer that holds site i's flag of seed c in byte i·slots·W + c (0
-        past the block's last seed), and 8 more bytes: per word, the eight
-        bytes from its first slot's, little-endian (the flags themselves, as
-        int8, at one slot)."""
-        if self.slots == 1:
-            return flags[:size].view(np.int8)
-        return np.ndarray((size,), dtype="<u8", buffer=flags, strides=(self.slots,))
+    def views(self, flags: np.ndarray, n: int, w: int, s: int):
+        """The closed flags of a layer's ``n`` sites and ``s`` seeds, ``w``
+        words a site, in a uint8 buffer of n·slots·w + 8 bytes or more
+        that holds site i's flag of seed c in byte i·slots·w + c (0 past
+        the last seed): the (n, s) bool view that ``below`` writes, and
+        ``pack``'s view, per word the eight bytes from its first slot's,
+        little-endian (the 8 bytes past the flags cover the last word's)."""
+        closed = flags[:n * self.slots * w].view(bool).reshape(n, -1)[:, :s]
+        words = np.ndarray((n * w,), dtype="<u8", buffer=flags, strides=(self.slots,))
+        return closed, words
 
     def pack(self, flag_words: np.ndarray, z: np.ndarray) -> None:
-        """The zero words ``z`` of a layer from its ``flag_words``: the bits
-        of each closed seed's slot set."""
+        """The zero words ``z`` of a layer from ``pack``'s view of its
+        flags (``views``): the bits of each closed seed's slot set."""
         z = z.reshape(-1)
-        if self.slots == 1:  # a closed seed's word, all ones
-            np.negative(flag_words, out=z, casting="unsafe")
-            return
         np.bitwise_and(flag_words, self.slot_bytes, out=z)  # the word's own slots
         z *= self._GATHER
         z >>= np.uint64(56)
@@ -724,16 +722,13 @@ def _sliced_chunk(index: SlabIndex, sites, lanes: _Lanes, threshold: int, top: i
     ring = np.empty((m + 1, 2 * packed), dtype=np.uint64)  # layer k in row k mod (m + 1)
     gathered = np.empty(2 * packed, dtype=np.uint64)
     words, tmp = np.empty((2, size), dtype=np.uint64)
-    flags = np.empty(lanes.slots * packed + 8, dtype=np.uint8)  # see _Lanes.flag_words
+    flags = np.empty(lanes.slots * packed + 8, dtype=np.uint8)  # see _Lanes.views
     lo = 0
     for block in blocks:
         s, states = block.size, LayerSites.seed_states(block)
         w = -(-s // lanes.slots)
         flags.fill(0)
-        # per class: below's out, and pack's view of the same flags
-        closed = [flags[:n * lanes.slots * w].view(bool).reshape(n, -1)[:, :s]
-                  for n in map(index.class_size, range(q))]
-        flag_words = [lanes.flag_words(flags, n * w) for n in map(index.class_size, range(q))]
+        views = [lanes.views(flags, n, w, s) for n in map(index.class_size, range(q))]
 
         def layer(k):  # (2, n_class, W): the zero and the one words, site-major
             return ring[k % (m + 1), :2 * index.class_size(k) * w].reshape(2, -1, w)
@@ -748,8 +743,9 @@ def _sliced_chunk(index: SlabIndex, sites, lanes: _Lanes, threshold: int, top: i
             c, n = k % q, z.shape[0]
             h = sites[c].hash_words(states, k, 0, out=words[:n * s].reshape(n, s),
                                     tmp=tmp[:n * s].reshape(n, s))
-            below(h, threshold, out=closed[c])
-            lanes.pack(flag_words[c], z)
+            closed, flag_words = views[c]
+            below(h, threshold, out=closed)
+            lanes.pack(flag_words, z)
             # mode="clip": the default "raise" would buffer the output
             play(z, o, (np.take(layer(k + int(dl)), index.nbr_pos[c][:, j], axis=1,
                                 mode="clip", out=gathered[:2 * n * w].reshape(2, n, w))

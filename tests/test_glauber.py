@@ -307,7 +307,8 @@ def test_run_chains_runs_lane_blocks_of_at_most_64_seeds(monkeypatch):
 # means split between the two checkerboard phases, whose spread hides a bias
 # in a class mean, so each seed's mean total occupation (the number of
 # occupied vertices), which is the same in both phases, is also compared
-# with the exact total, at the same bound.
+# with the exact total.  The two total checks reuse the 4-test bound, so
+# the family-wise alpha over all 6 checks is at most about 0.015.
 GIBBS_CHAINS = dict(sizes=(4, 4), seeds=np.arange(200), sweeps=2000, burn_in=200)
 GIBBS_Z_BOUND = NormalDist().inv_cdf(1 - 0.01 / (2 * 4))
 
