@@ -4,14 +4,14 @@ Subcommands: solve2d, win-curve, draw-scan, glauber, couple-verify, verify,
 pca-run.  Every run resolves its flags into a RunConfig (JSON-serializable;
 written next to the outputs on request), and the outputs are a pure
 function of that config: CSV tables with fixed headers and binary P6 PPM
-images.  PERC_THREADS caps the worker processes that seed-parallel runs
-fork (the fork start method, so Linux): the full-depth triangle sweep of
-the seeds that win-curve cannot decide early (``solver.win_origins``),
-``glauber.run_chains`` (the glauber subcommand and the demos) and
-draw-scan's sliced sweeps (``solver.sliced_sweep``).  A run forks at most
-one worker per ``workers.FORK_MIN_WORDS`` hashed words, and a sliced sweep
-one per ``workers.SLICED_FORK_MIN_WORDS`` words of its work, so small runs
-stay in process.
+images.  PERC_THREADS caps the worker processes of seed-parallel runs
+(the caller and the children it forks, so Linux): the full-depth
+triangle sweep of the seeds that win-curve cannot decide early
+(``solver.win_origins``), ``glauber.run_chains`` (the glauber subcommand
+and the demos) and draw-scan's sliced sweeps (``solver.sliced_sweep``).
+A run has at most one worker per ``workers.FORK_MIN_WORDS`` hashed words,
+and a sliced sweep one per ``workers.SLICED_FORK_MIN_WORDS`` words of its
+work, so small runs stay in process.
 
 ``glauber`` and ``couple-verify`` run on the doubling torus, so they need a
 family with a layer automorphism phi and refuse zd(d), d >= 3, with exit 2

@@ -124,7 +124,7 @@ def run_chains(torus: SlabIndex, p: float, variant: str, sweeps: int,
     (S, R, m)).
 
     The seeds run in contiguous chunks through ``parallel_seed_map``, one
-    chunk per forked worker once the call hashes enough words (PERC_THREADS
+    chunk per worker process once the call hashes enough words (PERC_THREADS
     caps the workers), and each chunk in balanced blocks (sizes differ by
     at most one) of at most 64 seeds, one ``_chain_chunk`` call each; the
     occupations are concatenated in seed order.  Each seed's chain depends

@@ -46,7 +46,7 @@ boundary does not (see ``sliced_sweep``).  Up to 8 seeds share a word, so
 the rule runs on a third of the words at 21 depths.
 
 Two sweeps run their seeds in contiguous chunks through
-``workers.parallel_seed_map``, one chunk per forked worker once the call
+``workers.parallel_seed_map``, one chunk per worker process once the call
 has enough work: the depth-n triangle sweep of ``win_origins`` and
 ``sliced_sweep``.  Each seed's bits come from its own hash, so no output
 depends on the chunking.
@@ -792,7 +792,7 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     boundary masks run on ceil(S / slots) words per site (``_Lanes``).
 
     The seeds run in contiguous chunks through ``parallel_seed_map``, one
-    chunk per forked worker (PERC_THREADS caps the workers), and each chunk
+    chunk per worker process (PERC_THREADS caps the workers), and each chunk
     writes its own rows of the words, in memory that the workers share, so
     no words are pickled or concatenated.  The sweep's work, against
     ``workers.SLICED_FORK_MIN_WORDS`` per worker, is its hashed words less

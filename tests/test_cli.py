@@ -5,10 +5,11 @@ import csv
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import signal
-import types
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -396,43 +397,37 @@ def test_perc_threads_below_one_exits_2(tmp_path, capsys, monkeypatch):
                                 "PERC_THREADS must be >= 1", tmp_path)
 
 
-class _InProcessPool:
-    """Stands in for the fork pool: records its size and runs the workers'
-    initializer and tasks in this process, so that no process starts."""
-
-    def __init__(self, sizes, processes, initializer, initargs):
-        sizes.append(processes)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(i) for i in items]
-
-    def close(self):
-        pass
-
-    def join(self):
-        pass
-
-
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The size of each fork pool started, by a stand-in pool that runs in
-    this process."""
+def fork_sizes(monkeypatch):
+    """The worker count of each forked map, by a stand-in map that runs
+    every chunk in this process, so that no process starts."""
     sizes = []
 
-    def get_context(method):
-        assert method == "fork"
-        return types.SimpleNamespace(Pool=lambda *a, **kw: _InProcessPool(sizes, *a, **kw))
+    def in_process_map(fn, chunks):
+        sizes.append(len(chunks))
+        return [fn(chunk) for chunk in chunks]
 
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    monkeypatch.setattr(workers, "_JOB", None)
+    monkeypatch.setattr(workers, "_fork_map", in_process_map)
     return sizes
+
+
+def _real_forks(monkeypatch):
+    """The worker count of each real forked map from now on, on two CPUs."""
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    sizes, fork_map = [], workers._fork_map
+
+    def recording_map(fn, chunks):
+        sizes.append(len(chunks))
+        return fork_map(fn, chunks)
+
+    monkeypatch.setattr(workers, "_fork_map", recording_map)
+    return sizes
+
+
+def _assert_no_child():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # a triangle of depth n hashes seeds * n(n+1)/2 sites: at 30 seeds, 12.7 M
@@ -441,8 +436,8 @@ def pool_sizes(monkeypatch):
 # the full sweep
 @pytest.mark.parametrize("threads,cpus,seeds,depth,forked", [
     ("100000", 4, 30, 920, 4), ("100000", 64, 3, 2510, 3), ("2", 64, 30, 920, 2),
-    ("5", 1, 30, 920, None), ("100000", 64, 30, 700, 2), ("100000", 64, 30, 40, None)])
-def test_forked_workers_are_bounded_by_cpus_and_seeds(tmp_path, monkeypatch, pool_sizes,
+    ("5", 1, 30, 920, None), ("100000", 64, 30, 700, 7), ("100000", 64, 30, 40, None)])
+def test_forked_workers_are_bounded_by_cpus_and_seeds(tmp_path, monkeypatch, fork_sizes,
                                                       threads, cpus, seeds, depth, forked):
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setenv("PERC_THREADS", threads)
@@ -452,11 +447,11 @@ def test_forked_workers_are_bounded_by_cpus_and_seeds(tmp_path, monkeypatch, poo
                       if forked else None)
     args = ["win-curve", "--p-grid", "0,0.6", "--depth", str(depth), "--seeds", str(seeds),
             "--out"]
-    assert run(args + [str(tmp_path / "pool.csv")]) == 0
-    assert pool_sizes == ([forked] if forked else [])
+    assert run(args + [str(tmp_path / "forked.csv")]) == 0
+    assert fork_sizes == ([forked] if forked else [])
     monkeypatch.setenv("PERC_THREADS", "1")
     assert run(args + [str(tmp_path / "serial.csv")]) == 0
-    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 class _Deadline:
@@ -480,27 +475,14 @@ class _Deadline:
 
 def test_win_curve_leaves_no_worker_process(tmp_path, monkeypatch):
     monkeypatch.setenv("PERC_THREADS", "2")
-    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
-    # real fork pools, their sizes recorded
-    sizes, get_context = [], multiprocessing.get_context
-
-    def recording_context(method):
-        ctx = get_context(method)
-
-        def pool(processes, *args, **kwargs):
-            sizes.append(processes)
-            return ctx.Pool(processes, *args, **kwargs)
-
-        return types.SimpleNamespace(Pool=pool)
-
-    monkeypatch.setattr(multiprocessing, "get_context", recording_context)
+    sizes = _real_forks(monkeypatch)
     # at p = 0 no seed is decided early, so every seed takes the forked
     # depth-300 sweep: 150 * 300 * 301 / 2 = 6.8 M words, two workers
     with _Deadline(120):
         assert run(["win-curve", "--p", "0", "--depth", "300", "--seeds", "150",
                     "--out", str(tmp_path / "w.csv")]) == 0
     assert sizes == [2]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
@@ -513,20 +495,59 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
             raise ValueError(f"bad chunk {chunk.tolist()}")
         return chunk * 2
 
-    with _Deadline(120), pytest.raises(ValueError, match="bad chunk"):
+    with _Deadline(120), pytest.raises(ValueError, match="bad chunk") as raised:
         workers.parallel_seed_map(chunk_fn, np.arange(6), words)
-    assert multiprocessing.active_children() == []
+    # the worker's traceback comes along as the cause
+    cause = str(raised.value.__cause__)
+    assert "in the worker for the chunk from seed 3" in cause and "in chunk_fn" in cause
+    _assert_no_child()
     with _Deadline(120):
         assert [c.tolist() for c in workers.parallel_seed_map(chunk_fn, np.arange(10, 14),
                                                               words)] \
             == [[20, 22], [24, 26]]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("death,status", [("exit", "wait status 768, exit code 3"),
+                                          ("signal", "wait status 9, exit code -9")])
+def test_a_worker_that_dies_without_a_result_raises_a_clear_error(monkeypatch, death, status):
+    monkeypatch.setenv("PERC_THREADS", "2")
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = os.getpid()
+
+    def chunk_fn(chunk):
+        if os.getpid() != caller:  # the forked worker, never this process
+            if death == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return chunk * 2
+
+    with _Deadline(120), pytest.raises(ChildProcessError, match=(
+            rf"chunk from seed 3 ended without a result \({status}\)")):
+        workers.parallel_seed_map(chunk_fn, np.arange(6), 2 * workers.FORK_MIN_WORDS)
+    _assert_no_child()
+
+
+def test_an_error_in_the_callers_chunk_kills_and_reaps_every_worker(monkeypatch):
+    monkeypatch.setenv("PERC_THREADS", "3")
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    caller = os.getpid()
+
+    def chunk_fn(chunk):
+        if os.getpid() == caller:
+            raise ValueError(f"bad chunk from seed {chunk[0]}")
+        time.sleep(60)  # the workers outlast the deadline unless killed
+        return chunk
+
+    with _Deadline(30), pytest.raises(ValueError, match="bad chunk from seed 0"):
+        workers.parallel_seed_map(chunk_fn, np.arange(6), 3 * workers.FORK_MIN_WORDS)
+    _assert_no_child()
 
 
 # the even(3) 8x8 torus has 64 vertices: 130 seeds hash 8320 words a sweep
 @pytest.mark.parametrize("threads,cpus,sweeps", [
     ("100000", 64, 5), ("100000", 64, 1200), ("2", 64, 1200), ("100000", 1, 1200)])
-def test_forked_chains_are_bounded_by_threads_cpus_and_words(monkeypatch, pool_sizes, threads,
+def test_forked_chains_are_bounded_by_threads_cpus_and_words(monkeypatch, fork_sizes, threads,
                                                              cpus, sweeps):
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     torus = glauber.build_doubling_torus(lattice.even_sublattice(3), (8, 8))
@@ -535,7 +556,7 @@ def test_forked_chains_are_bounded_by_threads_cpus_and_words(monkeypatch, pool_s
                  sweeps * torus.n_vertices * seeds.size // workers.FORK_MIN_WORDS)
     monkeypatch.setenv("PERC_THREADS", threads)
     _, occ = glauber.run_chains(torus, 0.3, "standard", sweeps, seeds, "odd", 100)
-    assert pool_sizes == ([forked] if forked > 1 else [])
+    assert fork_sizes == ([forked] if forked > 1 else [])
     monkeypatch.setenv("PERC_THREADS", "1")
     _, serial = glauber.run_chains(torus, 0.3, "standard", sweeps, seeds, "odd", 100)
     assert occ.tobytes() == serial.tobytes()
@@ -557,7 +578,7 @@ def test_an_error_in_a_chains_chunk_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(glauber, "hash_prefix", failing)
     with _Deadline(120), pytest.raises(ValueError, match="bad chunk from seed 25"):
         glauber.run_chains(torus, 0.3, "standard", 500, seeds)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def _sliced_work(family, size, seeds, depth):
@@ -568,35 +589,17 @@ def _sliced_work(family, size, seeds, depth):
             - workers.SLICED_CALL_WORDS * depth)
 
 
-def _real_pools(monkeypatch):
-    """The size of each real fork pool started from now on, on two CPUs."""
-    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0, 1})
-    sizes, get_context = [], multiprocessing.get_context
-
-    def recording_context(method):
-        ctx = get_context(method)
-
-        def pool(processes, *args, **kwargs):
-            sizes.append(processes)
-            return ctx.Pool(processes, *args, **kwargs)
-
-        return types.SimpleNamespace(Pool=pool)
-
-    monkeypatch.setattr(multiprocessing, "get_context", recording_context)
-    return sizes
-
-
 # the 21 profile depths of each config take one sweep.  A class of the
 # even(3) 32x32 torus has 512 sites, of the 128x128 one 8192, of the z2
 # ring of 64 32: there 100 seeds hash 5.1 M words at depth 1600, less than
 # the fixed cost of its layer calls, so it has no work to split
 @pytest.mark.parametrize("threads,cpus,family,size,seeds,depth,forked", [
-    ("100000", 4, "even(3)", 32, 100, 60, 2), ("100000", 64, "even(3)", 32, 100, 400, 14),
+    ("100000", 4, "even(3)", 32, 100, 60, 4), ("100000", 64, "even(3)", 32, 100, 400, 34),
     ("2", 64, "even(3)", 32, 100, 400, 2), ("5", 1, "even(3)", 32, 100, 400, None),
-    ("100000", 64, "even(3)", 128, 3, 200, 3), ("100000", 64, "even(3)", 32, 50, 60, None),
-    ("100000", 64, "z2", 64, 100, 1600, None)])
+    ("100000", 64, "even(3)", 128, 3, 200, 3), ("100000", 64, "even(3)", 32, 50, 60, 2),
+    ("100000", 64, "even(3)", 32, 25, 60, None), ("100000", 64, "z2", 64, 100, 1600, None)])
 def test_forked_draw_scan_is_bounded_by_threads_cpus_seeds_and_work(
-        tmp_path, monkeypatch, pool_sizes, threads, cpus, family, size, seeds, depth, forked):
+        tmp_path, monkeypatch, fork_sizes, threads, cpus, family, size, seeds, depth, forked):
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setenv("PERC_THREADS", threads)
     work = _sliced_work(family, size, seeds, depth)
@@ -604,8 +607,8 @@ def test_forked_draw_scan_is_bounded_by_threads_cpus_seeds_and_work(
                                        work // workers.SLICED_FORK_MIN_WORDS))
     args = ["draw-scan", "--family", family, "--size", str(size), "--p", "0.05",
             "--depth", str(depth), "--seeds", str(seeds), "--out"]
-    assert run(args + [str(tmp_path / "pool")]) == 0
-    assert pool_sizes == ([forked] if forked else [])
+    assert run(args + [str(tmp_path / "forked")]) == 0
+    assert fork_sizes == ([forked] if forked else [])
     monkeypatch.setenv("PERC_THREADS", "1")
     assert run(args + [str(tmp_path / "serial")]) == 0
     files = sorted(os.listdir(tmp_path))
@@ -619,7 +622,7 @@ def test_forked_draw_scan_is_bounded_by_threads_cpus_seeds_and_work(
     ("even_ext(3)", 32, 60)])
 def test_forked_draw_scan_writes_the_serial_bytes(tmp_path, monkeypatch, family, size, depth):
     assert _sliced_work(family, size, 101, depth) >= 2 * workers.SLICED_FORK_MIN_WORDS
-    sizes = _real_pools(monkeypatch)
+    sizes = _real_forks(monkeypatch)
     outputs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("PERC_THREADS", threads)
@@ -630,13 +633,45 @@ def test_forked_draw_scan_writes_the_serial_bytes(tmp_path, monkeypatch, family,
                         "0.05,0.3", "--depth", str(depth), "--seeds", "101",
                         "--out", str(d / "scan")]) == 0
         outputs.append(_outputs(d))
-    assert sizes == [2, 2]  # one pool per p, at PERC_THREADS=2 only
-    assert multiprocessing.active_children() == []
+    assert sizes == [2, 2]  # one forked map per p, at PERC_THREADS=2 only
+    _assert_no_child()
     assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
 
 
+def test_a_forked_run_prints_each_line_once(tmp_path, monkeypatch, capsys):
+    # the first p's line is printed before the second p's sweep forks: a
+    # worker that flushed the stdio buffer it inherited would print it again.
+    # Under capsys the buffer is pytest's; piped to a subprocess it is the
+    # interpreter's own, block-buffered one
+    argv = ["draw-scan", "--family", "even(3)", "--size", "32", "--p-grid", "0.05,0.3",
+            "--depth", "60", "--seeds", "101", "--out", "scan"]
+    assert _sliced_work("even(3)", 32, 101, 60) >= 2 * workers.SLICED_FORK_MIN_WORDS
+    sizes = _real_forks(monkeypatch)
+    outputs, stdouts = [], []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PERC_THREADS", threads)
+        (tmp_path / threads).mkdir()
+        monkeypatch.chdir(tmp_path / threads)
+        with _Deadline(120):
+            assert run(argv) == 0
+        outputs.append(_outputs(tmp_path / threads))
+        stdouts.append(capsys.readouterr().out)
+    assert sizes == [2, 2]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    monkeypatch.setenv("PYTHONPATH", src)
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    monkeypatch.chdir(tmp_path / "2")
+    piped = subprocess.run([sys.executable, "-m", "percgame"] + argv, stdout=subprocess.PIPE,
+                           check=True, timeout=120).stdout.decode()
+    _assert_no_child()
+    lines = stdouts[0].splitlines()
+    assert len(lines) == 3 and len(set(lines)) == 3
+    assert stdouts == [stdouts[0]] * 2 and piped == stdouts[0]
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1] == _outputs(tmp_path / "2")
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_a_forked_sliced_sweep_returns_the_serial_words(monkeypatch, pool_sizes, cpus):
+def test_a_forked_sliced_sweep_returns_the_serial_words(monkeypatch, fork_sizes, cpus):
     # the words of every seed, in seed order: the CSVs' seed means alone
     # would not show chunks concatenated out of order
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -647,14 +682,14 @@ def test_a_forked_sliced_sweep_returns_the_serial_words(monkeypatch, pool_sizes,
     for threads in ("1", "100000"):
         monkeypatch.setenv("PERC_THREADS", threads)
         words.append(solver.sliced_sweep(index, 0.2, seeds, depths))
-    assert pool_sizes == [cpus]
+    assert fork_sizes == [cpus]
     assert all(np.array_equal(a, b) for a, b in zip(*words))
 
 
 def test_more_forked_workers_than_cpus_write_their_own_rows(monkeypatch):
     # four real workers on the two CPUs of the host, each writing its rows of
     # the shared words: a row lost or written twice changes the words
-    sizes = _real_pools(monkeypatch)
+    sizes = _real_forks(monkeypatch)
     monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(4)))
     index = solver.SlabIndex(lattice.even_sublattice(3), (32, 32))
     seeds, depths = np.arange(1000, 1101), [5, 60, 120]
@@ -665,12 +700,12 @@ def test_more_forked_workers_than_cpus_write_their_own_rows(monkeypatch):
         with _Deadline(120):
             words.append(solver.sliced_sweep(index, 0.1, seeds, depths))
     assert sizes == [4]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     assert all(np.array_equal(a, b) for a, b in zip(*words))
 
 
 def test_an_error_in_a_sliced_sweep_chunk_reaches_the_caller(monkeypatch):
-    sizes = _real_pools(monkeypatch)
+    sizes = _real_forks(monkeypatch)
     monkeypatch.setenv("PERC_THREADS", "2")
     index = solver.SlabIndex(lattice.even_sublattice(3), (32, 32))
     seed_states = solver.LayerSites.seed_states
@@ -684,7 +719,7 @@ def test_an_error_in_a_sliced_sweep_chunk_reaches_the_caller(monkeypatch):
     with _Deadline(120), pytest.raises(ValueError, match="bad block from seed 50"):
         solver.sliced_sweep(index, 0.05, np.arange(100), [60])
     assert sizes == [2]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_win_curve_rejects_other_families(tmp_path, capsys):
