@@ -4,8 +4,11 @@
 The origin of a depth-n triangle is decided at depth d when its values
 under the all-0 and the all-1 boundaries at depth d agree: the two-valued
 rule is antimonotone, so every boundary further out gives a value between
-them.  The paper's z2 theorem (no draws, an ergodic PCA) makes this depth
-finite almost surely; it grows as p falls towards 0.
+them.  On a triangle, where every move advances one diagonal, they agree
+exactly where the all-? boundary at depth d leaves the origin definite,
+and ``solver.win_origins`` reads that off one all-? sweep.  The paper's
+z2 theorem (no draws, an ergodic PCA) makes this depth finite almost
+surely; it grows as p falls towards 0.
 
 ``solver.win_origins`` tries the depths 8, 16, 32, 64, 100 and 200 below
 n = 400 and decides the rest at 400.  The two boundaries, once they agree,

@@ -5,7 +5,8 @@ The probability that the first player wins (or the origin is closed) is
 (1 + sqrt(p / (4 - 3p))) / 2.  The empirical frequency comes from solving
 the two-valued recursion on a depth-400 triangle with an all-0 boundary:
 by ergodicity the boundary choice is forgotten at that depth.  Most origins
-are decided far sooner, where the all-0 and the all-1 boundaries agree
+are decided far sooner, where the all-0 and the all-1 boundaries agree,
+which is where the all-? boundary leaves them definite
 (``solver.win_origins``; see decision_depth.py).
 
 Also writes the exact curve (win probability and its conditional-on-open
@@ -22,7 +23,7 @@ from percgame import exact, solver
 seeds = np.arange(400)
 ps = (0.1, 0.2, 0.3, 0.5, 0.7)
 # the origins of the depth-400 all-0 sweep, each decided at the first depth
-# where the two constant boundaries agree
+# where the all-? sweep leaves it definite
 origins, _ = solver.win_origins(400, ps, seeds)
 print("p      empirical   exact       z-score")
 for p, origin in zip(ps, origins):

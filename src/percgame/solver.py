@@ -47,15 +47,18 @@ the rule runs on a third of the words at 21 depths.
 
 Two sweeps run their seeds in contiguous chunks through
 ``workers.parallel_seed_map``, one chunk per worker process once the call
-has enough work: the depth-n triangle sweep of ``win_origins`` and
-``sliced_sweep``.  Each seed's bits come from its own hash, so no output
-depends on the chunking.
+has enough work: ``sliced_sweep``, and the depth-n ``triangle_sweep`` of
+the seeds that the rounds of ``win_origins``, run in the caller, leave
+undecided.  Each seed's bits come from its own hash, so no output depends
+on the chunking.
 
-``win_origins`` gives the origins of the depth-n all-0 triangle sweep
-without sweeping the whole triangle where it need not: the two-valued rule
-is antimonotone, so an origin is decided at the first depth d where its
-values under the all-0 and the all-1 boundaries at d agree, and only the
-seeds undecided at every depth of ``stop_depths(n)`` take the full sweep.
+The triangle sweep yields its diagonals one at a time (``_diagonals``):
+``triangle_sweep`` keeps the origins, ``solve_triangle`` every site.  A z2
+triangle is graded too (every move advances one diagonal), so
+``win_origins`` decides the origin of a depth-n triangle wherever the
+all-? sweep of its first d diagonals leaves it definite, at each depth d
+of ``stop_depths(n)``, and only the seeds undecided at every such depth
+take the full sweep.
 """
 
 from __future__ import annotations
@@ -193,29 +196,32 @@ def _thresholds(p) -> list[int]:
     return [closed_threshold(float(q)) for q in ps]
 
 
-def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, keep_all: bool = False):
-    """The triangle sweep of every p under the B boundaries whose (zero, one)
-    pairs on diagonal n are ``top``, (2, B, S, n+1) bool: bit i·B + b of a
-    site's uint8 (zero, one) words (more words past 8 lanes) holds p_i under
-    boundary b.  In rows of n + 1 words, a diagonal's targets are the words
-    above at the same flat index and the next, so the rule runs on flat
-    arrays.  The diagonals are hashed in batches (see the module docstring);
-    the buffers hold S·max(n, CHAIN_BLOCK // S) words each.  Returns the
-    (P, B, S) origins and ``triangle_sweep``'s rows."""
-    n_b, lanes = top.shape[1], len(thresholds) * top.shape[1]
-    # diagonal k in slot k mod 2, or in slot k if every diagonal is kept
-    slots = np.empty((n + 1 if keep_all else 2, 2, -(-lanes // 8), seeds.size, n + 1),
-                     dtype=np.uint8)
-    flat = slots.reshape(len(slots), 2, -1)
+def _diagonals(n: int, boundary: Boundary, thresholds, seeds: np.ndarray):
+    """The triangle sweep of every p, diagonal by diagonal, as ``slab_layers``
+    is the slab's layer by layer: (k, h, lanes) for k = n, ..., 0, with
+    ``h`` the (S, k+1) hash words that diagonal k was decided on (None on
+    the boundary diagonal n; a site is closed where ``below(h, threshold)``)
+    and ``lanes`` its (zero, one) words, (2, W, S, k+1) uint8, bit i % 8
+    of word i // 8 holding p_i (``_lane_symbols``).  Both are views that
+    the next diagonals overwrite.
+
+    In rows of n + 1 words, a diagonal's targets are the words above at the
+    same flat index and the next, so the rule runs on flat arrays.  The
+    diagonals are hashed in batches (see the module docstring); the buffers
+    hold S·max(n, CHAIN_BLOCK // S) words each."""
+    top = _boundary_layer(boundary, n, _diag_coords(n), lambda: np.full(n + 1, n % 2),
+                          lambda: boundary.values, seeds)
+    n_words = -(-len(thresholds) // 8)
+    slots = np.empty((2, 2, n_words, seeds.size, n + 1), dtype=np.uint8)  # diagonal k in slot k mod 2
+    flat = slots.reshape(2, 2, -1)
     # per slot, the rule's arguments: its (zero, one) words and, as targets,
-    # the next slot's words at the same flat index and at the next one
+    # the other slot's words at the same flat index and at the next one
     rules = [(*cur[:, :-1], (tuple(nxt[:, :-1]), tuple(nxt[:, 1:])))
-             for cur, nxt in zip(flat, [*flat[1:], flat[0]])]
-    for word in range(slots.shape[2]):
-        slots[n % len(slots), :, word] = sum(
-            top[:, lane % n_b].view(np.uint8) * np.uint8(1 << lane % 8)
-            for lane in range(8 * word, min(8 * word + 8, lanes)))
-    kept = {}
+             for cur, nxt in zip(flat, flat[::-1])]
+    for word in range(n_words):  # every lane of a word takes the boundary
+        slots[n % 2, :, word] = top.view(np.uint8) * np.uint8(
+            (1 << min(8, len(thresholds) - 8 * word)) - 1)
+    yield n, None, slots[n % 2, ..., :n + 1]
     # batches of diagonals high, high - 1, ..., low of at most CHAIN_BLOCK // S
     # sites, or of one diagonal if it is larger; the hash words of a batch
     # and their scratch are (S, sites), and a diagonal's words are its columns
@@ -233,49 +239,39 @@ def _sweep(n: int, top: np.ndarray, thresholds, seeds: np.ndarray, keep_all: boo
         start = 0
         for k in range(high, low - 1, -1):
             h, start = h_batch[:, start:start + k + 1], start + k + 1
-            # each p's closed bits fill its lanes: the first p of a word
+            # each p's closed bits fill its lane: the first p of a word
             # writes it whole, the others pass through the hash scratch,
             # free by now
             for i, threshold in enumerate(thresholds):
-                word, bit = divmod(i * n_b, 8)
-                lane_words = slots[k % len(slots), 0, word, :, :k + 1]
+                word, bit = divmod(i, 8)
+                lane_words = slots[k % 2, 0, word, :, :k + 1]
                 if bit:
                     c = below(h, threshold,
                               out=tmp.view(bool)[:h.size].reshape(h.shape)).view(np.uint8)
-                    lane_words |= np.multiply(c, (1 << n_b) - 1 << bit, out=c)
+                    lane_words |= np.multiply(c, np.uint8(1 << bit), out=c)
                 else:
                     below(h, threshold, out=lane_words.view(bool))
-                    if n_b > 1:
-                        lane_words *= np.uint8((1 << n_b) - 1)
-            if keep_all:
-                kept[k] = np.stack([below(h, threshold) for threshold in thresholds])
-            play(*rules[k % len(slots)])
+            play(*rules[k % 2])
+            yield k, h, slots[k % 2, ..., :k + 1]
         high = low - 1
-    # the symbols of every diagonal kept, or else of the origins: (slots, P·B, S, n+1)
-    bits = np.unpackbits(slots if keep_all else slots[:1, ..., :1], axis=2, count=lanes,
-                         bitorder="little")
-    vals = pair_symbols(pair_bytes(bits[:, 0], bits[:, 1]))
-    rows = {k: (vals[k, ..., :k + 1], kept.get(k)) for k in range(n + 1)} if keep_all else None
-    return vals[0, ..., 0].reshape(-1, n_b, seeds.size), rows
 
 
-def triangle_sweep(n: int, boundary: Boundary, p, seeds, keep_all: bool = False):
-    """Solve the triangular region for a batch of seeds and a non-empty 1-d
-    sequence of probabilities ``p``.  Every diagonal is hashed once, and
-    each p's closed bits are read off the same hash words.
+def _lane_symbols(lanes: np.ndarray, n_p: int) -> np.ndarray:
+    """The (P, S, m) int8 symbols of the (2, W, S, m) lane words of ``_diagonals``."""
+    bits = np.unpackbits(lanes, axis=1, count=n_p, bitorder="little")
+    return pair_symbols(pair_bytes(bits[0], bits[1]))
 
-    Returns (origin values (P, S), rows).  If keep_all, rows[k] is the pair
-    (values, closed) of diagonal k: its (P, S, k+1) values and, for k < n,
-    its (P, S, k+1) closed bits (None on the boundary diagonal k = n, which
-    the sweep does not hash).  Otherwise rows is None.
-    """
+
+def triangle_sweep(n: int, boundary: Boundary, p, seeds) -> np.ndarray:
+    """The origin values, (P, S), of the triangular region for a batch of
+    seeds and a non-empty 1-d sequence of probabilities ``p``.  Every
+    diagonal is hashed once, and each p's closed bits are read off the same
+    hash words."""
     seeds = check_seeds(seeds)
     thresholds = _thresholds(p)
-    top = _boundary_layer(boundary, n, _diag_coords(n),
-                          lambda: np.full(n + 1, n % 2), lambda: boundary.values,
-                          seeds)
-    origins, rows = _sweep(n, top[:, None], thresholds, seeds, keep_all)
-    return origins[:, 0], rows
+    for _, _, lanes in _diagonals(n, boundary, thresholds, seeds):
+        pass
+    return _lane_symbols(lanes[..., :1], len(thresholds))[..., 0]
 
 
 # -- win-curve origins: certified early stop -----------------------------------
@@ -300,28 +296,22 @@ def stop_depths(n: int) -> list[int]:
     return sorted(depths | {x for x in (n // 4, n // 2) if x > 8})
 
 
-def _origin_bounds(d: int, thresholds, seeds: np.ndarray):
-    """The (P, S) origin values of the depth-d triangles under the all-0
-    and under the all-1 boundary, from one sweep of both."""
-    top = np.stack([_boundary_layer(b, d, _diag_coords(d), None, None, seeds)
-                    for b in (AllZero(), AllOne())], axis=1)
-    origins, _ = _sweep(d, top, thresholds, seeds)
-    return origins[:, 0], origins[:, 1]
-
-
 def win_origins(n: int, p, seeds):
     """The origin values of ``triangle_sweep(n, AllZero(), p, seeds)``,
     (P, S), and the depth at which each (p, seed) was decided, (P, S).
 
-    The two-valued rule is antimonotone in the out-values, so the origin of
-    the depth-n triangle lies between the origins of its first d diagonals
-    under the all-0 and the all-1 boundaries at depth d; where these agree,
-    the origin is decided at depth d.  At each of ``stop_depths(n)`` one
-    sweep hashes each diagonal once for the seeds still undecided at some
-    p, and both boundaries read every p's closed bits off it.  The seeds
-    left undecided take the depth-n ``triangle_sweep`` itself, through
-    ``parallel_seed_map``, and are decided at depth n.  A round that decides
-    a smaller share of its seeds than the next round's share of the
+    At each of ``stop_depths(n)`` one all-? ``triangle_sweep`` of the first
+    d diagonals runs for the seeds still undecided at some p, and a pair
+    whose origin is not ? there is decided at depth d, with that value.
+    That is exact, by the argument of ``sliced_sweep``: every path from the
+    origin to diagonal d has length d, so its two-valued value is a
+    monotone (d even) or antimonotone (d odd) function of the values on
+    diagonal d, and the all-? sweep leaves it ? exactly where its values
+    under the all-0 and the all-1 boundaries differ; a definite value holds
+    under every boundary, the depth-n sweep's diagonal d among them.  The
+    seeds left undecided take the depth-n ``triangle_sweep`` itself,
+    through ``parallel_seed_map``, and are decided at depth n.  A round that
+    decides a smaller share of its seeds than the next round's share of the
     depth-n triangle's sites ends the rounds early, so that runs in which
     almost no seed stops (p near 0) pay for one small round only.  So each
     later round hashes at most the words its predecessor saved the full
@@ -329,27 +319,24 @@ def win_origins(n: int, p, seeds):
     first of ``stop_depths(n)``: 1.25 times the full sweep at most.
     """
     seeds = check_seeds(seeds)
-    thresholds = _thresholds(p)
-    values = np.zeros((len(thresholds), seeds.size), dtype=np.int8)
+    values = np.zeros((len(_thresholds(p)), seeds.size), dtype=np.int8)
     depths = np.full(values.shape, n, dtype=np.int64)
     undecided = np.ones(values.shape, dtype=bool)
     live = np.arange(seeds.size)  # the seeds undecided at some p
     schedule = stop_depths(n)
     for d, nxt in zip(schedule, schedule[1:] + [n]):
-        origin0, origin1 = _origin_bounds(d, thresholds, seeds[live])
-        decided = undecided[:, live] & (origin0 == origin1)
-        values[:, live] = np.where(decided, origin0, values[:, live])
+        origin = triangle_sweep(d, AllQuestion(), p, seeds[live])
+        decided = undecided[:, live] & (origin != QUES)
+        values[:, live] = np.where(decided, origin, values[:, live])
         depths[:, live] = np.where(decided, d, depths[:, live])
         undecided[:, live] &= ~decided
         swept, live = live.size, live[undecided[:, live].any(axis=0)]
         if not live.size or (swept - live.size) * n * (n + 1) < swept * nxt * (nxt + 1):
             break
     if live.size:
-        def chunk_fn(chunk):
-            return triangle_sweep(n, AllZero(), p, chunk)[0]
-
-        full = np.concatenate(parallel_seed_map(chunk_fn, seeds[live],
-                                                live.size * n * (n + 1) // 2), axis=1)
+        full = np.concatenate(parallel_seed_map(
+            functools.partial(triangle_sweep, n, AllZero(), p), seeds[live],
+            live.size * n * (n + 1) // 2), axis=1)
         values[:, live] = np.where(undecided[:, live], full, values[:, live])
     return values, depths
 
@@ -374,18 +361,19 @@ class TriangleOutcome:
 
 def solve_triangle(n: int, boundary: Boundary, p: float, seed: int) -> TriangleOutcome:
     """Game outcomes on the z2 triangle of side n under the given boundary,
-    each site closed with probability p (its tag-0 uniform below p)."""
-    _, rows = triangle_sweep(n, boundary, [p], [seed], keep_all=True)
+    each site closed with probability p (its tag-0 uniform below p), from
+    one sweep that hashes each site once."""
+    seeds, thresholds = check_seeds(seed), _thresholds([p])
     values = np.full((n + 1, n + 1), -1, dtype=np.int8)
     closed = np.zeros((n + 1, n + 1), dtype=bool)
-    for k, (vals, bits) in rows.items():
+    for k, h, lanes in _diagonals(n, boundary, thresholds, seeds):
         coords = _diag_coords(k)
-        values[coords[:, 0], coords[:, 1]] = vals[0, 0]
+        values[coords[:, 0], coords[:, 1]] = _lane_symbols(lanes, 1)[0, 0]
         # closedness is a property of the site; on the boundary diagonal
         # it does not enter the recursion (values there are imposed) but
         # does drive rendering and counts
-        closed[coords[:, 0], coords[:, 1]] = (hash_below(seed, coords, 0, p) if bits is None
-                                              else bits[0, 0])
+        closed[coords[:, 0], coords[:, 1]] = (hash_below(seed, coords, 0, p) if h is None
+                                              else below(h[0], thresholds[0]))
     return TriangleOutcome(n, values, closed)
 
 
@@ -605,12 +593,11 @@ class _Lanes:
     l·slots + j; a block's seed w·slots + j has slot j of word w.  Every
     bit of a word belongs to a slot, and a closed seed sets all of its
     slot's bits.  The bits past the last lane are never fixed, so they
-    hold the all-? slab of the deepest depth: at 21 depths on a family
-    that is not graded (one slot) the words are those of one seed a word.
+    hold the all-? slab of the deepest depth, and ``unpack`` drops them.
 
     A word takes its closed bits from one byte per slot (``pack``), so it
     has at most 8 slots.  ``unpack`` lays each seed of layer 0 out in the
-    3i + b lanes of ``sliced_sweep``."""
+    3i + b lanes of ``sliced_sweep``, and leaves the bits past them 0."""
 
     # (x * _GATHER) >> 56 moves bit 0 of byte j of x to bit j
     _GATHER = np.uint64(0x0102040810204080)
@@ -638,12 +625,9 @@ class _Lanes:
         cumulative = list(itertools.accumulate(ques_at, operator.or_))
         by_ques = {b: masks(b) for b in set(cumulative)}
         self.fixed = [by_ques[b] for b in cumulative]
-        # in the 3i + b lanes: the ? lanes of every depth and of the odd
-        # depths, the lanes of no depth, and the ? lane of the deepest depth
+        # in the 3i + b lanes: the ? lanes of every depth and of the odd depths
         self.ques = np.uint64(sum(1 << 3 * i for i in range(len(depths))))
         self.odd = np.uint64(sum(1 << 3 * i for i, K in enumerate(depths) if K % 2))
-        self.unused = np.uint64((1 << 64) - (1 << 3 * len(depths)))
-        self.deep = np.uint64(3 * max(range(len(depths)), key=depths.__getitem__))
 
     def views(self, flags: np.ndarray, n: int, w: int, s: int):
         """The closed flags of a layer's ``n`` sites and ``s`` seeds, ``w``
@@ -700,11 +684,6 @@ class _Lanes:
                 odd <<= np.uint64(1)
                 zero |= to_zero
                 one |= to_one
-        # every lane of no depth holds the ? lane of the deepest depth
-        for rows in (zero, one):
-            np.right_shift(rows, self.deep, out=tmp)
-            tmp &= np.uint64(1)
-            rows |= np.multiply(tmp, self.unused, out=tmp)
 
 
 def _sliced_chunk(index: SlabIndex, sites, lanes: _Lanes, threshold: int, top: int,
@@ -768,9 +747,8 @@ def sliced_sweep(index: SlabIndex, p: float, seeds, depths):
     one), (S, n_class) uint64 each, whose bit 3i + b holds depth
     ``depths[i]`` under boundary b (?, 0, 1) as a bit pair, ? = (0, 0),
     0 = (1, 0), 1 = (0, 1), under the rule of ``play``; on layer k each
-    bit whose depth is <= k takes its boundary value.  The lanes of no
-    depth hold the all-? lane of the deepest depth, so every bit is a
-    function of the arguments.
+    bit whose depth is <= k takes its boundary value.  The bits past
+    3·len(depths) are 0.
 
     On a graded family (``SlabIndex.graded``: every move advances one
     layer) only the all-? boundary is swept, one lane per depth, and on

@@ -58,7 +58,7 @@ def test_03_win_probability_monte_carlo():
     details = []
     ok = True
     for p in (0.2, 0.5):
-        origin, _ = solver.triangle_sweep(400, solver.AllZero(), [p], seeds)
+        origin = solver.triangle_sweep(400, solver.AllZero(), [p], seeds)
         emp = float((origin == ZERO).mean())
         theory = exact.win_probability(p)
         se = np.sqrt(emp * (1 - emp) / seeds.size)

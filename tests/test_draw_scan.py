@@ -224,18 +224,15 @@ def test_each_layer_is_hashed_once_per_sweep_and_seed_block(monkeypatch):
 
 
 def test_every_bit_of_a_sliced_sweep_is_a_function_of_its_arguments(monkeypatch):
-    # the lanes of no depth (bit 63, and bits 9 to 62 of 3 depths) hold the
-    # all-? lane of the deepest depth, in every call and in every blocking
+    # the bits of no depth (bit 63, and bits 9 to 63 of 3 depths) are 0, in
+    # every call, and every blocking gives the same words
     index = solver.SlabIndex(lat.even_sublattice(3), (32, 32))
     runs = {}
     for depths in (solver.profile_depths(2, 60), [60, 2, 31]):
         runs[len(depths)] = [solver.sliced_sweep(index, 0.05, range(100), depths)
                              for _ in range(2)]
-        deep = np.uint64(3 * int(np.argmax(depths)))
         for words in runs[len(depths)][0]:
-            lane = (words >> deep) & np.uint64(1)
-            for bit in range(3 * len(depths), 64):
-                assert np.array_equal((words >> np.uint64(bit)) & np.uint64(1), lane), bit
+            assert not (words >> np.uint64(3 * len(depths))).any()
     # 40 seeds of a 512-site class: 100 seeds make three blocks
     monkeypatch.setattr(solver, "CHAIN_BLOCK", 40 * index.class_size(0))
     for depths in (solver.profile_depths(2, 60), [60, 2, 31]):
@@ -337,21 +334,38 @@ def test_a_draw_is_where_the_two_valued_values_differ_exactly_on_graded_families
     assert holds == index.graded
 
 
+def test_a_draw_is_where_the_two_valued_values_differ_on_every_triangle_diagonal(triangle_rows):
+    # a z2 triangle is graded too (every move advances one diagonal): on
+    # every site of every diagonal, the all-? value is ? exactly where the
+    # all-0 and all-1 values differ, and a definite value equals both
+    grid, seeds = [0.0, 0.05, 0.2, 0.4, 1.0], np.arange(12)
+    for n in range(31):
+        ques, zero, one = (triangle_rows(n, boundary, grid, seeds) for boundary in SLICED)
+        assert sorted(ques) == list(range(n + 1))
+        for k in range(n + 1):
+            q, z, o = ques[k][0], zero[k][0], one[k][0]
+            assert np.array_equal(q == QUES, z != o), (n, k)
+            assert np.array_equal(q[q != QUES], z[q != QUES]), (n, k)
+
+
 BOUNDARIES = [AllZero(), AllOne(), AllQuestion(), Checkerboard(), Sampled(0.3)]
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: type(b).__name__)
-def test_triangle_sweep_over_a_p_sequence_equals_the_scalar_sweeps(boundary):
+def test_triangle_sweep_over_a_p_sequence_equals_the_scalar_sweeps(triangle_rows, boundary):
     seeds = np.arange(4, 11)
     n = 17
     # 5 p fill one uint8 word of lanes; 11 p, unsorted and repeated, spill into two
     for grid in ([0.0, 0.15, 0.3, 0.15, 1.0],
                  [0.7, 0.15, 0.0, 0.45, 1.0, 0.3, 0.15, 0.9, 0.05, 0.3, 0.6]):
-        origin, rows = solver.triangle_sweep(n, boundary, grid, seeds, keep_all=True)
+        origin, rows = solver.triangle_sweep(n, boundary, grid, seeds), triangle_rows(
+            n, boundary, grid, seeds)
         assert origin.shape == (len(grid), seeds.size)
         assert sorted(rows) == list(range(n + 1))
+        assert np.array_equal(rows[0][0][..., 0], origin)
         for i, p in enumerate(grid):
-            ref_origin, ref_rows = solver.triangle_sweep(n, boundary, [p], seeds, keep_all=True)
+            ref_origin = solver.triangle_sweep(n, boundary, [p], seeds)
+            ref_rows = triangle_rows(n, boundary, [p], seeds)
             assert np.array_equal(origin[i], ref_origin[0])
             for k in range(n + 1):
                 (vals, closed), (ref_vals, ref_closed) = rows[k], ref_rows[k]
@@ -360,15 +374,15 @@ def test_triangle_sweep_over_a_p_sequence_equals_the_scalar_sweeps(boundary):
                 assert (closed is None) == (k == n)
                 if k < n:
                     assert closed.shape == vals.shape and np.array_equal(closed[i], ref_closed[0])
-        alone, none = solver.triangle_sweep(n, boundary, np.array(grid), seeds)
-        assert none is None and np.array_equal(alone, origin)
+        assert np.array_equal(solver.triangle_sweep(n, boundary, np.array(grid), seeds), origin)
 
 
-def test_triangle_sweep_takes_p_only_as_a_1d_sequence():
+def test_triangle_sweep_takes_p_only_as_a_1d_sequence(triangle_rows):
     seeds = np.arange(3)
-    origin, rows = solver.triangle_sweep(6, AllZero(), [0.2], seeds, keep_all=True)
+    origin, rows = (solver.triangle_sweep(6, AllZero(), [0.2], seeds),
+                    triangle_rows(6, AllZero(), [0.2], seeds))
     assert origin.shape == (1, 3) and rows[2][0].shape == (1, 3, 3) and rows[6][0].shape == (1, 3, 7)
-    origin, _ = solver.triangle_sweep(0, AllQuestion(), [0.2, 0.5], [2])
+    origin = solver.triangle_sweep(0, AllQuestion(), [0.2, 0.5], [2])
     assert origin.shape == (2, 1) and (origin == QUES).all()
     for bad in (0.2, np.float64(0.2), [[0.2]], []):
         with pytest.raises(ValueError):

@@ -83,15 +83,15 @@ def test_envelope_domination_triangle():
         assert (sq.values[disagree] == QUES).all()
 
 
-def test_order_reversal_by_layer_triangle():
+def test_order_reversal_by_layer_triangle(triangle_rows):
     # boundary b1 <= b2 (0 < ? < 1): solved layers alternate >= / <=
     rng = np.random.default_rng(1)
     n = 16
     for seed in range(10):
         b2 = rng.integers(0, 2, n + 1).astype(np.int8)
         b1 = (b2 & rng.integers(0, 2, n + 1)).astype(np.int8)
-        _, rows1 = solver.triangle_sweep(n, Explicit(b1), [0.2], [100 + seed], keep_all=True)
-        _, rows2 = solver.triangle_sweep(n, Explicit(b2), [0.2], [100 + seed], keep_all=True)
+        rows1 = triangle_rows(n, Explicit(b1), [0.2], [100 + seed])
+        rows2 = triangle_rows(n, Explicit(b2), [0.2], [100 + seed])
         for k in range(n + 1):
             r1 = LINEAR_RANK[rows1[k][0][0, 0]]
             r2 = LINEAR_RANK[rows2[k][0][0, 0]]
@@ -314,11 +314,11 @@ def test_play_keeps_two_valued_pairs_two_valued(data, n_moves, sites, dtype):
     assert np.array_equal(zero & closed, closed)  # closed lanes are 0
 
 
-def test_triangle_sampled_extremes_equal_constant_boundaries():
+def test_triangle_sampled_extremes_equal_constant_boundaries(triangle_rows):
     seeds = np.arange(5)
     for q, const in ((0.0, solver.AllZero()), (1.0, solver.AllOne())):
-        _, rows = solver.triangle_sweep(12, Sampled(q), [0.3], seeds, keep_all=True)
-        _, ref = solver.triangle_sweep(12, const, [0.3], seeds, keep_all=True)
+        rows = triangle_rows(12, Sampled(q), [0.3], seeds)
+        ref = triangle_rows(12, const, [0.3], seeds)
         assert all(np.array_equal(rows[k][0], ref[k][0]) for k in ref)
 
 
@@ -364,31 +364,34 @@ def test_solve_triangle_hashes_each_diagonal_once(monkeypatch):
 
 @pytest.mark.parametrize("seeds", [[5], [3, 11, 2 ** 40]])
 @pytest.mark.parametrize("block", [1, 7, 64])
-def test_small_hash_batches_give_the_same_sweep(monkeypatch, block, seeds):
+def test_small_hash_batches_give_the_same_sweep(monkeypatch, triangle_rows, block, seeds):
     # batches of 1, 7 and 64 words split the diagonals everywhere, some
     # diagonals larger than a batch; the bits do not depend on the split
     n = 23
-    # 9 lanes in the sweep, 5 p x 2 boundaries = 10 in the win_origins rounds
+    # 9 p: 9 lanes, over two uint8 words, in the sweep and in the win_origins rounds
     grid = [0.0, 0.1, 0.3, 0.45, 0.5, 0.6, 0.8, 0.95, 1.0]
-    default = [solver.triangle_sweep(n, AllQuestion(), grid, seeds, keep_all=True),
-               solver.win_origins(n, grid[:5], seeds)]
+
+    def sweeps():
+        return (solver.triangle_sweep(n, AllQuestion(), grid, seeds),
+                triangle_rows(n, AllQuestion(), grid, seeds), solver.win_origins(n, grid, seeds))
+
+    default = sweeps()
     monkeypatch.setattr(solver, "CHAIN_BLOCK", block)
-    (origins, rows), win = (solver.triangle_sweep(n, AllQuestion(), grid, seeds, keep_all=True),
-                            solver.win_origins(n, grid[:5], seeds))
-    assert origins.tobytes() == default[0][0].tobytes()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(win, default[1]))
+    origins, rows, win = sweeps()
+    assert origins.tobytes() == default[0].tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(win, default[2]))
     for k in range(n + 1):
-        assert rows[k][0].tobytes() == default[0][1][k][0].tobytes()
+        assert rows[k][0].tobytes() == default[1][k][0].tobytes()
         if k < n:
             assert np.array_equal(rows[k][1], [hash_below(seeds, solver._diag_coords(k), 0, p)
                                                for p in grid])
 
 
-def test_solve_triangle_equals_a_sweep_over_a_p_sequence():
+def test_solve_triangle_equals_a_sweep_over_a_p_sequence(triangle_rows):
     # each p of one batched sweep gives the values that solve_triangle
     # places on the plane, next to the closed bits of the site field
     seed, grid, n = 4, [0.0, 0.25, 0.7, 1.0], 9
-    _, rows = solver.triangle_sweep(n, AllQuestion(), grid, [seed], keep_all=True)
+    rows = triangle_rows(n, AllQuestion(), grid, [seed])
     for i, p in enumerate(grid):
         out = solver.solve_triangle(n, AllQuestion(), p, seed)
         for k in range(n + 1):

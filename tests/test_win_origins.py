@@ -7,18 +7,18 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from percgame import sitefield, solver
-from percgame.solver import AllOne, AllZero
+from percgame.solver import AllOne, AllQuestion, AllZero
 
 EDGE_P = [0.0, 1.0, 1e-9, 1 - 1e-9]
 N = st.integers(0, 60)
-# up to 9 p: at two boundaries per p, 18 lanes spill over two uint8 words
+# up to 9 p: 9 lanes spill over two uint8 words
 GRID = st.lists(st.one_of(st.sampled_from(EDGE_P), st.floats(0.0, 1.0)), min_size=1, max_size=9)
 SEEDS = st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=12, unique=True)
 
 
 def _check(n, grid, seeds):
     values, depths = solver.win_origins(n, grid, seeds)
-    full, _ = solver.triangle_sweep(n, AllZero(), grid, seeds)
+    full = solver.triangle_sweep(n, AllZero(), grid, seeds)
     assert values.dtype == full.dtype
     assert np.array_equal(values, full), "origins differ from the full sweep"
     schedule = solver.stop_depths(n)
@@ -26,8 +26,8 @@ def _check(n, grid, seeds):
     # a pair decided at d < n: the two boundaries agree at d, and at no
     # scheduled depth before it
     for d in schedule:
-        zero, _ = solver.triangle_sweep(d, AllZero(), grid, seeds)
-        one, _ = solver.triangle_sweep(d, AllOne(), grid, seeds)
+        zero = solver.triangle_sweep(d, AllZero(), grid, seeds)
+        one = solver.triangle_sweep(d, AllOne(), grid, seeds)
         agree, later = zero == one, (depths > d) & (depths < n)
         assert agree[depths == d].all() and not agree[later].any()
         assert np.array_equal(zero[depths == d], full[depths == d])
@@ -46,15 +46,16 @@ def test_win_origins_at_the_edges(n):
 
 
 def test_an_unchecked_early_stop_fails_the_property(monkeypatch):
-    # negative control: take the all-0 origin at the first scheduled depth
-    # for both boundaries, so that every pair stops there unchecked
-    bounds = solver._origin_bounds
+    # negative control: the rounds sweep the all-0 boundary in place of
+    # the all-?, so that their origins are never ? and every pair stops at
+    # the first scheduled depth unchecked; the references of _check sweep
+    # the all-0 and all-1 boundaries alone, and pass through unchanged
+    sweep = solver.triangle_sweep
 
-    def unchecked(d, thresholds, seeds):
-        zero, _ = bounds(d, thresholds, seeds)
-        return zero, zero
+    def unchecked(n, boundary, p, seeds):
+        return sweep(n, AllZero() if boundary == AllQuestion() else boundary, p, seeds)
 
-    monkeypatch.setattr(solver, "_origin_bounds", unchecked)
+    monkeypatch.setattr(solver, "triangle_sweep", unchecked)
 
     # the first failing example is enough: no shrinking
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
