@@ -212,7 +212,8 @@ def _diagonals(n: int, boundary: Boundary, thresholds, seeds: np.ndarray):
     top = _boundary_layer(boundary, n, _diag_coords(n), lambda: np.full(n + 1, n % 2),
                           lambda: boundary.values, seeds)
     n_words = -(-len(thresholds) // 8)
-    slots = np.empty((2, 2, n_words, seeds.size, n + 1), dtype=np.uint8)  # diagonal k in slot k mod 2
+    # diagonal k in slot k mod 2
+    slots = np.empty((2, 2, n_words, seeds.size, n + 1), dtype=np.uint8)
     flat = slots.reshape(2, 2, -1)
     # per slot, the rule's arguments: its (zero, one) words and, as targets,
     # the other slot's words at the same flat index and at the next one

@@ -14,7 +14,8 @@ def triangle_rows():
     (P, S, k+1) values and closed bits (None on the boundary diagonal n)."""
     def rows(n, boundary, grid, seeds):
         thresholds = solver._thresholds(grid)
+        diagonals = solver._diagonals(n, boundary, thresholds, check_seeds(seeds))
         return {k: (solver._lane_symbols(lanes, len(thresholds)),
                     None if h is None else np.stack([below(h, t) for t in thresholds]))
-                for k, h, lanes in solver._diagonals(n, boundary, thresholds, check_seeds(seeds))}
+                for k, h, lanes in diagonals}
     return rows

@@ -358,8 +358,8 @@ def test_triangle_sweep_over_a_p_sequence_equals_the_scalar_sweeps(triangle_rows
     # 5 p fill one uint8 word of lanes; 11 p, unsorted and repeated, spill into two
     for grid in ([0.0, 0.15, 0.3, 0.15, 1.0],
                  [0.7, 0.15, 0.0, 0.45, 1.0, 0.3, 0.15, 0.9, 0.05, 0.3, 0.6]):
-        origin, rows = solver.triangle_sweep(n, boundary, grid, seeds), triangle_rows(
-            n, boundary, grid, seeds)
+        origin = solver.triangle_sweep(n, boundary, grid, seeds)
+        rows = triangle_rows(n, boundary, grid, seeds)
         assert origin.shape == (len(grid), seeds.size)
         assert sorted(rows) == list(range(n + 1))
         assert np.array_equal(rows[0][0][..., 0], origin)
@@ -379,8 +379,8 @@ def test_triangle_sweep_over_a_p_sequence_equals_the_scalar_sweeps(triangle_rows
 
 def test_triangle_sweep_takes_p_only_as_a_1d_sequence(triangle_rows):
     seeds = np.arange(3)
-    origin, rows = (solver.triangle_sweep(6, AllZero(), [0.2], seeds),
-                    triangle_rows(6, AllZero(), [0.2], seeds))
+    origin = solver.triangle_sweep(6, AllZero(), [0.2], seeds)
+    rows = triangle_rows(6, AllZero(), [0.2], seeds)
     assert origin.shape == (1, 3) and rows[2][0].shape == (1, 3, 3) and rows[6][0].shape == (1, 3, 7)
     origin = solver.triangle_sweep(0, AllQuestion(), [0.2, 0.5], [2])
     assert origin.shape == (2, 1) and (origin == QUES).all()
